@@ -22,6 +22,7 @@ from .bounds import (
     kappa_upper_from_systole,
     lens_lb,
     load_constants,
+    multiple_class_bound,
     sandwich,
     simvol_lb,
     surface_kappa_bounds,
@@ -102,7 +103,6 @@ from .sleeves import (
     CubicalModel,
     asymptotic_constant,
     assemble,
-    multiple_class_bound,
     sleeve_volume_single,
     upper_bound_even,
     upper_bound_odd,

@@ -52,7 +52,12 @@ def load_constants(path: str) -> BoundConstants:
     """Load constants from a JSON file; missing keys keep their defaults."""
     with open(path) as handle:
         data = json.load(handle)
-    constants = BoundConstants(**{k: v for k, v in data.items() if k != "provenance"})
+    if not isinstance(data, dict):
+        raise ValueError(f"constants file {path} must hold a JSON object")
+    try:  # unknown keys and non-numeric values
+        constants = BoundConstants(**{k: v for k, v in data.items() if k != "provenance"})
+    except TypeError as exc:
+        raise ValueError(f"constants file {path}: {exc}") from exc
     return replace(constants, provenance=str(path))
 
 
@@ -111,6 +116,15 @@ def height_from_torsion(t1) -> float:
     return 2 * math.log(t1) / math.log(3)
 
 
+def multiple_class_bound(k, constant) -> float:
+    """C k / ln(1+k): sublinear upper bound for the k-th multiple of a class."""
+    if k < 1:
+        raise ValueError("multiple k must be at least 1")
+    if constant <= 0:
+        raise ValueError("the constant must be positive")
+    return constant * k / math.log(1 + k)
+
+
 def sandwich(k, constants: BoundConstants = BoundConstants()) -> BoundReport:
     """Sandwich for the k-th multiple of a class with positive simplicial volume.
 
@@ -118,9 +132,8 @@ def sandwich(k, constants: BoundConstants = BoundConstants()) -> BoundReport:
     """
     if k < 1:
         raise ValueError("multiple k must be at least 1")
-    log1k = math.log(1 + k)
-    lower = constants.pair_lower * k / log1k ** constants.m
-    upper = constants.pair_upper * k / log1k
+    lower = constants.pair_lower * k / math.log(1 + k) ** constants.m
+    upper = multiple_class_bound(k, constants.pair_upper)
     return BoundReport(
         name="multiple-class-sandwich",
         inputs=(("k", float(k)), ("m", float(constants.m))),
@@ -181,9 +194,9 @@ class GroupCountReport:
 
     k_budget: int
     exponent: Fraction  # K^3 / 14
-    bound_exact: int | None  # 2^exponent when the exponent is an integer
-    bound_float: float  # may be inf when the exponent is large and fractional
-    chain_ok: bool  # subset-count <= 2^C(M,3) <= 2^(K^3/14), exact integers
+    bound_exact: int | None  # 2^exponent when the exponent is an integer below 1024
+    bound_float: float  # inf once 2^exponent is past the float range
+    chain_ok: bool  # 14 C(M,3) <= K^3, exact integers
     max_vertices: int  # M = ceil(3K/4)
     triangle_slots: int  # C(M, 3)
 
@@ -191,28 +204,23 @@ class GroupCountReport:
 def group_count_bound(k_budget: int) -> GroupCountReport:
     """Count bound for groups of zero free index with complexity budget K.
 
-    Verifies internally, in exact big-integer arithmetic, the chain
-    sum_(s<=K) C(C(M,3), s) <= 2^C(M,3) and 14 C(M,3) <= K^3 with
-    M = ceil(3K/4).
+    At most sum_(s<=K) C(C(M,3), s) <= 2^C(M,3) triangle sets with
+    M = ceil(3K/4); the first inequality is a partial binomial row sum, so
+    only 14 C(M,3) <= K^3 is checked, in exact integers.  ``bound_exact``
+    is kept only while 2^(K^3/14) fits in 1024 bits, like ``bound_float``.
     """
     if k_budget < 1:
         raise ValueError("complexity budget must be a positive integer")
     m_vertices = -(-3 * k_budget // 4)
     slots = math.comb(m_vertices, 3)
-    subset_sum = sum(math.comb(slots, s) for s in range(k_budget + 1))
-    chain_ok = subset_sum <= 2 ** slots and 14 * slots <= k_budget ** 3
     exponent = Fraction(k_budget ** 3, 14)
-    if exponent.denominator == 1:
-        exact = 2 ** exponent.numerator
-        as_float = float(exact) if exact.bit_length() <= 1024 else math.inf
-    else:
-        exact = None
-        try:
-            as_float = 2.0 ** float(exponent)
-        except OverflowError:
-            as_float = math.inf
+    exact = 2 ** exponent.numerator if exponent.denominator == 1 and exponent < 1024 else None
+    try:
+        as_float = 2.0 ** float(exponent)
+    except OverflowError:
+        as_float = math.inf
     return GroupCountReport(
-        k_budget, exponent, exact, as_float, chain_ok, m_vertices, slots
+        k_budget, exponent, exact, as_float, 14 * slots <= k_budget ** 3, m_vertices, slots
     )
 
 
@@ -302,7 +310,7 @@ class UpperBoundIngredients:
             if multiple == k:
                 best = min(best, value)
         for c in self.sublinear_constants:
-            best = min(best, c * k / math.log(1 + k))
+            best = min(best, multiple_class_bound(k, c))
         for cap in self.constant_caps:
             best = min(best, cap)
         return best

@@ -4,22 +4,26 @@ Subcommands: homology, check-torsion-bound, abelianize, girth, build-graph,
 sleeve, bounds, waring, genfun, corpus, sweep.  Output is deterministic:
 identical invocations produce byte-identical artifacts.  Exit codes:
 0 success (possibly with per-row warnings), 1 invariant violation (a
-theorem-level check came back false, which signals a bug), 2 usage error.
+theorem-level check came back false, which signals a bug), 2 bad input.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 from . import genfun as genfun_mod
 from . import waring as waring_mod
+from .bounds import multiple_class_bound
 from .complexes import load_complex
 from .graphs import (
     GirthSearchError,
@@ -32,9 +36,7 @@ from .graphs import (
 )
 from .homology import check_s2_torsion_bound, homology
 from .presentations import abelianization, parse_presentation
-from .sleeves import CubicalModel, assemble
-
-__version__ = "0.1.0"
+from .sleeves import CubicalModel, assemble, sleeve_volume_single
 
 USAGE_ERROR = 2
 INVARIANT_VIOLATION = 1
@@ -64,16 +66,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump_json(payload, out_path: str | None) -> None:
-    _emit(json.dumps(_jsonable(payload), indent=2) + "\n", out_path)
+    _emit(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n", out_path)
 
 
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -83,15 +81,21 @@ def _dump_csv(header_comment: str, columns, rows, out_path: str | None) -> None:
     _emit("\n".join(lines) + "\n", out_path)
 
 
-def _provenance(args) -> str:
-    constants = "defaults(illustrative)" if not args.constants else args.constants
-    return f"systolic {__version__} seed={args.seed} constants={constants}"
+def _provenance(seed, constants_path, command=None) -> str:
+    command = f" command={command}" if command else ""
+    return f"systolic {__version__} seed={seed}{command} constants={constants_path or 'defaults(illustrative)'}"
 
 
-def _load_constants(args) -> bounds_mod.BoundConstants:
-    if args.constants:
-        return bounds_mod.load_constants(args.constants)
-    return bounds_mod.BoundConstants()
+def _load_constants(path) -> bounds_mod.BoundConstants:
+    return bounds_mod.load_constants(path) if path else bounds_mod.BoundConstants()
+
+
+def _rational(value, what: str) -> Fraction:
+    """An exact rational from outside input, or a usage error naming it."""
+    try:
+        return Fraction(value)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ValueError(f"{what} {value!r} is not a rational number") from exc
 
 
 def _named_complexes(args):
@@ -99,7 +103,7 @@ def _named_complexes(args):
     if getattr(args, "corpus", False):
         return list(corpus_mod.corpus_complexes().items())
     if not args.inputs:
-        raise SystemExit2("no input complexes given (pass files or --corpus)")
+        raise ValueError("no input complexes given (pass files or --corpus)")
     out = []
     for path in args.inputs:
         with open(path) as handle:
@@ -107,28 +111,22 @@ def _named_complexes(args):
     return out
 
 
-class SystemExit2(Exception):
-    """Usage-level error: exits with code 2."""
-
-
 def cmd_homology(args) -> int:
-    pairs = _named_complexes(args)
+    summaries = [(name, homology(complex_)) for name, complex_ in _named_complexes(args)]
     if args.format == "csv":
-        rows = []
-        for name, complex_ in pairs:
-            summary = homology(complex_)
-            rows.append(
-                (
-                    name,
-                    " ".join(map(str, summary.betti)),
-                    " ".join("/".join(map(str, chain)) or "-" for chain in summary.torsion),
-                )
+        rows = [
+            (
+                name,
+                " ".join(map(str, summary.betti)),
+                " ".join("/".join(map(str, chain)) or "-" for chain in summary.torsion),
             )
-        _dump_csv(_provenance(args), ("name", "betti", "torsion"), rows, args.out)
+            for name, summary in summaries
+        ]
+        _dump_csv(_provenance(args.seed, args.constants), ("name", "betti", "torsion"), rows, args.out)
         return 0
     payload = {
-        name: {"betti": list(homology(c).betti), "torsion": [list(t) for t in homology(c).torsion]}
-        for name, c in pairs
+        name: {"betti": list(summary.betti), "torsion": [list(t) for t in summary.torsion]}
+        for name, summary in summaries
     }
     if len(payload) == 1:
         payload = next(iter(payload.values()))
@@ -144,7 +142,7 @@ def cmd_check_torsion_bound(args) -> int:
         report = check_s2_torsion_bound(complex_)
         violated |= not report.holds
         rows.append((name, report.s2, report.lower_bound, report.holds))
-    _dump_csv(_provenance(args), ("name", "s2", "bound", "holds"), rows, args.out)
+    _dump_csv(_provenance(args.seed, args.constants), ("name", "s2", "bound", "holds"), rows, args.out)
     return INVARIANT_VIOLATION if violated else 0
 
 
@@ -161,13 +159,12 @@ def cmd_abelianize(args) -> int:
 def cmd_girth(args) -> int:
     with open(args.graph) as handle:
         graph = load_graph(handle)
-    payload: dict = {"girth": _jsonable(float(girth(graph)))}
+    shortest = girth(graph)
+    payload: dict = {"girth": _jsonable(shortest if shortest == math.inf else int(shortest))}
     if args.edge_length:
-        systole = metric_systole(MetricGraph(graph, Fraction(args.edge_length)))
+        systole = metric_systole(MetricGraph(graph, _rational(args.edge_length, "--edge-length")))
         payload["edge_length"] = args.edge_length
         payload["metric_systole"] = _jsonable(systole if systole == math.inf else Fraction(systole))
-    if isinstance(payload["girth"], float):
-        payload["girth"] = int(payload["girth"])
     _dump_json(payload, args.out)
     return 0
 
@@ -182,7 +179,7 @@ def cmd_sleeve(args) -> int:
     with open(args.graph) as handle:
         graph = load_graph(handle)
     model = CubicalModel(args.m, args.c)
-    report = assemble(model, Fraction(args.eps), graph)
+    report = assemble(model, _rational(args.eps, "--eps"), graph)
     payload = _jsonable(report)
     # exact fields stay exact; transcendental formula values print to 6 digits
     payload["sublinear_upper_bound"] = float(f"{report.sublinear_upper_bound:.6g}")
@@ -191,11 +188,9 @@ def cmd_sleeve(args) -> int:
 
 
 def cmd_bound_multiple(args) -> int:
-    from .sleeves import multiple_class_bound
-
     ks = _parse_grid_ints(args.k)
     rows = [(k, multiple_class_bound(k, args.constant), multiple_class_bound(k, args.constant) / k) for k in ks]
-    _dump_csv(_provenance(args), ("k", "bound", "bound_over_k"), rows, args.out)
+    _dump_csv(_provenance(args.seed, args.constants), ("k", "bound", "bound_over_k"), rows, args.out)
     return 0
 
 
@@ -209,70 +204,157 @@ def _parse_grid_ints(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",")]
 
 
-_BOUND_EVALUATORS = {
-    "height": lambda a, k: bounds_mod.height_lb(a.value, k),
-    "simvol": lambda a, k: bounds_mod.simvol_lb(a.value, k),
-    "torsion": lambda a, k: bounds_mod.torsion_lb(a.value, k),
-    "height-from-torsion": lambda a, k: bounds_mod.height_from_torsion(a.value),
-    "lens": lambda a, k: bounds_mod.lens_lb(int(a.value), k),
-    "pi1-3manifold": lambda a, k: bounds_mod.finite_pi1_3manifold_lb(int(a.value), k),
-    "kappa-upper": lambda a, k: bounds_mod.kappa_upper_from_systole(a.value),
-    "kappa-alpha": lambda a, k: bounds_mod.kappa_alpha_scale(a.value),
-    "area-from-kappa": lambda a, k: bounds_mod.systolic_area_upper_from_kappa(a.value),
+def _real(point) -> float:
+    """The grid point's "value", which must be a finite number."""
+    value = point["value"]
+    if not math.isfinite(value):
+        raise ValueError(f"value {value} is not finite")
+    return value
+
+
+def _whole(point) -> int:
+    """The grid point's "value" where the formula needs a whole number."""
+    value = _real(point)
+    if value != int(value):
+        raise ValueError(f"value {value} is not a whole number")
+    return int(value)
+
+
+def _sandwich(point, constants):
+    report = bounds_mod.sandwich(_real(point), constants)
+    return {
+        "name": report.name,
+        "lower": report.lower_bounds[0][1],
+        "upper": report.upper_bounds[0][1],
+        "consistent": report.consistent,
+        "constants": constants.provenance,
+    }
+
+
+def _kappa_bounds(key: str, evaluate):
+    def build(point, _constants):
+        n = _whole(point)
+        low, high = evaluate(n)
+        return {key: n, "lower": low, "upper": high}
+
+    return build
+
+
+def _torsion_check(point, _constants):
+    report = check_s2_torsion_bound(corpus_mod.corpus_complex(point["name"]))
+    return {"s2": report.s2, "torsion": report.torsion_order, "holds": report.holds}
+
+
+class _Evaluator:
+    """One evaluator of a sweep grid point, which ``bounds NAME --value v`` calls as {"value": v}.
+
+    ``build(point, constants)`` returns the ``bounds`` payload, or a bare
+    number when ``row`` is None; ``row`` names the payload keys a sweep row
+    shows.  Entries with ``bound`` False read other grid keys and are
+    sweep-only.  A plain class: building a dataclass slows CLI start-up.
+    """
+
+    def __init__(self, build: Callable, row: tuple[str, ...] | None = None, bound: bool = True):
+        self.build, self.row, self.bound = build, row, bound
+
+
+EVALUATORS = {
+    "height": _Evaluator(lambda p, k: bounds_mod.height_lb(_real(p), k)),
+    "simvol": _Evaluator(lambda p, k: bounds_mod.simvol_lb(_real(p), k)),
+    "torsion": _Evaluator(lambda p, k: bounds_mod.torsion_lb(_real(p), k)),
+    "height-from-torsion": _Evaluator(lambda p, _: bounds_mod.height_from_torsion(_real(p))),
+    "lens": _Evaluator(lambda p, k: bounds_mod.lens_lb(_whole(p), k)),
+    "pi1-3manifold": _Evaluator(lambda p, k: bounds_mod.finite_pi1_3manifold_lb(_whole(p), k)),
+    "kappa-upper": _Evaluator(lambda p, _: bounds_mod.kappa_upper_from_systole(_real(p))),
+    "kappa-alpha": _Evaluator(lambda p, _: bounds_mod.kappa_alpha_scale(_real(p))),
+    "area-from-kappa": _Evaluator(lambda p, _: bounds_mod.systolic_area_upper_from_kappa(_real(p))),
+    "sandwich": _Evaluator(_sandwich, ("lower", "upper", "consistent")),
+    # the payload carries the chain_ok theorem check, which sets the exit code
+    "group-count": _Evaluator(
+        lambda p, _: _jsonable(bounds_mod.group_count_bound(_whole(p))), ("exponent", "chain_ok")
+    ),
+    "surface-kappa": _Evaluator(_kappa_bounds("genus", bounds_mod.surface_kappa_bounds), ("lower", "upper")),
+    "abelian-kappa": _Evaluator(_kappa_bounds("rank", bounds_mod.abelian_kappa_bounds), ("lower", "upper")),
+    "homology": _Evaluator(
+        lambda p, _: {"betti": list(homology(corpus_mod.corpus_complex(p["name"])).betti)},
+        ("betti",),
+        bound=False,
+    ),
+    "check-torsion-bound": _Evaluator(_torsion_check, ("s2", "torsion", "holds"), bound=False),
+    "sleeve-volume": _Evaluator(
+        lambda p, _: sleeve_volume_single(CubicalModel(p["m"], p["c"]), p["eps"]), bound=False
+    ),
+    "multiple-class-bound": _Evaluator(lambda p, _: multiple_class_bound(p["k"], p["C"]), bound=False),
+    "waring": _Evaluator(lambda p, _: waring_mod.min_count(p["k"], p["d"]), bound=False),
 }
 
 
 def cmd_bounds(args) -> int:
-    constants = _load_constants(args)
-    name = args.name
-    if name == "sweep":
-        return _run_sweep_file(args.spec, args)
-    if name in _BOUND_EVALUATORS:
-        if args.value is None:
-            raise SystemExit2(f"bounds {name} requires --value")
-        value = _BOUND_EVALUATORS[name](args, constants)
-        payload = {"name": name, "value": value, "constants": constants.provenance}
-        _dump_json(payload, args.out)
-        return 0
-    if name == "sandwich":
-        if args.value is None:
-            raise SystemExit2("bounds sandwich requires --value (the multiple k)")
-        report = bounds_mod.sandwich(args.value, constants)
-        _dump_json(
-            {
-                "name": report.name,
-                "lower": report.lower_bounds[0][1],
-                "upper": report.upper_bounds[0][1],
-                "consistent": report.consistent,
-                "constants": constants.provenance,
-            },
-            args.out,
-        )
-        return 0
-    if name == "group-count":
-        report = bounds_mod.group_count_bound(int(args.value))
-        _dump_json(report, args.out)
-        return 0 if report.chain_ok else INVARIANT_VIOLATION
-    if name == "surface-kappa":
-        low, high = bounds_mod.surface_kappa_bounds(int(args.value))
-        _dump_json({"genus": int(args.value), "lower": low, "upper": high}, args.out)
-        return 0
-    if name == "abelian-kappa":
-        low, high = bounds_mod.abelian_kappa_bounds(int(args.value))
-        _dump_json({"rank": int(args.value), "lower": low, "upper": high}, args.out)
-        return 0
-    raise SystemExit2(f"unknown bounds evaluator {name!r}")
+    if args.name == "sweep":
+        if args.spec is None:
+            raise ValueError("bounds sweep requires --spec")
+        return cmd_sweep(args)
+    entry = EVALUATORS.get(args.name)
+    if entry is None or not entry.bound:
+        raise ValueError(f"unknown bounds evaluator {args.name!r}")
+    if args.value is None:
+        raise ValueError(f"bounds {args.name} requires --value")
+    constants = _load_constants(args.constants)
+    payload = entry.build({"value": args.value}, constants)
+    if entry.row is None:
+        payload = {"name": args.name, "value": payload, "constants": constants.provenance}
+    _dump_json(payload, args.out)
+    return INVARIANT_VIOLATION if payload.get("chain_ok") is False else 0
+
+
+def cmd_sweep(args) -> int:
+    """One output row per grid point; per-row failures never abort the run."""
+    with open(args.spec) as handle:
+        spec = json.load(handle)
+    grid = spec.get("grid") if isinstance(spec, dict) else None
+    if not isinstance(grid, dict) or not grid or not all(
+        isinstance(values, list) and values for values in grid.values()
+    ):
+        raise ValueError(f"sweep spec {args.spec} needs a non-empty 'grid' of value lists")
+    command = spec.get("command")
+    if not isinstance(command, str) or command not in EVALUATORS:
+        raise ValueError(f"sweep does not support command {command!r}")
+    entry = EVALUATORS[command]
+    constants_path = spec.get("constants") or args.constants
+    constants = _load_constants(constants_path)
+    keys = sorted(grid)
+    rows = []
+    for combo in itertools.product(*(grid[key] for key in keys)):
+        try:
+            cells = [_sweep_cell(entry, dict(zip(keys, combo)), constants), ""]
+        except Exception as exc:  # per-row failure becomes a row-level error field
+            cells = ["", f'"{exc}"']
+        rows.append([*combo, *cells])
+    comment = _provenance(spec.get("seed", args.seed), constants_path, command)
+    _dump_csv(comment, (*keys, "result", "error"), rows, spec.get("out", args.out))
+    warnings = sum(1 for row in rows if row[-1])
+    if warnings:
+        sys.stderr.write(f"sweep finished with {warnings} row errors\n")
+    return 0
+
+
+def _sweep_cell(entry: _Evaluator, point: dict, constants) -> str:
+    result = entry.build(point, constants)
+    if entry.row is None:
+        return str(result)
+    shown = _jsonable({key: result[key] for key in entry.row})
+    return json.dumps(shown, separators=(";", ":"), allow_nan=False).replace(",", ";")
 
 
 def cmd_waring(args) -> int:
     if args.mode == "verify":
         if args.d not in (None, 4):
-            raise SystemExit2("the uniform-cap verification is specific to d = 4")
+            raise ValueError("the uniform-cap verification is specific to d = 4")
         report = waring_mod.verify_g4(args.limit)
         _dump_json(report, args.out)
         return 0 if report.within_19 else INVARIANT_VIOLATION
     if args.k is None or args.d is None:
-        raise SystemExit2("waring requires --k and --d (or the 'verify' mode)")
+        raise ValueError("waring requires --k and --d (or the 'verify' mode)")
     decomposition = waring_mod.min_powers(args.k, args.d)
     _dump_json(decomposition, args.out)
     return 0
@@ -281,7 +363,10 @@ def cmd_waring(args) -> int:
 def cmd_genfun(args) -> int:
     with open(args.file) as handle:
         data = json.load(handle)
-    sequence = genfun_mod.RationalSequence.from_values(data["terms"])
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list):
+        raise ValueError('sequence JSON must be an object {"terms": [...]}')
+    sequence = genfun_mod.RationalSequence.from_values(_rational(t, "term") for t in terms)
     verdict = genfun_mod.detect_linear_recurrence(sequence, max_order=args.max_order)
     _dump_json(verdict, args.out)
     return 0
@@ -293,111 +378,12 @@ def cmd_corpus(args) -> int:
         _dump_json([dataclasses.asdict(e) for e in entries], args.out)
     else:
         _dump_csv(
-            _provenance(args),
+            _provenance(args.seed, args.constants),
             ("name", "kind", "provenance"),
             [(e.name, e.kind, f'"{e.provenance}"') for e in entries],
             args.out,
         )
     return 0
-
-
-# ---------------------------------------------------------------------------
-# experiment sweeps
-
-
-def _run_sweep_file(spec_path: str, args) -> int:
-    """One output row per grid point; per-row failures never abort the run."""
-    try:
-        with open(spec_path) as handle:
-            spec = json.load(handle)
-        command = spec["command"]
-        grid = spec["grid"]
-        if not grid or any(not values for values in grid.values()):
-            raise ValueError("empty grid")
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise SystemExit2(f"unreadable sweep spec {spec_path}: {exc}") from exc
-    seed = spec.get("seed", args.seed)
-    out_path = spec.get("out", args.out)
-    if spec.get("constants"):
-        args = argparse.Namespace(**{**vars(args), "constants": spec["constants"]})
-    keys = sorted(grid)
-    points: list[dict] = [{}]
-    for key in keys:
-        points = [dict(p, **{key: v}) for p in points for v in grid[key]]
-    rows = []
-    warnings = 0
-    for point in points:
-        try:
-            result = _sweep_eval(command, point, args)
-            rows.append([*(point[k] for k in keys), _sweep_render(result), ""])
-        except Exception as exc:  # per-row failure becomes a row-level error field
-            warnings += 1
-            rows.append([*(point[k] for k in keys), "", f'"{exc}"'])
-    comment = f"systolic {__version__} seed={seed} command={command} " + (
-        f"constants={args.constants}" if args.constants else "constants=defaults(illustrative)"
-    )
-    _dump_csv(comment, (*keys, "result", "error"), rows, out_path)
-    if warnings:
-        sys.stderr.write(f"sweep finished with {warnings} row errors\n")
-    return 0
-
-
-def _sweep_eval(command: str, point: dict, args):
-    if command in _BOUND_EVALUATORS or command in (
-        "surface-kappa", "abelian-kappa", "group-count", "sandwich"
-    ):
-        constants = _load_constants(args)
-        value = point["value"]
-        if command in _BOUND_EVALUATORS:
-            holder = argparse.Namespace(value=value)
-            return _BOUND_EVALUATORS[command](holder, constants)
-        if command == "surface-kappa":
-            low, high = bounds_mod.surface_kappa_bounds(int(value))
-            return {"lower": str(low), "upper": high}
-        if command == "abelian-kappa":
-            low, high = bounds_mod.abelian_kappa_bounds(int(value))
-            return {"lower": low, "upper": high}
-        if command == "sandwich":
-            report = bounds_mod.sandwich(value, constants)
-            return {
-                "lower": report.lower_bounds[0][1],
-                "upper": report.upper_bounds[0][1],
-                "consistent": report.consistent,
-            }
-        report = bounds_mod.group_count_bound(int(value))
-        return {"exponent": str(report.exponent), "chain_ok": report.chain_ok}
-    if command == "homology":
-        complex_ = corpus_mod.corpus_complex(point["name"])
-        summary = homology(complex_)
-        return {"betti": list(summary.betti)}
-    if command == "check-torsion-bound":
-        complex_ = corpus_mod.corpus_complex(point["name"])
-        report = check_s2_torsion_bound(complex_)
-        return {"s2": report.s2, "torsion": report.torsion_order, "holds": report.holds}
-    if command == "sleeve-volume":
-        from .sleeves import sleeve_volume_single
-
-        model = CubicalModel(point["m"], point["c"])
-        return str(sleeve_volume_single(model, Fraction(point["eps"])))
-    if command == "multiple-class-bound":
-        from .sleeves import multiple_class_bound
-
-        return multiple_class_bound(point["k"], point["C"])
-    if command == "waring":
-        return waring_mod.min_count(point["k"], point["d"])
-    raise ValueError(f"sweep does not support command {command!r}")
-
-
-def _sweep_render(result) -> str:
-    if isinstance(result, dict):
-        return json.dumps(_jsonable(result), separators=(";", ":")).replace(",", ";")
-    if isinstance(result, float):
-        return repr(result)
-    return str(result)
-
-
-def cmd_sweep(args) -> int:
-    return _run_sweep_file(args.spec, args)
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except (ValueError, KeyError, GirthSearchError) as exc:
+    except (OSError, ValueError, KeyError, GirthSearchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -380,9 +380,15 @@ def load_complex(source) -> SimplicialComplex:
         data = source
     else:
         data = json.load(source)
-    if "facets" not in data:
-        raise ValueError("complex JSON must contain a 'facets' list")
-    return from_facets(data["facets"], vertex_count=data.get("vertices"))
+    facets = data.get("facets") if isinstance(data, dict) else None
+    if not isinstance(facets, list) or not all(
+        isinstance(f, list) and all(type(v) is int for v in f) for f in facets
+    ):
+        raise ValueError("complex JSON must contain a 'facets' list of integer vertex-id lists")
+    vertices = data.get("vertices")
+    if vertices is not None and type(vertices) is not int:
+        raise ValueError("complex JSON 'vertices' must be an integer")
+    return from_facets(facets, vertex_count=vertices)
 
 
 def dump_complex(complex_: SimplicialComplex) -> str:

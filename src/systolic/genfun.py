@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import multiple_class_bound
+
 
 @dataclass(frozen=True)
 class RationalSequence:
@@ -166,9 +168,8 @@ def sandwich_scan(sequence, c_lower: float, c_upper: float, m: int) -> SandwichS
     flags = []
     for k, term in enumerate(terms, start=1):
         value = float(term)
-        log1k = math.log(1 + k)
-        low = c_lower * k / log1k ** m
-        high = c_upper * k / log1k
+        low = c_lower * k / math.log(1 + k) ** m
+        high = multiple_class_bound(k, c_upper)
         flags.append(low * (1 - slack) - slack <= value <= high * (1 + slack) + slack)
     first_violation = next((k for k, ok in enumerate(flags, start=1) if not ok), None)
     fraction = sum(flags) / len(flags) if flags else 1.0

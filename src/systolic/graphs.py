@@ -292,9 +292,16 @@ def load_graph(source) -> Graph:
         data = source
     else:
         data = json.load(source)
-    if "n" not in data or "edges" not in data:
+    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError("graph JSON must contain 'n' and 'edges'")
-    return Graph(data["n"], tuple((u, v) for u, v in data["edges"]))
+    n, edges = data["n"], data["edges"]
+    if type(n) is not int or n < 0:
+        raise ValueError("graph JSON 'n' must be a non-negative integer")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+    ):
+        raise ValueError("graph JSON 'edges' must be a list of integer pairs")
+    return Graph(n, tuple((u, v) for u, v in edges))
 
 
 def dump_graph(graph: Graph) -> str:

@@ -13,10 +13,6 @@ from itertools import combinations
 from .complexes import BoundaryMatrix, SimplicialComplex, boundary_matrix, face_counts
 from .snf import SmithForm, smith_normal_form
 
-# float slack pushed toward "holds": the inequality is a theorem, so only
-# rounding of log3 can make it look violated
-_LOG_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class HomologySummary:
@@ -66,7 +62,7 @@ class TriangleTorsionReport:
 
 
 def check_s2_torsion_bound(complex_: SimplicialComplex) -> TriangleTorsionReport:
-    """Check s_2(X) >= 2 log_3 |Tors H_1(X, Z)|.
+    """Check s_2(X) >= 2 log_3 |Tors H_1(X, Z)|, decided as |Tors|^2 <= 3^s2 in integers.
 
     This holds for every complex; a False verdict signals a bug, not a
     property of the input.
@@ -75,7 +71,7 @@ def check_s2_torsion_bound(complex_: SimplicialComplex) -> TriangleTorsionReport
     s2 = counts[2] if len(counts) > 2 else 0
     order = torsion_order_h1(complex_)
     bound = 2 * math.log(order) / math.log(3)
-    return TriangleTorsionReport(s2, order, bound, s2 + _LOG_SLACK >= bound)
+    return TriangleTorsionReport(s2, order, bound, order * order <= 3 ** s2)
 
 
 def minor_gcd_check(matrix: BoundaryMatrix) -> bool:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import multiple_class_bound  # noqa: F401  (re-exported)
 from .graphs import Graph, girth, vertex_window
 
 
@@ -120,12 +121,3 @@ def upper_bound_odd(model: CubicalModel, n: int, s_x: float) -> float:
 def asymptotic_constant(model: CubicalModel) -> float:
     """The constant m c ln c governing the k/ln(1+k) regime."""
     return model.m * model.c * math.log(model.c)
-
-
-def multiple_class_bound(k, constant) -> float:
-    """C k / ln(1+k): sublinear upper bound for the k-th multiple of a class."""
-    if k < 1:
-        raise ValueError("multiple k must be at least 1")
-    if constant <= 0:
-        raise ValueError("the constant must be positive")
-    return constant * k / math.log(1 + k)

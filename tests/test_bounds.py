@@ -17,6 +17,7 @@ from systolic import (
     kappa_alpha_scale,
     kappa_upper_from_systole,
     lens_lb,
+    load_constants,
     sandwich,
     simvol_lb,
     surface_kappa_bounds,
@@ -206,6 +207,18 @@ class TestGroupCount:
         with pytest.raises(ValueError):
             group_count_bound(0)
 
+    @pytest.mark.parametrize("k", [14_000, 10 ** 9])
+    def test_large_budget_is_cheap(self, k):
+        report = group_count_bound(k)
+        assert report.chain_ok
+        assert (report.bound_exact, report.bound_float) == (None, math.inf)
+
+    def test_exact_bound_stops_at_1024_bits(self):
+        # 14^3/14 = 196 keeps 2^196; 28^3/14 = 1568 would need 1569 bits
+        assert group_count_bound(14).bound_exact == 2 ** 196
+        assert group_count_bound(28).exponent == 1568
+        assert group_count_bound(28).bound_exact is None
+
 
 class TestSurfaceKappa:
     def test_genus_one(self):
@@ -323,6 +336,13 @@ class TestConstants:
 
     def test_provenance_tag(self):
         assert UNIT.provenance == "illustrative-defaults"
+
+    @pytest.mark.parametrize("text", ['{"cx": 2}', '{"cm": "x"}', "[1]"])
+    def test_malformed_file_rejected(self, text, tmp_path):
+        path = tmp_path / "constants.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_constants(str(path))
 
 
 @given(st.floats(2.0, 1e6), st.floats(0.1, 10.0))

@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from systolic.cli import main
+import systolic.cli as cli_mod
+from systolic.cli import EVALUATORS, main
 from systolic import corpus_list
 
 
@@ -36,6 +38,19 @@ class TestHomologyCommand:
         code, _, err = run_cli(["homology"], capsys)
         assert code == 2
         assert "error" in err
+
+    def test_one_homology_call_per_complex(self, capsys, monkeypatch):
+        calls = []
+        real_homology = cli_mod.homology
+
+        def counted(complex_):
+            calls.append(complex_)
+            return real_homology(complex_)
+
+        monkeypatch.setattr(cli_mod, "homology", counted)
+        code, out, _ = run_cli(["homology", "--corpus"], capsys)
+        assert code == 0
+        assert len(calls) == len(json.loads(out))
 
 
 class TestTorsionBoundCommand:
@@ -148,6 +163,68 @@ class TestBoundsCommand:
         code, _, _ = run_cli(["bounds", "no-such-bound", "--value", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bounds", "surface-kappa", "--value", "2.5"],
+            ["bounds", "lens", "--value", "7.5"],
+            ["bounds", "torsion", "--value", "nan"],
+            ["bounds", "torsion", "--value", "inf"],
+            ["bounds", "sweep"],
+            ["bounds", "homology", "--value", "1"],
+        ],
+    )
+    def test_rejected_input(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["14000", "1e9"])
+    def test_group_count_large_budget(self, value, capsys):
+        code, out, _ = run_cli(["bounds", "group-count", "--value", value], capsys)
+        assert code == 0
+        assert json.loads(out)["chain_ok"] is True
+
+
+# one valid value per bounds evaluator; the key set must match the table
+BOUND_SAMPLES = {
+    "height": 10, "simvol": 5, "torsion": 100, "height-from-torsion": 9, "lens": 7,
+    "pi1-3manifold": 100, "kappa-upper": 1, "kappa-alpha": 1, "area-from-kappa": 10,
+    "sandwich": 5, "group-count": 14, "surface-kappa": 6, "abelian-kappa": 3,
+}
+
+
+def test_bound_samples_cover_the_table():
+    assert set(BOUND_SAMPLES) == {name for name, entry in EVALUATORS.items() if entry.bound}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_SAMPLES))
+def test_evaluator_table_serves_bounds_and_sweep(name, tmp_path, capsys):
+    value = BOUND_SAMPLES[name]
+    code, out, _ = run_cli(["bounds", name, "--value", str(value)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": name, "grid": {"value": [value]}}))
+    code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
+    assert code == 0
+    header, row = out.strip().split("\n")[1:]
+    assert header == "value,result,error"
+    _, cell, error = row.split(",")
+    assert error == ""
+    row_keys = EVALUATORS[name].row
+    if row_keys is None:
+        assert cell == repr(payload["value"])
+    else:
+        shown = json.loads(cell.replace(";", ","))
+        assert list(shown) == list(row_keys)
+        assert shown == {key: payload[key] for key in row_keys}
+
+    code, out, err = run_cli(["bounds", name], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+
 
 class TestWaringCommand:
     def test_decomposition(self, capsys):
@@ -242,6 +319,34 @@ class TestSweep:
         assert '{"lower":"4/3";"upper":14}' in rows[0]
         assert '{"lower":"8/3";"upper":24}' in rows[1]
 
+    @pytest.mark.parametrize(
+        "spec_doc",
+        [
+            {"command": "no-such-command", "grid": {"value": [1, 2]}},
+            {"command": "waring", "grid": {"k": "79"}},
+            ["waring"],
+        ],
+    )
+    def test_bad_spec_exit_2(self, spec_doc, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_doc))
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, value", [("surface-kappa", 2.5), ("lens", 7.5), ("torsion", float("nan"))]
+    )
+    def test_invalid_value_is_row_error(self, command, value, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": command, "grid": {"value": [value, 7]}}))
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert code == 0
+        bad, good = out.strip().split("\n")[2:]
+        assert bad.split(",")[1] == "" and bad.split(",")[2]
+        assert good.split(",")[1] != "" and good.split(",")[2] == ""
+        assert "1 row errors" in err
+
     def test_row_error_does_not_abort(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -253,6 +358,78 @@ class TestSweep:
         rows = [line for line in out.strip().split("\n") if not line.startswith("#")][1:]
         assert len(rows) == 3
         assert "1 row errors" in err
+
+
+MALFORMED_INPUTS = {
+    "homology": [
+        '{"facets": [["a", "b", "c"]]}',
+        '{"facets": [[0, 1, 2.5]]}',
+        '{"facets": [[0, 2, true]]}',
+        '{"vertices": "4", "facets": [[0, 1, 2]]}',
+        "5",
+    ],
+    "girth": ['{"n": "4", "edges": [[0, 1]]}', '{"n": 4, "edges": [[0, 1.5]]}'],
+    "genfun": ['{"terms": ["1", "1/0", "2"]}', '["1", "2"]', '{"terms": "123456789"}'],
+}
+
+
+def _command(kind, path):
+    if kind == "genfun":
+        return ["genfun", "detect", "--file", path, "--max-order", "1"]
+    return [kind, path]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "kind, text", [(kind, text) for kind, texts in MALFORMED_INPUTS.items() for text in texts]
+    )
+    def test_exit_2_with_one_line(self, kind, text, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run_cli(_command(kind, str(path)), capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+
+    def test_unrepresentable_eps(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 26, "edges": [[i, (i + 1) % 26] for i in range(26)]}))
+        code, out, err = run_cli(
+            ["sleeve", "--m", "3", "--c", "7", "--eps", "1/0", "--graph", str(graph)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "--eps" in err and len(err.splitlines()) == 1
+
+
+_small = st.integers(0, 12)
+_junk = st.none() | st.booleans() | st.floats() | st.sampled_from(["", "a", "1/0", "3/2", "-7"])
+_any_json = st.recursive(
+    st.integers(-5, 50) | _junk,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.sampled_from(["facets", "vertices", "n", "edges", "terms", "x"]), inner, max_size=3),
+    max_leaves=24,
+)
+# well-shaped documents, so that random input also reaches the computations
+_SHAPED = {
+    "homology": st.fixed_dictionaries(
+        {"facets": st.lists(st.lists(_small, min_size=1, max_size=4), max_size=5)}, optional={"vertices": _small}
+    ),
+    "girth": st.fixed_dictionaries(
+        {"n": st.integers(13, 20), "edges": st.sets(st.tuples(_small, _small).filter(lambda e: e[0] < e[1]), max_size=10).map(sorted)}
+    ),
+    "genfun": st.fixed_dictionaries(
+        {"terms": st.lists(_small | st.sampled_from(["3/2", "-7", "1/3"]), min_size=6, max_size=12)}
+    ),
+}
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_SHAPED)), data=st.data())
+def test_random_json_exits_0_or_2(kind, data, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data.draw(_SHAPED[kind] | _any_json)))
+    code, _, err = run_cli(_command(kind, str(path)), capsys)
+    assert code in (0, 2)
+    assert code == 0 or len(err.splitlines()) == 1
 
 
 def _run_subprocess(args, hashseed):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -95,6 +96,14 @@ class TestTriangleTorsionBound:
         complexes.append(connected_sum(RP2, RP2, allow_nonorientable=True))
         for complex_ in complexes:
             assert check_s2_torsion_bound(complex_).holds
+
+    @pytest.mark.parametrize("order, holds", [(3 ** 20, True), (3 ** 20 + 1, False)])
+    def test_holds_is_exact_at_the_edge(self, monkeypatch, order, holds):
+        # 2 log3(3^20 + 1) exceeds s2 = 40 by about 5e-10, below any float slack
+        homology_mod = importlib.import_module("systolic.homology")
+        monkeypatch.setattr(homology_mod, "face_counts", lambda _: [0, 0, 40])
+        monkeypatch.setattr(homology_mod, "torsion_order_h1", lambda _: order)
+        assert check_s2_torsion_bound(SPHERE).holds is holds
 
 
 class TestMinorGcd:
