@@ -320,6 +320,9 @@ def cmd_sweep(args) -> int:
     if not isinstance(command, str) or command not in EVALUATORS:
         raise ValueError(f"sweep does not support command {command!r}")
     entry = EVALUATORS[command]
+    for field in ("out", "constants"):
+        if not isinstance(spec.get(field, ""), (str, type(None))):
+            raise ValueError(f"sweep spec {args.spec} field {field!r} must be a file path string")
     constants_path = spec.get("constants") or args.constants
     constants = _load_constants(constants_path)
     keys = sorted(grid)

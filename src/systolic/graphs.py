@@ -9,10 +9,15 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+# The most vertices a graph may have, in a file or as a search target: above
+# 6**7 = 279_936, the top of the degree-7 vertex window at l=7.
+MAX_VERTICES = 300_000
 
 
 class InfeasibleGraphError(ValueError):
@@ -161,6 +166,8 @@ def construct_regular_girth(
     infeasible requests are refused and an exhausted budget raises instead
     of returning an invalid graph.
     """
+    if vertices > MAX_VERTICES:
+        raise ValueError(f"{vertices} vertices exceeds the cap of {MAX_VERTICES}")
     if degree < 3 or girth_target < 3:
         raise InfeasibleGraphError("need degree >= 3 and girth >= 3")
     if vertices * degree % 2:
@@ -174,20 +181,36 @@ def construct_regular_girth(
             f"degree {degree}, girth {girth_target}"
         )
     rng = random.Random(seed)
+    counts = SearchCounts()
     for _ in range(max_restarts):
-        edges = _greedy_attempt(degree, girth_target, vertices, rng, step_budget)
-        if edges is None:
-            continue
-        graph = Graph(vertices, tuple(edges))
-        if graph.is_regular(degree) and girth(graph, cutoff=girth_target) >= girth_target:
-            return graph
+        edges = _greedy_attempt(degree, girth_target, vertices, rng, step_budget, counts)
+        if edges is not None:
+            graph = Graph(vertices, tuple(edges))
+            if graph.is_regular(degree) and girth(graph, cutoff=girth_target) >= girth_target:
+                return graph
+        counts.restarts += 1
     raise GirthSearchError(
         f"no {degree}-regular graph of girth >= {girth_target} on {vertices} "
-        f"vertices found within the search budget (seed {seed})"
+        f"vertices found within the search budget (seed {seed}; {counts})"
     )
 
 
-def _greedy_attempt(degree, girth_target, n, rng, step_budget):
+@dataclass
+class SearchCounts:
+    """Deterministic tallies of one girth search: abandoned attempts, steps
+    taken, double swaps made and stubs rotated by a reshuffle."""
+
+    restarts: int = 0
+    steps: int = 0
+    swaps: int = 0
+    rotations: int = 0
+
+    def __str__(self):
+        return (f"{self.restarts} restarts, {self.steps} steps, "
+                f"{self.swaps} swaps, {self.rotations} rotations")
+
+
+def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
     """One randomized build: distance-respecting pairing with repairs.
 
     An edge (u, v) is only added when dist(u, v) >= g-1, so every created
@@ -196,33 +219,54 @@ def _greedy_attempt(degree, girth_target, n, rng, step_budget):
     (v, y) for another deficient v, re-checking distances after each step)
     or by rotating a stub from a saturated far vertex; deletions never
     shorten cycles, so the girth invariant holds throughout.
+
+    The deficient vertices are kept as a sorted list that changes only
+    when a vertex reaches or leaves full degree, and a partner is drawn as
+    the r-th deficient vertex outside the ball around u without listing
+    them, so every draw from ``rng`` matches a rebuild of both lists at
+    each step (``tests/oracles.py`` keeps that form).
     """
     adj: list[set[int]] = [set() for _ in range(n)]
+    deficient = list(range(n))  # sorted: the vertices below full degree
+    deficient_set = set(deficient)
     state = {"edges": 0}
     target_edges = n * degree // 2
     reach = girth_target - 2  # partners must lie outside this ball
 
     def connect(a, b):
-        adj[a].add(b)
-        adj[b].add(a)
+        for x, y in ((a, b), (b, a)):
+            adj[x].add(y)
+            if len(adj[x]) == degree:
+                del deficient[bisect_left(deficient, x)]
+                deficient_set.discard(x)
         state["edges"] += 1
 
     def disconnect(a, b):
-        adj[a].discard(b)
-        adj[b].discard(a)
+        for x, y in ((a, b), (b, a)):
+            adj[x].discard(y)
+            if len(adj[x]) == degree - 1:
+                insort(deficient, x)
+                deficient_set.add(x)
         state["edges"] -= 1
 
     for _ in range(step_budget):
         if state["edges"] == target_edges:
             break
-        deficient = [v for v in range(n) if len(adj[v]) < degree]
+        counts.steps += 1
         u = deficient[rng.randrange(len(deficient))]
         near = _ball(adj, u, reach)
-        partners = [v for v in deficient if v != u and v not in near]
-        if partners:
-            connect(u, partners[rng.randrange(len(partners))])
+        blocked = sorted(near & deficient_set)
+        if len(blocked) < len(deficient):
+            # The rank-th partner is at the least index >= rank that equals
+            # rank plus the number of blocked vertices <= deficient[index].
+            rank = rng.randrange(len(deficient) - len(blocked))
+            index, previous = rank, -1
+            while index != previous:
+                previous, index = index, rank + bisect_right(blocked, deficient[index])
+            connect(u, deficient[index])
             continue
         if _double_swap(adj, connect, disconnect, u, deficient, reach, n, rng):
+            counts.swaps += 1
             continue
         # reshuffle: rotate a stub from a saturated far vertex onto u
         far = [w for w in range(n) if w != u and w not in near]
@@ -235,6 +279,7 @@ def _greedy_attempt(degree, girth_target, n, rng, step_budget):
         z = others[rng.randrange(len(others))]
         disconnect(w, z)
         connect(u, w)
+        counts.rotations += 1
     if state["edges"] != target_edges:
         return None
     return [(a, b) for a in range(n) for b in adj[a] if a < b]
@@ -247,6 +292,8 @@ def _double_swap(adj, connect, disconnect, u, deficient, reach, n, rng, trials=6
     (v, y) for a deficient v whenever y is still far from v in the modified
     graph.  Reverts on failure.
     """
+    # a copy: the trials below edit the live deficient list, and mates are
+    # drawn from it as it stood before them
     mates = [v for v in deficient if v != u]
     edges = [(a, b) for a in range(n) for b in adj[a] if a < b]
     if not edges:
@@ -272,15 +319,10 @@ def _double_swap(adj, connect, disconnect, u, deficient, reach, n, rng, trials=6
 def _ball(adj, root, radius):
     """Vertices within the given BFS distance of root."""
     seen = {root}
-    frontier = [root]
+    frontier = seen
     for _ in range(radius):
-        nxt = []
-        for node in frontier:
-            for nb in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
+        frontier = set().union(*map(adj.__getitem__, frontier)) - seen
+        seen |= frontier
     return seen
 
 
@@ -297,6 +339,8 @@ def load_graph(source) -> Graph:
     n, edges = data["n"], data["edges"]
     if type(n) is not int or n < 0:
         raise ValueError("graph JSON 'n' must be a non-negative integer")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph JSON 'n' = {n} exceeds the cap of {MAX_VERTICES} vertices")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
     ):

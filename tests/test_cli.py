@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,33 @@ class TestGraphCommands:
         )
         assert code == 2
         assert "Moore" in err
+
+    def test_build_bytes_pinned(self, capsys):
+        # any change to the search's draws from the generator changes these bytes
+        code, out, _ = run_cli(
+            ["build-graph", "--c", "7", "--girth", "5", "--vertices", "1032", "--seed", "4"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c45ec541ad484b48189a77cadae6f346cfd9984d06248818dfc906b10e7f5dc5"
+        )
+
+    @pytest.mark.parametrize("vertices", ["300002", "100000000"])
+    def test_build_above_vertex_cap_is_usage_error(self, vertices, capsys):
+        code, out, err = run_cli(
+            ["build-graph", "--c", "7", "--girth", "6", "--vertices", vertices], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "300000" in err
+
+    def test_girth_above_vertex_cap_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1000000, "edges": []}')
+        code, out, err = run_cli(["girth", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestSleeveCommand:
@@ -333,6 +361,26 @@ class TestSweep:
         code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field", ["out", "constants"])
+    @pytest.mark.parametrize("value", [5, ["x.csv"], {"path": "x"}, True])
+    def test_non_string_path_field_exit_2(self, field, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": "height", "grid": {"value": [5]}, field: value}))
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and field in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [spec]
+
+    def test_null_path_fields_mean_absent(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"command": "height", "grid": {"value": [5]}, "out": None, "constants": None}
+        ))
+        code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "value,result,error"
 
     @pytest.mark.parametrize(
         "command, value", [("surface-kappa", 2.5), ("lens", 7.5), ("torsion", float("nan"))]

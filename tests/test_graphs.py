@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,8 @@ from systolic import (
     moore_bound,
     vertex_window,
 )
+from systolic import graphs
+from systolic.graphs import MAX_VERTICES, SearchCounts
 
 import oracles
 
@@ -127,8 +130,21 @@ class TestConstruction:
             construct_regular_girth(3, 4, 9, seed=0)
 
     def test_budget_exhaustion_is_explicit(self):
-        with pytest.raises(GirthSearchError):
-            construct_regular_girth(7, 5, 50, seed=0, max_restarts=2, step_budget=500)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(GirthSearchError) as failure:
+                construct_regular_girth(7, 5, 50, seed=0, max_restarts=2, step_budget=500)
+            messages.append(str(failure.value))
+        # the search counters explain the failure and are deterministic
+        assert messages[0] == messages[1]
+        assert re.search(r"2 restarts, [1-9]\d* steps, \d+ swaps, \d+ rotations\)$", messages[0])
+
+    def test_vertex_cap(self):
+        assert MAX_VERTICES >= vertex_window(7, 7)[1]
+        with pytest.raises(ValueError, match="cap"):
+            construct_regular_girth(7, 6, MAX_VERTICES + 2, seed=0)
+        with pytest.raises(ValueError, match="cap"):
+            construct_regular_girth(7, 6, 100_000_000, seed=0)
 
     def test_deterministic_for_seed(self):
         a = construct_regular_girth(3, 5, 14, seed=9)
@@ -164,6 +180,11 @@ class TestGraphValue:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):
             Graph(3, ((0, 1), (1, 0)))
+
+    def test_load_vertex_cap(self):
+        assert load_graph({"n": MAX_VERTICES, "edges": []}).vertex_count == MAX_VERTICES
+        with pytest.raises(ValueError, match="cap"):
+            load_graph('{"n": 1000000, "edges": []}')
 
     def test_json_round_trip(self):
         blob = dump_graph(PETERSEN)
@@ -201,3 +222,37 @@ def test_constructed_graphs_verified_independently():
     graph = construct_regular_girth(3, 5, 12, seed=3)
     assert oracles.brute_force_girth(12, graph.edges) >= 5
     assert all(d == 3 for d in graph.degrees)
+
+
+# (degree, girth, vertices, seed): window sizes at l=3 (168) and l=4 (1032,
+# 1200), where attempts succeed and some need a double swap, and smaller
+# requests whose attempts need the reshuffle's rotations or end without a
+# graph.
+ORACLE_GRID = (
+    [(7, 4, 168, seed) for seed in range(4)]
+    + [(7, 5, 1032, 0), (7, 5, 1032, 4), (7, 5, 1200, 1), (7, 5, 1200, 2)]
+    + [(7, 5, 150, seed) for seed in range(3)]
+    + [(3, 6, 16, seed) for seed in (0, 1, 4)]
+    + [(7, 5, 50, 0), (4, 5, 20, 3)]
+)
+
+
+def test_search_draws_match_rebuilding_oracle():
+    counts = SearchCounts()
+    attempts = failed = 0
+    for degree, girth_target, n, seed in ORACLE_GRID:
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            edges = graphs._greedy_attempt(degree, girth_target, n, fast, 200_000, counts)
+            expected = oracles.greedy_attempt(degree, girth_target, n, slow, 200_000)
+            assert edges == expected, (degree, girth_target, n, seed)
+            assert fast.getstate() == slow.getstate(), (degree, girth_target, n, seed)
+            attempts += 1
+            if edges is not None:
+                break
+            failed += 1
+    # the grid covers every branch: partner draws, double swaps, rotations
+    # and attempts that end without a graph
+    assert counts.swaps > 0 and counts.rotations > 0
+    assert 0 < failed < attempts
+    assert counts.steps > 10_000
