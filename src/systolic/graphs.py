@@ -163,7 +163,8 @@ def construct_regular_girth(
     Greedy pairing adds edges only between vertices at distance >= g-1,
     deleting blocking edges when stuck (Erdos-Sachs flavoured).  The result
     is re-verified (regularity and BFS girth) before being returned;
-    infeasible requests are refused and an exhausted budget raises instead
+    infeasible requests are refused, a step budget below the edge count is
+    refused before the first attempt, and an exhausted budget raises instead
     of returning an invalid graph.
     """
     if vertices > MAX_VERTICES:
@@ -179,6 +180,13 @@ def construct_regular_girth(
         raise InfeasibleGraphError(
             f"{vertices} vertices is below the Moore bound {floor} for "
             f"degree {degree}, girth {girth_target}"
+        )
+    # each step adds at most one edge, so a smaller budget cannot finish
+    edges_needed = vertices * degree // 2
+    if edges_needed > step_budget:
+        raise GirthSearchError(
+            f"{vertices} vertices of degree {degree} need {edges_needed} edges, "
+            f"more than the step budget of {step_budget} steps per attempt"
         )
     rng = random.Random(seed)
     counts = SearchCounts()

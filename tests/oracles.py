@@ -1,9 +1,11 @@
 """Independent reference implementations used only to cross-check the package.
 
 Deliberately naive and slow: textbook Smith reduction with divisibility
-enforcement, exhaustive cycle enumeration, exhaustive orientation search,
-Hankel-style recurrence solving by dense elimination over fractions, and
-the girth search's attempt with its O(n) list rebuilds at every step.
+enforcement, the sparse Smith elimination with a full scan per pivot and a
+pairwise divisibility chain, exhaustive cycle enumeration, exhaustive
+orientation search, Hankel-style recurrence solving by dense elimination
+over fractions, and the girth search's attempt with its O(n) list rebuilds
+at every step.
 None of this shares code paths with the implementation under test.
 """
 from __future__ import annotations
@@ -76,6 +78,106 @@ def naive_invariant_factors(dense) -> tuple[int, ...]:
         if t == m or t == n:
             break
     return tuple(factors)
+
+
+# The Smith form's elimination as it was before its pivots came from a heap:
+# a scan of every nonzero entry picks each pivot.  The package must pick the
+# same pivots in the same order, so it does the same integer operations.
+def scan_pivot_elimination(entries) -> tuple[list[int], list[tuple]]:
+    """Absolute diagonal values and selected (row, col) pivots, in order,
+    of the sparse elimination of a {(i, j): value} mapping."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, dict[int, int]] = {}
+    for (i, j), v in entries.items():
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, {})[i] = v
+
+    def set_entry(i, j, v):
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, {})[i] = v
+        else:
+            if i in rows and j in rows[i]:
+                del rows[i][j]
+                if not rows[i]:
+                    del rows[i]
+            if j in cols and i in cols[j]:
+                del cols[j][i]
+                if not cols[j]:
+                    del cols[j]
+
+    def row_submul(dst, src, q):
+        # row dst -= q * row src
+        if not q:
+            return
+        for j, v in list(rows.get(src, {}).items()):
+            set_entry(dst, j, rows.get(dst, {}).get(j, 0) - q * v)
+
+    def col_submul(dst, src, q):
+        if not q:
+            return
+        for i, v in list(cols.get(src, {}).items()):
+            set_entry(i, dst, cols.get(dst, {}).get(i, 0) - q * v)
+
+    diagonal: list[int] = []
+    pivots: list[tuple] = []
+    while rows:
+        pivot = min(
+            ((i, j, v) for i, row in rows.items() for j, v in row.items()),
+            key=lambda t: (
+                abs(t[2]),
+                (len(rows[t[0]]) - 1) * (len(cols[t[1]]) - 1),
+                t[0],
+                t[1],
+            ),
+        )
+        pi, pj, _ = pivot
+        pivots.append((pi, pj))
+        # alternately clear the pivot column and row with Euclidean steps
+        while True:
+            p = rows[pi][pj]
+            col_others = [i for i in cols[pj] if i != pi]
+            for i in col_others:
+                q = cols[pj][i] // p
+                row_submul(i, pi, q)
+                if pj in rows.get(i, {}):  # remainder became the smaller pivot
+                    pi = i
+                    break
+            else:
+                p = rows[pi][pj]
+                row_others = [j for j in rows[pi] if j != pj]
+                for j in row_others:
+                    q = rows[pi][j] // p
+                    col_submul(j, pj, q)
+                    if j in rows.get(pi, {}):
+                        pj = j
+                        break
+                else:
+                    break
+        diagonal.append(abs(rows[pi][pj]))
+        for j in list(rows.get(pi, {})):
+            set_entry(pi, j, 0)
+        for i in list(cols.get(pj, {})):
+            set_entry(i, pj, 0)
+    return diagonal, pivots
+
+
+def pairwise_divisibility_chain(values: list[int]) -> tuple[int, ...]:
+    """Normalise diagonal entries into a divisibility chain, pairwise over
+    every nonzero value, units included."""
+    chain = [v for v in values if v]
+    changed = True
+    while changed:
+        changed = False
+        chain.sort()
+        for a in range(len(chain)):
+            for b in range(a + 1, len(chain)):
+                if chain[b] % chain[a]:
+                    g = math.gcd(chain[a], chain[b])
+                    chain[a], chain[b] = g, chain[a] * chain[b] // g
+                    changed = True
+    return tuple(chain)
 
 
 def brute_force_girth(n: int, edges) -> int | float:

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import systolic.cli as cli_mod
 from systolic.cli import EVALUATORS, main
-from systolic import corpus_list
+from systolic import corpus_list, graphs
 
 
 def run_cli(args, capsys):
@@ -118,6 +118,19 @@ class TestGraphCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "300000" in err
+
+    def test_build_beyond_step_budget_is_refused_at_once(self, monkeypatch, capsys):
+        # the l=7 window top: 979776 edges against 200000 steps per attempt
+        def no_attempt(*args):
+            raise AssertionError("searched a request the budget cannot finish")
+
+        monkeypatch.setattr(graphs, "_greedy_attempt", no_attempt)
+        code, out, err = run_cli(
+            ["build-graph", "--c", "7", "--girth", "8", "--vertices", "279936"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "979776 edges" in err and "200000" in err
 
     def test_girth_above_vertex_cap_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

@@ -139,6 +139,18 @@ class TestConstruction:
         assert messages[0] == messages[1]
         assert re.search(r"2 restarts, [1-9]\d* steps, \d+ swaps, \d+ rotations\)$", messages[0])
 
+    def test_budget_below_edge_count_refused_before_searching(self, monkeypatch):
+        def no_attempt(*args):
+            raise AssertionError("searched a request the budget cannot finish")
+
+        monkeypatch.setattr(graphs, "_greedy_attempt", no_attempt)
+        with pytest.raises(GirthSearchError, match="need 3500 edges.*budget of 3000 steps"):
+            construct_regular_girth(7, 4, 1000, step_budget=3000, max_restarts=3)
+        # exactly enough steps for every edge is not refused
+        monkeypatch.setattr(graphs, "_greedy_attempt", lambda *args: None)
+        with pytest.raises(GirthSearchError, match="0 steps"):
+            construct_regular_girth(7, 4, 1000, step_budget=3500, max_restarts=1)
+
     def test_vertex_cap(self):
         assert MAX_VERTICES >= vertex_window(7, 7)[1]
         with pytest.raises(ValueError, match="cap"):
@@ -208,6 +220,19 @@ def test_girth_matches_exhaustive_enumeration_on_small_graphs():
         edges = _random_edge_set(rng, n)
         graph = Graph(n, edges)
         assert girth(graph) == oracles.brute_force_girth(n, edges), edges
+
+
+def test_girth_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    cases = [PETERSEN, construct_regular_girth(3, 6, 40, seed=2),
+             construct_regular_girth(7, 5, 150, seed=1)]
+    cases += [Graph(n, _random_edge_set(rng, n)) for n in rng.choices(range(2, 16), k=60)]
+    for graph in cases:
+        other = nx.Graph()
+        other.add_nodes_from(range(graph.vertex_count))
+        other.add_edges_from(graph.edges)
+        assert girth(graph) == nx.girth(other), graph.edges
 
 
 @settings(max_examples=40)

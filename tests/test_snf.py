@@ -1,10 +1,18 @@
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import boundary_matrix, corpus_complex, smith_normal_form
+from systolic import (
+    boundary_matrix,
+    corpus_complex,
+    corpus_complexes,
+    from_facets,
+    smith_normal_form,
+    snf,
+)
 
 import oracles
 
@@ -144,3 +152,115 @@ def test_transpose_invariance(dense):
 @given(_small_matrix)
 def test_matches_naive_oracle_property(dense):
     assert smith_normal_form(dense).invariant_factors == oracles.naive_invariant_factors(dense)
+
+
+def _freudenthal_torus(k):
+    """T^3 from the k*k*k cube grid, each cube split into 6 tetrahedra."""
+    def vid(point):
+        x, y, z = (c % k for c in point)
+        return (x * k + y) * k + z
+
+    facets = []
+    for corner in itertools.product(range(k), repeat=3):
+        for order in itertools.permutations(range(3)):
+            point = list(corner)
+            simplex = [vid(point)]
+            for axis in order:
+                point[axis] += 1
+                simplex.append(vid(point))
+            facets.append(sorted(simplex))
+    return from_facets(facets)
+
+
+def _unimodular(n, rng):
+    """L*U with unit diagonals and entries in {-1, 0, 1}: determinant 1."""
+    lower = [[int(i == j) or (rng.randint(-1, 1) if j < i else 0) for j in range(n)]
+             for i in range(n)]
+    upper = [[int(i == j) or (rng.randint(-1, 1) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+    return _mul(lower, upper)
+
+
+def _mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _dense_entries(dense):
+    return {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+
+
+def _assert_scan_pivots(matrix, entries):
+    """The heap takes the pivots of a scan over every entry, in order, and
+    the unit-aware chain gives the pairwise chain's factors."""
+    diagonal, pivots = oracles.scan_pivot_elimination(entries)
+    assert snf._pivot_sequence(matrix) == pivots
+    assert (
+        smith_normal_form(matrix).invariant_factors
+        == oracles.pairwise_divisibility_chain(diagonal)
+    )
+
+
+class TestHeapPivotsMatchScan:
+    def test_corpus_boundaries(self):
+        for complex_ in corpus_complexes().values():
+            for k in range(1, complex_.dim + 1):
+                matrix = boundary_matrix(complex_, k)
+                _assert_scan_pivots(matrix, matrix.sparse())
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_three_torus_boundaries(self, k):
+        torus = _freudenthal_torus(k)
+        for dim in (1, 2, 3):
+            matrix = boundary_matrix(torus, dim)
+            _assert_scan_pivots(matrix, matrix.sparse())
+
+    def test_dense_presentation_matrix(self):
+        # U * diag(1, ..., 1, 2, 6, 12, 0) * V: entries grow to hundreds
+        rng = random.Random(0)
+        size = 30
+        diag = [1] * (size - 4) + [2, 6, 12, 0]
+        d = [[diag[i] if i == j else 0 for j in range(size)] for i in range(size)]
+        dense = _mul(_mul(_unimodular(size, rng), d), _unimodular(size, rng))
+        _assert_scan_pivots(dense, _dense_entries(dense))
+        assert smith_normal_form(dense).invariant_factors == (1,) * 26 + (2, 6, 12)
+
+    @pytest.mark.parametrize("values", [(-1, 1), tuple(range(-9, 10))])
+    def test_random_sparse_matrices(self, values):
+        rng = random.Random(len(values))
+        for _ in range(150):
+            rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+            density = rng.choice([0.15, 0.3, 0.6, 1.0])
+            dense = [
+                [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            _assert_scan_pivots(dense, _dense_entries(dense))
+
+
+def test_divisibility_chain_matches_pairwise():
+    rng = random.Random(3)
+    for _ in range(500):
+        values = [rng.choice([0, 1, 1, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 25, 49])
+                  for _ in range(rng.randint(0, 12))]
+        assert snf._divisibility_chain(values) == oracles.pairwise_divisibility_chain(values)
+    assert snf._divisibility_chain([1, 0, 3, 1, 5, 0]) == (1, 1, 1, 15)
+    assert snf._divisibility_chain([0, 0]) == ()
+
+
+def test_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def sympy_factors(dense):
+        found = invariant_factors(sympy.Matrix(dense), domain=sympy.ZZ)
+        return tuple(abs(int(d)) for d in found if d)
+
+    rng = random.Random(11)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        dense = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        assert smith_normal_form(dense).invariant_factors == sympy_factors(dense), dense
+    for name in ("rp2_min", "torus_7"):
+        matrix = boundary_matrix(corpus_complex(name), 2)
+        assert smith_normal_form(matrix).invariant_factors == sympy_factors(matrix.dense())
