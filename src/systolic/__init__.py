@@ -112,8 +112,6 @@ from .waring import (
     FourthPowerReport,
     WaringCapError,
     WaringDecomposition,
-    degrees_for_class,
-    greedy_parts,
     min_count,
     min_powers,
     verify_g4,

@@ -1,22 +1,31 @@
 """Minimal decompositions of integers into sums of d-th powers.
 
-A dynamic program over 1..k gives provably minimal part counts; the table
-for each exponent d is cached and grown on demand.  Greedy decomposition is
-kept only as an upper-bound helper (it is suboptimal in general, e.g. for
-96 = 6 * 2^4 the greedy answer 81 + 15 * 1 uses 16 parts instead of 6).
+The minimal part counts for each exponent d are cached in one table that
+covers 0..limit.  It is kept as nested layers, after Deshouillers,
+Hennecart and Landreau ("Waring's problem for sixteen biquadrates --
+numerical results", 2000): layer t holds, as the bits of one integer, every
+j <= limit that is a sum of at most t d-th powers, and layer t + 1 is the OR
+of layer t shifted by each d-th power.  The count of j is the first layer
+holding j.  Layers are stored as ``bytes``, so a bit test is O(1), and only
+while there are at most ``MAX_LAYERS`` of them; a table that would need more
+(large d, where few powers fit) is the list of counts built by the dynamic
+program over 1..limit instead.  A layered table is rebuilt, not extended,
+so it grows geometrically: to min(max(k, twice the old limit), the cap).
 """
 from __future__ import annotations
 
-import math
+import bisect
 import os
 from dataclasses import dataclass
 
 DEFAULT_CAP = 10_000_000
 _CAP_ENV = "SYSTOLIC_WARING_CAP"
+# 64 layers cost 64 bits per integer, the width of a count list's entry
+MAX_LAYERS = 64
 
 
 def desk_cap() -> int:
-    """Largest k the dynamic program will accept (override via env var)."""
+    """Largest k the tables will accept (override via env var)."""
     raw = os.environ.get(_CAP_ENV)
     return int(raw) if raw else DEFAULT_CAP
 
@@ -45,19 +54,80 @@ class WaringDecomposition:
         return len(self.parts)
 
 
-# per-exponent DP tables: d -> list of minimal counts for 0..built limit
-_tables: dict[int, list[int]] = {}
-
-
-def _table(d: int, upto: int) -> list[int]:
-    counts = _tables.setdefault(d, [0])
-    if len(counts) > upto:
-        return counts
+def _powers(d: int, limit: int) -> list[int]:
+    """The d-th powers b^d <= limit, in increasing order."""
+    if d >= limit.bit_length():  # 2^d > limit: only 1 fits, and b^d is never formed
+        return [1]
     powers = []
     base = 1
-    while base ** d <= upto:
+    while base ** d <= limit:
         powers.append(base ** d)
         base += 1
+    return powers
+
+
+class _Layers:
+    """Minimal counts for 0..limit, read off nested layers (see the module docstring).
+
+    Like the count list it stands in for, ``table[j]`` is the count of j and
+    ``len(table)`` is limit + 1.
+    """
+
+    def __init__(self, limit: int, layers: list[bytes]):
+        self.limit = limit
+        self.layers = layers
+
+    @classmethod
+    def build(cls, d: int, limit: int) -> _Layers | None:
+        """The layers for 0..limit, or None if they would be more than MAX_LAYERS."""
+        # a count does not depend on the limit, and every d that needs more than
+        # 64 layers needs them below 128 (j = 64 takes 64 parts for d >= 7, j = 127
+        # takes 64 for d = 6, and d <= 5 never does): that prefix rejects a large table early
+        if limit >= 128 and cls.build(d, 127) is None:
+            return None
+        powers = _powers(d, limit)
+        full = (1 << (limit + 1)) - 1
+        size = limit // 8 + 1
+        layer = 1
+        layers = [layer.to_bytes(size, "little")]
+        while layer != full:
+            if len(layers) == MAX_LAYERS:
+                return None
+            grown = layer
+            for p in powers:
+                grown |= layer << p
+            layer = grown & full
+            layers.append(layer.to_bytes(size, "little"))
+        return cls(limit, layers)
+
+    def __len__(self) -> int:
+        return self.limit + 1
+
+    def __getitem__(self, j: int) -> int:
+        byte, bit = divmod(j, 8)
+        return bisect.bisect_left(self.layers, 1, key=lambda layer: layer[byte] >> bit & 1)
+
+    def top(self, limit: int) -> tuple[int, tuple[int, ...]]:
+        """The largest count over 1..limit and every j <= limit that attains it."""
+        wanted = (1 << (limit + 1)) - 2
+        below = 0
+        for t, layer in enumerate(self.layers):  # the last layer holds all of 0..self.limit
+            held = int.from_bytes(layer, "little") & wanted
+            if held == wanted:
+                break
+            below = held
+        bits = bin(held & ~below)[:1:-1]  # bits[j] is bit j
+        argmax = []
+        j = bits.find("1")
+        while j >= 0:
+            argmax.append(j)
+            j = bits.find("1", j + 1)
+        return t, tuple(argmax)
+
+
+def _extend_counts(d: int, counts: list[int], upto: int) -> list[int]:
+    """Extend the count list in place to 0..upto by the dynamic program."""
+    powers = _powers(d, upto)
     start = len(counts)
     counts.extend([0] * (upto + 1 - start))
     for i in range(start, upto + 1):
@@ -70,6 +140,25 @@ def _table(d: int, upto: int) -> list[int]:
                 best = candidate
         counts[i] = best
     return counts
+
+
+# per-exponent tables: d -> layers, or the count list where layers would be too many
+_tables: dict[int, _Layers | list[int]] = {}
+
+
+def _table(d: int, upto: int) -> _Layers | list[int]:
+    """The cached minimal counts for exponent d, grown to cover 0..upto."""
+    table = _tables.get(d)
+    if table is not None and len(table) > upto:
+        return table
+    if not isinstance(table, list):  # a count list stays one: a larger limit needs no fewer layers
+        old = len(table) - 1 if table is not None else 0
+        layers = _Layers.build(d, max(upto, min(2 * old, desk_cap())))
+        if layers is not None:
+            _tables[d] = layers
+            return layers
+        table = _tables[d] = [0]
+    return _extend_counts(d, table, upto)
 
 
 def min_count(k: int, d: int) -> int:
@@ -86,37 +175,18 @@ def min_powers(k: int, d: int) -> WaringDecomposition:
     """
     _validate(k, d)
     counts = _table(d, k)
+    powers = _powers(d, k)
     parts: list[int] = []
     remaining = k
+    target = counts[k]
     while remaining:
-        target = counts[remaining] - 1
-        base = math.floor(remaining ** (1 / d)) + 1
-        while base ** d > remaining:
-            base -= 1
-        while counts[remaining - base ** d] != target:
+        target -= 1
+        base = bisect.bisect_right(powers, remaining)  # the largest b with b^d <= remaining
+        while counts[remaining - powers[base - 1]] != target:
             base -= 1
         parts.append(base)
-        remaining -= base ** d
+        remaining -= powers[base - 1]
     return WaringDecomposition(k, d, tuple(parts))
-
-
-def degrees_for_class(k: int, d: int) -> list[int]:
-    """Homothety degrees a_i with sum a_i^d = k for the wedge-map representation."""
-    return list(min_powers(k, d).parts)
-
-
-def greedy_parts(k: int, d: int) -> list[int]:
-    """Greedy largest-power-first decomposition; an upper bound, not minimal."""
-    _validate(k, d)
-    parts = []
-    remaining = k
-    while remaining:
-        base = math.floor(remaining ** (1 / d)) + 1
-        while base ** d > remaining:
-            base -= 1
-        parts.append(base)
-        remaining -= base ** d
-    return parts
 
 
 @dataclass(frozen=True)
@@ -132,16 +202,15 @@ class FourthPowerReport:
 def verify_g4(limit: int) -> FourthPowerReport:
     """Check that every k <= limit needs at most 19 fourth powers."""
     _validate(limit, 4)
-    counts = _table(4, limit)
-    max_count = max(counts[1: limit + 1])
-    argmax = tuple(k for k in range(1, limit + 1) if counts[k] == max_count)
+    # g(4) = 19 (Balasubramanian, Deshouillers and Dress, 1986): d = 4 tables are layered
+    max_count, argmax = _table(4, limit).top(limit)
     return FourthPowerReport(limit, max_count, argmax, max_count <= 19)
 
 
 def _validate(k: int, d: int) -> None:
-    if d < 2:
-        raise ValueError("exponent d must be at least 2")
-    if k < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
+        raise ValueError("exponent d must be an integer >= 2")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     cap = desk_cap()
     if k > cap:

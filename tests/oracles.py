@@ -3,13 +3,14 @@
 Deliberately naive and slow: textbook Smith reduction with divisibility
 enforcement, the sparse Smith elimination with a full scan per pivot and a
 pairwise divisibility chain, exhaustive cycle enumeration, exhaustive
-orientation search, Hankel-style recurrence solving by dense elimination
-over fractions, and the girth search's attempt with its O(n) list rebuilds
-at every step.
+orientation search, largest-first Waring parts read off a count list,
+Hankel-style recurrence solving by dense elimination over fractions, and
+the girth search's attempt with its O(n) list rebuilds at every step.
 None of this shares code paths with the implementation under test.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -326,6 +327,21 @@ def minimal_parts_by_search(k: int, d: int) -> int:
     while not reachable(k, t, k):
         t += 1
     return t
+
+
+def largest_first_parts(counts, k: int, d: int) -> tuple[int, ...]:
+    """The minimal decomposition whose parts are lexicographically largest.
+
+    Read off a list of minimal counts for 0..k: each step takes the largest
+    base whose remainder needs exactly one part fewer.
+    """
+    parts = []
+    while k:
+        bases = itertools.takewhile(lambda base: base ** d <= k, itertools.count(1))
+        part = max(base for base in bases if counts[k - base ** d] == counts[k] - 1)
+        parts.append(part)
+        k -= part ** d
+    return tuple(parts)
 
 
 # The girth search's attempt as it was before its deficient list became

@@ -47,7 +47,7 @@ from systolic import (
     vertex_window,
     verify_g4,
 )
-from systolic.waring import _table as _waring_table
+from systolic.waring import _extend_counts, _table as _waring_table
 
 import oracles
 
@@ -162,8 +162,11 @@ def test_criterion_5_waring():
     assert report.max_count == 19
     assert min_count(79, 4) == 19
 
-    counts = _waring_table(4, limit)
+    # the layered table against the dynamic program's count list, at every k
+    layers = _waring_table(4, limit)
+    counts = _extend_counts(4, [0], limit)
     assert max(counts[1:]) <= 19
+    assert all(layers[k] == counts[k] for k in range(1, limit + 1))
 
     # exact big-integer re-summation of decompositions across the range
     for k in [79, 96, 159, 319, 399] + list(range(1, limit + 1, 9973)) + [limit]:

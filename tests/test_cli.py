@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -280,6 +281,29 @@ class TestWaringCommand:
         payload = json.loads(out)
         assert payload["max_count"] == 19
         assert payload["argmax"] == [79]
+
+    def test_huge_exponent_returns_at_once(self):
+        start = time.monotonic()
+        done = _run_subprocess(["waring", "--k", "5", "--d", "2000000000"], 0)
+        assert time.monotonic() - start < 2.0
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["parts"] == [1] * 5
+
+    def test_sweep_rows(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": "waring", "grid": {"k": [5, 10.5, True], "d": [2.5, 2000000000]}}))
+        code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert code == 0
+        rows = {tuple(row.split(",")[:2]): row.split(",", 2)[2]
+                for row in out.splitlines()[2:]}
+        assert rows == {
+            ("2.5", "5"): ',"exponent d must be an integer >= 2"',
+            ("2.5", "10.5"): ',"exponent d must be an integer >= 2"',
+            ("2.5", "true"): ',"exponent d must be an integer >= 2"',
+            ("2000000000", "5"): "5,",
+            ("2000000000", "10.5"): ',"k must be a positive integer"',
+            ("2000000000", "true"): ',"k must be a positive integer"',
+        }
 
 
 class TestGenfunCommand:

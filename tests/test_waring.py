@@ -1,10 +1,9 @@
 import pytest
 
+from systolic import waring
 from systolic import (
     WaringCapError,
     WaringDecomposition,
-    degrees_for_class,
-    greedy_parts,
     min_count,
     min_powers,
     verify_g4,
@@ -45,6 +44,11 @@ class TestMinPowers:
     def test_cubes_small(self):
         assert min_count(23, 3) == 9  # 23 = 2*8 + 7*1, the classical worst case
 
+    def test_96_is_six_sixteens(self):
+        # the greedy answer 81 + 15 * 1 would take 16 parts
+        assert min_count(96, 4) == 6
+        assert min_powers(96, 4).parts == (2,) * 6
+
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("SYSTOLIC_WARING_CAP", "1000")
         with pytest.raises(WaringCapError):
@@ -55,6 +59,23 @@ class TestMinPowers:
             min_powers(0, 4)
         with pytest.raises(ValueError):
             min_powers(5, 1)
+
+    @pytest.mark.parametrize("k", [10.5, 79.0, True, "79"])
+    def test_non_integer_k_rejected(self, k):
+        for call in (min_count, min_powers):
+            with pytest.raises(ValueError, match="^k must be a positive integer$"):
+                call(k, 4)
+
+    @pytest.mark.parametrize("d", [2.5, 4.0, True, "4"])
+    def test_non_integer_d_rejected(self, d):
+        for call in (min_count, min_powers):
+            with pytest.raises(ValueError, match="^exponent d must be an integer >= 2$"):
+                call(79, d)
+
+    def test_huge_exponent(self):
+        # 2^d > k, so only 1 fits; b^d is never formed for b >= 2
+        assert min_powers(5, 2_000_000_000).parts == (1,) * 5
+        assert min_count(5, 10 ** 8) == 5
 
     def test_tampered_decomposition_rejected(self):
         with pytest.raises(ValueError):
@@ -80,32 +101,6 @@ class TestBellmanProperty:
             assert min_count(k, 4) == oracles.minimal_parts_by_search(k, 4)
 
 
-class TestDegreesForClass:
-    def test_seventeen(self):
-        assert degrees_for_class(17, 4) == [2, 1]
-
-    def test_one(self):
-        assert degrees_for_class(1, 7) == [1]
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            degrees_for_class(0, 4)
-
-
-class TestGreedy:
-    def test_greedy_is_suboptimal_at_96(self):
-        assert len(greedy_parts(96, 4)) == 16
-        assert min_count(96, 4) == 6  # six copies of 2^4
-
-    def test_greedy_resums(self):
-        for k in (5, 96, 79, 1000):
-            assert sum(p ** 4 for p in greedy_parts(k, 4)) == k
-
-    def test_greedy_never_beats_dp(self):
-        for k in range(1, 300):
-            assert len(greedy_parts(k, 4)) >= min_count(k, 4)
-
-
 class TestVerifyG4:
     def test_limit_100(self):
         report = verify_g4(100)
@@ -120,3 +115,87 @@ class TestVerifyG4:
 
     def test_limit_1(self):
         assert verify_g4(1).max_count == 1
+
+    def test_reads_a_larger_table_up_to_its_limit(self, monkeypatch):
+        monkeypatch.setattr(waring, "_tables", {})
+        min_count(10 ** 4, 4)
+        assert verify_g4(15).argmax == (15,)
+        report = verify_g4(400)
+        assert (report.max_count, report.argmax) == (19, (79, 159, 239, 319, 399))
+        assert len(waring._tables[4]) == 10 ** 4 + 1
+
+
+@pytest.fixture(scope="module")
+def count_lists():
+    """The dynamic program's count lists, the reference for the layers."""
+    return {d: waring._extend_counts(d, [0], 10 ** 5) for d in (2, 3, 4, 5)}
+
+
+class TestLayers:
+    @pytest.mark.parametrize("d, limit", [(2, 10 ** 5), (3, 10 ** 5), (4, 10 ** 5), (5, 3 * 10 ** 4)])
+    def test_counts_equal_the_list_dp(self, d, limit, count_lists):
+        layers = waring._Layers.build(d, limit)
+        assert len(layers.layers) <= waring.MAX_LAYERS
+        assert len(layers) == limit + 1
+        counts = count_lists[d]
+        assert all(layers[k] == counts[k] for k in range(limit + 1))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_parts_equal_the_largest_first_reference(self, d, count_lists, monkeypatch):
+        monkeypatch.setattr(waring, "_tables", {})
+        counts = count_lists[d]
+        for k in [*range(1, 3001), *range(3001, 10 ** 5 + 1, 997)]:
+            assert min_powers(k, d).parts == oracles.largest_first_parts(counts, k, d)
+        assert isinstance(waring._tables[d], waring._Layers)
+
+    def test_growth_is_geometric(self, monkeypatch):
+        class CountedTables(dict):
+            """Records the limit of every table stored."""
+
+            def __setitem__(self, d, table):
+                limits.append(len(table) - 1)
+                super().__setitem__(d, table)
+
+        limits = []
+        monkeypatch.setattr(waring, "_tables", CountedTables())
+        for k in range(1, 20_001):
+            min_count(k, 4)
+        assert len(limits) <= 17
+        assert limits == sorted(limits) and limits[-1] < 2 * 20_000
+
+    def test_growth_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(waring, "_tables", {})
+        monkeypatch.setenv("SYSTOLIC_WARING_CAP", "1000")
+        min_count(600, 4)
+        min_count(700, 4)
+        assert len(waring._tables[4]) == 1001
+
+
+class TestListFallback:
+    """Tables that would need more than MAX_LAYERS layers are count lists."""
+
+    def test_d7_against_search(self, monkeypatch):
+        monkeypatch.setattr(waring, "_tables", {})
+        limit = 2 * 10 ** 4
+        counts = waring._table(7, limit)
+        assert isinstance(counts, list)
+        assert max(counts) == 143  # 144 layers, 0..143
+        for k in [*range(1, 501), *range(501, limit + 1, 61), counts.index(143)]:
+            assert counts[k] == oracles.minimal_parts_by_search(k, 7)
+        parts = min_powers(limit, 7).parts
+        assert parts == oracles.largest_first_parts(counts, limit, 7)
+
+    def test_d30_is_all_ones(self, monkeypatch):
+        monkeypatch.setattr(waring, "_tables", {})
+        assert min_count(3000, 30) == 3000
+        assert isinstance(waring._tables[30], list)
+        for k in range(1, 301, 7):
+            assert min_count(k, 30) == oracles.minimal_parts_by_search(k, 30)
+
+    def test_no_table_holds_more_than_max_layers(self, monkeypatch):
+        monkeypatch.setattr(waring, "_tables", {})
+        for d in range(2, 12):
+            min_count(5000, d)
+        for table in waring._tables.values():
+            assert isinstance(table, list) or len(table.layers) <= waring.MAX_LAYERS
+        assert waring._Layers.build(6, 5000) is None  # g(6) = 73 parts
