@@ -79,8 +79,6 @@ from .homology import (
     TriangleTorsionReport,
     check_s2_torsion_bound,
     homology,
-    max_minor_gcd,
-    minor_gcd_check,
     torsion_order_h1,
 )
 from .presentations import (

@@ -162,7 +162,9 @@ def cmd_girth(args) -> int:
     shortest = girth(graph)
     payload: dict = {"girth": _jsonable(shortest if shortest == math.inf else int(shortest))}
     if args.edge_length:
-        systole = metric_systole(MetricGraph(graph, _rational(args.edge_length, "--edge-length")))
+        systole = metric_systole(
+            MetricGraph(graph, _rational(args.edge_length, "--edge-length")), shortest
+        )
         payload["edge_length"] = args.edge_length
         payload["metric_systole"] = _jsonable(systole if systole == math.inf else Fraction(systole))
     _dump_json(payload, args.out)

@@ -141,9 +141,14 @@ def vertex_window(degree: int, path_scale: int) -> tuple[int, int]:
     return lower, upper
 
 
-def metric_systole(metric_graph: MetricGraph) -> Fraction | float:
-    """Shortest cycle length in the uniform metric: girth * edge length."""
-    g = girth(metric_graph.graph)
+def metric_systole(
+    metric_graph: MetricGraph, shortest: int | float | None = None
+) -> Fraction | float:
+    """Shortest cycle length in the uniform metric: girth * edge length.
+
+    ``shortest`` is the graph's girth when the caller has it already.
+    """
+    g = girth(metric_graph.graph) if shortest is None else shortest
     if g is math.inf:
         return math.inf
     return g * metric_graph.edge_length

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
-from .complexes import BoundaryMatrix, SimplicialComplex, boundary_matrix, face_counts
+from .complexes import SimplicialComplex, boundary_matrix, face_counts
 from .snf import SmithForm, smith_normal_form
 
 
@@ -72,63 +71,3 @@ def check_s2_torsion_bound(complex_: SimplicialComplex) -> TriangleTorsionReport
     order = torsion_order_h1(complex_)
     bound = 2 * math.log(order) / math.log(3)
     return TriangleTorsionReport(s2, order, bound, order * order <= 3 ** s2)
-
-
-def minor_gcd_check(matrix: BoundaryMatrix) -> bool:
-    """Verify the determinant-divisor bound for a 2nd boundary matrix.
-
-    Checks (product of invariant factors)^2 <= 3^(number of columns) in
-    exact integers, and on matrices with at most 5 columns additionally
-    compares the product against the brute-force gcd of all maximal minors.
-    """
-    if matrix.k != 2:
-        raise ValueError("minor gcd check applies to 2nd boundary matrices")
-    form = smith_normal_form(matrix)
-    product = form.factor_product
-    s2 = len(matrix.cols)
-    if product * product > 3 ** s2:
-        return False
-    if s2 <= 5:
-        rank, gcd_minors = max_minor_gcd(matrix.dense())
-        if (rank, gcd_minors) != (form.rank, product):
-            return False
-    return True
-
-
-def max_minor_gcd(dense: list[list[int]]) -> tuple[int, int]:
-    """Brute force: largest order with a nonzero minor, and the gcd of those minors.
-
-    Exponential enumeration; intended for small matrices only.
-    """
-    nrows = len(dense)
-    ncols = len(dense[0]) if nrows else 0
-    for order in range(min(nrows, ncols), 0, -1):
-        gcd_val = 0
-        for row_set in combinations(range(nrows), order):
-            for col_set in combinations(range(ncols), order):
-                sub = [[dense[i][j] for j in col_set] for i in row_set]
-                gcd_val = math.gcd(gcd_val, abs(_det(sub)))
-        if gcd_val:
-            return order, gcd_val
-    return 0, 1
-
-
-def _det(matrix: list[list[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [row[:] for row in matrix]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1

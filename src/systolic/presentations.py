@@ -157,6 +157,10 @@ def t1_lower_heisenberg_cover(n: int) -> int:
     return n
 
 
+# The most letters the relators of a parsed presentation may expand to,
+# counting every power and commutator as it is written out.
+MAX_LETTERS = 1_000_000
+
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\[|\]|\(|\)|,|\^|-?\d+)")
 
 
@@ -174,6 +178,14 @@ def parse_presentation(text: str) -> Presentation:
     if not names or len(set(names)) != len(names):
         raise ValueError("generator names must be nonempty and distinct")
     index = {name: i + 1 for i, name in enumerate(names)}
+    expanded = 0
+
+    def expand(letters: int) -> None:
+        # counted before the letters are written, so a huge power is refused
+        nonlocal expanded
+        expanded += letters
+        if expanded > MAX_LETTERS:
+            raise ValueError(f"relators expand past the cap of {MAX_LETTERS} letters")
 
     def tokenize(s: str) -> list[str]:
         tokens, pos = [], 0
@@ -198,6 +210,7 @@ def parse_presentation(text: str) -> Presentation:
                 pos += 2
             if exponent < 0:
                 atom, exponent = inverse_word(atom), -exponent
+            expand(len(atom) * exponent)
             word.extend(atom * exponent)
         return free_reduce(word), pos
 
@@ -206,6 +219,7 @@ def parse_presentation(text: str) -> Presentation:
         if tok == "[":
             left, pos = parse_word(tokens, pos + 1, {","})
             right, pos = parse_word(tokens, pos + 1, {"]"})
+            expand(2 * (len(left) + len(right)))
             return commutator(left, right), pos + 1
         if tok == "(":
             inner, pos = parse_word(tokens, pos + 1, {")"})

@@ -2,19 +2,44 @@
 
 Arbitrary-precision integers throughout: elimination is the place where
 coefficient explosion silently corrupts fixed-width arithmetic, so no numpy
-here.  Each pivot is the entry with the least key (|value|, Markowitz fill
-estimate (row length - 1) * (column length - 1), row, column), which keeps
-the sparse working set small on boundary matrices.
+here.  The elimination runs in two phases.
+
+Unit phase.  Each pivot is the entry with the least key (|value|, Markowitz
+fill estimate (row length - 1) * (column length - 1), row, column), which
+keeps the sparse working set small on boundary matrices.  The phase ends
+when the least key's value is not +-1.  A unit pivot divides its column
+exactly, so one pass of row steps clears the column, its row is then alone,
+and the diagonal gains a 1.
 
 The keys sit in a lazy min-heap rather than being scanned in full for each
 pivot.  A key can only drop when its row or column loses an entry, so only
 the entries of such lines are pushed again; a popped key that has gone
 stale is dropped or pushed again at its current value, and the first popped
 key that is still current is the least one.  The pivots, and so every
-integer operation, are those of a full scan (``tests/oracles.py`` keeps the
-scan and the tests compare the pivot sequences).  When a step shrinks lines
-holding as many entries as the matrix has, as on dense matrices, the heap is
-rebuilt instead.
+integer operation, are those of a full scan up to its first non-unit pivot
+(``tests/oracles.py`` keeps the scan and the tests compare the pivots).
+When a step shrinks lines holding as many entries as the matrix has, as on
+dense matrices, the heap is rebuilt instead.
+
+Residual phase.  What is left has no unit entry.  Each connected block of it
+goes to a dense routine.  Fraction-free (Bareiss) elimination gives the
+block's rank r and D = |one nonzero r x r minor|.  Bezout row and column
+steps then diagonalise the block modulo D, and each diagonal entry e gives
+gcd(e, D); where the diagonal runs out before r, the value is D.  The first
+r entries of the divisibility chain of these values are the block's
+invariant factors d_1 | ... | d_r.
+
+This is exact (Cohen, A Course in Computational Algebraic Number Theory,
+2.4; Hafner and McCurley, SIAM J. Comput. 1991).  d_1 ... d_r is the gcd of
+the r x r minors, so d_i | d_1 ... d_r | D for i <= r.  The steps modulo D
+are invertible over Z/DZ, so the cokernel of the diagonal over Z/DZ is that
+of the block: the sum of the Z/gcd(d_i, D) = Z/d_i and one Z/D for each of
+the other min(rows, cols) - r positions.  Its invariant factors over those
+positions are d_1, ..., d_r, D, ..., D, which is also the chain of the gcd
+values with D at every position the diagonal missed.  D is a multiple of
+every gcd value, so padding with D only up to r leaves the first r entries
+as they are.  Cutting the chain to r matters: a diagonal modulo D may split
+a Z/D, as diag(2, 3) modulo 6 does for the rank-1 block [[8, 6], [12, 9]].
 """
 from __future__ import annotations
 
@@ -80,20 +105,20 @@ def smith_normal_form(matrix, shape: tuple[int, int] | None = None) -> SmithForm
     given input.
     """
     entries, (nrows, ncols) = _coerce(matrix, shape)
-    diagonal, _ = _eliminate(entries)
-    return SmithForm(_divisibility_chain(diagonal), nrows, ncols)
+    pivots, rows, cols = _unit_phase(entries)
+    factors = [1] * len(pivots)
+    for block_rows, block_cols in _blocks(rows, cols):
+        factors += _residual_factors(
+            [[rows[i].get(j, 0) for j in block_cols] for i in block_rows]
+        )
+    return SmithForm(_divisibility_chain(factors), nrows, ncols)
 
 
-def _pivot_sequence(matrix, shape: tuple[int, int] | None = None) -> list[tuple]:
-    """The (row, col) of each selected pivot, in order (for the tests)."""
-    return _eliminate(_coerce(matrix, shape)[0])[1]
+def _unit_phase(entries: dict) -> tuple[list[tuple], dict, dict]:
+    """Eliminate the sparse matrix ``entries`` while its least key is a unit.
 
-
-def _eliminate(entries: dict) -> tuple[list[int], list[tuple]]:
-    """Diagonalise the sparse matrix ``entries``.
-
-    Returns the absolute diagonal values and the (row, col) of each pivot
-    taken from the heap, in order.
+    Returns the (row, col) of each pivot taken from the heap, in order, and
+    the live rows and columns left, none of whose entries is +-1.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, dict[int, int]] = {}
@@ -133,16 +158,9 @@ def _eliminate(entries: dict) -> tuple[list[int], list[tuple]]:
         for j, v in list(rows.get(src, {}).items()):
             set_entry(dst, j, rows.get(dst, {}).get(j, 0) - q * v)
 
-    def col_submul(dst, src, q):
-        if not q:
-            return
-        for i, v in list(cols.get(src, {}).items()):
-            set_entry(i, dst, cols.get(dst, {}).get(i, 0) - q * v)
-
     def key(i, j, v):
         return (abs(v), (len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
 
-    diagonal: list[int] = []
     pivots: list[tuple] = []
     while rows:
         # A key drops when its row or column loses an entry.  Every entry
@@ -186,36 +204,150 @@ def _eliminate(entries: dict) -> tuple[list[int], list[tuple]]:
                 break
             least[pi, pj] = current
             heapq.heappush(heap, current)
+        if stored[0] > 1:
+            break
         del least[pi, pj]  # if it outlives this step, its row lost an entry
         pivots.append((pi, pj))
-        # alternately clear the pivot column and row with Euclidean steps
-        while True:
-            p = rows[pi][pj]
-            col_others = [i for i in cols[pj] if i != pi]
-            for i in col_others:
-                q = cols[pj][i] // p
-                row_submul(i, pi, q)
-                if pj in rows.get(i, {}):  # remainder became the smaller pivot
-                    pi = i
-                    break
-            else:
-                p = rows[pi][pj]
-                row_others = [j for j in rows[pi] if j != pj]
-                for j in row_others:
-                    q = rows[pi][j] // p
-                    col_submul(j, pj, q)
-                    if j in rows.get(pi, {}):
-                        pj = j
-                        break
-                else:
-                    break
-        diagonal.append(abs(rows[pi][pj]))
-        for j in list(rows.get(pi, {})):
+        # a unit pivot divides its column exactly; its row is then alone
+        p = rows[pi][pj]
+        for i in [i for i in cols[pj] if i != pi]:
+            row_submul(i, pi, cols[pj][i] * p)
+        for j in list(rows[pi]):
             set_entry(pi, j, 0)
-        for i in list(cols.get(pj, {})):
-            set_entry(i, pj, 0)
 
-    return diagonal, pivots
+    return pivots, rows, cols
+
+
+def _blocks(rows: dict, cols: dict):
+    """The (rows, cols) of each connected block of a sparse matrix, sorted.
+
+    Rows and columns are joined by their nonzero entries; the Smith form of
+    a block-diagonal matrix is the chain of its blocks' factors.
+    """
+    seen: set = set()
+    for start in sorted(rows):
+        if start in seen:
+            continue
+        seen.add(start)
+        block_rows, block_cols, stack = [start], set(), [start]
+        while stack:
+            for j in rows[stack.pop()]:
+                if j not in block_cols:
+                    block_cols.add(j)
+                    fresh = [i for i in cols[j] if i not in seen]
+                    seen.update(fresh)
+                    block_rows += fresh
+                    stack += fresh
+        yield sorted(block_rows), sorted(block_cols)
+
+
+def _residual_factors(dense: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors of a nonzero dense matrix, computed modulo a minor
+    (see the module docstring for why this is exact)."""
+    rank, minor = _rank_and_minor(dense)
+    diagonal = _diagonal_mod(dense, minor)
+    values = [math.gcd(e, minor) for e in diagonal] + [minor] * (rank - len(diagonal))
+    return _divisibility_chain(values)[:rank]
+
+
+def _rank_and_minor(dense: list[list[int]]) -> tuple[int, int]:
+    """Rank r and |one nonzero r x r minor|, by fraction-free (Bareiss)
+    elimination with a full search for the least nonzero pivot.
+
+    Every intermediate entry is a minor of the input, so none outgrows the
+    Hadamard bound.
+    """
+    a = [row[:] for row in dense]
+    m, n = len(a), len(a[0])
+    prev = 1
+    for k in range(min(m, n)):
+        if not _least_to_corner(a, k):
+            return k, abs(prev)
+        top = a[k]
+        p = top[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[k] = 0
+        prev = p
+    return min(m, n), abs(prev)
+
+
+def _least_to_corner(a: list[list[int]], k: int) -> bool:
+    """Swap the nonzero entry of least absolute value in rows and columns
+    k and on to (k, k); False when there is none."""
+    pivot = min(
+        ((abs(v), i, j) for i in range(k, len(a)) for j in range(k, len(a[0])) if (v := a[i][j])),
+        default=None,
+    )
+    if pivot is None:
+        return False
+    _, i, j = pivot
+    a[k], a[i] = a[i], a[k]
+    for row in a:
+        row[k], row[j] = row[j], row[k]
+    return True
+
+
+def _diagonal_mod(dense: list[list[int]], modulus: int) -> list[int]:
+    """The nonzero entries of a diagonal form of ``dense`` over Z/(modulus).
+
+    Each pivot is the least nonzero entry left.  2x2 Bezout row steps clear
+    its column and Bezout column steps its row, alternately until both are
+    clear; a step that does not divide exactly lowers the pivot to a proper
+    divisor, so this ends.
+    """
+    a = [[v % modulus for v in row] for row in dense]
+    m, n = len(a), len(a[0])
+    diagonal = []
+    for k in range(min(m, n)):
+        if not _least_to_corner(a, k):
+            break
+        while True:
+            for i in range(k + 1, m):
+                y = a[i][k]
+                if y:
+                    x = a[k][k]
+                    g, s, t = _bezout(x, y)
+                    u, w = y // g, x // g
+                    top, row = a[k], a[i]
+                    a[k] = [(s * p + t * q) % modulus for p, q in zip(top, row)]
+                    a[i] = [(w * q - u * p) % modulus for p, q in zip(top, row)]
+            exact = True
+            for j in range(k + 1, n):
+                y = a[k][j]
+                if y:
+                    x = a[k][k]
+                    g, s, t = _bezout(x, y)
+                    u, w = y // g, x // g
+                    for row in a[k:]:
+                        p, q = row[k], row[j]
+                        row[k] = (s * p + t * q) % modulus
+                        row[j] = (w * q - u * p) % modulus
+                    exact = exact and not t
+            if exact:
+                break
+        diagonal.append(a[k][k])
+    return diagonal
+
+
+def _bezout(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(x, y) = s*x + t*y, for x > 0 and y >= 0.
+
+    When x divides y this is (x, 1, 0), so the step keeps the pivot's line
+    as it is and only clears the other; any other (s, t) would mix the two
+    lines without lowering the pivot, and the alternation would not end.
+    """
+    if y % x == 0:
+        return x, 1, 0
+    old_r, r, old_s, s, old_t, t = x, y, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
 
 
 def _divisibility_chain(values: list[int]) -> tuple[int, ...]:

@@ -2,10 +2,11 @@
 
 Deliberately naive and slow: textbook Smith reduction with divisibility
 enforcement, the sparse Smith elimination with a full scan per pivot and a
-pairwise divisibility chain, exhaustive cycle enumeration, exhaustive
-orientation search, largest-first Waring parts read off a count list,
-Hankel-style recurrence solving by dense elimination over fractions, and
-the girth search's attempt with its O(n) list rebuilds at every step.
+pairwise divisibility chain, the gcd of every maximal minor, exhaustive
+cycle enumeration, exhaustive orientation search, largest-first Waring
+parts read off a count list, Hankel-style recurrence solving by dense
+elimination over fractions, and the girth search's attempt with its O(n)
+list rebuilds at every step.
 None of this shares code paths with the implementation under test.
 """
 from __future__ import annotations
@@ -162,6 +163,43 @@ def scan_pivot_elimination(entries) -> tuple[list[int], list[tuple]]:
         for i in list(cols.get(pj, {})):
             set_entry(i, pj, 0)
     return diagonal, pivots
+
+
+def max_minor_gcd(dense: list[list[int]]) -> tuple[int, int]:
+    """Largest order with a nonzero minor, and the gcd of those minors, by
+    enumerating every minor: exponential, for small matrices only."""
+    nrows = len(dense)
+    ncols = len(dense[0]) if nrows else 0
+    for order in range(min(nrows, ncols), 0, -1):
+        gcd_val = 0
+        for row_set in itertools.combinations(range(nrows), order):
+            for col_set in itertools.combinations(range(ncols), order):
+                sub = [[dense[i][j] for j in col_set] for i in row_set]
+                gcd_val = math.gcd(gcd_val, abs(_det(sub)))
+        if gcd_val:
+            return order, gcd_val
+    return 0, 1
+
+
+def _det(matrix: list[list[int]]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in matrix]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def pairwise_divisibility_chain(values: list[int]) -> tuple[int, ...]:

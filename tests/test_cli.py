@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import systolic.cli as cli_mod
 from systolic.cli import EVALUATORS, main
-from systolic import corpus_list, graphs
+from systolic import corpus_list, graphs, presentations
 
 
 def run_cli(args, capsys):
@@ -75,6 +75,15 @@ class TestAbelianizeCommand:
         code, _, err = run_cli(["abelianize", "a b c"], capsys)
         assert code == 2
 
+    def test_expansion_past_the_letter_cap_is_refused(self, capsys):
+        cap = presentations.MAX_LETTERS
+        code, out, _ = run_cli(["abelianize", f"a ; a^{cap}"], capsys)
+        assert (code, json.loads(out)) == (0, {"free_rank": 0, "torsion_factors": [cap]})
+        for text in (f"a ; a^{cap + 1}", "a ; a^1000000000", f"a,b ; (a^1000)^{cap // 1000}"):
+            code, out, err = run_cli(["abelianize", text], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: relators expand past the cap of {cap} letters\n"
+
 
 class TestGraphCommands:
     def test_build_then_girth(self, tmp_path, capsys):
@@ -92,6 +101,23 @@ class TestGraphCommands:
         payload = json.loads(out)
         assert payload["girth"] == 5
         assert payload["metric_systole"] == "5/4"
+
+    def test_girth_with_edge_length_runs_one_search(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
+        calls = []
+
+        def counted(graph, cutoff=None):
+            calls.append(graph)
+            return graphs_girth(graph, cutoff)
+
+        graphs_girth = graphs.girth
+        monkeypatch.setattr(graphs, "girth", counted)
+        monkeypatch.setattr(cli_mod, "girth", counted)
+        code, out, _ = run_cli(["girth", str(path), "--edge-length", "1/3"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"girth": 5, "edge_length": "1/3", "metric_systole": "5/3"}
+        assert len(calls) == 1
 
     def test_infeasible_build_is_usage_error(self, capsys):
         code, _, err = run_cli(

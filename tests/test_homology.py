@@ -12,8 +12,6 @@ from systolic import (
     corpus_complexes,
     from_facets,
     homology,
-    max_minor_gcd,
-    minor_gcd_check,
     smith_normal_form,
     torsion_order_h1,
 )
@@ -106,18 +104,22 @@ class TestTriangleTorsionBound:
         assert check_s2_torsion_bound(SPHERE).holds is holds
 
 
+def _minor_count(nrows, ncols, rank):
+    """How many minors the brute-force oracle takes for a matrix of this rank."""
+    orders = range(rank, min(nrows, ncols) + 1)
+    return sum(math.comb(nrows, o) * math.comb(ncols, o) for o in orders)
+
+
 class TestMinorGcd:
     def test_rp2_boundary(self):
-        matrix = boundary_matrix(RP2, 2)
-        assert minor_gcd_check(matrix)
-        form = smith_normal_form(matrix)
-        assert form.factor_product == 2
-        assert 2 ** 2 <= 3 ** 10  # the exact inequality behind the check
+        form = smith_normal_form(boundary_matrix(RP2, 2))
+        assert (form.rank, form.factor_product) == (10, 2)
+        assert oracles.max_minor_gcd(boundary_matrix(RP2, 2).dense()) == (10, 2)
 
     def test_single_triangle(self):
         matrix = boundary_matrix(from_facets([[0, 1, 2]]), 2)
-        assert minor_gcd_check(matrix)
         assert smith_normal_form(matrix).factor_product == 1
+        assert oracles.max_minor_gcd(matrix.dense()) == (1, 1)
 
     def test_random_columns_match_brute_force(self):
         rng = random.Random(4242)
@@ -129,18 +131,19 @@ class TestMinorGcd:
                 for i in rng.sample(range(rows), 3):
                     dense[i][j] = rng.choice([-1, 1])
             form = smith_normal_form(dense)
-            rank, gcd_minors = max_minor_gcd(dense)
+            rank, gcd_minors = oracles.max_minor_gcd(dense)
             assert (form.rank, form.factor_product) == (rank, gcd_minors)
 
-    def test_rejects_wrong_degree(self):
-        with pytest.raises(ValueError):
-            minor_gcd_check(boundary_matrix(SPHERE, 1))
-
     def test_determinant_divisor_bound_whole_corpus(self):
+        compared = 0
         for complex_ in corpus_complexes().values():
-            if complex_.dim is None or complex_.dim < 2:
-                continue
-            matrix = boundary_matrix(complex_, 2)
-            form = smith_normal_form(matrix)
-            s2 = len(matrix.cols)
-            assert form.factor_product ** 2 <= 3 ** s2
+            for k in range(1, complex_.dim + 1):
+                matrix = boundary_matrix(complex_, k)
+                form = smith_normal_form(matrix)
+                if k == 2:
+                    assert form.factor_product ** 2 <= 3 ** len(matrix.cols)
+                # torus_7's boundaries would take millions of minors
+                if _minor_count(len(matrix.rows), len(matrix.cols), form.rank) <= 40_000:
+                    assert oracles.max_minor_gcd(matrix.dense()) == (form.rank, form.factor_product)
+                    compared += 1
+        assert compared == 8

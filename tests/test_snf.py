@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,35 +87,10 @@ class TestOracleEquivalence:
         for _ in range(120):
             dense = _random_sparse(rng, max_dim=4)
             form = smith_normal_form(dense)
-            rank, gcd_minors = _brute_rank_and_minor_gcd(dense)
+            rank, gcd_minors = oracles.max_minor_gcd(dense)
             assert form.rank == rank
             if rank:
                 assert form.factor_product == gcd_minors
-
-
-def _brute_rank_and_minor_gcd(dense):
-    from itertools import combinations
-
-    nrows, ncols = len(dense), len(dense[0]) if dense else 0
-    for order in range(min(nrows, ncols), 0, -1):
-        g = 0
-        for rows in combinations(range(nrows), order):
-            for cols in combinations(range(ncols), order):
-                g = math.gcd(g, abs(_det([[dense[i][j] for j in cols] for i in rows])))
-        if g:
-            return order, g
-    return 0, 1
-
-
-def _det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        total += (-1) ** j * matrix[0][j] * _det(minor)
-    return total
 
 
 _small_matrix = st.lists(
@@ -190,11 +166,30 @@ def _dense_entries(dense):
     return {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
 
 
+def _found_matrix(seed):
+    """19 x 20, entries in {-6, 2, 3} at density 1/2: at seed 7, Euclidean
+    steps on the non-unit pivots grew entries to 810 212 bits."""
+    rng = random.Random(seed)
+    return [[rng.choice((-6, 2, 3)) if rng.random() < 0.5 else 0 for _ in range(20)]
+            for _ in range(19)]
+
+
+def _presentation_matrix(size, seed):
+    """U * diag(1, ..., 1, 2, 6, 12, 0) * V, as the dense U*D*V presentations."""
+    rng = random.Random(seed)
+    diag = [1] * (size - 4) + [2, 6, 12, 0]
+    d = [[diag[i] if i == j else 0 for j in range(size)] for i in range(size)]
+    return _mul(_mul(_unimodular(size, rng), d), _unimodular(size, rng))
+
+
 def _assert_scan_pivots(matrix, entries):
-    """The heap takes the pivots of a scan over every entry, in order, and
-    the unit-aware chain gives the pairwise chain's factors."""
+    """The unit phase takes the scan's first pivots, in order, and stops only
+    when no unit is left; the invariant factors are those of the scan's
+    diagonal under the pairwise chain."""
     diagonal, pivots = oracles.scan_pivot_elimination(entries)
-    assert snf._pivot_sequence(matrix) == pivots
+    units, rows, _ = snf._unit_phase(dict(entries))
+    assert units == pivots[:len(units)]
+    assert all(abs(v) > 1 for row in rows.values() for v in row.values())
     assert (
         smith_normal_form(matrix).invariant_factors
         == oracles.pairwise_divisibility_chain(diagonal)
@@ -216,12 +211,8 @@ class TestHeapPivotsMatchScan:
             _assert_scan_pivots(matrix, matrix.sparse())
 
     def test_dense_presentation_matrix(self):
-        # U * diag(1, ..., 1, 2, 6, 12, 0) * V: entries grow to hundreds
-        rng = random.Random(0)
-        size = 30
-        diag = [1] * (size - 4) + [2, 6, 12, 0]
-        d = [[diag[i] if i == j else 0 for j in range(size)] for i in range(size)]
-        dense = _mul(_mul(_unimodular(size, rng), d), _unimodular(size, rng))
+        # entries grow to hundreds
+        dense = _presentation_matrix(30, 0)
         _assert_scan_pivots(dense, _dense_entries(dense))
         assert smith_normal_form(dense).invariant_factors == (1,) * 26 + (2, 6, 12)
 
@@ -236,6 +227,66 @@ class TestHeapPivotsMatchScan:
                 for _ in range(rows)
             ]
             _assert_scan_pivots(dense, _dense_entries(dense))
+
+
+class TestResidualPhase:
+    def test_random_non_unit_matrices_match_oracles(self):
+        try:
+            import sympy
+            from sympy.matrices.normalforms import invariant_factors
+        except ImportError:
+            sympy = None
+        rng = random.Random(500)
+        for _ in range(500):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            density = rng.choice((0.3, 0.6, 1.0))
+            dense = [
+                [rng.choice((2, -2, 3, -3, 4, 6, -6, 9)) if rng.random() < density else 0
+                 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            factors = smith_normal_form(dense).invariant_factors
+            assert factors == oracles.naive_invariant_factors(dense), dense
+            if sympy is not None:
+                found = invariant_factors(sympy.Matrix(dense), domain=sympy.ZZ)
+                assert factors == tuple(abs(int(d)) for d in found if d), dense
+
+    def test_diagonal_mod_minor_may_split_a_factor(self):
+        # rank 1 with d1 = 1; D = 6 and the diagonal mod 6 is (2, 3), whose
+        # chain (1, 6) must be cut to the rank
+        dense = [[8, 6], [12, 9]]
+        assert snf._rank_and_minor(dense) == (1, 6)
+        assert snf._diagonal_mod(dense, 6) == [2, 3]
+        assert smith_normal_form(dense).invariant_factors == (1,)
+
+    def test_unit_minor_pads_to_rank(self):
+        # no unit entry, but a unit 2 x 2 minor: every entry is 0 mod D = 1
+        dense = [[2, 3], [3, 5]]
+        assert snf._rank_and_minor(dense) == (2, 1)
+        assert smith_normal_form(dense).invariant_factors == (1, 1)
+
+    def test_blocks_are_reduced_apart(self):
+        n = 400
+        form = smith_normal_form({(i, i): 2 + i % 2 for i in range(n)}, shape=(n, n))
+        assert form.invariant_factors == (1,) * (n // 2) + (6,) * (n // 2)
+
+    @pytest.mark.parametrize("x, y", [(3, 3), (2, 6), (5, 0), (1, 7), (4, 6), (6, 4), (9, 21)])
+    def test_bezout(self, x, y):
+        g, s, t = snf._bezout(x, y)
+        assert g == math.gcd(x, y) == s * x + t * y
+        if y % x == 0:
+            # the pivot line stays as it is, or the alternation never ends
+            assert (g, s, t) == (x, 1, 0)
+
+    def test_found_and_presentation_matrices(self):
+        start = time.monotonic()
+        assert smith_normal_form(_found_matrix(7)).invariant_factors == (1,) * 15 + (3, 3, 3, 60)
+        assert smith_normal_form(_found_matrix(0)).invariant_factors == (1,) * 17 + (3, 6)
+        for seed in range(6):
+            form = smith_normal_form(_presentation_matrix(36, seed))
+            assert form.invariant_factors == (1,) * 32 + (2, 6, 12)
+        # the Euclidean elimination took over 20 s on the seed 7 matrix alone
+        assert time.monotonic() - start < 5.0
 
 
 def test_divisibility_chain_matches_pairwise():
