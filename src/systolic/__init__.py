@@ -28,9 +28,6 @@ from .bounds import (
     surface_kappa_bounds,
     systolic_area_upper_from_kappa,
     torsion_lb,
-    torsion_lb_dominates_power,
-    torus_class_bound,
-    waring_nil_bound,
 )
 from .complexes import (
     BoundaryMatrix,
@@ -42,25 +39,15 @@ from .complexes import (
     SimplicialComplex,
     boundary_matrix,
     connected_sum,
-    dump_complex,
     face_counts,
     from_facets,
     is_admissible_dim2,
     is_pseudomanifold,
     load_complex,
     orient,
-    orientation_is_valid,
 )
-from .corpus import corpus_complex, corpus_complexes, corpus_graph, corpus_list
-from .genfun import (
-    RationalSequence,
-    RecurrenceVerdict,
-    SandwichScan,
-    conjecture_series,
-    detect_linear_recurrence,
-    partial_series,
-    sandwich_scan,
-)
+from .corpus import corpus_complex, corpus_complexes, corpus_list
+from .genfun import RationalSequence, RecurrenceVerdict, detect_linear_recurrence
 from .graphs import (
     GirthSearchError,
     Graph,
@@ -86,24 +73,17 @@ from .presentations import (
     Presentation,
     abelianization,
     commutator,
-    cyclic_presentation,
-    free_product,
     free_reduce,
     heisenberg_presentation,
     inverse_word,
     parse_presentation,
-    t1_lower_heisenberg_cover,
-    t1_lower_lens,
-    weighted_dimension,
 )
 from .sleeves import (
     AssemblyReport,
     CubicalModel,
-    asymptotic_constant,
     assemble,
     sleeve_volume_single,
     upper_bound_even,
-    upper_bound_odd,
 )
 from .snf import SmithForm, smith_normal_form
 from .waring import (

@@ -28,24 +28,16 @@ class BoundConstants:
     cm: float = 1.0  # height/torsion lower-bound constant
     cm_prime: float = 1.0  # exponential-correction constant
     cm_second: float = 1.0  # simplicial-volume lower-bound constant
-    a: float = 1.0  # 3-manifold bound constant
-    b: float = 1.0  # 3-manifold exponential-correction constant
     pair_lower: float = 1.0  # class-dependent sandwich lower constant
     pair_upper: float = 1.0  # class-dependent sandwich upper constant
-    sigma_m: float | None = None  # infimum of systolic volume in dimension m; unknown
-    torus_volume: float | None = None  # systolic volume of the m-torus; unknown
     provenance: str = "illustrative-defaults"
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("dimension m must be a positive integer")
-        for field in ("cm", "cm_prime", "cm_second", "a", "b", "pair_lower", "pair_upper"):
+        for field in ("cm", "cm_prime", "cm_second", "pair_lower", "pair_upper"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"constant {field} must be positive")
-        for field in ("sigma_m", "torus_volume"):
-            value = getattr(self, field)
-            if value is not None and value <= 0:
-                raise ValueError(f"constant {field} must be positive when provided")
 
 
 def load_constants(path: str) -> BoundConstants:
@@ -100,13 +92,6 @@ def torsion_lb(t1, constants: BoundConstants = BoundConstants()) -> float:
         raise ValueError("torsion order must be at least 3 (ln ln must be positive)")
     log_t = math.log(t1)
     return constants.cm * log_t / math.exp(constants.cm_prime * math.sqrt(math.log(log_t)))
-
-
-def torsion_lb_dominates_power(t1, epsilon, constants: BoundConstants = BoundConstants()) -> bool:
-    """Whether (ln t1)^(1-epsilon) <= torsion_lb(t1) at these constants."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return math.log(t1) ** (1 - epsilon) <= torsion_lb(t1, constants) * (1 + _REL_SLACK)
 
 
 def height_from_torsion(t1) -> float:
@@ -249,24 +234,6 @@ def abelian_kappa_bounds(n: int) -> tuple[int, int]:
     if n < 1:
         raise ValueError("rank must be a positive integer")
     return n * (n - 1) // 2, 7 * n * (n - 1)
-
-
-def torus_class_bound(n: int, m: int, torus_volume: float) -> float:
-    """Binomial bound C(n, m) * S for classes of the rank-n free abelian group."""
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    if torus_volume <= 0:
-        raise ValueError("torus systolic volume must be positive")
-    return math.comb(n, m) * torus_volume
-
-
-def waring_nil_bound(power_count: int, base_volume: float) -> float:
-    """Uniform bound K(d) * S for all multiples of a graded nilmanifold class."""
-    if power_count < 1:
-        raise ValueError("the power count must be a positive integer")
-    if base_volume < 0:
-        raise ValueError("base systolic volume must be non-negative")
-    return power_count * base_volume
 
 
 @dataclass(frozen=True)

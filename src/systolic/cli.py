@@ -40,6 +40,8 @@ from .sleeves import CubicalModel, assemble, sleeve_volume_single
 
 USAGE_ERROR = 2
 INVARIANT_VIOLATION = 1
+# The most grid points one sweep evaluates; its rows are all held in memory.
+MAX_SWEEP_POINTS = 10 ** 6
 
 
 def _jsonable(value):
@@ -189,23 +191,6 @@ def cmd_sleeve(args) -> int:
     return 0
 
 
-def cmd_bound_multiple(args) -> int:
-    ks = _parse_grid_ints(args.k)
-    rows = [(k, multiple_class_bound(k, args.constant), multiple_class_bound(k, args.constant) / k) for k in ks]
-    _dump_csv(_provenance(args.seed, args.constants), ("k", "bound", "bound_over_k"), rows, args.out)
-    return 0
-
-
-def _parse_grid_ints(spec: str) -> list[int]:
-    """'1,2,3' or 'start:stop:step' (inclusive stop)."""
-    if ":" in spec:
-        parts = [int(x) for x in spec.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
-    return [int(x) for x in spec.split(",")]
-
-
 def _real(point) -> float:
     """The grid point's "value", which must be a finite number."""
     value = point["value"]
@@ -292,10 +277,6 @@ EVALUATORS = {
 
 
 def cmd_bounds(args) -> int:
-    if args.name == "sweep":
-        if args.spec is None:
-            raise ValueError("bounds sweep requires --spec")
-        return cmd_sweep(args)
     entry = EVALUATORS.get(args.name)
     if entry is None or not entry.bound:
         raise ValueError(f"unknown bounds evaluator {args.name!r}")
@@ -318,6 +299,11 @@ def cmd_sweep(args) -> int:
         isinstance(values, list) and values for values in grid.values()
     ):
         raise ValueError(f"sweep spec {args.spec} needs a non-empty 'grid' of value lists")
+    points = math.prod(len(values) for values in grid.values())
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"sweep spec {args.spec} has {points} grid points, past the cap of {MAX_SWEEP_POINTS}"
+        )
     command = spec.get("command")
     if not isinstance(command, str) or command not in EVALUATORS:
         raise ValueError(f"sweep does not support command {command!r}")
@@ -394,6 +380,13 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so that main prints it as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--constants", default=None, help="JSON file of bound constants")
@@ -401,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="json")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="systolic",
         description="exact homology, girth graphs, and systolic bound evaluators",
         parents=[common],
@@ -441,15 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_sleeve)
 
-    p = sub.add_parser("bound-multiple", parents=[common], help="C k/ln(1+k) over a k grid")
-    p.add_argument("--k", required=True, help="'1,2,3' or 'start:stop:step'")
-    p.add_argument("--constant", "--C", dest="constant", type=float, required=True)
-    p.set_defaults(func=cmd_bound_multiple)
-
     p = sub.add_parser("bounds", parents=[common], help="closed-form bound evaluators")
-    p.add_argument("name", help="evaluator name or 'sweep'")
+    p.add_argument("name", help="evaluator name")
     p.add_argument("--value", type=float, default=None)
-    p.add_argument("--spec", default=None, help="sweep spec JSON (with name=sweep)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("waring", parents=[common], help="minimal sums of d-th powers")
@@ -476,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, KeyError, GirthSearchError) as exc:
         sys.stderr.write(f"error: {exc}\n")

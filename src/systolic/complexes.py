@@ -74,9 +74,6 @@ class SimplicialComplex:
             return ()
         return self.faces_by_dim[k]
 
-    def to_dict(self) -> dict:
-        return {"vertices": self.vertex_count, "facets": [list(f) for f in self.facets]}
-
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
@@ -280,23 +277,6 @@ def _conflict_path(parent: list[int], a: int, b: int) -> tuple[int, ...]:
     return tuple(left + right[-2::-1])
 
 
-def orientation_is_valid(complex_: SimplicialComplex, signs) -> bool:
-    """Check the ridge compatibility condition for a full sign assignment."""
-    facets = complex_.facets
-    if len(signs) != len(facets) or any(s not in (1, -1) for s in signs):
-        return False
-    incidence = _ridge_incidence(complex_)
-    for ridge, facet_ids in incidence.items():
-        if len(facet_ids) != 2:
-            return False
-        (fa, fb) = facet_ids
-        ia = facets[fa].index(_extra_vertex(facets[fa], ridge))
-        ib = facets[fb].index(_extra_vertex(facets[fb], ridge))
-        if signs[fa] * (-1) ** ia + signs[fb] * (-1) ** ib != 0:
-            return False
-    return True
-
-
 def is_admissible_dim2(complex_: SimplicialComplex) -> bool:
     """True iff every vertex link of a pure 2-complex is a single cycle.
 
@@ -389,7 +369,3 @@ def load_complex(source) -> SimplicialComplex:
     if vertices is not None and type(vertices) is not int:
         raise ValueError("complex JSON 'vertices' must be an integer")
     return from_facets(facets, vertex_count=vertices)
-
-
-def dump_complex(complex_: SimplicialComplex) -> str:
-    return json.dumps(complex_.to_dict(), separators=(", ", ": "))

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .complexes import SimplicialComplex, from_facets
-from .graphs import Graph
 
 _COMPLEX_NAMES = (
     "rp2_min",
@@ -44,13 +43,6 @@ def corpus_complex(name: str) -> SimplicialComplex:
         raise KeyError(f"unknown corpus complex {name!r}; have {_COMPLEX_NAMES}")
     data = _read(name)
     return from_facets(data["facets"], vertex_count=data["vertices"])
-
-
-def corpus_graph(name: str) -> Graph:
-    if name not in _GRAPH_NAMES:
-        raise KeyError(f"unknown corpus graph {name!r}; have {_GRAPH_NAMES}")
-    data = _read(name)
-    return Graph(data["n"], tuple((u, v) for u, v in data["edges"]))
 
 
 def corpus_complexes() -> dict[str, SimplicialComplex]:

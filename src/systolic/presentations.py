@@ -108,55 +108,6 @@ def heisenberg_presentation(n: int) -> Presentation:
     return Presentation(3, relators)
 
 
-def free_product(p1: Presentation, p2: Presentation) -> Presentation:
-    """Disjoint union of generators, concatenated relators."""
-    shift = p1.generator_count
-
-    def lift(letter: int) -> int:
-        return letter + shift if letter > 0 else letter - shift
-
-    relators = p1.relators + tuple(tuple(lift(x) for x in rel) for rel in p2.relators)
-    return Presentation(p1.generator_count + p2.generator_count, relators)
-
-
-def cyclic_presentation(n: int) -> Presentation:
-    if n < 1:
-        raise ValueError("cyclic order must be positive")
-    return Presentation(1, ((1,) * n,))
-
-
-def weighted_dimension(level_dims) -> int:
-    """Sum of k * dim of the k-th graded level, 1-indexed.
-
-    The degree of the scale-n homothety on the associated nilmanifold is
-    n raised to this weighted dimension.
-    """
-    dims = list(level_dims)
-    if not dims:
-        raise ValueError("graded dimension list must be nonempty")
-    if any(not isinstance(d, int) or d < 0 for d in dims):
-        raise ValueError("level dimensions must be non-negative integers")
-    return sum(k * d for k, d in enumerate(dims, start=1))
-
-
-def t1_lower_lens(n: int) -> int:
-    """Certified 1-torsion lower bound for a generator of odd cyclic homology.
-
-    Any complex carrying a generator of H_(2m+1) of the order-n cyclic group
-    has at least n torsion elements in H_1; the bound is n itself.
-    """
-    if n < 2:
-        raise ValueError("cyclic order must be at least 2")
-    return n
-
-
-def t1_lower_heisenberg_cover(n: int) -> int:
-    """Certified 1-torsion lower bound for the n-sheeted Heisenberg cover class."""
-    if n < 1:
-        raise ValueError("cover sheet count must be positive")
-    return n
-
-
 # The most letters the relators of a parsed presentation may expand to,
 # counting every power and commutator as it is written out.
 MAX_LETTERS = 1_000_000

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import multiple_class_bound  # noqa: F401  (re-exported)
 from .graphs import Graph, girth, vertex_window
 
 
@@ -109,15 +108,3 @@ def upper_bound_even(model: CubicalModel, n: int) -> float:
         raise ValueError("even-sum bound needs 2n >= 4")
     two_n = 2 * n
     return model.m * model.c * math.log(model.c - 1) * two_n / math.log(two_n)
-
-
-def upper_bound_odd(model: CubicalModel, n: int, s_x: float) -> float:
-    """Odd multiples: the even bound plus one copy's systolic volume."""
-    if s_x < 0:
-        raise ValueError("the single-copy systolic volume must be non-negative")
-    return upper_bound_even(model, n) + s_x
-
-
-def asymptotic_constant(model: CubicalModel) -> float:
-    """The constant m c ln c governing the k/ln(1+k) regime."""
-    return model.m * model.c * math.log(model.c)

@@ -23,9 +23,6 @@ from systolic import (
     surface_kappa_bounds,
     systolic_area_upper_from_kappa,
     torsion_lb,
-    torsion_lb_dominates_power,
-    torus_class_bound,
-    waring_nil_bound,
 )
 
 UNIT = BoundConstants()
@@ -74,11 +71,6 @@ class TestTorsionLb:
     def test_increasing_beyond_threshold(self):
         values = [torsion_lb(t, UNIT) for t in (20, 10 ** 2, 10 ** 4, 10 ** 8, 10 ** 16)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_power_domination_predicate(self):
-        # at unit constants the bound dominates (ln t)^(1-eps) for huge t
-        assert torsion_lb_dominates_power(10 ** 200, 0.5, UNIT)
-        assert not torsion_lb_dominates_power(10, 0.01, UNIT)
 
 
 class TestHeightFromTorsion:
@@ -252,39 +244,6 @@ class TestAbelianKappa:
         assert abelian_kappa_bounds(5) == (10, 140)
 
 
-class TestTorusClassBound:
-    def test_full_rank_is_identity(self):
-        assert torus_class_bound(4, 4, 1.0) == 1.0
-
-    def test_binomial(self):
-        assert torus_class_bound(4, 2, 1.0) == 6.0
-        assert torus_class_bound(10, 3, 0.5) == 60.0
-
-    def test_rank_violation(self):
-        with pytest.raises(ValueError):
-            torus_class_bound(3, 4, 1.0)
-
-
-class TestWaringNilBound:
-    def test_fourth_power_constant(self):
-        assert waring_nil_bound(19, 1.0) == 19.0
-
-    def test_identity_count(self):
-        assert waring_nil_bound(1, 3.5) == 3.5
-
-    def test_count_taken_from_decomposition_module(self):
-        # the uniform cap certified by the fourth-power scan feeds the bound
-        from systolic import verify_g4
-
-        cap = verify_g4(10 ** 4).max_count
-        assert cap == 19
-        assert waring_nil_bound(cap, 2.0) == 38.0
-
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            waring_nil_bound(0, 1.0)
-
-
 class TestBestUpperBound:
     def test_single_base_caps_linear(self):
         ing = UpperBoundIngredients.make(base={1: 2.0})
@@ -327,12 +286,6 @@ class TestConstants:
             BoundConstants(cm=0.0)
         with pytest.raises(ValueError):
             BoundConstants(m=0)
-        with pytest.raises(ValueError):
-            BoundConstants(sigma_m=-1.0)
-
-    def test_optional_constants_stay_unset(self):
-        assert UNIT.sigma_m is None
-        assert UNIT.torus_volume is None
 
     def test_provenance_tag(self):
         assert UNIT.provenance == "illustrative-defaults"

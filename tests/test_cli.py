@@ -227,6 +227,16 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert str(const) in payload["constants"]
 
+    @pytest.mark.parametrize("key", ["a", "b", "sigma_m", "torus_volume"])
+    def test_removed_constants_key_is_refused(self, key, tmp_path, capsys):
+        const = tmp_path / "constants.json"
+        const.write_text(json.dumps({key: 1.0}))
+        code, out, err = run_cli(
+            ["bounds", "torsion", "--value", "100", "--constants", str(const)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and repr(key) in err
+
     def test_unknown_evaluator(self, capsys):
         code, _, _ = run_cli(["bounds", "no-such-bound", "--value", "1"], capsys)
         assert code == 2
@@ -240,6 +250,10 @@ class TestBoundsCommand:
             ["bounds", "torsion", "--value", "inf"],
             ["bounds", "sweep"],
             ["bounds", "homology", "--value", "1"],
+            # argument errors, which argparse reports
+            ["bounds", "sweep", "--spec", "f"],
+            ["waring", "--k", "x"],
+            ["no-such-command"],
         ],
     )
     def test_rejected_input(self, args, capsys):
@@ -404,7 +418,7 @@ class TestSweep:
             "command": "surface-kappa",
             "grid": {"value": [1, 2, 6]},
         }))
-        code, out, _ = run_cli(["bounds", "sweep", "--spec", str(spec)], capsys)
+        code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
         assert code == 0
         rows = [line for line in out.strip().split("\n") if not line.startswith("#")][1:]
         assert '{"lower":"4/3";"upper":14}' in rows[0]
@@ -458,6 +472,31 @@ class TestSweep:
         assert good.split(",")[1] != "" and good.split(",")[2] == ""
         assert "1 row errors" in err
 
+    def test_grid_past_the_cap_is_refused_at_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_mod, "multiple_class_bound", lambda *point: calls.append(point))
+        spec = tmp_path / "spec.json"
+        # 101 * 9901 = MAX_SWEEP_POINTS + 1
+        spec.write_text(json.dumps({
+            "command": "multiple-class-bound",
+            "grid": {"k": list(range(1, 102)), "C": list(range(1, 9902))},
+        }))
+        start = time.perf_counter()
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, calls) == (2, "", [])
+        assert len(err.splitlines()) == 1 and str(cli_mod.MAX_SWEEP_POINTS) in err
+
+    def test_grid_at_the_cap_is_accepted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "MAX_SWEEP_POINTS", 6)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "command": "multiple-class-bound", "grid": {"k": [1, 2], "C": [1, 2, 3]},
+        }))
+        code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 2 + 6
+
     def test_row_error_does_not_abort(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -488,6 +527,14 @@ def _command(kind, path):
     if kind == "genfun":
         return ["genfun", "detect", "--file", path, "--max-order", "1"]
     return [kind, path]
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([flag])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: systolic" if flag == "--help" else "systolic ")
 
 
 class TestMalformedInput:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,6 @@ from systolic import (
     boundary_matrix,
     connected_sum,
     corpus_complex,
-    dump_complex,
     face_counts,
     from_facets,
     homology,
@@ -16,7 +17,6 @@ from systolic import (
     is_pseudomanifold,
     load_complex,
     orient,
-    orientation_is_valid,
 )
 
 import oracles
@@ -150,7 +150,7 @@ class TestOrient:
     def test_sphere_orientable(self):
         result = orient(SPHERE)
         assert result.orientable
-        assert orientation_is_valid(SPHERE, result.signs)
+        assert result.signs in oracles.all_orientations(SPHERE.facets)
 
     def test_rp2_nonorientable_with_certificate(self):
         result = orient(RP2)
@@ -160,7 +160,7 @@ class TestOrient:
     def test_torus_orientable(self):
         result = orient(TORUS)
         assert result.orientable
-        assert orientation_is_valid(TORUS, result.signs)
+        assert result.signs in oracles.all_orientations(TORUS.facets)
 
     def test_against_exhaustive_search(self):
         # brute force over all 2^f sign assignments
@@ -173,7 +173,7 @@ class TestOrient:
     def test_global_flip_also_valid(self):
         result = orient(TORUS)
         flipped = tuple(-s for s in result.signs)
-        assert orientation_is_valid(TORUS, flipped)
+        assert flipped in oracles.all_orientations(TORUS.facets)
 
     def test_requires_pseudomanifold(self):
         with pytest.raises(NotPseudomanifoldError):
@@ -249,7 +249,7 @@ class TestEulerCharacteristic:
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
-        blob = dump_complex(RP2)
+        blob = json.dumps({"vertices": RP2.vertex_count, "facets": [list(f) for f in RP2.facets]})
         assert load_complex(blob).facets == RP2.facets
 
     def test_missing_facets_rejected(self):

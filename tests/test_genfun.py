@@ -5,13 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import (
-    RationalSequence,
-    conjecture_series,
-    detect_linear_recurrence,
-    partial_series,
-    sandwich_scan,
-)
+from systolic import RationalSequence, detect_linear_recurrence
 
 import oracles
 
@@ -21,38 +15,6 @@ def fibonacci(n):
     while len(terms) < n:
         terms.append(terms[-1] + terms[-2])
     return terms[:n]
-
-
-class TestPartialSeries:
-    def test_geometric_approaches_limit(self):
-        seq = RationalSequence.from_values([1] * 40)
-        total = partial_series(seq, Fraction(1, 2), 40)
-        # z/(1-z) at 1/2 is 1; the tail is 2^-40
-        assert Fraction(1) - total == Fraction(1, 2 ** 40)
-
-    def test_empty_prefix(self):
-        seq = RationalSequence.from_values([5, 5])
-        assert partial_series(seq, Fraction(1, 2), 0) == 0
-
-    def test_hand_sum(self):
-        seq = RationalSequence.from_values([1, 2, 3])
-        assert partial_series(seq, Fraction(1, 3), 3) == Fraction(2, 3)
-
-    def test_outside_disk_rejected(self):
-        seq = RationalSequence.from_values([1, 2])
-        with pytest.raises(ValueError):
-            partial_series(seq, 1, 2)
-        with pytest.raises(ValueError):
-            partial_series(seq, Fraction(-7, 5), 2)
-
-    def test_float_argument_gives_float(self):
-        seq = RationalSequence.from_values([1, 1, 1])
-        assert partial_series(seq, 0.5, 3) == pytest.approx(0.875)
-
-    def test_prefix_too_long_rejected(self):
-        seq = RationalSequence.from_values([1])
-        with pytest.raises(ValueError):
-            partial_series(seq, Fraction(1, 2), 2)
 
 
 class TestDetect:
@@ -100,56 +62,11 @@ class TestDetect:
 
 
 class TestConjectureSeries:
-    def test_constant_terms(self):
-        seq = conjecture_series(1, 5)
-        assert seq.terms == (Fraction(1),) * 5
-
     def test_detector_returns_order_one(self):
+        # the conjectured series S z / (1 - z) has the constant coefficients S, S, ...
         for volume in (Fraction(3, 7), Fraction(2), Fraction(11, 4)):
-            seq = conjecture_series(volume, 40)
-            verdict = detect_linear_recurrence(seq)
+            verdict = detect_linear_recurrence(RationalSequence.from_values([volume] * 40))
             assert verdict.found and verdict.order == 1
-
-    def test_exact_rational_preserved(self):
-        assert conjecture_series(Fraction(3, 7), 3).terms[0] == Fraction(3, 7)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            conjecture_series(0, 5)
-
-
-class TestSandwichScan:
-    def test_midpoint_sequence_all_inside(self):
-        # c_lower = 0.5 <= ln 2 keeps the band nonempty from k = 1 onwards
-        def mid(k):
-            low = 0.5 * k / math.log(1 + k) ** 2
-            high = 1.0 * k / math.log(1 + k)
-            return Fraction((low + high) / 2).limit_denominator(10 ** 9)
-
-        seq = RationalSequence.from_values([mid(k) for k in range(1, 50)])
-        scan = sandwich_scan(seq, 0.5, 1.0, 2)
-        assert all(scan.in_band)
-        assert scan.fraction_in_band == 1.0
-        assert scan.first_violation is None
-
-    def test_linear_sequence_leaves_band(self):
-        # k*S crosses the upper bound S*k/ln(1+k) once ln(1+k) > C/S
-        big = 5.0
-        seq = RationalSequence.from_values([Fraction(5) * k for k in range(1, 40)])
-        scan = sandwich_scan(seq, 1.0, big, 2)
-        crossover = math.exp(big / 5.0) - 1
-        for k, ok in enumerate(scan.in_band, start=1):
-            if k > crossover + 1:
-                assert not ok
-
-    def test_empty_sequence(self):
-        scan = sandwich_scan([], 1.0, 1.0, 2)
-        assert scan.in_band == ()
-        assert scan.first_violation is None
-
-    def test_invalid_constants(self):
-        with pytest.raises(ValueError):
-            sandwich_scan([Fraction(1)], 0.0, 1.0, 2)
 
 
 class TestHankelOracleAgreement:

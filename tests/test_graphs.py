@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,6 @@ from systolic import (
     InfeasibleGraphError,
     MetricGraph,
     construct_regular_girth,
-    corpus_graph,
     dump_graph,
     girth,
     load_graph,
@@ -27,7 +27,7 @@ from systolic.graphs import MAX_VERTICES, SearchCounts
 import oracles
 
 
-PETERSEN = corpus_graph("petersen")
+PETERSEN = load_graph(resources.files("systolic").joinpath("data", "petersen.json").read_text())
 
 
 def complete_graph(n):

@@ -6,15 +6,10 @@ from systolic import (
     Presentation,
     abelianization,
     commutator,
-    cyclic_presentation,
-    free_product,
     free_reduce,
     heisenberg_presentation,
     inverse_word,
     parse_presentation,
-    t1_lower_heisenberg_cover,
-    t1_lower_lens,
-    weighted_dimension,
 )
 
 import oracles
@@ -41,7 +36,7 @@ class TestAbelianization:
         assert image == AbelianizedGroup(2, ())
 
     def test_cyclic(self):
-        assert abelianization(cyclic_presentation(6)) == AbelianizedGroup(0, (6,))
+        assert abelianization(parse_presentation("a ; a^6")) == AbelianizedGroup(0, (6,))
 
     def test_no_relators(self):
         assert abelianization(Presentation(3, ())) == AbelianizedGroup(3, ())
@@ -68,71 +63,45 @@ class TestHeisenberg:
 
 class TestFreeProduct:
     def test_two_cyclic_groups(self):
-        image = abelianization(free_product(cyclic_presentation(2), cyclic_presentation(2)))
+        image = abelianization(parse_presentation("a,b ; a^2, b^2"))
         assert image.torsion_factors == (2, 2)
         assert image.torsion_order == 4
 
     def test_ten_fold_order_two(self):
-        product = cyclic_presentation(2)
-        for _ in range(9):
-            product = free_product(product, cyclic_presentation(2))
-        image = abelianization(product)
+        names = [f"g{i}" for i in range(10)]
+        text = ",".join(names) + " ; " + ", ".join(f"{g}^2" for g in names)
+        image = abelianization(parse_presentation(text))
         assert image.torsion_order == 2 ** 10
 
     def test_trivial_factor_neutral(self):
-        trivial = Presentation(1, ((1,),))
-        base = heisenberg_presentation(5)
-        image = abelianization(free_product(base, trivial))
-        assert image == abelianization(base)
+        base = parse_presentation("a,b,c ; [a,b]c^-5, [a,c], [b,c]")
+        product = parse_presentation("a,b,c,t ; [a,b]c^-5, [a,c], [b,c], t")
+        assert abelianization(product) == abelianization(base)
 
     def test_direct_sum_of_invariants(self):
+        # (generator count, relators over the placeholders {0}, {1}, ...)
         samples = [
-            cyclic_presentation(4),
-            cyclic_presentation(6),
-            heisenberg_presentation(3),
-            Presentation(2, (commutator([1], [2]),)),
+            (1, ["{0}^4"]),
+            (1, ["{0}^6"]),
+            (3, ["[{0},{1}]{2}^-3", "[{0},{2}]", "[{1},{2}]"]),
+            (2, ["[{0},{1}]"]),
         ]
+
+        def group(*factors):
+            names, relators = [], []
+            for prefix, (count, rels) in zip("xy", factors):
+                gens = [f"{prefix}{i}" for i in range(count)]
+                names += gens
+                relators += [rel.format(*gens) for rel in rels]
+            return abelianization(parse_presentation(",".join(names) + " ; " + ", ".join(relators)))
+
         for p1 in samples:
             for p2 in samples:
-                combined = abelianization(free_product(p1, p2))
-                a1, a2 = abelianization(p1), abelianization(p2)
+                combined, a1, a2 = group(p1, p2), group(p1), group(p2)
                 assert combined.free_rank == a1.free_rank + a2.free_rank
                 assert combined.torsion_factors == oracles.merge_torsion_chains(
                     a1.torsion_factors, a2.torsion_factors
                 )
-
-
-class TestWeightedDimension:
-    def test_abelian_single_level(self):
-        assert weighted_dimension([5]) == 5
-
-    def test_heisenberg_levels(self):
-        assert weighted_dimension([2, 1]) == 4
-
-    def test_three_lines(self):
-        assert weighted_dimension([1, 1, 1]) == 6
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_dimension([])
-
-
-class TestTorsionCertificates:
-    @pytest.mark.parametrize("n", [2, 7, 10 ** 6])
-    def test_lens_lower_bound(self, n):
-        assert t1_lower_lens(n) == n
-
-    def test_lens_requires_two(self):
-        with pytest.raises(ValueError):
-            t1_lower_lens(1)
-
-    @pytest.mark.parametrize("n", [1, 3, 64])
-    def test_heisenberg_cover(self, n):
-        assert t1_lower_heisenberg_cover(n) == n
-
-    def test_cover_rejects_zero(self):
-        with pytest.raises(ValueError):
-            t1_lower_heisenberg_cover(0)
 
 
 class TestParser:
@@ -169,5 +138,5 @@ def test_abelianization_invariant_under_relator_shuffle_and_inversion(perm, flip
 
 @given(st.integers(1, 60), st.integers(1, 60))
 def test_free_product_torsion_orders_multiply(n1, n2):
-    image = abelianization(free_product(cyclic_presentation(n1), cyclic_presentation(n2)))
+    image = abelianization(parse_presentation(f"a,b ; a^{n1}, b^{n2}"))
     assert image.torsion_order == n1 * n2

@@ -8,13 +8,11 @@ from systolic import (
     CubicalModel,
     Graph,
     assemble,
-    asymptotic_constant,
     construct_regular_girth,
     girth,
     multiple_class_bound,
     sleeve_volume_single,
     upper_bound_even,
-    upper_bound_odd,
     vertex_window,
 )
 
@@ -131,27 +129,6 @@ class TestUpperBounds:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             upper_bound_even(MODEL, 1)
-
-    def test_odd_bound(self):
-        assert upper_bound_odd(MODEL, 100, 1.0) == pytest.approx(
-            upper_bound_even(MODEL, 100) + 1.0
-        )
-        assert upper_bound_odd(MODEL, 100, 0.0) == upper_bound_even(MODEL, 100)
-        with pytest.raises(ValueError):
-            upper_bound_odd(MODEL, 1, 1.0)
-        with pytest.raises(ValueError):
-            upper_bound_odd(MODEL, 100, -1.0)
-
-
-class TestAsymptoticConstant:
-    def test_value(self):
-        assert asymptotic_constant(MODEL) == pytest.approx(21 * math.log(7), rel=1e-15)
-        assert asymptotic_constant(MODEL) == pytest.approx(40.87, rel=1e-3)
-
-    def test_linear_in_dimension(self):
-        low = asymptotic_constant(CubicalModel(3, 9))
-        high = asymptotic_constant(CubicalModel(4, 9))
-        assert high / low == pytest.approx(4 / 3, rel=1e-12)
 
 
 class TestMultipleClassBound:
