@@ -40,7 +40,7 @@ from .sleeves import CubicalModel, assemble, sleeve_volume_single
 
 USAGE_ERROR = 2
 INVARIANT_VIOLATION = 1
-# The most grid points one sweep evaluates; its rows are all held in memory.
+# The most grid points one sweep evaluates, which bounds the run's time.
 MAX_SWEEP_POINTS = 10 ** 6
 
 
@@ -77,15 +77,16 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _dump_csv(header_comment: str, columns, rows, out_path: str | None) -> None:
-    lines = [f"# {header_comment}", ",".join(columns)]
-    lines += [",".join(_csv_cell(cell) for cell in row) for row in rows]
-    _emit("\n".join(lines) + "\n", out_path)
-
-
-def _provenance(seed, constants_path, command=None) -> str:
-    command = f" command={command}" if command else ""
-    return f"systolic {__version__} seed={seed}{command} constants={constants_path or 'defaults(illustrative)'}"
+def _dump_csv(columns, rows, out_path: str | None, provenance: str = "") -> None:
+    """Write the comment line, the header and each row as the iterable yields it."""
+    handle = open(out_path, "w") if out_path else sys.stdout
+    try:
+        handle.write(f"# systolic {__version__}{provenance}\n{','.join(columns)}\n")
+        for row in rows:
+            handle.write(",".join(_csv_cell(cell) for cell in row) + "\n")
+    finally:
+        if out_path:
+            handle.close()
 
 
 def _load_constants(path) -> bounds_mod.BoundConstants:
@@ -102,7 +103,7 @@ def _rational(value, what: str) -> Fraction:
 
 def _named_complexes(args):
     """(name, complex) pairs from file paths or the whole built-in corpus."""
-    if getattr(args, "corpus", False):
+    if args.corpus:
         return list(corpus_mod.corpus_complexes().items())
     if not args.inputs:
         raise ValueError("no input complexes given (pass files or --corpus)")
@@ -124,7 +125,7 @@ def cmd_homology(args) -> int:
             )
             for name, summary in summaries
         ]
-        _dump_csv(_provenance(args.seed, args.constants), ("name", "betti", "torsion"), rows, args.out)
+        _dump_csv(("name", "betti", "torsion"), rows, args.out)
         return 0
     payload = {
         name: {"betti": list(summary.betti), "torsion": [list(t) for t in summary.torsion]}
@@ -144,7 +145,7 @@ def cmd_check_torsion_bound(args) -> int:
         report = check_s2_torsion_bound(complex_)
         violated |= not report.holds
         rows.append((name, report.s2, report.lower_bound, report.holds))
-    _dump_csv(_provenance(args.seed, args.constants), ("name", "s2", "bound", "holds"), rows, args.out)
+    _dump_csv(("name", "s2", "bound", "holds"), rows, args.out)
     return INVARIANT_VIOLATION if violated else 0
 
 
@@ -304,28 +305,34 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"sweep spec {args.spec} has {points} grid points, past the cap of {MAX_SWEEP_POINTS}"
         )
+    unknown = sorted(set(spec) - {"command", "grid", "seed"})
+    if unknown:
+        raise ValueError(
+            f"sweep spec {args.spec} has unknown key {unknown[0]!r} (it takes command, grid and seed)"
+        )
     command = spec.get("command")
     if not isinstance(command, str) or command not in EVALUATORS:
         raise ValueError(f"sweep does not support command {command!r}")
     entry = EVALUATORS[command]
-    for field in ("out", "constants"):
-        if not isinstance(spec.get(field, ""), (str, type(None))):
-            raise ValueError(f"sweep spec {args.spec} field {field!r} must be a file path string")
-    constants_path = spec.get("constants") or args.constants
-    constants = _load_constants(constants_path)
+    constants = _load_constants(args.constants)
     keys = sorted(grid)
-    rows = []
-    for combo in itertools.product(*(grid[key] for key in keys)):
-        try:
-            cells = [_sweep_cell(entry, dict(zip(keys, combo)), constants), ""]
-        except Exception as exc:  # per-row failure becomes a row-level error field
-            cells = ["", f'"{exc}"']
-        rows.append([*combo, *cells])
-    comment = _provenance(spec.get("seed", args.seed), constants_path, command)
-    _dump_csv(comment, (*keys, "result", "error"), rows, spec.get("out", args.out))
-    warnings = sum(1 for row in rows if row[-1])
-    if warnings:
-        sys.stderr.write(f"sweep finished with {warnings} row errors\n")
+    errors = 0
+
+    def rows():
+        nonlocal errors
+        for combo in itertools.product(*(grid[key] for key in keys)):
+            try:
+                cells = [_sweep_cell(entry, dict(zip(keys, combo)), constants), ""]
+            except Exception as exc:  # per-row failure becomes a row-level error field
+                errors += 1
+                cells = ["", f'"{exc}"']
+            yield [*combo, *cells]
+
+    constants_source = args.constants or "defaults(illustrative)"
+    provenance = f" seed={spec.get('seed', 0)} command={command} constants={constants_source}"
+    _dump_csv((*keys, "result", "error"), rows(), args.out, provenance)
+    if errors:
+        sys.stderr.write(f"sweep finished with {errors} row errors\n")
     return 0
 
 
@@ -369,7 +376,6 @@ def cmd_corpus(args) -> int:
         _dump_json([dataclasses.asdict(e) for e in entries], args.out)
     else:
         _dump_csv(
-            _provenance(args.seed, args.constants),
             ("name", "kind", "provenance"),
             [(e.name, e.kind, f'"{e.provenance}"') for e in entries],
             args.out,
@@ -388,76 +394,69 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--constants", default=None, help="JSON file of bound constants")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
-
     parser = _Parser(
         prog="systolic",
         description="exact homology, girth graphs, and systolic bound evaluators",
-        parents=[common],
     )
     parser.add_argument("--version", action="version", version=f"systolic {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("homology", parents=[common], help="Betti numbers and torsion")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("homology", cmd_homology, "Betti numbers and torsion")
     p.add_argument("inputs", nargs="*", help="complex JSON files")
     p.add_argument("--corpus", action="store_true", help="run on the built-in corpus")
-    p.set_defaults(func=cmd_homology)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("check-torsion-bound", parents=[common], help="s2 vs 2 log3 |Tors H1|")
+    p = command("check-torsion-bound", cmd_check_torsion_bound, "s2 vs 2 log3 |Tors H1|")
     p.add_argument("inputs", nargs="*")
     p.add_argument("--corpus", action="store_true")
-    p.set_defaults(func=cmd_check_torsion_bound)
 
-    p = sub.add_parser("abelianize", parents=[common], help="abelian invariants of a presentation")
+    p = command("abelianize", cmd_abelianize, "abelian invariants of a presentation")
     p.add_argument("presentation", help="e.g. 'a,b,c ; [a,b]c^-5, [a,c], [b,c]'")
-    p.set_defaults(func=cmd_abelianize)
 
-    p = sub.add_parser("girth", parents=[common], help="girth and optional metric systole")
+    p = command("girth", cmd_girth, "girth and optional metric systole")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--edge-length", default=None, help="uniform rational edge length, e.g. 1/8")
-    p.set_defaults(func=cmd_girth)
 
-    p = sub.add_parser("build-graph", parents=[common], help="regular graph of prescribed girth")
+    p = command("build-graph", cmd_build_graph, "regular graph of prescribed girth")
     p.add_argument("--c", type=int, required=True, help="degree")
     p.add_argument("--girth", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
-    p.set_defaults(func=cmd_build_graph)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("sleeve", parents=[common], help="assemble sleeves over a graph")
+    p = command("sleeve", cmd_sleeve, "assemble sleeves over a graph")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--eps", required=True, help="rational sleeve thickness, e.g. 1/10")
     p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_sleeve)
 
-    p = sub.add_parser("bounds", parents=[common], help="closed-form bound evaluators")
+    p = command("bounds", cmd_bounds, "closed-form bound evaluators")
     p.add_argument("name", help="evaluator name")
     p.add_argument("--value", type=float, default=None)
-    p.set_defaults(func=cmd_bounds)
+    p.add_argument("--constants", default=None, help="JSON file of bound constants")
 
-    p = sub.add_parser("waring", parents=[common], help="minimal sums of d-th powers")
+    p = command("waring", cmd_waring, "minimal sums of d-th powers")
     p.add_argument("mode", nargs="?", choices=("verify",), default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--limit", type=int, default=100_000)
-    p.set_defaults(func=cmd_waring)
 
-    p = sub.add_parser("genfun", parents=[common], help="recurrence detection")
+    p = command("genfun", cmd_genfun, "recurrence detection")
     p.add_argument("mode", choices=("detect",))
     p.add_argument("--file", required=True, help='sequence JSON: {"terms": ["3/2", ...]}')
     p.add_argument("--max-order", type=int, default=16)
-    p.set_defaults(func=cmd_genfun)
 
-    p = sub.add_parser("corpus", parents=[common], help="list built-in complexes and graphs")
-    p.set_defaults(func=cmd_corpus)
+    p = command("corpus", cmd_corpus, "list built-in complexes and graphs")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("sweep", parents=[common], help="grid sweep from a spec file")
+    p = command("sweep", cmd_sweep, "grid sweep from a spec file")
     p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--constants", default=None, help="JSON file of bound constants")
 
     return parser
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import height_from_torsion
 from .complexes import SimplicialComplex, boundary_matrix, face_counts
 from .snf import SmithForm, smith_normal_form
 
@@ -69,5 +70,4 @@ def check_s2_torsion_bound(complex_: SimplicialComplex) -> TriangleTorsionReport
     counts = face_counts(complex_)
     s2 = counts[2] if len(counts) > 2 else 0
     order = torsion_order_h1(complex_)
-    bound = 2 * math.log(order) / math.log(3)
-    return TriangleTorsionReport(s2, order, bound, order * order <= 3 ** s2)
+    return TriangleTorsionReport(s2, order, height_from_torsion(order), order * order <= 3 ** s2)

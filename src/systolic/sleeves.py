@@ -65,8 +65,7 @@ def assemble(model: CubicalModel, eps, graph: Graph) -> AssemblyReport:
     lower bound 1 via the distance-decreasing projection onto the graph.
     """
     eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("sleeve thickness eps must be positive")
+    volume_single = sleeve_volume_single(model, eps)
     if not graph.is_regular(model.c):
         raise ValueError(f"graph is not {model.c}-regular")
     if graph.vertex_count % 2:
@@ -87,7 +86,6 @@ def assemble(model: CubicalModel, eps, graph: Graph) -> AssemblyReport:
             f"for degree {model.c}, path scale {path_scale}"
         )
     n = two_n // 2
-    volume = 4 * model.m * n * model.c * eps
     return AssemblyReport(
         m=model.m,
         c=model.c,
@@ -95,7 +93,7 @@ def assemble(model: CubicalModel, eps, graph: Graph) -> AssemblyReport:
         path_scale=path_scale,
         two_n=two_n,
         graph_girth=int(g),
-        volume=volume,
+        volume=two_n * volume_single,
         systole_lower_bound=1,
         sublinear_upper_bound=upper_bound_even(model, n),
         handle_count=n * (model.c - 2) + 1,

@@ -15,23 +15,16 @@ so it grows geometrically: to min(max(k, twice the old limit), the cap).
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass
 
-DEFAULT_CAP = 10_000_000
-_CAP_ENV = "SYSTOLIC_WARING_CAP"
+# the largest k the tables accept
+CAP = 10_000_000
 # 64 layers cost 64 bits per integer, the width of a count list's entry
 MAX_LAYERS = 64
 
 
-def desk_cap() -> int:
-    """Largest k the tables will accept (override via env var)."""
-    raw = os.environ.get(_CAP_ENV)
-    return int(raw) if raw else DEFAULT_CAP
-
-
 class WaringCapError(ValueError):
-    """k exceeds the configured desk-scale cap."""
+    """k exceeds the desk-scale cap."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,7 @@ def _table(d: int, upto: int) -> _Layers | list[int]:
         return table
     if not isinstance(table, list):  # a count list stays one: a larger limit needs no fewer layers
         old = len(table) - 1 if table is not None else 0
-        layers = _Layers.build(d, max(upto, min(2 * old, desk_cap())))
+        layers = _Layers.build(d, max(upto, min(2 * old, CAP)))
         if layers is not None:
             _tables[d] = layers
             return layers
@@ -212,8 +205,5 @@ def _validate(k: int, d: int) -> None:
         raise ValueError("exponent d must be an integer >= 2")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    cap = desk_cap()
-    if k > cap:
-        raise WaringCapError(
-            f"k={k} exceeds the desk-scale cap {cap}; raise {_CAP_ENV} to override"
-        )
+    if k > CAP:
+        raise WaringCapError(f"k={k} exceeds the desk-scale cap {CAP}")

@@ -1,16 +1,19 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import systolic.cli as cli_mod
 from systolic.cli import EVALUATORS, main
-from systolic import corpus_list, graphs, presentations
+from systolic import __version__, corpus_list, graphs, presentations
 
 
 def run_cli(args, capsys):
@@ -450,15 +453,6 @@ class TestSweep:
         assert err.startswith("error:") and field in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [spec]
 
-    def test_null_path_fields_mean_absent(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(
-            {"command": "height", "grid": {"value": [5]}, "out": None, "constants": None}
-        ))
-        code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
-        assert code == 0
-        assert out.splitlines()[1] == "value,result,error"
-
     @pytest.mark.parametrize(
         "command, value", [("surface-kappa", 2.5), ("lens", 7.5), ("torsion", float("nan"))]
     )
@@ -497,6 +491,35 @@ class TestSweep:
         assert code == 0
         assert len(out.splitlines()) == 2 + 6
 
+    def test_constants_and_seed_in_the_comment(self, tmp_path, capsys):
+        const = tmp_path / "constants.json"
+        const.write_text('{"m": 2}')
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": "height", "grid": {"value": [5]}, "seed": 9}))
+        out_file = tmp_path / "rows.csv"
+        code, out, _ = run_cli(
+            ["sweep", "--spec", str(spec), "--constants", str(const), "--out", str(out_file)], capsys
+        )
+        assert (code, out) == (0, "")
+        comment = out_file.read_text().splitlines()[0]
+        assert comment == f"# systolic {__version__} seed=9 command=height constants={const}"
+
+    def test_rows_are_written_as_they_are_made(self, tmp_path, capsys):
+        def peak(points):
+            spec = tmp_path / "spec.json"
+            grid = {"value": list(range(1, 201)), "pad": list(range(points // 200))}
+            spec.write_text(json.dumps({"command": "height", "grid": grid}))
+            tracemalloc.start()
+            code = main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "rows.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert code == 0
+            assert len((tmp_path / "rows.csv").read_text().splitlines()) == 2 + points
+            return peak
+
+        peak(2_000)  # first use: imports and caches
+        assert peak(20_000) < 2 * peak(2_000)
+
     def test_row_error_does_not_abort(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -527,6 +550,65 @@ def _command(kind, path):
     if kind == "genfun":
         return ["genfun", "detect", "--file", path, "--max-order", "1"]
     return [kind, path]
+
+
+# every option and positional of each subcommand; the top-level parser takes none
+CLI_SURFACE = {
+    "homology": {"--out", "--format", "--corpus", "inputs"},
+    "check-torsion-bound": {"--out", "--corpus", "inputs"},
+    "abelianize": {"--out", "presentation"},
+    "girth": {"--out", "--edge-length", "graph"},
+    "build-graph": {"--out", "--c", "--girth", "--vertices", "--seed"},
+    "sleeve": {"--out", "--m", "--c", "--eps", "--graph"},
+    "bounds": {"--out", "--constants", "--value", "name"},
+    "waring": {"--out", "--k", "--d", "--limit", "mode"},
+    "genfun": {"--out", "--file", "--max-order", "mode"},
+    "corpus": {"--out", "--format"},
+    "sweep": {"--out", "--constants", "--spec"},
+}
+
+
+def _settable(parser):
+    """The parser's actions other than help, version and the subcommand choice."""
+    return [
+        action for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._VersionAction, argparse._SubParsersAction))
+    ]
+
+
+def test_each_option_is_declared_on_the_commands_that_read_it():
+    parser = cli_mod.build_parser()
+    assert _settable(parser) == []
+    assert {s for action in parser._actions for s in action.option_strings} == {"-h", "--help", "--version"}
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {(action.option_strings or [action.dest])[0] for action in _settable(sub)}
+        for name, sub in commands.items()
+    }
+    assert surface == CLI_SURFACE
+    assert sum(map(len, surface.values())) == 40
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--out", "{tmp}/F", "corpus"],
+        ["--seed", "7", "build-graph", "--c", "3", "--girth", "5", "--vertices", "10"],
+        ["girth", "{petersen}", "--format", "csv"],
+        ["abelianize", "a ; a^2", "--constants", "{tmp}/C"],
+        ["sweep", "--spec", "{tmp}/spec.json"],
+    ],
+)
+def test_option_on_a_command_that_does_not_read_it_is_refused(args, tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(
+        json.dumps({"command": "height", "grid": {"value": [5]}, "out": str(tmp_path / "F")})
+    )
+    petersen = Path(cli_mod.__file__).parent / "data" / "petersen.json"
+    argv = [arg.format(tmp=tmp_path, petersen=petersen) for arg in args]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "F").exists()
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

@@ -50,7 +50,7 @@ class TestMinPowers:
         assert min_powers(96, 4).parts == (2,) * 6
 
     def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setenv("SYSTOLIC_WARING_CAP", "1000")
+        monkeypatch.setattr(waring, "CAP", 1000)
         with pytest.raises(WaringCapError):
             min_powers(10 ** 6, 4)
 
@@ -165,7 +165,7 @@ class TestLayers:
 
     def test_growth_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(waring, "_tables", {})
-        monkeypatch.setenv("SYSTOLIC_WARING_CAP", "1000")
+        monkeypatch.setattr(waring, "CAP", 1000)
         min_count(600, 4)
         min_count(700, 4)
         assert len(waring._tables[4]) == 1001
