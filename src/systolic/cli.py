@@ -461,9 +461,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_option_before_command(parser, argv) -> None:
+    """Name a subcommand's option given before the subcommand.
+
+    argparse would take the option's value for the subcommand name, or call
+    the option unrecognized.
+    """
+    option = argv[0].split("=", 1)[0] if argv else ""
+    if not option.startswith("-") or option in parser._option_string_actions:
+        return
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    readers = [name for name, sub in commands.items() if option in sub._option_string_actions]
+    if readers:
+        command = next((word for word in argv if word in readers), readers[0])
+        raise ValueError(f"{option} goes after the subcommand name, as in 'systolic {command} {option} ...'")
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        _refuse_option_before_command(parser, argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, KeyError, GirthSearchError) as exc:
         sys.stderr.write(f"error: {exc}\n")

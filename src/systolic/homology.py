@@ -1,17 +1,45 @@
 """Integer simplicial homology with torsion, plus the triangle/torsion bound.
 
-Betti numbers come from boundary ranks, torsion from the invariant factors
-of the next boundary operator.  Homology is unreduced: betti[0] counts the
-connected components.
+Homology is unreduced: betti[0] counts the connected components.  Before
+any matrix is built, ``homology`` removes cells in pairs (Mrozek and Batko,
+"Coreduction homology algorithm", Discrete Comput. Geom. 2009), and only
+the cells left over reach the Smith form.
+
+The chain complex C has one basis element per face, with the boundary
+signs of ``boundary_matrix``.  Removing a set of cells means passing to the
+quotient by the subcomplex they span, whose differential is the original
+one restricted to the cells still live.  The removals are of three kinds.
+
+- One vertex per connected component.  A vertex v spans a subcomplex with
+  homology Z in degree 0, and [v] generates a free summand of H_0.  So the
+  quotient has the same H_k for k >= 1, and H_0 loses that Z summand.  The
+  components are added back to betti[0] at the end.
+- Coreductions (a, b): the live boundary of b is the single cell a.
+  Then the live boundary of b is +-a, and b, a span an acyclic subcomplex
+  Z -> Z with a +-1 map.
+- Free-face reductions (a, b): the single live coface of a is b.  Then
+  b and its live boundary span an acyclic subcomplex of the same kind, and
+  in the basis where a is replaced by that boundary nothing else changes,
+  because no other live cell has a on its boundary.
+
+Each pair is a +-1 pivot with no fill, and the quotient by an acyclic
+subcomplex has the same integer homology, torsion included, by the long
+exact sequence.  Betti numbers of what is left are live_k - rank_k -
+rank_{k+1}, and its torsion is that of the leftover boundary operators.
+The pairs come off a FIFO queue seeded in lexicographic face order: each
+removal queues the cells whose live boundary or coboundary it shrank.
+``torsion_order_h1`` runs the same removals and then the Smith form of the
+leftover boundary of 2-cells alone.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .bounds import height_from_torsion
-from .complexes import SimplicialComplex, boundary_matrix, face_counts
-from .snf import SmithForm, smith_normal_form
+from .complexes import SimplicialComplex, face_counts
+from .snf import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -29,26 +57,109 @@ class HomologySummary:
 
 def homology(complex_: SimplicialComplex) -> HomologySummary:
     """Homology groups H_k = Z^betti(k) + sum Z_d for k = 0..dim."""
-    dim = complex_.dim
-    if dim is None:
+    groups = complex_.faces_by_dim
+    if not groups:
         return HomologySummary((), ())
-    counts = face_counts(complex_)
-    forms: list[SmithForm | None] = [None] * (dim + 2)
-    for k in range(1, dim + 1):
-        forms[k] = smith_normal_form(boundary_matrix(complex_, k))
-    ranks = [forms[k].rank if forms[k] else 0 for k in range(dim + 2)]
-    betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1)]
-    torsion = [
-        forms[k + 1].torsion_factors if forms[k + 1] else () for k in range(dim + 1)
-    ]
+    components, live_counts, boundaries = _reduce(groups)
+    forms = [smith_normal_form(entries, shape) for entries, shape in boundaries]
+    ranks = [0, *(form.rank for form in forms), 0]
+    betti = [live_counts[k] - ranks[k] - ranks[k + 1] for k in range(len(groups))]
+    betti[0] += components
+    torsion = [form.torsion_factors for form in forms] + [()]
     return HomologySummary(tuple(betti), tuple(torsion))
 
 
 def torsion_order_h1(complex_: SimplicialComplex) -> int:
     """|Tors H_1| of this complex; 1 means torsion-free."""
-    if complex_.dim is None or complex_.dim < 2:
+    groups = complex_.faces_by_dim
+    if len(groups) < 3:
         return 1
-    return math.prod(smith_normal_form(boundary_matrix(complex_, 2)).torsion_factors)
+    _, _, boundaries = _reduce(groups)
+    return math.prod(smith_normal_form(*boundaries[1]).torsion_factors)
+
+
+def _reduce(groups) -> tuple[int, list[int], list[tuple[dict, tuple[int, int]]]]:
+    """Remove one vertex per component, then reduction pairs, from the faces ``groups``.
+
+    Returns the number of components, the number of cells left in each
+    dimension, and for k = 1..dim the leftover boundary operator as a
+    sparse {(row, col): sign} mapping with its shape.
+    """
+    # cells are numbered by dimension, then in lexicographic order
+    starts = [0]
+    for group in groups:
+        starts.append(starts[-1] + len(group))
+    faces: list[tuple[int, ...]] = [()] * len(groups[0])
+    cofaces: list[list[int]] = [[] for _ in range(starts[-1])]
+    for k in range(1, len(groups)):
+        index = {s: starts[k - 1] + i for i, s in enumerate(groups[k - 1])}
+        for cell, simplex in enumerate(groups[k], starts[k]):
+            boundary = tuple(index[simplex[:i] + simplex[i + 1:]] for i in range(k + 1))
+            faces.append(boundary)
+            for face in boundary:
+                cofaces[face].append(cell)
+
+    live = [True] * starts[-1]
+    face_count = [len(f) for f in faces]
+    coface_count = [len(c) for c in cofaces]
+
+    def remove(cell):
+        live[cell] = False
+        for face in faces[cell]:
+            coface_count[face] -= 1
+        for coface in cofaces[cell]:
+            face_count[coface] -= 1
+
+    components = _components(len(groups[0]), [f for f in faces if len(f) == 2])
+    for vertex in components:
+        remove(vertex)
+
+    queue = deque(range(starts[-1]))
+    while queue:
+        cell = queue.popleft()
+        if not live[cell]:
+            continue
+        if face_count[cell] == 1:
+            pair = (next(f for f in faces[cell] if live[f]), cell)
+        elif coface_count[cell] == 1:
+            pair = (cell, next(c for c in cofaces[cell] if live[c]))
+        else:
+            continue
+        for member in pair:
+            remove(member)
+        for member in pair:
+            queue.extend(x for x in faces[member] if live[x])
+            queue.extend(x for x in cofaces[member] if live[x])
+
+    left = [[c for c in range(starts[k], starts[k + 1]) if live[c]] for k in range(len(groups))]
+    boundaries = []
+    for k in range(1, len(groups)):
+        row = {cell: i for i, cell in enumerate(left[k - 1])}
+        entries = {
+            (row[face], j): -1 if i % 2 else 1
+            for j, cell in enumerate(left[k])
+            for i, face in enumerate(faces[cell])
+            if live[face]
+        }
+        boundaries.append((entries, (len(left[k - 1]), len(left[k]))))
+    return len(components), [len(cells) for cells in left], boundaries
+
+
+def _components(vertex_count: int, edges) -> list[int]:
+    """The least vertex of each connected component (union-find over the edges)."""
+    parent = list(range(vertex_count))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for edge in edges:
+        a, b = map(root, edge)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return [v for v in range(vertex_count) if root(v) == v]
 
 
 @dataclass(frozen=True)

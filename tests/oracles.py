@@ -7,13 +7,20 @@ cycle enumeration, exhaustive orientation search, largest-first Waring
 parts read off a count list, Hankel-style recurrence solving by dense
 elimination over fractions, and the girth search's attempt with its O(n)
 list rebuilds at every step.
-None of this shares code paths with the implementation under test.
+None of this shares code paths with the implementation under test, with
+one exception: ``homology`` is the package's homology before reduction
+pairs, the Smith form of every full boundary matrix, so it shares
+``smith_normal_form`` (itself checked against the naive reductions here).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+
+from systolic.complexes import SimplicialComplex, boundary_matrix, face_counts
+from systolic.homology import HomologySummary
+from systolic.snf import SmithForm, smith_normal_form
 
 
 def naive_invariant_factors(dense) -> tuple[int, ...]:
@@ -200,6 +207,23 @@ def _det(matrix: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1] if n else 1
+
+
+def homology(complex_: SimplicialComplex) -> HomologySummary:
+    """Homology groups H_k = Z^betti(k) + sum Z_d for k = 0..dim."""
+    dim = complex_.dim
+    if dim is None:
+        return HomologySummary((), ())
+    counts = face_counts(complex_)
+    forms: list[SmithForm | None] = [None] * (dim + 2)
+    for k in range(1, dim + 1):
+        forms[k] = smith_normal_form(boundary_matrix(complex_, k))
+    ranks = [forms[k].rank if forms[k] else 0 for k in range(dim + 2)]
+    betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1)]
+    torsion = [
+        forms[k + 1].torsion_factors if forms[k + 1] else () for k in range(dim + 1)
+    ]
+    return HomologySummary(tuple(betti), tuple(torsion))
 
 
 def pairwise_divisibility_chain(values: list[int]) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import systolic.cli as cli_mod
 from systolic.cli import EVALUATORS, main
 from systolic import __version__, corpus_list, graphs, presentations
+from test_snf import _freudenthal_torus
 
 
 def run_cli(args, capsys):
@@ -56,6 +57,29 @@ class TestHomologyCommand:
         code, out, _ = run_cli(["homology", "--corpus"], capsys)
         assert code == 0
         assert len(calls) == len(json.loads(out))
+
+
+# sha256 of stdout, computed with the Smith form of every full boundary matrix
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["homology", "{t3k4}"], "fdcd6884eae7743b9458c075a7cfc37424b16148ce3714b0869ae2bcfee04c84"),
+        (["homology", "{t3k4}", "--format", "csv"],
+         "10587ec3bda7c537635288114278958008a5bd8f853e28d84caa2ba68703af2f"),
+        (["check-torsion-bound", "{t3k4}"], "301e64592d35cc77460c5bedf477ee0a3cb6f2213255b445627b271272774e2e"),
+        (["homology", "--corpus"], "c06a960607d71a8ed1c79c21345323384ba66a60189bb6078e8405540623305b"),
+        (["homology", "--corpus", "--format", "csv"],
+         "c0949e333177f1401e92e3566eb3b1334efd3db056b734cbc1116cf4943872b0"),
+        (["check-torsion-bound", "--corpus"], "82daa8f4a95168d3e0ec06be2318d1ef1dbce05e02f589504084b2fc499556ce"),
+    ],
+)
+def test_homology_bytes_pinned(args, digest, tmp_path, capsys):
+    torus = _freudenthal_torus(4)
+    path = tmp_path / "t3k4.json"
+    path.write_text(json.dumps({"vertices": torus.vertex_count, "facets": [list(f) for f in torus.facets]}))
+    code, out, _ = run_cli([arg.format(t3k4=path) for arg in args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTorsionBoundCommand:
@@ -589,17 +613,26 @@ def test_each_option_is_declared_on_the_commands_that_read_it():
     assert sum(map(len, surface.values())) == 40
 
 
+MISPLACED_OPTIONS = [
+    (["--out", "{tmp}/F", "corpus"],
+     "--out goes after the subcommand name, as in 'systolic corpus --out ...'"),
+    (["--seed", "7", "build-graph", "--c", "3", "--girth", "5", "--vertices", "10"],
+     "--seed goes after the subcommand name, as in 'systolic build-graph --seed ...'"),
+    (["girth", "{petersen}", "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["abelianize", "a ; a^2", "--constants", "{tmp}/C"], "unrecognized arguments: --constants"),
+    (["sweep", "--spec", "{tmp}/spec.json"], "has unknown key 'out'"),
+    (["--out={tmp}/F", "homology", "--corpus"],
+     "--out goes after the subcommand name, as in 'systolic homology --out ...'"),
+    (["--corpus", "homology"],
+     "--corpus goes after the subcommand name, as in 'systolic homology --corpus ...'"),
+    (["--bogus", "corpus"], "unrecognized arguments: --bogus"),
+]
+
+
 @pytest.mark.parametrize(
-    "args",
-    [
-        ["--out", "{tmp}/F", "corpus"],
-        ["--seed", "7", "build-graph", "--c", "3", "--girth", "5", "--vertices", "10"],
-        ["girth", "{petersen}", "--format", "csv"],
-        ["abelianize", "a ; a^2", "--constants", "{tmp}/C"],
-        ["sweep", "--spec", "{tmp}/spec.json"],
-    ],
+    "args, message", MISPLACED_OPTIONS, ids=[f"args{i}" for i in range(len(MISPLACED_OPTIONS))]
 )
-def test_option_on_a_command_that_does_not_read_it_is_refused(args, tmp_path, capsys):
+def test_option_on_a_command_that_does_not_read_it_is_refused(args, message, tmp_path, capsys):
     (tmp_path / "spec.json").write_text(
         json.dumps({"command": "height", "grid": {"value": [5]}, "out": str(tmp_path / "F")})
     )
@@ -608,6 +641,7 @@ def test_option_on_a_command_that_does_not_read_it_is_refused(args, tmp_path, ca
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err
     assert not (tmp_path / "F").exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +54,25 @@ class TestFromFacets:
     def test_non_maximal_faces_dropped(self):
         complex_ = from_facets([[0, 1], [0, 1, 2], [3, 4]])
         assert complex_.facets == ((0, 1, 2), (3, 4))
+
+    def test_maximal_filter_matches_brute_force(self):
+        rng = random.Random(2024)
+        for _ in range(500):
+            n = rng.randint(1, 9)
+            simplices = [rng.sample(range(n), rng.randint(0, min(n, 5)))
+                         for _ in range(rng.randint(0, 14))]
+            for simplex in list(simplices[:3]):  # duplicates and nested faces
+                simplices.append(simplex[::-1])
+                simplices.append(simplex[1:])
+            distinct = {tuple(sorted(s)) for s in simplices}
+            maximal = tuple(sorted(
+                s for s in distinct if not any(set(s) < set(other) for other in distinct)
+            ))
+            assert from_facets(simplices).facets == maximal
+
+    def test_empty_simplex_is_kept_only_alone(self):
+        assert from_facets([[]]).facets == ((),)
+        assert from_facets([[], [3]]).facets == ((3,),)
 
 
 class TestFaceCounts:

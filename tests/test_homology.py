@@ -15,8 +15,10 @@ from systolic import (
     smith_normal_form,
     torsion_order_h1,
 )
+from systolic.homology import HomologySummary
 
 import oracles
+from test_snf import _freudenthal_torus
 
 
 RP2 = corpus_complex("rp2_min")
@@ -55,6 +57,82 @@ class TestHomology:
         assert homology(two).betti[0] == 2
 
 
+def _shifted(complex_, offset):
+    return [[v + offset for v in facet] for facet in complex_.facets]
+
+
+def _random_pure(rng, dim):
+    n = rng.randint(dim + 1, 9)
+    return from_facets([rng.sample(range(n), dim + 1) for _ in range(rng.randint(1, 14))])
+
+
+def _moore_space(m):
+    """A disk whose boundary wraps m times around the triangle 0, 1, 2: H_1 = Z/m.
+
+    The centre is 3 and the inner ring is 4 .. 3m + 3.
+    """
+    ring = [4 + i for i in range(3 * m)]
+    facets = []
+    for i in range(3 * m):
+        u, w = ring[i], ring[(i + 1) % (3 * m)]
+        facets += [(3, u, w), (u, w, i % 3), (w, i % 3, (i + 1) % 3)]
+    return from_facets(facets)
+
+
+class TestReductionPairs:
+    """The reduction pairs against the Smith form of the full boundaries."""
+
+    def _assert_oracle(self, complex_):
+        assert homology(complex_) == oracles.homology(complex_)
+
+    def test_corpus(self):
+        for complex_ in corpus_complexes().values():
+            self._assert_oracle(complex_)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_freudenthal_torus(self, k):
+        summary = homology(_freudenthal_torus(k))
+        assert summary == HomologySummary((1, 3, 3, 1), ((), (), (), ()))
+        assert summary == oracles.homology(_freudenthal_torus(k))
+
+    def test_connected_sums(self):
+        sums = [
+            connected_sum(TORUS, TORUS),
+            connected_sum(connected_sum(TORUS, TORUS), TORUS),
+            connected_sum(RP2, RP2, allow_nonorientable=True),
+            connected_sum(TORUS, RP2, allow_nonorientable=True),
+        ]
+        for complex_ in sums:
+            self._assert_oracle(complex_)
+        assert homology(sums[3]) == HomologySummary((1, 2, 0), ((), (2,), ()))
+
+    def test_multi_component(self):
+        facets = list(TORUS.facets) + _shifted(RP2, 10) + _shifted(SPHERE, 20) + [[30, 31]]
+        summary = homology(from_facets(facets))
+        assert summary == HomologySummary((4, 2, 2), ((), (2,), ()))
+        self._assert_oracle(from_facets(facets))
+
+    def test_non_pure_and_empty(self):
+        # a triangle, a dangling edge, a lone vertex and an unused vertex id
+        non_pure = from_facets([[0, 1, 2], [2, 3], [5]], vertex_count=7)
+        assert homology(non_pure) == HomologySummary((2, 0, 0), ((), (), ()))
+        self._assert_oracle(non_pure)
+        assert homology(from_facets([])) == oracles.homology(from_facets([])) == HomologySummary((), ())
+
+    def test_random_pure_complexes(self):
+        rng = random.Random(31)
+        for trial in range(200):
+            complex_ = _random_pure(rng, 2 + trial % 2)
+            self._assert_oracle(complex_)
+            assert torsion_order_h1(complex_) == oracles.homology(complex_).torsion_order(1)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6])
+    def test_moore_space_torsion(self, m):
+        assert homology(_moore_space(m)) == HomologySummary((1, 0, 0), ((), (m,), ()))
+        self._assert_oracle(_moore_space(m))
+        assert torsion_order_h1(_moore_space(m)) == m
+
+
 class TestTorsionOrder:
     def test_sphere_torsion_free(self):
         assert torsion_order_h1(SPHERE) == 1
@@ -73,6 +151,21 @@ class TestTorsionOrder:
 
     def test_graph_has_trivial_torsion(self):
         assert torsion_order_h1(from_facets([[0, 1], [1, 2]])) == 1
+
+    def test_one_smith_form_of_the_leftover_boundary(self, monkeypatch):
+        homology_mod = importlib.import_module("systolic.homology")
+        shapes = []
+
+        def spy(entries, shape):
+            shapes.append(shape)
+            return smith_normal_form(entries, shape)
+
+        monkeypatch.setattr(homology_mod, "smith_normal_form", spy)
+        moore = _moore_space(6)
+        assert torsion_order_h1(moore) == 6
+        (rows, cols), = shapes
+        raw_rows, raw_cols = boundary_matrix(moore, 2).shape
+        assert rows < raw_rows and cols < raw_cols
 
 
 class TestTriangleTorsionBound:
