@@ -401,87 +401,98 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"systolic {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    parser.readers = {}  # option string -> the subcommands that declare it
+
     def command(name, func, help):
+        """Add subcommand ``name``; return the function that declares its arguments."""
         p = sub.add_parser(name, help=help)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
         p.set_defaults(func=func)
-        return p
 
-    p = command("homology", cmd_homology, "Betti numbers and torsion")
-    p.add_argument("inputs", nargs="*", help="complex JSON files")
-    p.add_argument("--corpus", action="store_true", help="run on the built-in corpus")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+        def add(*flags, **kwargs):
+            for flag in flags:
+                if flag.startswith("-"):
+                    parser.readers.setdefault(flag, []).append(name)
+            p.add_argument(*flags, **kwargs)
 
-    p = command("check-torsion-bound", cmd_check_torsion_bound, "s2 vs 2 log3 |Tors H1|")
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--corpus", action="store_true")
+        add("--out", default=None, help="output file (default stdout)")
+        return add
 
-    p = command("abelianize", cmd_abelianize, "abelian invariants of a presentation")
-    p.add_argument("presentation", help="e.g. 'a,b,c ; [a,b]c^-5, [a,c], [b,c]'")
+    add = command("homology", cmd_homology, "Betti numbers and torsion")
+    add("inputs", nargs="*", help="complex JSON files")
+    add("--corpus", action="store_true", help="run on the built-in corpus")
+    add("--format", choices=("csv", "json"), default="json")
 
-    p = command("girth", cmd_girth, "girth and optional metric systole")
-    p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--edge-length", default=None, help="uniform rational edge length, e.g. 1/8")
+    add = command("check-torsion-bound", cmd_check_torsion_bound, "s2 vs 2 log3 |Tors H1|")
+    add("inputs", nargs="*")
+    add("--corpus", action="store_true")
 
-    p = command("build-graph", cmd_build_graph, "regular graph of prescribed girth")
-    p.add_argument("--c", type=int, required=True, help="degree")
-    p.add_argument("--girth", type=int, required=True)
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    add = command("abelianize", cmd_abelianize, "abelian invariants of a presentation")
+    add("presentation", help="e.g. 'a,b,c ; [a,b]c^-5, [a,c], [b,c]'")
 
-    p = command("sleeve", cmd_sleeve, "assemble sleeves over a graph")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--eps", required=True, help="rational sleeve thickness, e.g. 1/10")
-    p.add_argument("--graph", required=True)
+    add = command("girth", cmd_girth, "girth and optional metric systole")
+    add("graph", help="graph JSON file")
+    add("--edge-length", default=None, help="uniform rational edge length, e.g. 1/8")
 
-    p = command("bounds", cmd_bounds, "closed-form bound evaluators")
-    p.add_argument("name", help="evaluator name")
-    p.add_argument("--value", type=float, default=None)
-    p.add_argument("--constants", default=None, help="JSON file of bound constants")
+    add = command("build-graph", cmd_build_graph, "regular graph of prescribed girth")
+    add("--c", type=int, required=True, help="degree")
+    add("--girth", type=int, required=True)
+    add("--vertices", type=int, required=True)
+    add("--seed", type=int, default=0)
 
-    p = command("waring", cmd_waring, "minimal sums of d-th powers")
-    p.add_argument("mode", nargs="?", choices=("verify",), default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--limit", type=int, default=100_000)
+    add = command("sleeve", cmd_sleeve, "assemble sleeves over a graph")
+    add("--m", type=int, required=True)
+    add("--c", type=int, required=True)
+    add("--eps", required=True, help="rational sleeve thickness, e.g. 1/10")
+    add("--graph", required=True)
 
-    p = command("genfun", cmd_genfun, "recurrence detection")
-    p.add_argument("mode", choices=("detect",))
-    p.add_argument("--file", required=True, help='sequence JSON: {"terms": ["3/2", ...]}')
-    p.add_argument("--max-order", type=int, default=16)
+    add = command("bounds", cmd_bounds, "closed-form bound evaluators")
+    add("name", help="evaluator name")
+    add("--value", type=float, default=None)
+    add("--constants", default=None, help="JSON file of bound constants")
 
-    p = command("corpus", cmd_corpus, "list built-in complexes and graphs")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    add = command("waring", cmd_waring, "minimal sums of d-th powers")
+    add("mode", nargs="?", choices=("verify",), default=None)
+    add("--k", type=int, default=None)
+    add("--d", type=int, default=None)
+    add("--limit", type=int, default=100_000)
 
-    p = command("sweep", cmd_sweep, "grid sweep from a spec file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--constants", default=None, help="JSON file of bound constants")
+    add = command("genfun", cmd_genfun, "recurrence detection")
+    add("mode", choices=("detect",))
+    add("--file", required=True, help='sequence JSON: {"terms": ["3/2", ...]}')
+    add("--max-order", type=int, default=16)
+
+    add = command("corpus", cmd_corpus, "list built-in complexes and graphs")
+    add("--format", choices=("csv", "json"), default="json")
+
+    add = command("sweep", cmd_sweep, "grid sweep from a spec file")
+    add("--spec", required=True)
+    add("--constants", default=None, help="JSON file of bound constants")
 
     return parser
 
 
-def _refuse_option_before_command(parser, argv) -> None:
+def _refuse_option_before_command(readers, argv) -> None:
     """Name a subcommand's option given before the subcommand.
 
     argparse would take the option's value for the subcommand name, or call
-    the option unrecognized.
+    the option unrecognized.  Only the options before the first word that is
+    not one are looked at; ``readers`` maps each option of a subcommand to the
+    subcommands that declare it.
     """
-    option = argv[0].split("=", 1)[0] if argv else ""
-    if not option.startswith("-") or option in parser._option_string_actions:
-        return
-    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    readers = [name for name, sub in commands.items() if option in sub._option_string_actions]
-    if readers:
-        command = next((word for word in argv if word in readers), readers[0])
-        raise ValueError(f"{option} goes after the subcommand name, as in 'systolic {command} {option} ...'")
+    for word in argv:
+        if not word.startswith("-"):
+            return
+        option = word.split("=", 1)[0]
+        if option in readers:
+            command = next((w for w in argv if w in readers[option]), readers[option][0])
+            raise ValueError(f"{option} goes after the subcommand name, as in 'systolic {command} {option} ...'")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         parser = build_parser()
-        _refuse_option_before_command(parser, argv)
+        _refuse_option_before_command(parser.readers, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, KeyError, GirthSearchError) as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 
 
 class MalformedSimplexError(ValueError):
@@ -115,38 +115,22 @@ def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
         if len(set(tup)) != len(tup):
             raise MalformedSimplexError(f"repeated vertex in simplex {tup}")
         cleaned.append(tuple(sorted(tup)))
-    maximal = sorted(set(cleaned))
-    if len({len(f) for f in maximal}) > 1:
-        maximal = _maximal(maximal)
+    cleaned = sorted(set(cleaned), key=lambda f: (-len(f), f))
+    maximal: list[tuple[int, ...]] = []
+    seen: set[frozenset[int]] = set()
+    for f in cleaned:  # longest first, so containment checks see all candidates
+        fs = frozenset(f)
+        if len(f) < len(cleaned[0]) and any(fs <= other for other in seen):  # none is longer than the first
+            continue
+        seen.add(fs)
+        maximal.append(f)
+    maximal.sort()
     used_max = max((f[-1] for f in maximal if f), default=-1)
     if vertex_count is None:
         vertex_count = used_max + 1
     elif vertex_count <= used_max:
         raise ValueError("vertex_count smaller than largest vertex id used")
     return SimplicialComplex(vertex_count, tuple(maximal))
-
-
-def _maximal(simplices: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The simplices contained in no other one, in their input order.
-
-    A simplex is compared only with the strictly longer kept ones that hold
-    its rarest vertex: any simplex containing it holds every one of its
-    vertices.  The empty simplex has none and lies in every other one.
-    """
-    by_vertex: dict[int, list[frozenset[int]]] = {}
-    longer: list[frozenset[int]] = []
-    for _, group in groupby(sorted(simplices, key=len, reverse=True), key=len):
-        new = []
-        for simplex in map(frozenset, group):
-            candidates = min((by_vertex.get(v, ()) for v in simplex), key=len, default=longer)
-            if not any(simplex <= other for other in candidates):
-                new.append(simplex)
-        for simplex in new:
-            for v in simplex:
-                by_vertex.setdefault(v, []).append(simplex)
-        longer += new
-    keep = set(longer)
-    return [s for s in simplices if frozenset(s) in keep]
 
 
 def face_counts(complex_: SimplicialComplex) -> list[int]:

@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .bounds import height_from_torsion
-from .complexes import SimplicialComplex, face_counts
+from .complexes import SimplicialComplex, boundary_matrix, face_counts
 from .snf import smith_normal_form
 
 
@@ -60,7 +60,7 @@ def homology(complex_: SimplicialComplex) -> HomologySummary:
     groups = complex_.faces_by_dim
     if not groups:
         return HomologySummary((), ())
-    components, live_counts, boundaries = _reduce(groups)
+    components, live_counts, boundaries = _reduce(complex_)
     forms = [smith_normal_form(entries, shape) for entries, shape in boundaries]
     ranks = [0, *(form.rank for form in forms), 0]
     betti = [live_counts[k] - ranks[k] - ranks[k + 1] for k in range(len(groups))]
@@ -74,30 +74,31 @@ def torsion_order_h1(complex_: SimplicialComplex) -> int:
     groups = complex_.faces_by_dim
     if len(groups) < 3:
         return 1
-    _, _, boundaries = _reduce(groups)
+    _, _, boundaries = _reduce(complex_)
     return math.prod(smith_normal_form(*boundaries[1]).torsion_factors)
 
 
-def _reduce(groups) -> tuple[int, list[int], list[tuple[dict, tuple[int, int]]]]:
-    """Remove one vertex per component, then reduction pairs, from the faces ``groups``.
+def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[tuple[dict, tuple[int, int]]]]:
+    """Remove one vertex per component, then reduction pairs, from the faces of ``complex_``.
 
     Returns the number of components, the number of cells left in each
     dimension, and for k = 1..dim the leftover boundary operator as a
     sparse {(row, col): sign} mapping with its shape.
     """
+    groups = complex_.faces_by_dim
+    matrices = [boundary_matrix(complex_, k) for k in range(1, len(groups))]
     # cells are numbered by dimension, then in lexicographic order
     starts = [0]
     for group in groups:
         starts.append(starts[-1] + len(group))
     faces: list[tuple[int, ...]] = [()] * len(groups[0])
+    for k, matrix in enumerate(matrices, 1):
+        rows = [starts[k - 1] + i for i, _, _ in matrix.entries]  # k+1 per column, in order
+        faces += (tuple(rows[j:j + k + 1]) for j in range(0, len(rows), k + 1))
     cofaces: list[list[int]] = [[] for _ in range(starts[-1])]
-    for k in range(1, len(groups)):
-        index = {s: starts[k - 1] + i for i, s in enumerate(groups[k - 1])}
-        for cell, simplex in enumerate(groups[k], starts[k]):
-            boundary = tuple(index[simplex[:i] + simplex[i + 1:]] for i in range(k + 1))
-            faces.append(boundary)
-            for face in boundary:
-                cofaces[face].append(cell)
+    for cell, boundary in enumerate(faces):
+        for face in boundary:
+            cofaces[face].append(cell)
 
     live = [True] * starts[-1]
     face_count = [len(f) for f in faces]
@@ -131,17 +132,13 @@ def _reduce(groups) -> tuple[int, list[int], list[tuple[dict, tuple[int, int]]]]
             queue.extend(x for x in faces[member] if live[x])
             queue.extend(x for x in cofaces[member] if live[x])
 
-    left = [[c for c in range(starts[k], starts[k + 1]) if live[c]] for k in range(len(groups))]
+    left = [[c - starts[k] for c in range(starts[k], starts[k + 1]) if live[c]] for k in range(len(groups))]
     boundaries = []
-    for k in range(1, len(groups)):
-        row = {cell: i for i, cell in enumerate(left[k - 1])}
-        entries = {
-            (row[face], j): -1 if i % 2 else 1
-            for j, cell in enumerate(left[k])
-            for i, face in enumerate(faces[cell])
-            if live[face]
-        }
-        boundaries.append((entries, (len(left[k - 1]), len(left[k]))))
+    for k, matrix in enumerate(matrices, 1):
+        row = {face: i for i, face in enumerate(left[k - 1])}
+        col = {cell: j for j, cell in enumerate(left[k])}
+        entries = {(row[i], col[j]): v for i, j, v in matrix.entries if i in row and j in col}
+        boundaries.append((entries, (len(row), len(col))))
     return len(components), [len(cells) for cells in left], boundaries
 
 

@@ -626,6 +626,8 @@ MISPLACED_OPTIONS = [
     (["--corpus", "homology"],
      "--corpus goes after the subcommand name, as in 'systolic homology --corpus ...'"),
     (["--bogus", "corpus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "--out", "{tmp}/F", "corpus"],
+     "--out goes after the subcommand name, as in 'systolic corpus --out ...'"),
 ]
 
 
