@@ -5,38 +5,17 @@ sleeve, bounds, waring, genfun, corpus, sweep.  Output is deterministic:
 identical invocations produce byte-identical artifacts.  Exit codes:
 0 success (possibly with per-row warnings), 1 invariant violation (a
 theorem-level check came back false, which signals a bug), 2 bad input.
+
+Each command imports the modules it runs when it runs, and so does each
+evaluator, so start-up (``--version`` and the parser) loads only this
+module, argparse and the package's ``__init__``.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
-import json
-import math
 import sys
-from fractions import Fraction
-from pathlib import Path
-from typing import Callable
 
 from . import __version__
-from . import bounds as bounds_mod
-from . import corpus as corpus_mod
-from . import genfun as genfun_mod
-from . import waring as waring_mod
-from .bounds import multiple_class_bound
-from .complexes import load_complex
-from .graphs import (
-    GirthSearchError,
-    MetricGraph,
-    construct_regular_girth,
-    dump_graph,
-    girth,
-    load_graph,
-    metric_systole,
-)
-from .homology import check_s2_torsion_bound, homology
-from .presentations import abelianization, parse_presentation
-from .sleeves import CubicalModel, assemble, sleeve_volume_single
 
 USAGE_ERROR = 2
 INVARIANT_VIOLATION = 1
@@ -45,13 +24,20 @@ MAX_SWEEP_POINTS = 10 ** 6
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
+    # A Fraction or a dataclass instance exists only once its module is
+    # loaded, so neither module is imported to recognise one.
+    fractions = sys.modules.get("fractions")
+    if fractions and isinstance(value, fractions.Fraction):
         return str(value)
     if isinstance(value, float):
+        import math
+
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if hasattr(type(value), "__dataclass_fields__"):  # dataclasses.is_dataclass, for an instance
+        import dataclasses
+
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -62,12 +48,15 @@ def _jsonable(value):
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        with open(out_path, "w") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _dump_json(payload, out_path: str | None) -> None:
+    import json
+
     _emit(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n", out_path)
 
 
@@ -89,12 +78,22 @@ def _dump_csv(columns, rows, out_path: str | None, provenance: str = "") -> None
             handle.close()
 
 
-def _load_constants(path) -> bounds_mod.BoundConstants:
-    return bounds_mod.load_constants(path) if path else bounds_mod.BoundConstants()
+def _bounds():
+    """The bounds module, imported by the first evaluation that needs it."""
+    from . import bounds
+
+    return bounds
 
 
-def _rational(value, what: str) -> Fraction:
-    """An exact rational from outside input, or a usage error naming it."""
+def _load_constants(path):
+    bounds = _bounds()
+    return bounds.load_constants(path) if path else bounds.BoundConstants()
+
+
+def _rational(value, what: str):
+    """An exact rational (a Fraction) from outside input, or a usage error naming it."""
+    from fractions import Fraction
+
     try:
         return Fraction(value)
     except (ArithmeticError, TypeError, ValueError) as exc:
@@ -104,9 +103,15 @@ def _rational(value, what: str) -> Fraction:
 def _named_complexes(args):
     """(name, complex) pairs from file paths or the whole built-in corpus."""
     if args.corpus:
-        return list(corpus_mod.corpus_complexes().items())
+        from .corpus import corpus_complexes
+
+        return list(corpus_complexes().items())
     if not args.inputs:
         raise ValueError("no input complexes given (pass files or --corpus)")
+    from pathlib import Path
+
+    from .complexes import load_complex
+
     out = []
     for path in args.inputs:
         with open(path) as handle:
@@ -115,6 +120,8 @@ def _named_complexes(args):
 
 
 def cmd_homology(args) -> int:
+    from .homology import homology
+
     summaries = [(name, homology(complex_)) for name, complex_ in _named_complexes(args)]
     if args.format == "csv":
         rows = [
@@ -138,6 +145,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_check_torsion_bound(args) -> int:
+    from .homology import check_s2_torsion_bound
+
     pairs = _named_complexes(args)
     rows = []
     violated = False
@@ -150,6 +159,8 @@ def cmd_check_torsion_bound(args) -> int:
 
 
 def cmd_abelianize(args) -> int:
+    from .presentations import abelianization, parse_presentation
+
     presentation = parse_presentation(args.presentation)
     image = abelianization(presentation)
     _dump_json(
@@ -160,6 +171,11 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_girth(args) -> int:
+    import math
+    from fractions import Fraction
+
+    from .graphs import MetricGraph, girth, load_graph, metric_systole
+
     with open(args.graph) as handle:
         graph = load_graph(handle)
     shortest = girth(graph)
@@ -175,12 +191,17 @@ def cmd_girth(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
+    from .graphs import construct_regular_girth, dump_graph
+
     graph = construct_regular_girth(args.c, args.girth, args.vertices, seed=args.seed)
     _emit(dump_graph(graph) + "\n", args.out)
     return 0
 
 
 def cmd_sleeve(args) -> int:
+    from .graphs import load_graph
+    from .sleeves import CubicalModel, assemble
+
     with open(args.graph) as handle:
         graph = load_graph(handle)
     model = CubicalModel(args.m, args.c)
@@ -194,6 +215,8 @@ def cmd_sleeve(args) -> int:
 
 def _real(point) -> float:
     """The grid point's "value", which must be a finite number."""
+    import math
+
     value = point["value"]
     if not math.isfinite(value):
         raise ValueError(f"value {value} is not finite")
@@ -209,7 +232,7 @@ def _whole(point) -> int:
 
 
 def _sandwich(point, constants):
-    report = bounds_mod.sandwich(_real(point), constants)
+    report = _bounds().sandwich(_real(point), constants)
     return {
         "name": report.name,
         "lower": report.lower_bounds[0][1],
@@ -228,9 +251,31 @@ def _kappa_bounds(key: str, evaluate):
     return build
 
 
+def _betti(point, _constants):
+    from .corpus import corpus_complex
+    from .homology import homology
+
+    return {"betti": list(homology(corpus_complex(point["name"])).betti)}
+
+
 def _torsion_check(point, _constants):
-    report = check_s2_torsion_bound(corpus_mod.corpus_complex(point["name"]))
+    from .corpus import corpus_complex
+    from .homology import check_s2_torsion_bound
+
+    report = check_s2_torsion_bound(corpus_complex(point["name"]))
     return {"s2": report.s2, "torsion": report.torsion_order, "holds": report.holds}
+
+
+def _sleeve_volume(point, _constants):
+    from .sleeves import CubicalModel, sleeve_volume_single
+
+    return sleeve_volume_single(CubicalModel(point["m"], point["c"]), point["eps"])
+
+
+def _waring_count(point, _constants):
+    from .waring import min_count
+
+    return min_count(point["k"], point["d"])
 
 
 class _Evaluator:
@@ -242,38 +287,38 @@ class _Evaluator:
     sweep-only.  A plain class: building a dataclass slows CLI start-up.
     """
 
-    def __init__(self, build: Callable, row: tuple[str, ...] | None = None, bound: bool = True):
+    def __init__(self, build, row: tuple[str, ...] | None = None, bound: bool = True):
         self.build, self.row, self.bound = build, row, bound
 
 
 EVALUATORS = {
-    "height": _Evaluator(lambda p, k: bounds_mod.height_lb(_real(p), k)),
-    "simvol": _Evaluator(lambda p, k: bounds_mod.simvol_lb(_real(p), k)),
-    "torsion": _Evaluator(lambda p, k: bounds_mod.torsion_lb(_real(p), k)),
-    "height-from-torsion": _Evaluator(lambda p, _: bounds_mod.height_from_torsion(_real(p))),
-    "lens": _Evaluator(lambda p, k: bounds_mod.lens_lb(_whole(p), k)),
-    "pi1-3manifold": _Evaluator(lambda p, k: bounds_mod.finite_pi1_3manifold_lb(_whole(p), k)),
-    "kappa-upper": _Evaluator(lambda p, _: bounds_mod.kappa_upper_from_systole(_real(p))),
-    "kappa-alpha": _Evaluator(lambda p, _: bounds_mod.kappa_alpha_scale(_real(p))),
-    "area-from-kappa": _Evaluator(lambda p, _: bounds_mod.systolic_area_upper_from_kappa(_real(p))),
+    "height": _Evaluator(lambda p, k: _bounds().height_lb(_real(p), k)),
+    "simvol": _Evaluator(lambda p, k: _bounds().simvol_lb(_real(p), k)),
+    "torsion": _Evaluator(lambda p, k: _bounds().torsion_lb(_real(p), k)),
+    "height-from-torsion": _Evaluator(lambda p, _: _bounds().height_from_torsion(_real(p))),
+    "lens": _Evaluator(lambda p, k: _bounds().lens_lb(_whole(p), k)),
+    "pi1-3manifold": _Evaluator(lambda p, k: _bounds().finite_pi1_3manifold_lb(_whole(p), k)),
+    "kappa-upper": _Evaluator(lambda p, _: _bounds().kappa_upper_from_systole(_real(p))),
+    "kappa-alpha": _Evaluator(lambda p, _: _bounds().kappa_alpha_scale(_real(p))),
+    "area-from-kappa": _Evaluator(lambda p, _: _bounds().systolic_area_upper_from_kappa(_real(p))),
     "sandwich": _Evaluator(_sandwich, ("lower", "upper", "consistent")),
     # the payload carries the chain_ok theorem check, which sets the exit code
     "group-count": _Evaluator(
-        lambda p, _: _jsonable(bounds_mod.group_count_bound(_whole(p))), ("exponent", "chain_ok")
+        lambda p, _: _jsonable(_bounds().group_count_bound(_whole(p))), ("exponent", "chain_ok")
     ),
-    "surface-kappa": _Evaluator(_kappa_bounds("genus", bounds_mod.surface_kappa_bounds), ("lower", "upper")),
-    "abelian-kappa": _Evaluator(_kappa_bounds("rank", bounds_mod.abelian_kappa_bounds), ("lower", "upper")),
-    "homology": _Evaluator(
-        lambda p, _: {"betti": list(homology(corpus_mod.corpus_complex(p["name"])).betti)},
-        ("betti",),
-        bound=False,
+    "surface-kappa": _Evaluator(
+        _kappa_bounds("genus", lambda n: _bounds().surface_kappa_bounds(n)), ("lower", "upper")
     ),
+    "abelian-kappa": _Evaluator(
+        _kappa_bounds("rank", lambda n: _bounds().abelian_kappa_bounds(n)), ("lower", "upper")
+    ),
+    "homology": _Evaluator(_betti, ("betti",), bound=False),
     "check-torsion-bound": _Evaluator(_torsion_check, ("s2", "torsion", "holds"), bound=False),
-    "sleeve-volume": _Evaluator(
-        lambda p, _: sleeve_volume_single(CubicalModel(p["m"], p["c"]), p["eps"]), bound=False
+    "sleeve-volume": _Evaluator(_sleeve_volume, bound=False),
+    "multiple-class-bound": _Evaluator(
+        lambda p, _: _bounds().multiple_class_bound(p["k"], p["C"]), bound=False
     ),
-    "multiple-class-bound": _Evaluator(lambda p, _: multiple_class_bound(p["k"], p["C"]), bound=False),
-    "waring": _Evaluator(lambda p, _: waring_mod.min_count(p["k"], p["d"]), bound=False),
+    "waring": _Evaluator(_waring_count, bound=False),
 }
 
 
@@ -293,6 +338,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_sweep(args) -> int:
     """One output row per grid point; per-row failures never abort the run."""
+    import itertools
+    import json
+    import math
+
     with open(args.spec) as handle:
         spec = json.load(handle)
     grid = spec.get("grid") if isinstance(spec, dict) else None
@@ -340,38 +389,50 @@ def _sweep_cell(entry: _Evaluator, point: dict, constants) -> str:
     result = entry.build(point, constants)
     if entry.row is None:
         return str(result)
+    import json
+
     shown = _jsonable({key: result[key] for key in entry.row})
     return json.dumps(shown, separators=(";", ":"), allow_nan=False).replace(",", ";")
 
 
 def cmd_waring(args) -> int:
+    from .waring import min_powers, verify_g4
+
     if args.mode == "verify":
         if args.d not in (None, 4):
             raise ValueError("the uniform-cap verification is specific to d = 4")
-        report = waring_mod.verify_g4(args.limit)
+        report = verify_g4(args.limit)
         _dump_json(report, args.out)
         return 0 if report.within_19 else INVARIANT_VIOLATION
     if args.k is None or args.d is None:
         raise ValueError("waring requires --k and --d (or the 'verify' mode)")
-    decomposition = waring_mod.min_powers(args.k, args.d)
+    decomposition = min_powers(args.k, args.d)
     _dump_json(decomposition, args.out)
     return 0
 
 
 def cmd_genfun(args) -> int:
+    import json
+
+    from .genfun import RationalSequence, detect_linear_recurrence
+
     with open(args.file) as handle:
         data = json.load(handle)
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list):
         raise ValueError('sequence JSON must be an object {"terms": [...]}')
-    sequence = genfun_mod.RationalSequence.from_values(_rational(t, "term") for t in terms)
-    verdict = genfun_mod.detect_linear_recurrence(sequence, max_order=args.max_order)
+    sequence = RationalSequence.from_values(_rational(t, "term") for t in terms)
+    verdict = detect_linear_recurrence(sequence, max_order=args.max_order)
     _dump_json(verdict, args.out)
     return 0
 
 
 def cmd_corpus(args) -> int:
-    entries = corpus_mod.corpus_list()
+    import dataclasses
+
+    from .corpus import corpus_list
+
+    entries = corpus_list()
     if args.format == "json":
         _dump_json([dataclasses.asdict(e) for e in entries], args.out)
     else:
@@ -495,7 +556,7 @@ def main(argv=None) -> int:
         _refuse_option_before_command(parser.readers, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, KeyError, GirthSearchError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

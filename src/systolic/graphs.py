@@ -24,8 +24,11 @@ class InfeasibleGraphError(ValueError):
     """Requested parameters violate a known feasibility floor."""
 
 
-class GirthSearchError(RuntimeError):
-    """Search budget exhausted without a verified graph; never a silent failure."""
+class GirthSearchError(ValueError):
+    """Search budget exhausted without a verified graph; never a silent failure.
+
+    A ValueError, as the request's parameters are what cannot be met.
+    """
 
 
 @dataclass(frozen=True)

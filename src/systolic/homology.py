@@ -37,7 +37,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .bounds import height_from_torsion
 from .complexes import SimplicialComplex, boundary_matrix, face_counts
 from .snf import smith_normal_form
 
@@ -175,6 +174,8 @@ def check_s2_torsion_bound(complex_: SimplicialComplex) -> TriangleTorsionReport
     This holds for every complex; a False verdict signals a bug, not a
     property of the input.
     """
+    from .bounds import height_from_torsion  # here, so that homology alone does not load bounds
+
     counts = face_counts(complex_)
     s2 = counts[2] if len(counts) > 2 else 0
     order = torsion_order_h1(complex_)

@@ -35,7 +35,6 @@ from systolic import (
     girth,
     group_count_bound,
     heisenberg_presentation,
-    homology,
     is_admissible_dim2,
     kappa_upper_from_systole,
     min_count,
@@ -47,6 +46,7 @@ from systolic import (
     vertex_window,
     verify_g4,
 )
+from systolic.homology import homology
 from systolic.waring import _extend_counts, _table as _waring_table
 
 import oracles

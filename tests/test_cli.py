@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import systolic.cli as cli_mod
+import systolic.homology as homology_mod
 from systolic.cli import EVALUATORS, main
-from systolic import __version__, corpus_list, graphs, presentations
+from systolic import __version__, bounds, corpus_list, graphs, presentations, snf
 from test_snf import _freudenthal_torus
 
 
@@ -47,13 +49,13 @@ class TestHomologyCommand:
 
     def test_one_homology_call_per_complex(self, capsys, monkeypatch):
         calls = []
-        real_homology = cli_mod.homology
+        real_homology = homology_mod.homology
 
         def counted(complex_):
             calls.append(complex_)
             return real_homology(complex_)
 
-        monkeypatch.setattr(cli_mod, "homology", counted)
+        monkeypatch.setattr(homology_mod, "homology", counted)
         code, out, _ = run_cli(["homology", "--corpus"], capsys)
         assert code == 0
         assert len(calls) == len(json.loads(out))
@@ -111,6 +113,21 @@ class TestAbelianizeCommand:
             assert (code, out) == (2, "")
             assert err == f"error: relators expand past the cap of {cap} letters\n"
 
+    def test_residual_past_the_cap_is_refused_at_once(self, capsys):
+        # three powers from {2, 3, -6} per relator: no unit entry, one large residual block
+        rng = random.Random(0)
+        names = [f"x{j}" for j in range(400)]
+        relators = [
+            " ".join(f"{names[j]}^{rng.choice((2, 3, -6))}" for j in rng.sample(range(400), 3))
+            for _ in range(400)
+        ]
+        start = time.perf_counter()
+        code, out, err = run_cli(["abelianize", ",".join(names) + " ; " + ", ".join(relators)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(snf.MAX_RESIDUAL_WORK) in err
+
 
 class TestGraphCommands:
     def test_build_then_girth(self, tmp_path, capsys):
@@ -140,7 +157,6 @@ class TestGraphCommands:
 
         graphs_girth = graphs.girth
         monkeypatch.setattr(graphs, "girth", counted)
-        monkeypatch.setattr(cli_mod, "girth", counted)
         code, out, _ = run_cli(["girth", str(path), "--edge-length", "1/3"], capsys)
         assert code == 0
         assert json.loads(out) == {"girth": 5, "edge_length": "1/3", "metric_systole": "5/3"}
@@ -492,7 +508,7 @@ class TestSweep:
 
     def test_grid_past_the_cap_is_refused_at_once(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli_mod, "multiple_class_bound", lambda *point: calls.append(point))
+        monkeypatch.setattr(bounds, "multiple_class_bound", lambda *point: calls.append(point))
         spec = tmp_path / "spec.json"
         # 101 * 9901 = MAX_SWEEP_POINTS + 1
         spec.write_text(json.dumps({
@@ -722,10 +738,9 @@ class TestInvariantViolationExitCode:
     def test_failed_theorem_check_exits_one(self, capsys, monkeypatch):
         # the bound is a theorem, so a false verdict can only be synthesised
         from systolic.homology import TriangleTorsionReport
-        import systolic.cli as cli_mod
 
         monkeypatch.setattr(
-            cli_mod,
+            homology_mod,
             "check_s2_torsion_bound",
             lambda _: TriangleTorsionReport(1, 99, 8.0, False),
         )
@@ -752,3 +767,57 @@ class TestDeterminism:
         third = _run_subprocess(args, hashseed=42)
         assert first.returncode == second.returncode == third.returncode == 0
         assert first.stdout == second.stdout == third.stdout
+
+
+# Runs one command in a fresh interpreter and writes, as the last line of
+# stderr, its exit code and the systolic modules it loaded.
+_LOADED_MODULES = """
+import json, sys
+from systolic.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+modules = sorted(name for name in sys.modules if name.split(".")[0] == "systolic")
+sys.stderr.write("\\n" + json.dumps({"code": code, "modules": modules}) + "\\n")
+"""
+
+
+class TestImportsPerCommand:
+    """Each command loads only the systolic modules it runs."""
+
+    @staticmethod
+    def loaded(args, tmp_path):
+        (tmp_path / "sphere.json").write_text(
+            '{"vertices": 4, "facets": [[0,1,2],[0,1,3],[0,2,3],[1,2,3]]}'
+        )
+        (tmp_path / "seq.json").write_text('{"terms": ["1", "1", "2", "3", "5", "8", "13", "21"]}')
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES, *(a.format(tmp=tmp_path) for a in args)],
+            capture_output=True, text=True, check=False,
+        )
+        result = json.loads(proc.stderr.splitlines()[-1])
+        assert result["code"] == 0, proc.stderr
+        return {name.removeprefix("systolic.") for name in result["modules"]}
+
+    def test_version_loads_only_the_package_and_cli(self, tmp_path):
+        assert self.loaded(["--version"], tmp_path) == {"systolic", "cli"}
+
+    @pytest.mark.parametrize("source", [["{tmp}/sphere.json"], ["--corpus"]])
+    def test_homology_loads_no_other_subsystem(self, source, tmp_path):
+        loaded = self.loaded(["homology", *source], tmp_path)
+        assert "homology" in loaded
+        assert not loaded & {"graphs", "sleeves", "waring", "presentations", "genfun", "bounds"}
+
+    @pytest.mark.parametrize(
+        "args, runs",
+        [
+            (["waring", "--k", "79", "--d", "4"], "waring"),
+            (["genfun", "detect", "--file", "{tmp}/seq.json", "--max-order", "2"], "genfun"),
+            (["abelianize", "a,b ; a^2, [a,b]"], "presentations"),
+        ],
+    )
+    def test_algebra_commands_load_no_complexes_or_graphs(self, args, runs, tmp_path):
+        loaded = self.loaded(args, tmp_path)
+        assert runs in loaded
+        assert not loaded & {"complexes", "graphs"}

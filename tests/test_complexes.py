@@ -13,12 +13,12 @@ from systolic import (
     corpus_complex,
     face_counts,
     from_facets,
-    homology,
     is_admissible_dim2,
     is_pseudomanifold,
     load_complex,
     orient,
 )
+from systolic.homology import homology
 
 import oracles
 

@@ -139,6 +139,11 @@ class TestConstruction:
         assert messages[0] == messages[1]
         assert re.search(r"2 restarts, [1-9]\d* steps, \d+ swaps, \d+ rotations\)$", messages[0])
 
+    def test_search_failure_is_a_value_error(self):
+        # so the CLI maps it to exit 2 without naming graphs' classes
+        assert issubclass(GirthSearchError, ValueError)
+        assert issubclass(InfeasibleGraphError, ValueError)
+
     def test_budget_below_edge_count_refused_before_searching(self, monkeypatch):
         def no_attempt(*args):
             raise AssertionError("searched a request the budget cannot finish")

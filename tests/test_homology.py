@@ -11,11 +11,10 @@ from systolic import (
     corpus_complex,
     corpus_complexes,
     from_facets,
-    homology,
     smith_normal_form,
     torsion_order_h1,
 )
-from systolic.homology import HomologySummary
+from systolic.homology import HomologySummary, homology
 
 import oracles
 from test_snf import _freudenthal_torus

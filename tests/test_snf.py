@@ -315,3 +315,24 @@ def test_matches_sympy_invariant_factors():
     for name in ("rp2_min", "torus_7"):
         matrix = boundary_matrix(corpus_complex(name), 2)
         assert smith_normal_form(matrix).invariant_factors == sympy_factors(matrix.dense())
+
+
+class TestResidualCap:
+    """A residual block of rows * cols * min(rows, cols) past the cap is refused."""
+
+    def test_block_at_the_cap_is_reduced(self, monkeypatch):
+        monkeypatch.setattr(snf, "MAX_RESIDUAL_WORK", 8)  # 2 * 2 * 2
+        assert smith_normal_form([[2, 4], [6, 2]]).invariant_factors == (2, 10)
+
+    def test_block_past_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(snf, "MAX_RESIDUAL_WORK", 8)
+        with pytest.raises(snf.ResidualCapError, match="2 x 3 block .* 12 entry updates.* cap of 8"):
+            smith_normal_form([[2, 4, 0], [6, 2, 2]])
+
+    def test_cap_is_per_connected_block(self, monkeypatch):
+        monkeypatch.setattr(snf, "MAX_RESIDUAL_WORK", 8)
+        doubled = [[2 * (i == j) for j in range(50)] for i in range(50)]
+        assert smith_normal_form(doubled).invariant_factors == (2,) * 50
+
+    def test_refusal_is_a_value_error(self):
+        assert issubclass(snf.ResidualCapError, ValueError)
