@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 
@@ -14,6 +13,7 @@ from systolic import (
     smith_normal_form,
     torsion_order_h1,
 )
+import systolic.homology as homology_mod
 from systolic.homology import HomologySummary, homology
 
 import oracles
@@ -152,7 +152,6 @@ class TestTorsionOrder:
         assert torsion_order_h1(from_facets([[0, 1], [1, 2]])) == 1
 
     def test_one_smith_form_of_the_leftover_boundary(self, monkeypatch):
-        homology_mod = importlib.import_module("systolic.homology")
         shapes = []
 
         def spy(entries, shape):
@@ -190,7 +189,6 @@ class TestTriangleTorsionBound:
     @pytest.mark.parametrize("order, holds", [(3 ** 20, True), (3 ** 20 + 1, False)])
     def test_holds_is_exact_at_the_edge(self, monkeypatch, order, holds):
         # 2 log3(3^20 + 1) exceeds s2 = 40 by about 5e-10, below any float slack
-        homology_mod = importlib.import_module("systolic.homology")
         monkeypatch.setattr(homology_mod, "face_counts", lambda _: [0, 0, 40])
         monkeypatch.setattr(homology_mod, "torsion_order_h1", lambda _: order)
         assert check_s2_torsion_bound(SPHERE).holds is holds
