@@ -401,9 +401,13 @@ def cmd_waring(args) -> int:
     if args.mode == "verify":
         if args.d not in (None, 4):
             raise ValueError("the uniform-cap verification is specific to d = 4")
-        report = verify_g4(args.limit)
+        if args.k is not None:
+            raise ValueError("--k does not apply to 'waring verify', which checks every k up to --limit")
+        report = verify_g4(100_000 if args.limit is None else args.limit)
         _dump_json(report, args.out)
         return 0 if report.within_19 else INVARIANT_VIOLATION
+    if args.limit is not None:
+        raise ValueError("--limit applies only to 'waring verify'")
     if args.k is None or args.d is None:
         raise ValueError("waring requires --k and --d (or the 'verify' mode)")
     decomposition = min_powers(args.k, args.d)
@@ -515,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("mode", nargs="?", choices=("verify",), default=None)
     add("--k", type=int, default=None)
     add("--d", type=int, default=None)
-    add("--limit", type=int, default=100_000)
+    add("--limit", type=int, default=None, help="verify mode: largest k checked (default 100000)")
 
     add = command("genfun", cmd_genfun, "recurrence detection")
     add("mode", choices=("detect",))

@@ -183,6 +183,13 @@ def construct_regular_girth(
         raise InfeasibleGraphError(f"{degree}-regular graph needs an even degree sum")
     if vertices <= degree:
         raise InfeasibleGraphError(f"{degree}-regular graph needs more than {degree} vertices")
+    if girth_target // 2 >= vertices.bit_length():
+        # moore_bound >= 2**(g // 2) > vertices: refuse before forming a bound
+        # that can run to thousands of digits
+        raise InfeasibleGraphError(
+            f"{vertices} vertices is below the Moore bound (at least 2**{girth_target // 2}) "
+            f"for degree {degree}, girth {girth_target}"
+        )
     floor = moore_bound(degree, girth_target)
     if vertices < floor:
         raise InfeasibleGraphError(

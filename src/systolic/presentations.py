@@ -48,15 +48,14 @@ class Presentation:
                 if letter == 0 or abs(letter) > self.generator_count:
                     raise ValueError(f"letter {letter} out of range in relator {rel}")
 
-    def exponent_matrix(self) -> list[list[int]]:
-        """Rows are relators, columns are generator exponent sums."""
-        matrix = []
-        for rel in self.relators:
-            row = [0] * self.generator_count
+    def exponent_sums(self) -> dict[tuple[int, int], int]:
+        """Nonzero exponent sums {(relator, generator): sum}, indexed from 0."""
+        sums: dict[tuple[int, int], int] = {}
+        for i, rel in enumerate(self.relators):
             for letter in rel:
-                row[abs(letter) - 1] += 1 if letter > 0 else -1
-            matrix.append(row)
-        return matrix
+                key = (i, abs(letter) - 1)
+                sums[key] = sums.get(key, 0) + (1 if letter > 0 else -1)
+        return {key: value for key, value in sums.items() if value}
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,8 @@ class AbelianizedGroup:
 
 def abelianization(presentation: Presentation) -> AbelianizedGroup:
     """Abelian invariants from the Smith form of the exponent-sum matrix."""
-    matrix = presentation.exponent_matrix()
-    if not matrix:
-        return AbelianizedGroup(presentation.generator_count, ())
-    form = smith_normal_form(matrix)
+    shape = (len(presentation.relators), presentation.generator_count)
+    form = smith_normal_form(presentation.exponent_sums(), shape)
     return AbelianizedGroup(
         presentation.generator_count - form.rank, form.torsion_factors
     )

@@ -15,39 +15,35 @@ from itertools import combinations
 
 import pytest
 
-from systolic import (
-    CubicalModel,
-    Graph,
-    RationalSequence,
+from systolic.bounds import (
     UpperBoundIngredients,
-    abelianization,
-    assemble,
     best_upper_bound,
     best_upper_table,
-    boundary_matrix,
-    check_s2_torsion_bound,
-    connected_sum,
-    construct_regular_girth,
-    corpus_complex,
-    corpus_complexes,
-    detect_linear_recurrence,
-    face_counts,
-    girth,
     group_count_bound,
-    heisenberg_presentation,
-    is_admissible_dim2,
     kappa_upper_from_systole,
+    surface_kappa_bounds,
+)
+from systolic.complexes import (
+    boundary_matrix,
+    connected_sum,
+    face_counts,
+    is_admissible_dim2,
+    orient,
+)
+from systolic.corpus import corpus_complex, corpus_complexes
+from systolic.genfun import RationalSequence, detect_linear_recurrence
+from systolic.graphs import Graph, construct_regular_girth, girth, vertex_window
+from systolic.homology import check_s2_torsion_bound, homology
+from systolic.presentations import abelianization, heisenberg_presentation
+from systolic.sleeves import CubicalModel, assemble, upper_bound_even
+from systolic.snf import smith_normal_form
+from systolic.waring import (
+    _extend_counts,
+    _table as _waring_table,
     min_count,
     min_powers,
-    orient,
-    smith_normal_form,
-    surface_kappa_bounds,
-    upper_bound_even,
-    vertex_window,
     verify_g4,
 )
-from systolic.homology import homology
-from systolic.waring import _extend_counts, _table as _waring_table
 
 import oracles
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import (
+from systolic.bounds import (
     BoundConstants,
     UpperBoundIngredients,
     abelian_kappa_bounds,

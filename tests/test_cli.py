@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import systolic.cli as cli_mod
 import systolic.homology as homology_mod
 from systolic.cli import EVALUATORS, main
-from systolic import __version__, bounds, corpus_list, graphs, presentations, snf
+from systolic import __version__, bounds, graphs, presentations, snf
+from systolic.corpus import corpus_list
 from test_snf import _freudenthal_torus
 
 
@@ -168,6 +169,15 @@ class TestGraphCommands:
         )
         assert code == 2
         assert "Moore" in err
+
+    def test_huge_girth_is_refused_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, err = run_cli(
+            ["build-graph", "--c", "3", "--girth", "200000", "--vertices", "10"], capsys
+        )
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "Moore" in err
 
     def test_build_bytes_pinned(self, capsys):
         # any change to the search's draws from the generator changes these bytes
@@ -644,6 +654,9 @@ MISPLACED_OPTIONS = [
     (["--bogus", "corpus"], "unrecognized arguments: --bogus"),
     (["--bogus", "--out", "{tmp}/F", "corpus"],
      "--out goes after the subcommand name, as in 'systolic corpus --out ...'"),
+    (["waring", "verify", "--limit", "100", "--k", "5", "--d", "4"],
+     "--k does not apply to 'waring verify'"),
+    (["waring", "--k", "79", "--d", "4", "--limit", "5"], "--limit applies only to 'waring verify'"),
 ]
 
 

@@ -4,13 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import (
+from systolic.complexes import (
     MalformedSimplexError,
     NonOrientableError,
     NotPseudomanifoldError,
     boundary_matrix,
     connected_sum,
-    corpus_complex,
     face_counts,
     from_facets,
     is_admissible_dim2,
@@ -18,6 +17,7 @@ from systolic import (
     load_complex,
     orient,
 )
+from systolic.corpus import corpus_complex
 from systolic.homology import homology
 
 import oracles

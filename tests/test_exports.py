@@ -1,11 +1,8 @@
-"""Every name the package exports has a reader outside its own unit tests,
-and resolves on first use to the object its module defines."""
+"""Every public top-level name a module defines has a reader outside its
+unit tests: code of the package (its own module included) or the
+acceptance suite."""
 import ast
-import importlib
-import types
 from pathlib import Path
-
-import systolic
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "systolic"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
@@ -15,36 +12,31 @@ def _referenced(path: Path) -> set[str]:
     """Names read in a file; definitions and import lines do not count."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
 
 
+def _public_definitions(path: Path) -> set[str]:
+    """Top-level functions, classes and constants without a leading ``_``."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
 def test_every_export_has_a_caller():
-    readers = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    referenced = set().union(*(_referenced(path) for path in [*readers, ACCEPTANCE]))
-    assert sorted(set(systolic._EXPORTS) - referenced) == []
-
-
-def test_every_export_resolves_to_its_module():
-    listed = dir(systolic)
-    for name, module in systolic._EXPORTS.items():
-        value = getattr(systolic, name)
-        defining = importlib.import_module(f"systolic.{module}")
-        assert value is getattr(defining, name), name
-        assert value.__module__ == defining.__name__, name
-        assert name in listed
-
-
-def test_unknown_name_is_an_attribute_error():
-    assert not hasattr(systolic, "no_such_export")
-
-
-def test_homology_is_the_submodule():
-    from systolic import homology
-
-    assert isinstance(homology, types.ModuleType)
-    assert systolic.homology is homology
-    assert callable(homology.homology)
+    modules = sorted(PACKAGE.glob("*.py"))
+    referenced = set().union(*(_referenced(path) for path in [*modules, ACCEPTANCE]))
+    unread = [
+        f"{module.stem}.{name}"
+        for module in modules
+        for name in sorted(_public_definitions(module) - referenced)
+    ]
+    assert unread == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import RationalSequence, detect_linear_recurrence
+from systolic.genfun import RationalSequence, detect_linear_recurrence
 
 import oracles
 

@@ -8,11 +8,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from systolic import (
+from systolic import graphs
+from systolic.graphs import (
+    MAX_VERTICES,
     GirthSearchError,
     Graph,
     InfeasibleGraphError,
     MetricGraph,
+    SearchCounts,
     construct_regular_girth,
     dump_graph,
     girth,
@@ -21,8 +24,6 @@ from systolic import (
     moore_bound,
     vertex_window,
 )
-from systolic import graphs
-from systolic.graphs import MAX_VERTICES, SearchCounts
 
 import oracles
 

@@ -3,18 +3,16 @@ import random
 
 import pytest
 
-from systolic import (
-    boundary_matrix,
+from systolic.complexes import boundary_matrix, connected_sum, from_facets
+from systolic.corpus import corpus_complex, corpus_complexes
+import systolic.homology as homology_mod
+from systolic.homology import (
+    HomologySummary,
     check_s2_torsion_bound,
-    connected_sum,
-    corpus_complex,
-    corpus_complexes,
-    from_facets,
-    smith_normal_form,
+    homology,
     torsion_order_h1,
 )
-import systolic.homology as homology_mod
-from systolic.homology import HomologySummary, homology
+from systolic.snf import smith_normal_form
 
 import oracles
 from test_snf import _freudenthal_torus

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import (
+from systolic.presentations import (
     AbelianizedGroup,
     Presentation,
     abelianization,
@@ -40,6 +42,18 @@ class TestAbelianization:
 
     def test_no_relators(self):
         assert abelianization(Presentation(3, ())) == AbelianizedGroup(3, ())
+
+    def test_memory_linear_in_the_presentation(self):
+        # 6000 generators, each its own relator: a dense exponent matrix
+        # would hold 36 million entries
+        names = [f"x{i}" for i in range(6000)]
+        presentation = parse_presentation(",".join(names) + " ; " + ", ".join(names))
+        tracemalloc.start()
+        image = abelianization(presentation)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert image == AbelianizedGroup(0, ())
+        assert peak < 32 * 2 ** 20
 
 
 class TestHeisenberg:

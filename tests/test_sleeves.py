@@ -3,17 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from systolic import (
+from systolic.bounds import multiple_class_bound
+from systolic.graphs import Graph, construct_regular_girth, girth, vertex_window
+from systolic.sleeves import (
     AssemblyReport,
     CubicalModel,
-    Graph,
     assemble,
-    construct_regular_girth,
-    girth,
-    multiple_class_bound,
     sleeve_volume_single,
     upper_bound_even,
-    vertex_window,
 )
 
 MODEL = CubicalModel(3, 7)

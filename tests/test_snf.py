@@ -6,14 +6,10 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import (
-    boundary_matrix,
-    corpus_complex,
-    corpus_complexes,
-    from_facets,
-    smith_normal_form,
-    snf,
-)
+from systolic import snf
+from systolic.complexes import boundary_matrix, from_facets
+from systolic.corpus import corpus_complex, corpus_complexes
+from systolic.snf import smith_normal_form
 
 import oracles
 

@@ -1,7 +1,7 @@
 import pytest
 
 from systolic import waring
-from systolic import (
+from systolic.waring import (
     WaringCapError,
     WaringDecomposition,
     min_count,
