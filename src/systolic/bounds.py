@@ -33,7 +33,7 @@ class BoundConstants:
     provenance: str = "illustrative-defaults"
 
     def __post_init__(self):
-        if self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise ValueError("dimension m must be a positive integer")
         for field in ("cm", "cm_prime", "cm_second", "pair_lower", "pair_upper"):
             if getattr(self, field) <= 0:

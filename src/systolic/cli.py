@@ -560,7 +560,7 @@ def main(argv=None) -> int:
         _refuse_option_before_command(parser.readers, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -44,11 +44,13 @@ class RecurrenceVerdict:
     max_order_searched: int
 
 
-def _lfsr_synthesis(terms: tuple[Fraction, ...]) -> tuple[int, list[Fraction]]:
+def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, list[Fraction]]:
     """Minimal shift-register length and connection polynomial over Q.
 
     Returns (L, C) with C = [1, c_1, ..., c_L] such that
-    s_n + sum_i c_i s_(n-i) = 0 for all n >= L.
+    s_n + sum_i c_i s_(n-i) = 0 for all n >= L.  L never decreases, so once
+    it passes ``max_length`` the synthesis stops and returns an L above
+    ``max_length`` with the polynomial of the terms read so far.
     """
     connection = [Fraction(1)]
     previous = [Fraction(1)]
@@ -77,6 +79,8 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...]) -> tuple[int, list[Fraction]]:
         else:
             gap += 1
         connection = update
+        if length > max_length:
+            break
     return length, connection
 
 
@@ -104,7 +108,7 @@ def detect_linear_recurrence(sequence, max_order: int = 16) -> RecurrenceVerdict
             f"sequence of length {len(terms)} is too short to certify order "
             f"{max_order}; need at least {2 * max_order + 4} terms"
         )
-    length, connection = _lfsr_synthesis(terms)
+    length, connection = _lfsr_synthesis(terms, max_order)
     coefficients = tuple(-c for c in connection[1: length + 1])
     coefficients += (Fraction(0),) * (length - len(coefficients))
     if length <= max_order and _replays(terms, length, coefficients):

@@ -68,11 +68,11 @@ def assemble(model: CubicalModel, eps, graph: Graph) -> AssemblyReport:
     volume_single = sleeve_volume_single(model, eps)
     if not graph.is_regular(model.c):
         raise ValueError(f"graph is not {model.c}-regular")
-    if graph.vertex_count % 2:
-        raise ValueError("assembly graph needs an even vertex count 2n")
+    if graph.vertex_count % 2 or graph.vertex_count < 4:
+        raise ValueError("assembly graph needs an even vertex count 2n >= 4")
     threshold = 1 / (2 * eps)
-    g = girth(graph)
-    if not (g is math.inf or Fraction(g) > threshold):
+    g = girth(graph)  # finite: the graph is nonempty and c-regular with c >= 7
+    if not g > threshold:
         raise ValueError(
             f"girth {g} does not exceed 1/(2 eps) = {threshold}; "
             "the systole certificate fails"
@@ -92,7 +92,7 @@ def assemble(model: CubicalModel, eps, graph: Graph) -> AssemblyReport:
         eps=eps,
         path_scale=path_scale,
         two_n=two_n,
-        graph_girth=int(g),
+        graph_girth=g,
         volume=two_n * volume_single,
         systole_lower_bound=1,
         sublinear_upper_bound=upper_bound_even(model, n),

@@ -4,22 +4,15 @@ Arbitrary-precision integers throughout: elimination is the place where
 coefficient explosion silently corrupts fixed-width arithmetic, so no numpy
 here.  The elimination runs in two phases.
 
-Unit phase.  Each pivot is the entry with the least key (|value|, Markowitz
-fill estimate (row length - 1) * (column length - 1), row, column), which
-keeps the sparse working set small on boundary matrices.  The phase ends
-when the least key's value is not +-1.  A unit pivot divides its column
-exactly, so one pass of row steps clears the column, its row is then alone,
-and the diagonal gains a 1.
-
-The keys sit in a lazy min-heap rather than being scanned in full for each
-pivot.  A key can only drop when its row or column loses an entry, so only
-the entries of such lines are pushed again; a popped key that has gone
-stale is dropped or pushed again at its current value, and the first popped
-key that is still current is the least one.  The pivots, and so every
-integer operation, are those of a full scan up to its first non-unit pivot
-(``tests/oracles.py`` keeps the scan and the tests compare the pivots).
-When a step shrinks lines holding as many entries as the matrix has, as on
-dense matrices, the heap is rebuilt instead.
+Unit phase.  The columns wait in a min-heap keyed by (length, index), and
+each pivot is the +-1 entry of the popped column whose row is shortest,
+which keeps the sparse working set small on boundary matrices.  A unit
+pivot divides its column exactly, so one pass of row steps clears the
+column, its row is then alone and is deleted, and the diagonal gains a 1.
+A column is queued again whenever its length changes or one of its entries
+becomes +-1, and a popped key whose column is gone or has another length is
+skipped, so the phase ends with no +-1 entry left.  Which units are taken
+changes no result: the invariant factors are unique.
 
 Residual phase.  What is left has no unit entry.  Each connected block of it
 goes to a dense routine.  Fraction-free (Bareiss) elimination gives the
@@ -135,10 +128,10 @@ def smith_normal_form(matrix, shape: tuple[int, int] | None = None) -> SmithForm
 
 
 def _unit_phase(entries: dict) -> tuple[list[tuple], dict, dict]:
-    """Eliminate the sparse matrix ``entries`` while its least key is a unit.
+    """Eliminate the +-1 entries of the sparse matrix ``entries``.
 
-    Returns the (row, col) of each pivot taken from the heap, in order, and
-    the live rows and columns left, none of whose entries is +-1.
+    Returns the (row, col) of each pivot, in order, and the live rows and
+    columns left, none of whose entries is +-1.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, dict[int, int]] = {}
@@ -147,91 +140,49 @@ def _unit_phase(entries: dict) -> tuple[list[tuple], dict, dict]:
             raise TypeError("matrix entries must be integers")
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, {})[i] = v
-    nnz = len(entries)
-    # the rows and columns that lost an entry since the last pivot selection;
-    # counting every row before the first one makes it build the heap
-    shrunk_rows: set = set(rows)
-    shrunk_cols: set = set()
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
 
     def set_entry(i, j, v):
-        nonlocal nnz
+        # a column whose length changes or that gains a +-1 is queued again
         if v:
-            row = rows.setdefault(i, {})
-            nnz += j not in row
-            row[j] = v
-            cols.setdefault(j, {})[i] = v
-        elif i in rows and j in rows[i]:
-            nnz -= 1
+            rows.setdefault(i, {})[j] = v
+            col = cols.setdefault(j, {})
+            grew = i not in col
+            col[i] = v
+            if grew or abs(v) == 1:
+                heapq.heappush(heap, (len(col), j))
+        else:
             del rows[i][j]
             if not rows[i]:
                 del rows[i]
-            del cols[j][i]
-            if not cols[j]:
+            col = cols[j]
+            del col[i]
+            if col:
+                heapq.heappush(heap, (len(col), j))
+            else:
                 del cols[j]
-            shrunk_rows.add(i)
-            shrunk_cols.add(j)
 
     def row_submul(dst, src, q):
         # row dst -= q * row src
-        if not q:
-            return
-        for j, v in list(rows.get(src, {}).items()):
+        for j, v in list(rows[src].items()):
             set_entry(dst, j, rows.get(dst, {}).get(j, 0) - q * v)
 
-    def key(i, j, v):
-        return (abs(v), (len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
-
     pivots: list[tuple] = []
-    while rows:
-        # A key drops when its row or column loses an entry.  Every entry
-        # whose value changed also lies in a row that lost one: each step
-        # leaves a row it changed without its entry in the pivot column,
-        # unless that row became the pivot row, which loses every entry.
-        # So push the keys of those rows and columns that dropped, or rebuild
-        # the heap when there are as many keys to look at as entries.
-        pending = sum(len(rows[i]) for i in shrunk_rows if i in rows) + sum(
-            len(cols[j]) for j in shrunk_cols if j in cols
-        )
-        if pending >= nnz:
-            # Every live entry's key in ``least`` is in the heap and is no
-            # larger than its current key; any other key in the heap is stale.
-            least = {(i, j): key(i, j, v) for i, row in rows.items() for j, v in row.items()}
-            heap = list(least.values())
-            heapq.heapify(heap)
-        else:
-            candidates = [(i, j) for i in shrunk_rows if i in rows for j in rows[i]]
-            candidates += [(i, j) for j in shrunk_cols if j in cols for i in cols[j]]
-            for i, j in candidates:
-                current = key(i, j, rows[i][j])
-                held = least.get((i, j))
-                if held is None or current < held:
-                    least[i, j] = current
-                    heapq.heappush(heap, current)
-        shrunk_rows.clear()
-        shrunk_cols.clear()
-        # The first key in ``least`` that is still current is the least
-        # current key: the pivot a scan of every entry would take.
-        while True:
-            stored = heapq.heappop(heap)
-            pi, pj = stored[2], stored[3]
-            if least.get((pi, pj)) != stored:
-                continue
-            if pi not in rows or pj not in rows[pi]:
-                del least[pi, pj]
-                continue
-            current = key(pi, pj, rows[pi][pj])
-            if current == stored:
-                break
-            least[pi, pj] = current
-            heapq.heappush(heap, current)
-        if stored[0] > 1:
-            break
-        del least[pi, pj]  # if it outlives this step, its row lost an entry
+    while heap:
+        length, pj = heapq.heappop(heap)
+        col = cols.get(pj)
+        if col is None or len(col) != length:
+            continue  # stale: a length change queued the current key
+        units = [i for i, v in col.items() if abs(v) == 1]
+        if not units:
+            continue  # queued again if it gains a +-1
+        pi = min(units, key=lambda i: (len(rows[i]), i))
         pivots.append((pi, pj))
         # a unit pivot divides its column exactly; its row is then alone
-        p = rows[pi][pj]
-        for i in [i for i in cols[pj] if i != pi]:
-            row_submul(i, pi, cols[pj][i] * p)
+        p = col[pi]
+        for i in [i for i in col if i != pi]:
+            row_submul(i, pi, col[i] * p)
         for j in list(rows[pi]):
             set_entry(pi, j, 0)
 

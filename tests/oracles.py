@@ -90,8 +90,7 @@ def naive_invariant_factors(dense) -> tuple[int, ...]:
 
 
 # The Smith form's elimination as it was before its pivots came from a heap:
-# a scan of every nonzero entry picks each pivot.  The package must pick the
-# same pivots in the same order, so it does the same integer operations.
+# a scan of every nonzero entry picks each pivot.
 def scan_pivot_elimination(entries) -> tuple[list[int], list[tuple]]:
     """Absolute diagonal values and selected (row, col) pivots, in order,
     of the sparse elimination of a {(i, j): value} mapping."""

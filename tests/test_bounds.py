@@ -286,6 +286,9 @@ class TestConstants:
             BoundConstants(cm=0.0)
         with pytest.raises(ValueError):
             BoundConstants(m=0)
+        for m in (2.5, True, 3.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                BoundConstants(m=m)
 
     def test_provenance_tag(self):
         assert UNIT.provenance == "illustrative-defaults"

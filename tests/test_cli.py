@@ -256,6 +256,20 @@ class TestSleeveCommand:
         assert code == 2
         assert "girth" in err
 
+    @pytest.mark.parametrize("eps", ["1/3", "1/10000000"])
+    def test_empty_graph_is_refused_at_once(self, eps, tmp_path, capsys):
+        # 0-regular vacuously: its infinite girth crashed int(), and a tiny
+        # eps formed 6**5000000 for the vertex window
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps({"n": 0, "edges": []}))
+        start = time.monotonic()
+        code, out, err = run_cli(
+            ["sleeve", "--m", "3", "--c", "7", "--eps", eps, "--graph", str(graph_file)], capsys
+        )
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "2n >= 4" in err and len(err.splitlines()) == 1
+
 
 class TestBoundsCommand:
     def test_surface_kappa(self, capsys):
@@ -289,6 +303,20 @@ class TestBoundsCommand:
         )
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and repr(key) in err
+
+    @pytest.mark.parametrize("name", ["simvol", "sandwich"])
+    @pytest.mark.parametrize("m", ["1000", "2.5", "true"])
+    def test_bad_dimension_is_refused(self, name, m, tmp_path, capsys):
+        # log(2 + v) ** 1000 overflowed a float; 2.5 and true passed as integers
+        const = tmp_path / "constants.json"
+        const.write_text(f'{{"m": {m}}}')
+        code, out, err = run_cli(
+            ["bounds", name, "--value", "10", "--constants", str(const)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        if m != "1000":
+            assert "positive integer" in err
 
     def test_unknown_evaluator(self, capsys):
         code, _, _ = run_cli(["bounds", "no-such-bound", "--value", "1"], capsys)
@@ -596,9 +624,13 @@ MALFORMED_INPUTS = {
 }
 
 
-def _command(kind, path):
+def _command(kind, path, eps="1/3"):
     if kind == "genfun":
         return ["genfun", "detect", "--file", path, "--max-order", "1"]
+    if kind == "sleeve":
+        return ["sleeve", "--m", "3", "--c", "7", "--eps", eps, "--graph", path]
+    if kind == "bounds":
+        return ["bounds", "simvol", "--value", "10", "--constants", path]
     return [kind, path]
 
 
@@ -710,7 +742,7 @@ _junk = st.none() | st.booleans() | st.floats() | st.sampled_from(["", "a", "1/0
 _any_json = st.recursive(
     st.integers(-5, 50) | _junk,
     lambda inner: st.lists(inner, max_size=6)
-    | st.dictionaries(st.sampled_from(["facets", "vertices", "n", "edges", "terms", "x"]), inner, max_size=3),
+    | st.dictionaries(st.sampled_from(["facets", "vertices", "n", "edges", "terms", "m", "x"]), inner, max_size=3),
     max_leaves=24,
 )
 # well-shaped documents, so that random input also reaches the computations
@@ -724,6 +756,13 @@ _SHAPED = {
     "genfun": st.fixed_dictionaries(
         {"terms": st.lists(_small | st.sampled_from(["3/2", "-7", "1/3"]), min_size=6, max_size=12)}
     ),
+    # the empty graph is 0-regular and c-regular alike; K_8 is 7-regular
+    "sleeve": st.fixed_dictionaries(
+        {"n": _small, "edges": st.sets(st.tuples(_small, _small).filter(lambda e: e[0] < e[1]), max_size=30).map(sorted)}
+    ) | st.just({"n": 8, "edges": [[u, v] for u in range(8) for v in range(u + 1, 8)]}),
+    "bounds": st.fixed_dictionaries(
+        {"m": st.integers(-2, 10**4)}, optional={"cm": st.integers(-1, 5) | st.floats(0.1, 1e6)}
+    ),
 }
 
 
@@ -732,7 +771,8 @@ _SHAPED = {
 def test_random_json_exits_0_or_2(kind, data, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data.draw(_SHAPED[kind] | _any_json)))
-    code, _, err = run_cli(_command(kind, str(path)), capsys)
+    eps = data.draw(st.sampled_from(["1/3", "1/10"]))
+    code, _, err = run_cli(_command(kind, str(path), eps), capsys)
     assert code in (0, 2)
     assert code == 0 or len(err.splitlines()) == 1
 

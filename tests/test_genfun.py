@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,16 @@ class TestDetect:
         assert verdict.max_order_searched == 12
         # cross-check with the dense Hankel-style oracle
         assert oracles.hankel_min_order(values, 12) is None
+
+    def test_no_short_recurrence_is_refused_early(self):
+        # the synthesis ran to the end: 1 200 random digits took 113 s
+        rng = random.Random(1200)
+        digits = [rng.randint(0, 9) for _ in range(1200)]
+        start = time.monotonic()
+        verdict = detect_linear_recurrence(digits, max_order=16)
+        assert time.monotonic() - start < 1.0
+        assert not verdict.found
+        assert verdict.max_order_searched == 16
 
     def test_too_short_rejected(self):
         seq = RationalSequence.from_values([1, 2, 3])
