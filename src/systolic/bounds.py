@@ -36,8 +36,11 @@ class BoundConstants:
         if type(self.m) is not int or self.m < 1:
             raise ValueError("dimension m must be a positive integer")
         for field in ("cm", "cm_prime", "cm_second", "pair_lower", "pair_upper"):
-            if getattr(self, field) <= 0:
+            value = getattr(self, field)
+            if value <= 0:
                 raise ValueError(f"constant {field} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"constant {field} must be finite")
 
 
 def load_constants(path: str) -> BoundConstants:

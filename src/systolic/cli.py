@@ -329,7 +329,7 @@ def cmd_bounds(args) -> int:
     if args.value is None:
         raise ValueError(f"bounds {args.name} requires --value")
     constants = _load_constants(args.constants)
-    payload = entry.build({"value": args.value}, constants)
+    payload = _evaluate(args.name, {"value": args.value}, constants)
     if entry.row is None:
         payload = {"name": args.name, "value": payload, "constants": constants.provenance}
     _dump_json(payload, args.out)
@@ -362,7 +362,6 @@ def cmd_sweep(args) -> int:
     command = spec.get("command")
     if not isinstance(command, str) or command not in EVALUATORS:
         raise ValueError(f"sweep does not support command {command!r}")
-    entry = EVALUATORS[command]
     constants = _load_constants(args.constants)
     keys = sorted(grid)
     errors = 0
@@ -371,7 +370,7 @@ def cmd_sweep(args) -> int:
         nonlocal errors
         for combo in itertools.product(*(grid[key] for key in keys)):
             try:
-                cells = [_sweep_cell(entry, dict(zip(keys, combo)), constants), ""]
+                cells = [_sweep_cell(command, dict(zip(keys, combo)), constants), ""]
             except Exception as exc:  # per-row failure becomes a row-level error field
                 errors += 1
                 cells = ["", f'"{exc}"']
@@ -385,8 +384,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_cell(entry: _Evaluator, point: dict, constants) -> str:
-    result = entry.build(point, constants)
+def _evaluate(name: str, point: dict, constants):
+    """EVALUATORS[name] at the point, refused unless each value it shows is finite.
+
+    The values shown are the bare number, or the payload's ``row`` keys; a
+    float that overflows, to inf or by raising, is not a bound.
+    """
+    import math
+
+    entry = EVALUATORS[name]
+    try:
+        result = entry.build(point, constants)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: the result is past the float range") from exc
+    shown = [result] if entry.row is None else [result[key] for key in entry.row]
+    if any(isinstance(value, float) and not math.isfinite(value) for value in shown):
+        raise ValueError(f"{name}: the result is past the float range")
+    return result
+
+
+def _sweep_cell(name: str, point: dict, constants) -> str:
+    result = _evaluate(name, point, constants)
+    entry = EVALUATORS[name]
     if entry.row is None:
         return str(result)
     import json

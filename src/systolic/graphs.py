@@ -10,7 +10,6 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -85,30 +84,70 @@ class MetricGraph:
 
 
 def girth(graph: Graph, cutoff: int | None = None) -> int | float:
-    """Length of a shortest cycle via BFS from every vertex; inf for forests.
+    """Length of a shortest cycle; inf for forests.
 
-    With ``cutoff`` the search stops early once no cycle of length <= cutoff
-    can exist, still returning the exact girth whenever it is <= cutoff.
+    First the vertices of degree <= 1 are peeled, repeatedly: such a vertex
+    lies on no cycle, so the girth is that of what is left (the 2-core),
+    and a forest leaves nothing.  Then a breadth-first search runs from
+    each vertex r left, in increasing order, through the vertices > r
+    only, one level at a time.  A non-tree edge between levels d and d'
+    closes a cycle of length at most d + d' + 1 (the edge and the tree path
+    between its ends), inside the vertices >= r.  An edge within level d
+    gives 2d + 1; an edge to a vertex already on level d + 1, reached from
+    another parent, gives 2d + 2; an edge back to level d - 1 is skipped, as
+    it is the edge to level d + 1 seen from its other end.
+
+    The result is exact because every shortest cycle C is found from its
+    least vertex r: C lies among the vertices >= r, where it is still a
+    shortest cycle, so the distances from r along C are distances in that
+    subgraph.  If |C| = 2k + 1, the edge of C opposite r joins two vertices
+    of level k; if |C| = 2k, the vertex of C opposite r is on level k with
+    two neighbours on level k - 1.  Either way the search from r sees it
+    while its level is below |C| / 2.
+
+    A root's search stops once its level reaches min(best, cutoff + 1) / 2.
+    With ``cutoff`` the result is still the exact girth whenever that is
+    <= cutoff, and otherwise some value > cutoff.
     """
     adjacency = graph.adjacency
+    n = graph.vertex_count
+    # stamp[v] is the root whose search reached v, or n once v is out of
+    # every later search (peeled, or a finished root); dist[v] is v's level
+    # in that search, or -1 once v is out.
+    stamp = [-1] * n
+    dist = [-1] * n
+    degree = [len(nbrs) for nbrs in adjacency]
+    leaves = [v for v in range(n) if degree[v] < 2]
+    for v in leaves:
+        stamp[v] = n
+    while leaves:
+        for w in adjacency[leaves.pop()]:
+            degree[w] -= 1
+            if degree[w] == 1:
+                stamp[w] = n
+                leaves.append(w)
     best = math.inf
-    for root in range(graph.vertex_count):
-        limit = (min(best, cutoff + 1) if cutoff is not None else best) / 2
-        dist = {root: 0}
-        queue = deque([(root, -1)])
-        while queue:
-            node, parent = queue.popleft()
-            if dist[node] >= limit:
-                break
-            for nb in adjacency[node]:
-                if nb == parent:  # the unique tree edge back; no parallel edges exist
-                    continue
-                if nb in dist:
-                    # closed walk through root; contains a cycle no longer than it
-                    best = min(best, dist[node] + dist[nb] + 1)
-                else:
-                    dist[nb] = dist[node] + 1
-                    queue.append((nb, node))
+    top = best if cutoff is None else cutoff + 1
+    for root in range(n):
+        if stamp[root] == n:
+            continue
+        limit = min(best, top) / 2
+        stamp[root], dist[root] = root, 0
+        level, d = [root], 0
+        while level and d < limit:
+            below, d = level, d + 1
+            level = []
+            for v in below:
+                for w in adjacency[v]:
+                    if stamp[w] < root:
+                        stamp[w], dist[w] = root, d
+                        level.append(w)
+                    elif dist[w] == d - 1:  # same level: an odd cycle
+                        best = min(best, 2 * d - 1)
+                    elif dist[w] == d:  # a second parent: an even cycle
+                        best = min(best, 2 * d)
+            limit = min(best, top) / 2
+        stamp[root], dist[root] = n, -1
     return best
 
 
@@ -343,9 +382,11 @@ def _ball(adj, root, radius):
     """Vertices within the given BFS distance of root."""
     seen = {root}
     frontier = seen
-    for _ in range(radius):
+    for _ in range(radius - 1):
         frontier = set().union(*map(adj.__getitem__, frontier)) - seen
         seen |= frontier
+    if radius > 0:  # the last level needs no frontier of its own
+        seen.update(*map(adj.__getitem__, frontier))
     return seen
 
 

@@ -5,8 +5,8 @@ enforcement, the sparse Smith elimination with a full scan per pivot and a
 pairwise divisibility chain, the gcd of every maximal minor, exhaustive
 cycle enumeration, exhaustive orientation search, largest-first Waring
 parts read off a count list, Hankel-style recurrence solving by dense
-elimination over fractions, and the girth search's attempt with its O(n)
-list rebuilds at every step.
+elimination over fractions, the girth as a full BFS from every vertex,
+and the girth search's attempt with its O(n) list rebuilds at every step.
 None of this shares code paths with the implementation under test, with
 one exception: ``homology`` is the package's homology before reduction
 pairs, the Smith form of every full boundary matrix, so it shares
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 from systolic.complexes import SimplicialComplex, boundary_matrix, face_counts
@@ -266,6 +267,35 @@ def brute_force_girth(n: int, edges) -> int | float:
 
     for root in range(n):
         extend([root], {root})
+    return best
+
+
+def girth(graph, cutoff: int | None = None) -> int | float:
+    """The package's girth before the least-vertex search: a full BFS from
+    every vertex, with the distances in a dict per root.
+
+    With ``cutoff`` the search stops early once no cycle of length <= cutoff
+    can exist, still returning the exact girth whenever it is <= cutoff.
+    """
+    adjacency = graph.adjacency
+    best = math.inf
+    for root in range(graph.vertex_count):
+        limit = (min(best, cutoff + 1) if cutoff is not None else best) / 2
+        dist = {root: 0}
+        queue = deque([(root, -1)])
+        while queue:
+            node, parent = queue.popleft()
+            if dist[node] >= limit:
+                break
+            for nb in adjacency[node]:
+                if nb == parent:  # the unique tree edge back; no parallel edges exist
+                    continue
+                if nb in dist:
+                    # closed walk through root; contains a cycle no longer than it
+                    best = min(best, dist[node] + dist[nb] + 1)
+                else:
+                    dist[nb] = dist[node] + 1
+                    queue.append((nb, node))
     return best
 
 

@@ -290,6 +290,13 @@ class TestConstants:
             with pytest.raises(ValueError, match="positive integer"):
                 BoundConstants(m=m)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="pair_lower must be finite"):
+            BoundConstants(pair_lower=value)
+        with pytest.raises(ValueError, match="pair_lower must be positive"):
+            BoundConstants(pair_lower=-math.inf)
+
     def test_provenance_tag(self):
         assert UNIT.provenance == "illustrative-defaults"
 

@@ -318,6 +318,40 @@ class TestBoundsCommand:
         if m != "1000":
             assert "positive integer" in err
 
+    @pytest.mark.parametrize(
+        "name, constants",
+        [
+            ("torsion", '{"cm": 1e308}'),  # the float result is inf
+            ("sandwich", '{"pair_upper": 1e308}'),  # the upper bound is inf
+            ("simvol", '{"m": 1000}'),  # the float power raises OverflowError
+        ],
+    )
+    def test_result_past_the_float_range_is_refused(self, name, constants, tmp_path, capsys):
+        const = tmp_path / "constants.json"
+        const.write_text(constants)
+        code, out, err = run_cli(
+            ["bounds", name, "--value", "10", "--constants", str(const)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {name}: the result is past the float range\n"
+        # the same case in a sweep is a row error, and the sweep goes on
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": name, "grid": {"value": [10]}}))
+        code, out, err = run_cli(["sweep", "--spec", str(spec), "--constants", str(const)], capsys)
+        assert code == 0 and err == "sweep finished with 1 row errors\n"
+        assert out.splitlines()[2] == f'10,,"{name}: the result is past the float range"'
+
+    @pytest.mark.parametrize("field", ["cm", "cm_prime", "cm_second", "pair_lower", "pair_upper"])
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_constant_is_refused(self, field, value, tmp_path, capsys):
+        const = tmp_path / "constants.json"
+        const.write_text(f'{{"{field}": {value}}}')
+        code, out, err = run_cli(
+            ["bounds", "sandwich", "--value", "10", "--constants", str(const)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: constant {field} must be finite\n"
+
     def test_unknown_evaluator(self, capsys):
         code, _, _ = run_cli(["bounds", "no-such-bound", "--value", "1"], capsys)
         assert code == 2

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
@@ -60,6 +61,38 @@ class TestGirth:
     def test_two_triangles_sharing_vertex(self):
         graph = Graph(5, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)))
         assert girth(graph) == 3
+
+    def test_heawood_cage(self):
+        # the incidence graph of the Fano plane, lines {i, i+1, i+3} mod 7:
+        # the (3, 6)-cage on 14 vertices
+        graph = Graph(14, tuple((p, 7 + i) for i in range(7) for p in (i, (i + 1) % 7, (i + 3) % 7)))
+        assert graph.is_regular(3)
+        assert girth(graph) == oracles.girth(graph) == 6
+
+    def test_tutte_coxeter_cage(self):
+        # duads and synthemes of a 6-set, a duad joined to each syntheme
+        # holding it: the (3, 8)-cage on 30 vertices
+        duads = list(combinations(range(6), 2))
+        synthemes = [m for m in combinations(duads, 3) if len(set().union(*m)) == 6]
+        graph = Graph(30, tuple((duads.index(d), 15 + s) for s, m in enumerate(synthemes) for d in m))
+        assert len(synthemes) == 15 and graph.is_regular(3)
+        assert girth(graph) == oracles.girth(graph) == 8
+
+    @pytest.mark.parametrize("shape", ["path", "tree"])
+    def test_forest_of_the_vertex_cap_in_linear_time(self, shape):
+        # the leaf peel empties a forest before any search; a search from
+        # every vertex took minutes on a path of a few thousand
+        rng = random.Random(11)
+        n = MAX_VERTICES
+        if shape == "path":
+            edges = tuple((i, i + 1) for i in range(n - 1))
+        else:
+            edges = tuple((rng.randrange(i), i) for i in range(1, n))
+        graph = Graph(n, edges)
+        graph.adjacency  # built outside the timed call
+        start = time.perf_counter()
+        assert girth(graph) == math.inf
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMooreBound:
@@ -226,6 +259,79 @@ def test_girth_matches_exhaustive_enumeration_on_small_graphs():
         edges = _random_edge_set(rng, n)
         graph = Graph(n, edges)
         assert girth(graph) == oracles.brute_force_girth(n, edges), edges
+
+
+def _relabelled(rng, n, edges):
+    """The graph on a random permutation of its vertices, so that the least
+    vertex of a cycle can sit anywhere on it."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph(n, tuple((order[u], order[v]) for u, v in edges))
+
+
+def _random_tree_edges(rng, first, count):
+    """Edges of a random tree on vertices first..first+count-1."""
+    return [(first + rng.randrange(i), first + i) for i in range(1, count)]
+
+
+def _girth_cases(rng):
+    """Seeded graphs of every shape the least-vertex search must handle."""
+    for _ in range(40):  # forests, empty graphs and isolated vertices included
+        n = rng.randint(0, 40)
+        edges = [e for e in _random_tree_edges(rng, 0, n) if rng.random() < 0.8]
+        yield _relabelled(rng, n, edges)
+    for length in range(3, 16):  # one cycle of each parity, with pendant trees
+        n = length + rng.randint(0, 30)
+        edges = [(i, (i + 1) % length) for i in range(length)]
+        edges += [(rng.randrange(v), v) for v in range(length, n)]
+        yield _relabelled(rng, n, edges)
+    for _ in range(80):  # sparse random graphs, often disconnected
+        n = rng.randint(4, 60)
+        pairs = list(combinations(range(n), 2))
+        edges = rng.sample(pairs, min(len(pairs), rng.randint(n // 2, 2 * n)))
+        yield Graph(n, tuple(edges))
+    for _ in range(20):  # two components, each with its own girth
+        a, b = rng.randint(3, 12), rng.randint(3, 12)
+        edges = [(i, (i + 1) % a) for i in range(a)] + [(a + i, a + (i + 1) % b) for i in range(b)]
+        edges += _random_tree_edges(rng, a + b, 10) + [(rng.randrange(a + b), a + b)]
+        edges += [(rng.randrange(a + b), a + b + 10 + i) for i in range(5)]
+        yield _relabelled(rng, a + b + 15, edges)
+    for degree, girth_target, n, seed in ((3, 5, 12, 3), (3, 6, 30, 1), (4, 5, 24, 2), (7, 5, 150, 1)):
+        yield construct_regular_girth(degree, girth_target, n, seed=seed)
+
+
+def test_girth_matches_the_full_search_oracle():
+    parities = set()
+    for graph in _girth_cases(random.Random(2024)):
+        expected = oracles.girth(graph)
+        assert girth(graph) == expected, graph.edges
+        parities.add(expected % 2 if expected != math.inf else "forest")
+        top = 10 if expected == math.inf else expected + 1
+        for cutoff in range(3, top + 1):
+            found, old = girth(graph, cutoff), oracles.girth(graph, cutoff)
+            # exact up to the cutoff, past it only known to be past it
+            if expected <= cutoff:
+                assert found == old == expected, (graph.edges, cutoff)
+            else:
+                assert found > cutoff and old > cutoff and found >= expected, (graph.edges, cutoff)
+            # what construct_regular_girth asks of it
+            assert (found >= cutoff) == (expected >= cutoff)
+    assert parities == {0, 1, "forest"}
+
+
+def test_ball_matches_oracle():
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(1, 80)
+        adj = [set() for _ in range(n)]
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        for radius in range(6):
+            root = rng.randrange(n)
+            assert graphs._ball(adj, root, radius) == oracles._ball(adj, root, radius)
 
 
 def test_girth_matches_networkx():
