@@ -131,10 +131,9 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
     for root in range(n):
         if stamp[root] == n:
             continue
-        limit = min(best, top) / 2
         stamp[root], dist[root] = root, 0
         level, d = [root], 0
-        while level and d < limit:
+        while level and d < min(best, top) / 2:
             below, d = level, d + 1
             level = []
             for v in below:
@@ -142,11 +141,10 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
                     if stamp[w] < root:
                         stamp[w], dist[w] = root, d
                         level.append(w)
-                    elif dist[w] == d - 1:  # same level: an odd cycle
+                    elif dist[w] == d - 1:  # both ends on the level below: an odd cycle
                         best = min(best, 2 * d - 1)
-                    elif dist[w] == d:  # a second parent: an even cycle
+                    elif dist[w] == d:  # w already has another parent: an even cycle
                         best = min(best, 2 * d)
-            limit = min(best, top) / 2
         stamp[root], dist[root] = n, -1
     return best
 
