@@ -81,7 +81,7 @@ class TestGirth:
     @pytest.mark.parametrize("shape", ["path", "tree"])
     def test_forest_of_the_vertex_cap_in_linear_time(self, shape):
         # the leaf peel empties a forest before any search; a search from
-        # every vertex took minutes on a path of a few thousand
+        # every vertex is quadratic on a path (8 s at 4 000 vertices)
         rng = random.Random(11)
         n = MAX_VERTICES
         if shape == "path":
