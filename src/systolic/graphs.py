@@ -103,11 +103,13 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
     subgraph.  If |C| = 2k + 1, the edge of C opposite r joins two vertices
     of level k; if |C| = 2k, the vertex of C opposite r is on level k with
     two neighbours on level k - 1.  Either way the search from r sees it
-    while its level is below |C| / 2.
+    while working from a level d with 2d + 1 <= |C|.
 
-    A root's search stops once its level reaches min(best, cutoff + 1) / 2.
-    With ``cutoff`` the result is still the exact girth whenever that is
-    <= cutoff, and otherwise some value > cutoff.
+    Working from level d closes cycles of length 2d + 1 and 2d + 2 only,
+    so a root's search stops at the first level d with
+    2d + 1 >= min(best, cutoff + 1): no cycle it could still close is
+    shorter than both.  With ``cutoff`` the result is still the exact girth
+    whenever that is <= cutoff, and otherwise some value > cutoff.
     """
     adjacency = graph.adjacency
     n = graph.vertex_count
@@ -133,7 +135,7 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
             continue
         stamp[root], dist[root] = root, 0
         level, d = [root], 0
-        while level and d < min(best, top) / 2:
+        while level and 2 * d + 1 < min(best, top):
             below, d = level, d + 1
             level = []
             for v in below:

@@ -5,8 +5,11 @@ enforcement, the sparse Smith elimination with a full scan per pivot and a
 pairwise divisibility chain, the gcd of every maximal minor, exhaustive
 cycle enumeration, exhaustive orientation search, largest-first Waring
 parts read off a count list, Hankel-style recurrence solving by dense
-elimination over fractions, the girth as a full BFS from every vertex,
-and the girth search's attempt with its O(n) list rebuilds at every step.
+elimination over fractions, Berlekamp-Massey and its replay on
+``Fraction`` terms (``_lfsr_synthesis`` and ``_replays``, with the
+verdict built from them in ``recurrence_verdict``), the girth as a full
+BFS from every vertex, and the girth search's attempt with its O(n) list
+rebuilds at every step.
 None of this shares code paths with the implementation under test, with
 one exception: ``homology`` is the package's homology before reduction
 pairs, the Smith form of every full boundary matrix, so it shares
@@ -20,6 +23,7 @@ from collections import deque
 from fractions import Fraction
 
 from systolic.complexes import SimplicialComplex, boundary_matrix, face_counts
+from systolic.genfun import RecurrenceVerdict
 from systolic.homology import HomologySummary
 from systolic.snf import SmithForm, smith_normal_form
 
@@ -376,6 +380,64 @@ def _solve_consistent(rows, width: int):
     for row_idx, col in enumerate(pivots):
         solution[col] = matrix[row_idx][width]
     return solution
+
+
+def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, list[Fraction]]:
+    """Minimal shift-register length and connection polynomial over Q.
+
+    Returns (L, C) with C = [1, c_1, ..., c_L] such that
+    s_n + sum_i c_i s_(n-i) = 0 for all n >= L.  L never decreases, so once
+    it passes ``max_length`` the synthesis stops and returns an L above
+    ``max_length`` with the polynomial of the terms read so far.
+    """
+    connection = [Fraction(1)]
+    previous = [Fraction(1)]
+    length = 0
+    gap = 1
+    prev_discrepancy = Fraction(1)
+    for n, term in enumerate(terms):
+        discrepancy = term
+        for i in range(1, length + 1):
+            discrepancy += connection[i] * terms[n - i]
+        if discrepancy == 0:
+            gap += 1
+            continue
+        scale = discrepancy / prev_discrepancy
+        update = connection[:]
+        padding = gap + len(previous) - len(connection)
+        if padding > 0:
+            update.extend([Fraction(0)] * padding)
+        for i, coef in enumerate(previous):
+            update[gap + i] -= scale * coef
+        if 2 * length <= n:
+            previous = connection
+            prev_discrepancy = discrepancy
+            length = n + 1 - length
+            gap = 1
+        else:
+            gap += 1
+        connection = update
+        if length > max_length:
+            break
+    return length, connection
+
+
+def _replays(terms, order: int, coefficients) -> bool:
+    return all(
+        terms[n] == sum(coefficients[i] * terms[n - 1 - i] for i in range(order))
+        for n in range(order, len(terms))
+    )
+
+
+def recurrence_verdict(terms, max_order: int) -> RecurrenceVerdict:
+    """``detect_linear_recurrence`` as it was built on the two functions above."""
+    terms = tuple(Fraction(t) for t in terms)
+    length, connection = _lfsr_synthesis(terms, max_order)
+    coefficients = tuple(-c for c in connection[1: length + 1])
+    coefficients += (Fraction(0),) * (length - len(coefficients))
+    if length <= max_order and _replays(terms, length, coefficients):
+        return RecurrenceVerdict(True, length, coefficients, len(terms), max_order)
+    return RecurrenceVerdict(False, 0, (), 0, max_order)
 
 
 def merge_torsion_chains(*chains) -> tuple[int, ...]:

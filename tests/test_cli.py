@@ -473,6 +473,26 @@ class TestGenfunCommand:
         assert payload["found"] is True
         assert payload["order"] == 1
 
+    @pytest.mark.parametrize("term, shown", [("true", "True"), ("false", "False"), ("0.1", "0.1"), ("3.0", "3.0")])
+    def test_inexact_term_is_refused(self, term, shown, tmp_path, capsys):
+        # a JSON boolean was read as 0 or 1 and a float as its binary value
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text('{"terms": ["3/2", 2, ' + term + "]}")
+        code, out, err = run_cli(
+            ["genfun", "detect", "--file", str(seq_file), "--max-order", "1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: term {shown} is not exact: give a rational as a string or an integer\n"
+
+    def test_integer_terms_are_accepted(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"terms": [2, "1/2"] * 20}))
+        code, out, _ = run_cli(
+            ["genfun", "detect", "--file", str(seq_file), "--max-order", "2"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["order"] == 2
+
 
 class TestCorpusCommand:
     def test_lists_required_entries(self, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,100 @@ class TestDetect:
         values[-1] += Fraction(1, 10 ** 30)
         verdict = detect_linear_recurrence(RationalSequence.from_values(values), max_order=1)
         assert not verdict.found
+
+
+def _rational(rng, size=9, denominators=12):
+    return Fraction(rng.randint(-size, size), rng.randint(1, denominators))
+
+
+def _recurrent(rng, coefficients, start, length):
+    terms = list(start)
+    while len(terms) < length:
+        terms.append(sum(c * t for c, t in zip(coefficients, reversed(terms))))
+    return terms
+
+
+def _oracle_corpus():
+    """(terms, max_order) cases, seeded: each kind the fraction-free path must match."""
+    rng = random.Random(15)
+    cases = []
+    for _ in range(150):
+        # rational recurrences with mixed denominators, some longer than max_order
+        order = rng.randint(1, 6)
+        max_order = rng.randint(max(1, order - 2), order + 3)
+        length = 2 * max_order + 4 + rng.choice((0, 0, 1, rng.randint(2, 40)))
+        coefficients = [_rational(rng, 3, 5) for _ in range(order)]
+        start = [_rational(rng) for _ in range(order)]
+        terms = _recurrent(rng, coefficients, start, length)
+        cases.append((terms, max_order))
+        # the same after a prefix of zeros
+        cases.append(([Fraction(0)] * rng.randint(1, 6) + terms, max_order))
+        # and with its last term perturbed
+        perturbed = list(terms)
+        perturbed[-1] += Fraction(1, rng.randint(1, 10**12))
+        cases.append((perturbed, max_order))
+    for _ in range(150):
+        # no recurrence up to max_order, at and past the shortest length
+        max_order = rng.randint(1, 8)
+        length = 2 * max_order + 4 + rng.choice((0, rng.randint(1, 30)))
+        terms = [_rational(rng, 20, rng.choice((1, 7, 1000))) for _ in range(length)]
+        if rng.random() < 0.3:
+            zeros = rng.randint(1, length // 2)
+            terms[:zeros] = [Fraction(0)] * zeros
+        cases.append((terms, max_order))
+    for max_order in (1, 2, 5, 9):
+        # the all-zero sequence, and sparse periodic ones, at the shortest length
+        length = 2 * max_order + 4
+        cases.append(([Fraction(0)] * length, max_order))
+        cases.append(([Fraction(int(i % (max_order + 1) == 0)) for i in range(length)], max_order))
+    # one sequence shaped like the benchmark's order-24 job
+    coefficients = [rng.choice((-1, 0, 1)) for _ in range(23)] + [rng.choice((-1, 1))]
+    start = [rng.randint(-9, 9) for _ in range(24)]
+    cases.append(([Fraction(t) for t in _recurrent(rng, coefficients, start, 1200)], 28))
+    return cases
+
+
+def test_verdict_matches_the_fraction_oracle():
+    kinds = {"found": 0, "not found": 0, "order 0": 0}
+    for terms, max_order in _oracle_corpus():
+        verdict = detect_linear_recurrence(RationalSequence.from_values(terms), max_order)
+        assert verdict == oracles.recurrence_verdict(terms, max_order), (terms, max_order)
+        kinds["found" if verdict.found else "not found"] += 1
+        kinds["order 0"] += verdict.found and verdict.order == 0
+    assert min(kinds.values()) > 0, kinds
+
+
+class TestBoundedCost:
+    def test_distinct_prime_denominators(self):
+        # the lcm of all 30 000 denominators has about 505 000 bits; the
+        # terms scaled by it would need about 1.9 GB, so D grows as read
+        sieve = bytearray([1]) * 350_400
+        sieve[:2] = b"\0\0"
+        for p in range(2, 592):
+            if sieve[p]:
+                sieve[p * p:: p] = bytes(len(range(p * p, len(sieve), p)))
+        primes = [p for p in range(len(sieve)) if sieve[p]][:30_000]
+        assert len(primes) == 30_000
+        sequence = RationalSequence(tuple(Fraction(1, p) for p in primes))
+        tracemalloc.start()
+        try:
+            start = time.monotonic()
+            verdict = detect_linear_recurrence(sequence, max_order=16)
+            elapsed = time.monotonic() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not verdict.found
+        assert elapsed < 1.0
+        assert peak < 16 * 2**20
+
+    def test_denominator_growing_at_every_term(self):
+        values = [Fraction(3, 2) ** k for k in range(1000)]
+        verdict = detect_linear_recurrence(RationalSequence.from_values(values))
+        assert verdict.found
+        assert verdict.order == 1
+        assert verdict.coefficients == (Fraction(3, 2),)
+        assert verdict.verified_length == 1000
 
 
 class TestConjectureSeries:
