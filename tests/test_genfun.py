@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from systolic import genfun
 from systolic.genfun import RationalSequence, detect_linear_recurrence
 
 import oracles
@@ -60,11 +61,24 @@ class TestDetect:
             detect_linear_recurrence(seq, max_order=4)
 
     def test_rational_geometric(self):
-        values = [Fraction(3, 2) ** k for k in range(40)]
-        verdict = detect_linear_recurrence(RationalSequence.from_values(values))
-        assert verdict.found
-        assert verdict.order == 1
-        assert verdict.coefficients == (Fraction(3, 2),)
+        # the lcm of the denominators read so far grows at every term
+        for length in (40, 1000):
+            values = [Fraction(3, 2) ** k for k in range(length)]
+            verdict = detect_linear_recurrence(RationalSequence.from_values(values))
+            assert verdict.found
+            assert verdict.order == 1
+            assert verdict.coefficients == (Fraction(3, 2),)
+            assert verdict.verified_length == length
+
+    def test_replay_checks_every_term_from_the_order_on(self):
+        terms = [Fraction(2) ** k for k in range(12)]
+        assert genfun._replays(terms, [1, -2])
+        assert genfun._replays(terms, [3, -6])
+        # a wrong first term is seen only by the check at n = L = 1
+        for n in (0, 6, 11):
+            wrong = list(terms)
+            wrong[n] += Fraction(1, 3)
+            assert not genfun._replays(wrong, [1, -2])
 
     def test_replay_is_exact_not_approximate(self):
         # a sequence following x2 recurrence except for a tiny final defect
@@ -78,7 +92,7 @@ def _rational(rng, size=9, denominators=12):
     return Fraction(rng.randint(-size, size), rng.randint(1, denominators))
 
 
-def _recurrent(rng, coefficients, start, length):
+def _recurrent(coefficients, start, length):
     terms = list(start)
     while len(terms) < length:
         terms.append(sum(c * t for c, t in zip(coefficients, reversed(terms))))
@@ -96,7 +110,7 @@ def _oracle_corpus():
         length = 2 * max_order + 4 + rng.choice((0, 0, 1, rng.randint(2, 40)))
         coefficients = [_rational(rng, 3, 5) for _ in range(order)]
         start = [_rational(rng) for _ in range(order)]
-        terms = _recurrent(rng, coefficients, start, length)
+        terms = _recurrent(coefficients, start, length)
         cases.append((terms, max_order))
         # the same after a prefix of zeros
         cases.append(([Fraction(0)] * rng.randint(1, 6) + terms, max_order))
@@ -121,7 +135,7 @@ def _oracle_corpus():
     # one sequence shaped like the benchmark's order-24 job
     coefficients = [rng.choice((-1, 0, 1)) for _ in range(23)] + [rng.choice((-1, 1))]
     start = [rng.randint(-9, 9) for _ in range(24)]
-    cases.append(([Fraction(t) for t in _recurrent(rng, coefficients, start, 1200)], 28))
+    cases.append(([Fraction(t) for t in _recurrent(coefficients, start, 1200)], 28))
     return cases
 
 
@@ -135,37 +149,28 @@ def test_verdict_matches_the_fraction_oracle():
     assert min(kinds.values()) > 0, kinds
 
 
-class TestBoundedCost:
-    def test_distinct_prime_denominators(self):
-        # the lcm of all 30 000 denominators has about 505 000 bits; the
-        # terms scaled by it would need about 1.9 GB, so D grows as read
-        sieve = bytearray([1]) * 350_400
-        sieve[:2] = b"\0\0"
-        for p in range(2, 592):
-            if sieve[p]:
-                sieve[p * p:: p] = bytes(len(range(p * p, len(sieve), p)))
-        primes = [p for p in range(len(sieve)) if sieve[p]][:30_000]
-        assert len(primes) == 30_000
-        sequence = RationalSequence(tuple(Fraction(1, p) for p in primes))
-        tracemalloc.start()
-        try:
-            start = time.monotonic()
-            verdict = detect_linear_recurrence(sequence, max_order=16)
-            elapsed = time.monotonic() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not verdict.found
-        assert elapsed < 1.0
-        assert peak < 16 * 2**20
-
-    def test_denominator_growing_at_every_term(self):
-        values = [Fraction(3, 2) ** k for k in range(1000)]
-        verdict = detect_linear_recurrence(RationalSequence.from_values(values))
-        assert verdict.found
-        assert verdict.order == 1
-        assert verdict.coefficients == (Fraction(3, 2),)
-        assert verdict.verified_length == 1000
+def test_distinct_prime_denominators_have_bounded_cost():
+    # the lcm of all 30 000 denominators has about 505 000 bits; the terms
+    # scaled by it would need about 1.9 GB, so D grows only as terms are read
+    sieve = bytearray([1]) * 350_400
+    sieve[:2] = b"\0\0"
+    for p in range(2, 592):
+        if sieve[p]:
+            sieve[p * p:: p] = bytes(len(range(p * p, len(sieve), p)))
+    primes = [p for p in range(len(sieve)) if sieve[p]][:30_000]
+    assert len(primes) == 30_000
+    sequence = RationalSequence(tuple(Fraction(1, p) for p in primes))
+    tracemalloc.start()
+    try:
+        start = time.monotonic()
+        verdict = detect_linear_recurrence(sequence, max_order=16)
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.found
+    assert elapsed < 1.0
+    assert peak < 16 * 2**20
 
 
 class TestConjectureSeries:
