@@ -2,14 +2,21 @@
 
 The constructor is a seeded randomized search (greedy distance-respecting
 pairing with conflict-edge deletion and restarts); every returned graph is
-re-verified independently, so a successful return is a certificate.
+re-verified independently, so a successful return is a certificate.  A
+step's partner for u is drawn by rejection: a uniformly drawn deficient v
+is kept when it lies outside B_{g-2}(u), tested by meet in the middle as
+B_ceil((g-2)/2)(u) and B_floor((g-2)/2)(v) being disjoint.  After
+``REJECTIONS`` rejected draws the step lists the admissible partners from
+the whole ball B_{g-2}(u) and draws among them.  A kept draw is uniform
+over the admissible partners, and so is a listed one, so the distribution
+of built graphs is that of a uniform draw from the list at every step;
+only the generator's draws differ.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -90,17 +97,23 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
     lies on no cycle, so the girth is that of what is left (the 2-core),
     and a forest leaves nothing.  Then a breadth-first search runs from
     each vertex r left, in increasing order, through the vertices > r
-    only, one level at a time.  A non-tree edge between levels d and d'
-    closes a cycle of length at most d + d' + 1 (the edge and the tree path
-    between its ends), inside the vertices >= r.  An edge within level d
-    gives 2d + 1; an edge to a vertex already on level d + 1, reached from
-    another parent, gives 2d + 2; an edge back to level d - 1 is skipped, as
-    it is the edge to level d + 1 seen from its other end.
+    only, one level at a time.  After each search r is taken out and the
+    peel runs again: a vertex of degree <= 1 among those left lies on no
+    cycle through the vertices > r, so no later search needs it, and one
+    long cycle is searched once, not once from each of its vertices.
+
+    A non-tree edge between levels d and d' closes a cycle of length at
+    most d + d' + 1 (the edge and the tree path between its ends), inside
+    the vertices >= r.  An edge within level d gives 2d + 1; an edge to a
+    vertex already on level d + 1, reached from another parent, gives
+    2d + 2; an edge back to level d - 1 is skipped, as it is the edge to
+    level d + 1 seen from its other end.
 
     The result is exact because every shortest cycle C is found from its
     least vertex r: C lies among the vertices >= r, where it is still a
     shortest cycle, so the distances from r along C are distances in that
-    subgraph.  If |C| = 2k + 1, the edge of C opposite r joins two vertices
+    subgraph; no vertex of C is peeled before, as each keeps its two
+    neighbours on C.  If |C| = 2k + 1, the edge of C opposite r joins two vertices
     of level k; if |C| = 2k, the vertex of C opposite r is on level k with
     two neighbours on level k - 1.  Either way the search from r sees it
     while working from a level d with 2d + 1 <= |C|.
@@ -118,16 +131,23 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
     # in that search, or -1 once v is out.
     stamp = [-1] * n
     dist = [-1] * n
+    # degree[v] counts v's neighbours still in, while v is in
     degree = [len(nbrs) for nbrs in adjacency]
+
+    def peel(out):
+        """Take out every vertex left with degree <= 1, after those in out."""
+        while out:
+            for w in adjacency[out.pop()]:
+                if stamp[w] != n:
+                    degree[w] -= 1
+                    if degree[w] < 2:
+                        stamp[w], dist[w] = n, -1
+                        out.append(w)
+
     leaves = [v for v in range(n) if degree[v] < 2]
     for v in leaves:
         stamp[v] = n
-    while leaves:
-        for w in adjacency[leaves.pop()]:
-            degree[w] -= 1
-            if degree[w] == 1:
-                stamp[w] = n
-                leaves.append(w)
+    peel(leaves)
     best = math.inf
     top = best if cutoff is None else cutoff + 1
     for root in range(n):
@@ -148,6 +168,7 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
                     elif dist[w] == d:  # w already has another parent: an even cycle
                         best = min(best, 2 * d)
         stamp[root], dist[root] = n, -1
+        peel([root])
     return best
 
 
@@ -208,7 +229,8 @@ def construct_regular_girth(
     """Seeded search for a degree-regular graph with girth >= girth_target.
 
     Greedy pairing adds edges only between vertices at distance >= g-1,
-    deleting blocking edges when stuck (Erdos-Sachs flavoured).  The result
+    each partner uniform among the admissible ones, and deletes blocking
+    edges when stuck (Erdos-Sachs flavoured).  The result
     is re-verified (regularity and BFS girth) before being returned;
     infeasible requests are refused, a step budget below the edge count is
     refused before the first attempt, and an exhausted budget raises instead
@@ -260,74 +282,80 @@ def construct_regular_girth(
 @dataclass
 class SearchCounts:
     """Deterministic tallies of one girth search: abandoned attempts, steps
-    taken, double swaps made and stubs rotated by a reshuffle."""
+    taken, drawn partners rejected as too near, steps that listed the
+    admissible partners, double swaps made and stubs rotated by a
+    reshuffle."""
 
     restarts: int = 0
     steps: int = 0
+    rejections: int = 0
+    listings: int = 0
     swaps: int = 0
     rotations: int = 0
 
     def __str__(self):
         return (f"{self.restarts} restarts, {self.steps} steps, "
+                f"{self.rejections} rejections, {self.listings} listings, "
                 f"{self.swaps} swaps, {self.rotations} rotations")
+
+
+# Drawn partners a step rejects before it lists the admissible ones.
+REJECTIONS = 32
 
 
 def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
     """One randomized build: distance-respecting pairing with repairs.
 
     An edge (u, v) is only added when dist(u, v) >= g-1, so every created
-    cycle has length >= g by construction.  A blocked deficient vertex is
-    repaired either by a double swap (remove an edge (x, y), add (u, x) and
-    (v, y) for another deficient v, re-checking distances after each step)
-    or by rotating a stub from a saturated far vertex; deletions never
-    shorten cycles, so the girth invariant holds throughout.
+    cycle has length >= g by construction.  Each step draws u uniformly
+    from the deficient vertices and a partner from ``_draw_partner``,
+    uniform among the deficient vertices outside B_{g-2}(u).  When there is
+    none, u is repaired either by a double swap (remove an edge (x, y), add
+    (u, x) and (v, y) for another deficient v, re-checking distances after
+    each step) or by rotating a stub from a saturated far vertex; deletions
+    never shorten cycles, so the girth invariant holds throughout.
 
-    The deficient vertices are kept as a sorted list that changes only
-    when a vertex reaches or leaves full degree, and a partner is drawn as
-    the r-th deficient vertex outside the ball around u without listing
-    them, so every draw from ``rng`` matches a rebuild of both lists at
-    each step (``tests/oracles.py`` keeps that form).
+    The deficient vertices are an unsorted list: a vertex reaching full
+    degree is swapped with the last one and removed, found through its
+    recorded position.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
-    deficient = list(range(n))  # sorted: the vertices below full degree
-    deficient_set = set(deficient)
-    state = {"edges": 0}
+    deficient = list(range(n))  # the vertices below full degree, in no order
+    position = list(range(n))  # position[v] is v's index in deficient
+    edges = 0
     target_edges = n * degree // 2
     reach = girth_target - 2  # partners must lie outside this ball
 
     def connect(a, b):
+        nonlocal edges
         for x, y in ((a, b), (b, a)):
             adj[x].add(y)
             if len(adj[x]) == degree:
-                del deficient[bisect_left(deficient, x)]
-                deficient_set.discard(x)
-        state["edges"] += 1
+                last = deficient.pop()
+                if last != x:
+                    deficient[position[x]] = last
+                    position[last] = position[x]
+        edges += 1
 
     def disconnect(a, b):
+        nonlocal edges
         for x, y in ((a, b), (b, a)):
             adj[x].discard(y)
             if len(adj[x]) == degree - 1:
-                insort(deficient, x)
-                deficient_set.add(x)
-        state["edges"] -= 1
+                position[x] = len(deficient)
+                deficient.append(x)
+        edges -= 1
 
     for _ in range(step_budget):
-        if state["edges"] == target_edges:
+        if edges == target_edges:
             break
         counts.steps += 1
         u = deficient[rng.randrange(len(deficient))]
-        near = _ball(adj, u, reach)
-        blocked = sorted(near & deficient_set)
-        if len(blocked) < len(deficient):
-            # The rank-th partner is at the least index >= rank that equals
-            # rank plus the number of blocked vertices <= deficient[index].
-            rank = rng.randrange(len(deficient) - len(blocked))
-            index, previous = rank, -1
-            while index != previous:
-                previous, index = index, rank + bisect_right(blocked, deficient[index])
-            connect(u, deficient[index])
+        v, near = _draw_partner(adj, u, deficient, reach, rng, counts)
+        if v is not None:
+            connect(u, v)
             continue
-        if _double_swap(adj, connect, disconnect, u, deficient, reach, n, rng):
+        if _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng):
             counts.swaps += 1
             continue
         # reshuffle: rotate a stub from a saturated far vertex onto u
@@ -342,17 +370,56 @@ def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
         disconnect(w, z)
         connect(u, w)
         counts.rotations += 1
-    if state["edges"] != target_edges:
+    if edges != target_edges:
         return None
     return [(a, b) for a in range(n) for b in adj[a] if a < b]
 
 
-def _double_swap(adj, connect, disconnect, u, deficient, reach, n, rng, trials=60):
+def _draw_partner(adj, u, deficient, reach, rng, counts):
+    """A deficient vertex at distance > reach from u, uniform among them.
+
+    Returns (partner, near).  Up to ``REJECTIONS`` times, a vertex drawn
+    uniformly from ``deficient`` is kept if ``_is_far`` from u, against
+    B_ceil(reach/2)(u) built once for the step.  After that many
+    rejections the step lists the deficient vertices outside
+    near = B_reach(u) and draws among them; partner is None if there are
+    none.  Either way the partner, given that one is returned, is uniform
+    over the same admissible set: a kept draw is a uniform draw
+    conditioned on admissibility.  ``near`` is None unless the step listed;
+    the repairs reuse it.
+    """
+    half = _ball(adj, u, (reach + 1) // 2)
+    for _ in range(REJECTIONS):
+        v = deficient[rng.randrange(len(deficient))]
+        if _is_far(adj, half, v, reach // 2):
+            return v, None
+        counts.rejections += 1
+    counts.listings += 1
+    near = _ball(adj, u, reach)
+    partners = [v for v in deficient if v not in near]
+    if not partners:
+        return None, near
+    return partners[rng.randrange(len(partners))], near
+
+
+def _is_far(adj, half, v, radius):
+    """Whether dist(u, v) > reach, for half = B_ceil(reach/2)(u) and
+    radius = floor(reach/2), by meet in the middle.
+
+    A path of length d <= reach from u to v has a vertex at distance
+    min(d, ceil(reach/2)) from u and at most floor(reach/2) from v, so it
+    meets both balls; a vertex in both gives a walk of length <= reach.
+    """
+    return v not in half and half.isdisjoint(_ball(adj, v, radius))
+
+
+def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng, trials=60):
     """Erdos-Sachs endgame repair: resolve two deficiencies through one edge.
 
-    Remove a random edge (x, y) with x far from u, add (u, x), then add
-    (v, y) for a deficient v whenever y is still far from v in the modified
-    graph.  Reverts on failure.
+    Remove a random edge (x, y) with x outside near = B_reach(u), add
+    (u, x), then add (v, y) for a deficient v whenever y is still far from
+    v in the modified graph.  Reverts on failure, so every trial starts
+    from the graph ``near`` was built in.
     """
     # a copy: the trials below edit the live deficient list, and mates are
     # drawn from it as it stood before them
@@ -364,7 +431,7 @@ def _double_swap(adj, connect, disconnect, u, deficient, reach, n, rng, trials=6
         x, y = edges[rng.randrange(len(edges))]
         if rng.random() < 0.5:
             x, y = y, x
-        if x == u or x in _ball(adj, u, reach):
+        if x in near:
             continue
         disconnect(x, y)
         connect(u, x)

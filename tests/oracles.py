@@ -8,8 +8,7 @@ parts read off a count list, Hankel-style recurrence solving by dense
 elimination over fractions, Berlekamp-Massey and its replay on
 ``Fraction`` terms (``_lfsr_synthesis`` and ``_replays``, with the
 verdict built from them in ``recurrence_verdict``), the girth as a full
-BFS from every vertex, and the girth search's attempt with its O(n) list
-rebuilds at every step.
+BFS from every vertex, and the ball around a vertex by plain BFS.
 None of this shares code paths with the implementation under test, with
 one exception: ``homology`` is the package's homology before reduction
 pairs, the Smith form of every full boundary matrix, so it shares
@@ -495,92 +494,6 @@ def largest_first_parts(counts, k: int, d: int) -> tuple[int, ...]:
         parts.append(part)
         k -= part ** d
     return tuple(parts)
-
-
-# The girth search's attempt as it was before its deficient list became
-# incremental: both lists rebuilt at every step.  The search must draw from
-# the generator in exactly this order, so its output matches this edge for
-# edge.
-def greedy_attempt(degree, girth_target, n, rng, step_budget):
-    """One randomized build: distance-respecting pairing with repairs.
-
-    An edge (u, v) is only added when dist(u, v) >= g-1, so every created
-    cycle has length >= g by construction.  A blocked deficient vertex is
-    repaired either by a double swap (remove an edge (x, y), add (u, x) and
-    (v, y) for another deficient v, re-checking distances after each step)
-    or by rotating a stub from a saturated far vertex; deletions never
-    shorten cycles, so the girth invariant holds throughout.
-    """
-    adj: list[set[int]] = [set() for _ in range(n)]
-    state = {"edges": 0}
-    target_edges = n * degree // 2
-    reach = girth_target - 2  # partners must lie outside this ball
-
-    def connect(a, b):
-        adj[a].add(b)
-        adj[b].add(a)
-        state["edges"] += 1
-
-    def disconnect(a, b):
-        adj[a].discard(b)
-        adj[b].discard(a)
-        state["edges"] -= 1
-
-    for _ in range(step_budget):
-        if state["edges"] == target_edges:
-            break
-        deficient = [v for v in range(n) if len(adj[v]) < degree]
-        u = deficient[rng.randrange(len(deficient))]
-        near = _ball(adj, u, reach)
-        partners = [v for v in deficient if v != u and v not in near]
-        if partners:
-            connect(u, partners[rng.randrange(len(partners))])
-            continue
-        if _double_swap(adj, connect, disconnect, u, deficient, reach, n, rng):
-            continue
-        # reshuffle: rotate a stub from a saturated far vertex onto u
-        far = [w for w in range(n) if w != u and w not in near]
-        if not far:
-            return None
-        w = far[rng.randrange(len(far))]
-        others = [z for z in adj[w] if z != u]
-        if not others:
-            return None
-        z = others[rng.randrange(len(others))]
-        disconnect(w, z)
-        connect(u, w)
-    if state["edges"] != target_edges:
-        return None
-    return [(a, b) for a in range(n) for b in adj[a] if a < b]
-
-
-def _double_swap(adj, connect, disconnect, u, deficient, reach, n, rng, trials=60):
-    """Erdos-Sachs endgame repair: resolve two deficiencies through one edge.
-
-    Remove a random edge (x, y) with x far from u, add (u, x), then add
-    (v, y) for a deficient v whenever y is still far from v in the modified
-    graph.  Reverts on failure.
-    """
-    mates = [v for v in deficient if v != u]
-    edges = [(a, b) for a in range(n) for b in adj[a] if a < b]
-    if not edges:
-        return False
-    for _ in range(trials):
-        x, y = edges[rng.randrange(len(edges))]
-        if rng.random() < 0.5:
-            x, y = y, x
-        if x == u or x in _ball(adj, u, reach):
-            continue
-        disconnect(x, y)
-        connect(u, x)
-        candidates = mates if mates else [u]
-        v = candidates[rng.randrange(len(candidates))]
-        if v != y and v != x and y not in _ball(adj, v, reach):
-            connect(v, y)
-            return True
-        disconnect(u, x)
-        connect(x, y)
-    return False
 
 
 def _ball(adj, root, radius):

@@ -187,7 +187,7 @@ class TestGraphCommands:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c45ec541ad484b48189a77cadae6f346cfd9984d06248818dfc906b10e7f5dc5"
+            "131b0b9d0555aa6232c72195b44fb71744dd79d8cee049c72f8c6638f9549abd"
         )
 
     @pytest.mark.parametrize("vertices", ["300002", "100000000"])
