@@ -354,16 +354,21 @@ def test_girth_matches_the_full_search_oracle():
     assert parities == {0, 1, "forest"}
 
 
+def _random_adjacency(rng, n, edges):
+    adj = [set() for _ in range(n)]
+    for _ in range(edges):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
 def test_ball_matches_oracle():
     rng = random.Random(77)
     for _ in range(60):
         n = rng.randint(1, 80)
-        adj = [set() for _ in range(n)]
-        for _ in range(rng.randint(0, 3 * n)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
+        adj = _random_adjacency(rng, n, rng.randint(0, 3 * n))
         for radius in range(6):
             root = rng.randrange(n)
             assert graphs._ball(adj, root, radius) == oracles._ball(adj, root, radius)
@@ -394,16 +399,6 @@ def test_constructed_graphs_verified_independently():
     graph = construct_regular_girth(3, 5, 12, seed=3)
     assert oracles.brute_force_girth(12, graph.edges) >= 5
     assert all(d == 3 for d in graph.degrees)
-
-
-def _random_adjacency(rng, n, edges):
-    adj = [set() for _ in range(n)]
-    for _ in range(edges):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
 
 
 def test_far_test_matches_the_ball_oracle():
