@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+
+from ._record import record, replace
 
 _REL_SLACK = 1e-12
 
@@ -20,7 +21,7 @@ KAPPA_UPPER_C_PRIME = 1 + math.log(25)
 SYSTOLIC_AREA_FLOOR = math.pi / 16
 
 
-@dataclass(frozen=True)
+@record
 class BoundConstants:
     """User-supplied universal constants; defaults are illustrative only."""
 
@@ -56,7 +57,7 @@ def load_constants(path: str) -> BoundConstants:
     return replace(constants, provenance=str(path))
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """Named lower and upper bound values for one quantity."""
 
@@ -176,7 +177,7 @@ def systolic_area_upper_from_kappa(kappa: float) -> float:
     return kappa / (2 * math.pi)
 
 
-@dataclass(frozen=True)
+@record
 class GroupCountReport:
     """Bound 2^(K^3/14) on groups of zero free index with complexity <= K."""
 
@@ -239,7 +240,7 @@ def abelian_kappa_bounds(n: int) -> tuple[int, int]:
     return n * (n - 1) // 2, 7 * n * (n - 1)
 
 
-@dataclass(frozen=True)
+@record
 class UpperBoundIngredients:
     """Inputs for best_upper_bound.
 

@@ -24,8 +24,8 @@ MAX_SWEEP_POINTS = 10 ** 6
 
 
 def _jsonable(value):
-    # A Fraction or a dataclass instance exists only once its module is
-    # loaded, so neither module is imported to recognise one.
+    # A Fraction or a record exists only once its module is loaded, so
+    # neither module is imported to recognise one.
     fractions = sys.modules.get("fractions")
     if fractions and isinstance(value, fractions.Fraction):
         return str(value)
@@ -35,10 +35,10 @@ def _jsonable(value):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return value
-    if hasattr(type(value), "__dataclass_fields__"):  # dataclasses.is_dataclass, for an instance
-        import dataclasses
+    if hasattr(type(value), "__record_fields__"):
+        from ._record import asdict
 
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return _jsonable(asdict(value))
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -290,7 +290,7 @@ class _Evaluator:
     ``build(point, constants)`` returns the ``bounds`` payload, or a bare
     number when ``row`` is None; ``row`` names the payload keys a sweep row
     shows.  Entries with ``bound`` False read other grid keys and are
-    sweep-only.  A plain class: building a dataclass slows CLI start-up.
+    sweep-only.  A plain class: building a record slows CLI start-up.
     """
 
     def __init__(self, build, row: tuple[str, ...] | None = None, bound: bool = True):
@@ -457,13 +457,11 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    import dataclasses
-
     from .corpus import corpus_list
 
     entries = corpus_list()
     if args.format == "json":
-        _dump_json([dataclasses.asdict(e) for e in entries], args.out)
+        _dump_json(entries, args.out)
     else:
         _dump_csv(
             ("name", "kind", "provenance"),
@@ -587,6 +585,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, KeyError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except RecursionError:  # a JSON file or a presentation nested past the stack
+        sys.stderr.write("error: the input is nested too deeply\n")
         return USAGE_ERROR
 
 

@@ -7,9 +7,10 @@ new values and never mutate their inputs.  All arithmetic is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+
+from ._record import record
 
 
 class MalformedSimplexError(ValueError):
@@ -24,7 +25,13 @@ class NonOrientableError(ValueError):
     """Raised when an operation requires an orientable input."""
 
 
-@dataclass(frozen=True)
+# The most steps face enumeration may take: the sum of 2^|f| - 1 over the
+# facets.  66 666 disjoint tetrahedra come nearest it, at 999 990 steps, 2.6 s
+# and a 140 MiB peak (2 vCPUs, Python 3.11); T^3 with k = 10 takes 90 000.
+MAX_FACE_STEPS = 10 ** 6
+
+
+@record
 class SimplicialComplex:
     """A simplicial complex given by its facets.
 
@@ -46,6 +53,11 @@ class SimplicialComplex:
                 raise ValueError(f"facet {f} is not strictly sorted")
             if f and (f[0] < 0 or f[-1] >= self.vertex_count):
                 raise ValueError(f"facet {f} has vertices outside 0..{self.vertex_count - 1}")
+        if sum((1 << len(f)) - 1 for f in self.facets) > MAX_FACE_STEPS:
+            raise ValueError(
+                f"enumerating the faces takes more than {MAX_FACE_STEPS} steps "
+                "(2^|f| - 1 per facet f), past the cap"
+            )
 
     @property
     def dim(self) -> int | None:
@@ -75,7 +87,7 @@ class SimplicialComplex:
         return self.faces_by_dim[k]
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryMatrix:
     """Sparse integer matrix of the k-th simplicial boundary operator.
 
@@ -114,7 +126,8 @@ def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
         tup = tuple(raw)
         if len(set(tup)) != len(tup):
             raise MalformedSimplexError(f"repeated vertex in simplex {tup}")
-        cleaned.append(tuple(sorted(tup)))
+        if tup:  # the empty simplex is a face of every simplex, never a facet
+            cleaned.append(tuple(sorted(tup)))
     cleaned = sorted(set(cleaned), key=lambda f: (-len(f), f))
     maximal: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
@@ -153,7 +166,7 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> BoundaryMatrix:
     return BoundaryMatrix(k, rows, cols, tuple(entries))
 
 
-@dataclass(frozen=True)
+@record
 class PseudomanifoldReport:
     """Verdict plus diagnostics for the pseudomanifold predicate."""
 
@@ -213,7 +226,7 @@ def _facet_graph_connected(complex_, incidence) -> bool:
     return len(seen) == n
 
 
-@dataclass(frozen=True)
+@record
 class OrientationResult:
     orientable: bool
     signs: tuple[int, ...] | None  # one sign per facet when orientable

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
+from ._record import record
 from .complexes import SimplicialComplex, from_facets
 
 _COMPLEX_NAMES = (
@@ -17,7 +17,7 @@ _COMPLEX_NAMES = (
 _GRAPH_NAMES = ("petersen",)
 
 
-@dataclass(frozen=True)
+@record
 class CorpusEntry:
     name: str
     kind: str  # "complex" | "graph"

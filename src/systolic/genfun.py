@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from ._record import record
 
-@dataclass(frozen=True)
+
+@record
 class RationalSequence:
     """Finite exact sequence s_1, s_2, ... (1-indexed semantics).
 
@@ -48,7 +49,7 @@ class RationalSequence:
         return cls(tuple(map(Fraction, values)))
 
 
-@dataclass(frozen=True)
+@record
 class RecurrenceVerdict:
     """Outcome of recurrence detection.
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+from ._record import record
 
 # The most vertices a graph may have, in a file or as a search target: above
 # 6**7 = 279_936, the top of the degree-7 vertex window at l=7.
@@ -37,7 +38,7 @@ class GirthSearchError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
@@ -76,7 +77,7 @@ class Graph:
         return {"n": self.vertex_count, "edges": [list(e) for e in self.edges]}
 
 
-@dataclass(frozen=True)
+@record
 class MetricGraph:
     """Graph with one uniform rational edge length."""
 
@@ -279,19 +280,15 @@ def construct_regular_girth(
     )
 
 
-@dataclass
 class SearchCounts:
     """Deterministic tallies of one girth search: abandoned attempts, steps
     taken, drawn partners rejected as too near, steps that listed the
     admissible partners, double swaps made and stubs rotated by a
     reshuffle."""
 
-    restarts: int = 0
-    steps: int = 0
-    rejections: int = 0
-    listings: int = 0
-    swaps: int = 0
-    rotations: int = 0
+    def __init__(self):
+        self.restarts = self.steps = self.rejections = 0
+        self.listings = self.swaps = self.rotations = 0
 
     def __str__(self):
         return (f"{self.restarts} restarts, {self.steps} steps, "

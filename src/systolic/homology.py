@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
+from ._record import record
 from .complexes import SimplicialComplex, boundary_matrix, face_counts
 from .snf import smith_normal_form
 
 
-@dataclass(frozen=True)
+@record
 class HomologySummary:
     """Betti numbers and torsion invariant factors per dimension."""
 
@@ -158,7 +158,7 @@ def _components(vertex_count: int, edges) -> list[int]:
     return [v for v in range(vertex_count) if root(v) == v]
 
 
-@dataclass(frozen=True)
+@record
 class TriangleTorsionReport:
     """Triangle count versus the 2*log3 |Tors H_1| lower bound."""
 

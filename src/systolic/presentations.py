@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
+from ._record import record
 from .snf import smith_normal_form
 
 
@@ -33,7 +33,7 @@ def commutator(u, v) -> tuple[int, ...]:
     return free_reduce(u + v + inverse_word(u) + inverse_word(v))
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     generator_count: int
     relators: tuple[tuple[int, ...], ...]
@@ -58,7 +58,7 @@ class Presentation:
         return {key: value for key, value in sums.items() if value}
 
 
-@dataclass(frozen=True)
+@record
 class AbelianizedGroup:
     """Z^free_rank plus cyclic factors in a divisibility chain."""
 

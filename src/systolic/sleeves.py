@@ -10,13 +10,13 @@ condition girth * 2 eps > 1, which is checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .graphs import Graph, girth, vertex_window
 
 
-@dataclass(frozen=True)
+@record
 class CubicalModel:
     """Dimension m >= 3 and cube count c >= 2m+1 of a cubical decomposition."""
 
@@ -32,7 +32,7 @@ class CubicalModel:
             )
 
 
-@dataclass(frozen=True)
+@record
 class AssemblyReport:
     """Certified data of one assembly: exact volume, systole bound, upper bound."""
 

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 # The most entry updates, rows * cols * min(rows, cols), allowed for the dense
 # reduction of one residual block: about 0.5 s for a square 144 x 144 block of
@@ -54,7 +55,7 @@ class ResidualCapError(ValueError):
     """A residual block is past MAX_RESIDUAL_WORK, so its Smith form is refused."""
 
 
-@dataclass(frozen=True)
+@record
 class SmithForm:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
 

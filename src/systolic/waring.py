@@ -15,7 +15,8 @@ so it grows geometrically: to min(max(k, twice the old limit), the cap).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+
+from ._record import record
 
 # the largest k the tables accept
 CAP = 10_000_000
@@ -27,7 +28,7 @@ class WaringCapError(ValueError):
     """k exceeds the desk-scale cap."""
 
 
-@dataclass(frozen=True)
+@record
 class WaringDecomposition:
     """k = sum of parts[i]^d with a minimal number of parts."""
 
@@ -182,7 +183,7 @@ def min_powers(k: int, d: int) -> WaringDecomposition:
     return WaringDecomposition(k, d, tuple(parts))
 
 
-@dataclass(frozen=True)
+@record
 class FourthPowerReport:
     """Scan result: max minimal count for k <= limit and where it is attained."""
 

@@ -8,7 +8,8 @@ parts read off a count list, Hankel-style recurrence solving by dense
 elimination over fractions, Berlekamp-Massey and its replay on
 ``Fraction`` terms (``_lfsr_synthesis`` and ``_replays``, with the
 verdict built from them in ``recurrence_verdict``), the girth as a full
-BFS from every vertex, and the ball around a vertex by plain BFS.
+BFS from every vertex, the ball around a vertex by plain BFS, and
+``dataclass_twin``, a record class rebuilt as the frozen dataclass it was.
 None of this shares code paths with the implementation under test, with
 one exception: ``homology`` is the package's homology before reduction
 pairs, the Smith form of every full boundary matrix, so it shares
@@ -16,6 +17,7 @@ pairs, the Smith form of every full boundary matrix, so it shares
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import deque
@@ -509,3 +511,23 @@ def _ball(adj, root, radius):
                     nxt.append(nb)
         frontier = nxt
     return seen
+
+
+# what @record adds to a class, which the twin gets from dataclass instead
+_RECORD_MEMBERS = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+                   "__record_fields__", "__dict__", "__weakref__", "__annotations__"}
+
+
+def dataclass_twin(cls):
+    """``cls`` declared as ``@dataclass(frozen=True)``: the same annotations,
+    defaults, ``__post_init__`` and other methods, under the same name."""
+    annotations = vars(cls)["__annotations__"]
+    spec = [
+        (name, kind, dataclasses.field(default=vars(cls)[name])) if name in vars(cls) else (name, kind)
+        for name, kind in annotations.items()
+    ]
+    namespace = {
+        key: value for key, value in vars(cls).items()
+        if key not in _RECORD_MEMBERS and key not in annotations
+    }
+    return dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace, frozen=True)

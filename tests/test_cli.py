@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import systolic.cli as cli_mod
 import systolic.homology as homology_mod
 from systolic.cli import EVALUATORS, main
-from systolic import __version__, bounds, graphs, presentations, snf
+from systolic import __version__, bounds, complexes, graphs, presentations, snf
 from systolic.corpus import corpus_list
 from test_snf import _freudenthal_torus
 
@@ -47,6 +48,25 @@ class TestHomologyCommand:
         code, _, err = run_cli(["homology"], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["homology", "check-torsion-bound"])
+    def test_faces_past_the_cap_are_refused_at_once(self, command, tmp_path, capsys):
+        # one 40-vertex facet has 2^40 - 1 faces
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps({"facets": [list(range(40))]}))
+        start = time.perf_counter()
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(complexes.MAX_FACE_STEPS) in err
+
+    def test_faces_at_the_cap_are_accepted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(complexes, "MAX_FACE_STEPS", 2 ** 12 - 1)
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps({"facets": [list(range(12))]}))
+        code, out, _ = run_cli(["homology", str(path)], capsys)
+        assert (code, json.loads(out)["betti"]) == (0, [1] + [0] * 11)
 
     def test_one_homology_call_per_complex(self, capsys, monkeypatch):
         calls = []
@@ -85,6 +105,57 @@ def test_homology_bytes_pinned(args, digest, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _record_inputs(tmp_path):
+    """Files for the record-serialising commands: a 7-regular circulant, a
+    sequence with a rational order-2 recurrence and one without."""
+    graph = tmp_path / "circulant.json"
+    edges = {tuple(sorted((i, (i + d) % 26))) for i in range(26) for d in (1, 2, 3, 13)}
+    graph.write_text(json.dumps({"n": 26, "edges": sorted(map(list, edges))}))
+    terms = [Fraction(3, 2), Fraction(-1, 5)]
+    while len(terms) < 16:
+        terms.append(Fraction(1, 2) * terms[-1] + Fraction(7, 3) * terms[-2])
+    recurrent = tmp_path / "recurrent.json"
+    recurrent.write_text(json.dumps({"terms": [str(t) for t in terms]}))
+    primes = tmp_path / "primes.json"
+    primes.write_text(json.dumps({"terms": [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]}))
+    return {"circulant": graph, "recurrent": recurrent, "primes": primes}
+
+
+# sha256 of stdout, computed while the records were still dataclasses: each
+# payload walks a record's fields, so a change in field order, a default or
+# the form of a value shows here
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["sleeve", "--m", "3", "--c", "7", "--eps", "1/5", "--graph", "{circulant}"],
+         "6d85f0fc9c9efb5142d4793a2c5cc4899874fb53732e8be575b6b84a4ebcdd3e"),
+        (["waring", "--k", "79", "--d", "4"],
+         "00d7736a846f6552dee34f25bead1c84e41728ed58d6084c300437710f809443"),
+        (["waring", "--k", "1000003", "--d", "3"],
+         "9128e1c6d6d682ea74027a6a1043680b1a4076c86a162ce9e2df136dcd563eb4"),
+        (["waring", "verify", "--limit", "2000"],
+         "e3c6b8a4a7fe996da3f258a14ab19b5bd4e318d962263b0f463a84444fc87569"),
+        (["genfun", "detect", "--file", "{recurrent}", "--max-order", "4"],
+         "0434d10d39deb437db5eda78e94b9760f6b3c9ded61a849d239466b64c5e01a1"),
+        (["genfun", "detect", "--file", "{primes}", "--max-order", "3"],
+         "d36f6bac193c2b87b17ec901e6c0dc99670ac23028f904c5f36bf7b34ca2345f"),
+        (["bounds", "group-count", "--value", "14"],
+         "8effda58c5e805fa072a096ae2c2c702b40c590080c0a407c8f7d454c6ffbaab"),
+        (["bounds", "group-count", "--value", "300"],
+         "539132e4dbcfc2618320f78a7b51bbe7891684e1e470f8da2105e8eea31a089d"),
+        (["bounds", "sandwich", "--value", "10"],
+         "76948fb8d3ee2b9ef8825b4598ed12cb8f46b034f391d1559878d35ce9372f1a"),
+        (["corpus", "--format", "json"],
+         "d12abf1cd2d729733b8e8905207a388e13f16764ea8f7266897ed072018516f1"),
+    ],
+)
+def test_record_bytes_pinned(args, digest, tmp_path, capsys):
+    paths = _record_inputs(tmp_path)
+    code, out, _ = run_cli([arg.format(**paths) for arg in args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestTorsionBoundCommand:
     def test_corpus_rows_all_hold(self, capsys):
         code, out, _ = run_cli(["check-torsion-bound", "--corpus"], capsys)
@@ -113,6 +184,13 @@ class TestAbelianizeCommand:
             code, out, err = run_cli(["abelianize", text], capsys)
             assert (code, out) == (2, "")
             assert err == f"error: relators expand past the cap of {cap} letters\n"
+
+    def test_deep_nesting_is_refused(self, capsys):
+        code, out, _ = run_cli(["abelianize", "a ; " + "(" * 200 + "a^2" + ")" * 200], capsys)
+        assert (code, json.loads(out)) == (0, {"free_rank": 0, "torsion_factors": [2]})
+        for depth in (990, 100_000):
+            code, out, err = run_cli(["abelianize", "a ; " + "(" * depth + "a" + ")" * depth], capsys)
+            assert (code, out, err) == (2, "", "error: the input is nested too deeply\n")
 
     def test_residual_past_the_cap_is_refused_at_once(self, capsys):
         # three powers from {2, 3, -6} per relator: no unit entry, one large residual block
@@ -685,6 +763,8 @@ def _command(kind, path, eps="1/3"):
         return ["sleeve", "--m", "3", "--c", "7", "--eps", eps, "--graph", path]
     if kind == "bounds":
         return ["bounds", "simvol", "--value", "10", "--constants", path]
+    if kind == "sweep":
+        return ["sweep", "--spec", path]
     return [kind, path]
 
 
@@ -780,6 +860,14 @@ class TestMalformedInput:
         code, out, err = run_cli(_command(kind, str(path)), capsys)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["homology", "check-torsion-bound", "girth", "genfun", "sweep", "bounds"])
+    def test_deeply_nested_json(self, kind, tmp_path, capsys):
+        # the JSON decoder recursed into a RecursionError, which exited 1
+        path = tmp_path / "input.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(_command(kind, str(path)), capsys)
+        assert (code, out, err) == (2, "", "error: the input is nested too deeply\n")
 
     def test_unrepresentable_eps(self, tmp_path, capsys):
         graph = tmp_path / "g.json"
@@ -877,7 +965,8 @@ class TestDeterminism:
 
 
 # Runs one command in a fresh interpreter and writes, as the last line of
-# stderr, its exit code and the systolic modules it loaded.
+# stderr, its exit code and the systolic modules it loaded, with dataclasses
+# and inspect among them if it loaded those.
 _LOADED_MODULES = """
 import json, sys
 from systolic.cli import main
@@ -885,7 +974,7 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-modules = sorted(name for name in sys.modules if name.split(".")[0] == "systolic")
+modules = sorted(name for name in sys.modules if name.split(".")[0] in ("systolic", "dataclasses", "inspect"))
 sys.stderr.write("\\n" + json.dumps({"code": code, "modules": modules}) + "\\n")
 """
 
@@ -899,6 +988,11 @@ class TestImportsPerCommand:
             '{"vertices": 4, "facets": [[0,1,2],[0,1,3],[0,2,3],[1,2,3]]}'
         )
         (tmp_path / "seq.json").write_text('{"terms": ["1", "1", "2", "3", "5", "8", "13", "21"]}')
+        (tmp_path / "constants.json").write_text('{"m": 2, "pair_upper": 3.0}')
+        (tmp_path / "spec.json").write_text(
+            '{"command": "check-torsion-bound", "grid": {"name": ["rp2_min", "torus_7"]}}'
+        )
+        _record_inputs(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-c", _LOADED_MODULES, *(a.format(tmp=tmp_path) for a in args)],
             capture_output=True, text=True, check=False,
@@ -928,3 +1022,27 @@ class TestImportsPerCommand:
         loaded = self.loaded(args, tmp_path)
         assert runs in loaded
         assert not loaded & {"complexes", "graphs"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["homology", "{tmp}/sphere.json"],
+            ["check-torsion-bound", "{tmp}/sphere.json"],
+            ["abelianize", "a,b,c ; [a,b]c^-5, [a,c], [b,c]"],
+            ["girth", "{tmp}/circulant.json", "--edge-length", "1/4"],
+            ["build-graph", "--c", "3", "--girth", "5", "--vertices", "10"],
+            ["sleeve", "--m", "3", "--c", "7", "--eps", "1/5", "--graph", "{tmp}/circulant.json"],
+            ["bounds", "group-count", "--value", "14"],
+            ["bounds", "sandwich", "--value", "10", "--constants", "{tmp}/constants.json"],
+            ["waring", "--k", "79", "--d", "4"],
+            ["waring", "verify", "--limit", "100"],
+            ["genfun", "detect", "--file", "{tmp}/recurrent.json", "--max-order", "4"],
+            ["corpus", "--format", "json"],
+            ["sweep", "--spec", "{tmp}/spec.json"],
+        ],
+    )
+    def test_no_command_loads_dataclasses_or_inspect(self, args, tmp_path):
+        # records come from systolic._record, which imports nothing
+        loaded = self.loaded(args, tmp_path)
+        assert len(loaded) > 2
+        assert not loaded & {"dataclasses", "inspect"}

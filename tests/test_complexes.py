@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from systolic import complexes
 from systolic.complexes import (
     MalformedSimplexError,
     NonOrientableError,
     NotPseudomanifoldError,
+    SimplicialComplex,
     boundary_matrix,
     connected_sum,
     face_counts,
@@ -21,6 +23,7 @@ from systolic.corpus import corpus_complex
 from systolic.homology import homology
 
 import oracles
+from test_snf import _freudenthal_torus
 
 
 RP2 = corpus_complex("rp2_min")
@@ -64,15 +67,38 @@ class TestFromFacets:
             for simplex in list(simplices[:3]):  # duplicates and nested faces
                 simplices.append(simplex[::-1])
                 simplices.append(simplex[1:])
-            distinct = {tuple(sorted(s)) for s in simplices}
+            distinct = {tuple(sorted(s)) for s in simplices if s}
             maximal = tuple(sorted(
                 s for s in distinct if not any(set(s) < set(other) for other in distinct)
             ))
             assert from_facets(simplices).facets == maximal
 
-    def test_empty_simplex_is_kept_only_alone(self):
-        assert from_facets([[]]).facets == ((),)
+    def test_empty_simplex_is_no_facet(self):
+        # [[]] was kept as the facet (), a complex of dimension -1 that passed
+        # as a pseudomanifold; it is the empty complex, as [] is
+        for vertex_count in (None, 3):
+            assert from_facets([[]], vertex_count) == from_facets([], vertex_count)
+        assert from_facets([[]]) == SimplicialComplex(0, ())
+        assert from_facets([[]]).dim is None
+        assert not is_pseudomanifold(from_facets([[]]))
+        with pytest.raises(NotPseudomanifoldError):
+            orient(from_facets([[]]))
         assert from_facets([[], [3]]).facets == ((3,),)
+
+
+class TestFaceCap:
+    def test_at_the_cap_and_one_past(self, monkeypatch):
+        # a tetrahedron and a triangle take 15 + 7 enumeration steps
+        monkeypatch.setattr(complexes, "MAX_FACE_STEPS", 22)
+        assert face_counts(from_facets([[0, 1, 2, 3], [4, 5, 6]])) == [7, 9, 5, 1]
+        with pytest.raises(ValueError, match="more than 22 steps"):
+            from_facets([[0, 1, 2, 3], [4, 5, 6], [7]])
+        with pytest.raises(ValueError, match="more than 22 steps"):
+            SimplicialComplex(8, ((0, 1, 2, 3), (4, 5, 6), (7,)))
+
+    def test_torus_k10_is_well_below_the_cap(self):
+        steps = sum(2 ** len(f) - 1 for f in _freudenthal_torus(10).facets)
+        assert steps == 90_000 and 10 * steps <= complexes.MAX_FACE_STEPS
 
 
 class TestFaceCounts:

@@ -40,3 +40,9 @@ def test_every_export_has_a_caller():
         for name in sorted(_public_definitions(module) - referenced)
     ]
     assert unread == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
