@@ -49,7 +49,9 @@ SAMPLES = {
         homology.check_s2_torsion_bound(RP2), homology.check_s2_torsion_bound(corpus_complex("torus_7"))
     ],
     "Presentation": lambda: [PRESENTATION, presentations.parse_presentation("a ; a^2")],
-    "AbelianizedGroup": lambda: [presentations.abelianization(PRESENTATION), presentations.AbelianizedGroup(1, ())],
+    "AbelianizedGroup": lambda: [
+        presentations.abelianization(PRESENTATION), presentations.AbelianizedGroup(1, ())
+    ],
     "CubicalModel": lambda: [sleeves.CubicalModel(3, 7), sleeves.CubicalModel(4, 9)],
     "AssemblyReport": lambda: [
         sleeves.assemble(sleeves.CubicalModel(3, 7), Fraction(1, 5), CIRCULANT),
@@ -104,7 +106,8 @@ def test_record_matches_its_dataclass_twin(name):
     first, second = SAMPLES[name]()
     assert type(first) is cls and first != second
     assert fields(cls) == fields(first) == tuple(f.name for f in dataclasses.fields(twin))
-    pairs = [(first, _twin_of(first, twin)), (second, _twin_of(second, twin)), (replace(first), _twin_of(first, twin))]
+    pairs = [(made, _twin_of(made, twin)) for made in (first, second)]
+    pairs.append((replace(first), pairs[0][1]))
     for made, twin_made in pairs:
         assert repr(made) == repr(twin_made)
         assert hash(made) == hash(twin_made)
@@ -131,7 +134,7 @@ def test_record_matches_its_dataclass_twin(name):
         lambda c: c(*list(values.values())[:1]),  # all but the first missing, if required
         lambda c: c(value0, **values),  # the first field twice
         lambda c: c(*values.values(), value0),  # one positional too many
-        lambda c: c(*values.values()),
+        lambda c: c(*values.values()),  # every field by position
     ):
         assert _outcome(lambda: make(cls)) == _outcome(lambda: make(twin))
     assert "unexpected keyword argument 'a'" in _outcome(lambda: cls(**values, a=1))[1]
