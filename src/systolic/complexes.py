@@ -130,12 +130,16 @@ def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
             cleaned.append(tuple(sorted(tup)))
     cleaned = sorted(set(cleaned), key=lambda f: (-len(f), f))
     maximal: list[tuple[int, ...]] = []
-    seen: set[frozenset[int]] = set()
-    for f in cleaned:  # longest first, so containment checks see all candidates
-        fs = frozenset(f)
-        if len(f) < len(cleaned[0]) and any(fs <= other for other in seen):  # none is longer than the first
+    holders: dict[int, set[int]] = {}  # vertex -> positions in maximal of the kept facets on it
+    for f in cleaned:  # longest first, so every facet that could contain f is indexed
+        # f lies in a kept facet iff its vertices' holder sets meet (smallest
+        # set first); a longest facet lies in no other
+        if len(f) < len(cleaned[0]) and set.intersection(
+            *sorted((holders.get(v, set()) for v in f), key=len)
+        ):
             continue
-        seen.add(fs)
+        for v in f:
+            holders.setdefault(v, set()).add(len(maximal))
         maximal.append(f)
     maximal.sort()
     used_max = max((f[-1] for f in maximal if f), default=-1)

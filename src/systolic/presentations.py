@@ -1,8 +1,10 @@
 """Finite group presentations and their abelian invariants.
 
-Words are sequences of nonzero signed generator indices (1-based): ``3``
-is the third generator, ``-3`` its inverse.  Only abelian invariants are
-computed; no Tietze moves, no word problem.
+Only abelian invariants are computed, so a relator is kept as its
+exponent-sum row: the nonzero ``(generator, sum)`` pairs, with generators
+0-based and strictly increasing.  The parser builds these rows directly and
+never writes a word out letter by letter; there are no Tietze moves and no
+word problem.
 """
 from __future__ import annotations
 
@@ -13,49 +15,22 @@ from ._record import record
 from .snf import smith_normal_form
 
 
-def free_reduce(word) -> tuple[int, ...]:
-    """Cancel adjacent x, x^-1 pairs."""
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def inverse_word(word) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(tuple(word)))
-
-
-def commutator(u, v) -> tuple[int, ...]:
-    u, v = tuple(u), tuple(v)
-    return free_reduce(u + v + inverse_word(u) + inverse_word(v))
-
-
 @record
 class Presentation:
     generator_count: int
-    relators: tuple[tuple[int, ...], ...]
+    relators: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
         if self.generator_count < 1:
             raise ValueError("a presentation needs at least one generator")
-        reduced = tuple(free_reduce(r) for r in self.relators)
-        object.__setattr__(self, "relators", reduced)
-        for rel in reduced:
-            for letter in rel:
-                if letter == 0 or abs(letter) > self.generator_count:
-                    raise ValueError(f"letter {letter} out of range in relator {rel}")
-
-    def exponent_sums(self) -> dict[tuple[int, int], int]:
-        """Nonzero exponent sums {(relator, generator): sum}, indexed from 0."""
-        sums: dict[tuple[int, int], int] = {}
-        for i, rel in enumerate(self.relators):
-            for letter in rel:
-                key = (i, abs(letter) - 1)
-                sums[key] = sums.get(key, 0) + (1 if letter > 0 else -1)
-        return {key: value for key, value in sums.items() if value}
+        for rel in self.relators:
+            previous = -1
+            for generator, total in rel:
+                if type(generator) is not int or not previous < generator < self.generator_count:
+                    raise ValueError(f"generator {generator!r} out of range or order in relator {rel}")
+                if type(total) is not int or total == 0:
+                    raise ValueError(f"exponent sum {total!r} in relator {rel} is not a nonzero integer")
+                previous = generator
 
 
 @record
@@ -82,7 +57,8 @@ class AbelianizedGroup:
 def abelianization(presentation: Presentation) -> AbelianizedGroup:
     """Abelian invariants from the Smith form of the exponent-sum matrix."""
     shape = (len(presentation.relators), presentation.generator_count)
-    form = smith_normal_form(presentation.exponent_sums(), shape)
+    entries = {(i, j): v for i, rel in enumerate(presentation.relators) for j, v in rel}
+    form = smith_normal_form(entries, shape)
     return AbelianizedGroup(
         presentation.generator_count - form.rank, form.torsion_factors
     )
@@ -93,20 +69,18 @@ def heisenberg_presentation(n: int) -> Presentation:
 
     Generators a, b, c with [a, b] = c^n and c central; derived from the
     matrix generators (x=n), (y=1), (z=1) of the upper triangular group.
+    The relators [a, b] c^-n, [a, c], [b, c] have exponent sums -n on c and
+    zero elsewhere.
     """
     if n < 1:
         raise ValueError("lattice scale n must be a positive integer")
-    a, b, c = 1, 2, 3
-    relators = (
-        free_reduce(commutator([a], [b]) + (-c,) * n),
-        commutator([a], [c]),
-        commutator([b], [c]),
-    )
-    return Presentation(3, relators)
+    return Presentation(3, (((2, -n),), (), ()))
 
 
-# The most letters the relators of a parsed presentation may expand to,
-# counting every power and commutator as it is written out.
+# The most letters the relators of a parsed presentation may expand to.  An
+# atom raised to ^k counts |k| times the sum of the absolute exponent sums in
+# its row, before the row is scaled, so a huge power is refused at once; a
+# reduced word has at least as many letters as that sum.
 MAX_LETTERS = 1_000_000
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\[|\]|\(|\)|,|\^|-?\d+)")
@@ -117,7 +91,8 @@ def parse_presentation(text: str) -> Presentation:
 
     Words are juxtapositions of atoms; an atom is a generator name, a
     commutator ``[u,v]``, or a parenthesised word, optionally followed by
-    ``^k`` with integer k.
+    ``^k`` with integer k.  A word's row is the sum of its atoms' rows, each
+    times its k; a commutator's row is zero once both sides have parsed.
     """
     if ";" not in text:
         raise ValueError("presentation string must be '<generators> ; <relators>'")
@@ -125,28 +100,13 @@ def parse_presentation(text: str) -> Presentation:
     names = [g.strip() for g in gen_part.split(",") if g.strip()]
     if not names or len(set(names)) != len(names):
         raise ValueError("generator names must be nonempty and distinct")
-    index = {name: i + 1 for i, name in enumerate(names)}
-    expanded = 0
+    index = {name: i for i, name in enumerate(names)}
+    lengths = sorted({len(name) for name in names}, reverse=True)
+    counted = 0
 
-    def expand(letters: int) -> None:
-        # counted before the letters are written, so a huge power is refused
-        nonlocal expanded
-        expanded += letters
-        if expanded > MAX_LETTERS:
-            raise ValueError(f"relators expand past the cap of {MAX_LETTERS} letters")
-
-    def tokenize(s: str) -> list[str]:
-        tokens, pos = [], 0
-        while pos < len(s):
-            match = _TOKEN.match(s, pos)
-            if not match:
-                raise ValueError(f"bad syntax near {s[pos:pos + 12]!r}")
-            tokens.append(match.group(1))
-            pos = match.end()
-        return tokens
-
-    def parse_word(tokens: list[str], pos: int, stop: set[str]) -> tuple[tuple[int, ...], int]:
-        word: list[int] = []
+    def parse_word(tokens: list[str], pos: int, stop: set[str]) -> tuple[dict[int, int], int]:
+        nonlocal counted
+        row: dict[int, int] = {}
         while pos < len(tokens) and tokens[pos] not in stop:
             atom, pos = parse_atom(tokens, pos)
             exponent = 1
@@ -156,51 +116,68 @@ def parse_presentation(text: str) -> Presentation:
                 except (IndexError, ValueError):
                     raise ValueError("'^' must be followed by an integer") from None
                 pos += 2
-            if exponent < 0:
-                atom, exponent = inverse_word(atom), -exponent
-            expand(len(atom) * exponent)
-            word.extend(atom * exponent)
-        return free_reduce(word), pos
+            counted += abs(exponent) * sum(map(abs, atom.values()))
+            if counted > MAX_LETTERS:
+                raise ValueError(f"relators expand past the cap of {MAX_LETTERS} letters")
+            for generator, total in atom.items():
+                row[generator] = row.get(generator, 0) + exponent * total
+        return row, pos
 
-    def parse_atom(tokens: list[str], pos: int) -> tuple[tuple[int, ...], int]:
+    def parse_atom(tokens: list[str], pos: int) -> tuple[dict[int, int], int]:
         tok = tokens[pos]
         if tok == "[":
-            left, pos = parse_word(tokens, pos + 1, {","})
-            right, pos = parse_word(tokens, pos + 1, {"]"})
-            expand(2 * (len(left) + len(right)))
-            return commutator(left, right), pos + 1
+            _, pos = parse_word(tokens, pos + 1, {","})
+            _, pos = parse_word(tokens, pos + 1, {"]"})
+            return {}, pos + 1
         if tok == "(":
             inner, pos = parse_word(tokens, pos + 1, {")"})
             return inner, pos + 1
         if tok in index:
-            return (index[tok],), pos + 1
-        segmented = _segment(tok, index)
+            return {index[tok]: 1}, pos + 1
+        segmented = _segment(tok, index, lengths)
         if segmented is not None:
             return segmented, pos + 1
         raise ValueError(f"unknown generator or token {tok!r}")
 
     relators = []
     for chunk in _split_relators(rel_part):
-        tokens = tokenize(chunk)
-        word, pos = parse_word(tokens, 0, set())
+        tokens = _tokenize(chunk)
+        row, pos = parse_word(tokens, 0, set())
         if pos != len(tokens):
             raise ValueError(f"trailing tokens in relator {chunk!r}")
-        relators.append(word)
+        relators.append(tuple(sorted((g, total) for g, total in row.items() if total)))
     return Presentation(len(names), tuple(relators))
 
 
-def _segment(token: str, index: dict[str, int]) -> tuple[int, ...] | None:
-    """Greedy longest-match split of a juxtaposed identifier like 'ab' into a, b."""
-    names = sorted(index, key=len, reverse=True)
-    out: list[int] = []
+def _tokenize(s: str) -> list[str]:
+    tokens, pos = [], 0
+    while pos < len(s):
+        match = _TOKEN.match(s, pos)
+        if not match:
+            raise ValueError(f"bad syntax near {s[pos:pos + 12]!r}")
+        tokens.append(match.group(1))
+        pos = match.end()
+    return tokens
+
+
+def _segment(token: str, index: dict[str, int], lengths: list[int]) -> dict[int, int] | None:
+    """Greedy longest-match split of a juxtaposed identifier like 'ab' into a, b.
+
+    ``lengths`` holds the distinct name lengths, longest first; at most one
+    name of each length starts at a position.  Returns the names' counts.
+    """
+    row: dict[int, int] = {}
     pos = 0
     while pos < len(token):
-        match = next((n for n in names if token.startswith(n, pos)), None)
-        if match is None:
+        for n in lengths:
+            name = token[pos:pos + n]
+            if name in index:
+                break
+        else:
             return None
-        out.append(index[match])
-        pos += len(match)
-    return tuple(out)
+        row[index[name]] = row.get(index[name], 0) + 1
+        pos += len(name)
+    return row
 
 
 def _split_relators(text: str) -> list[str]:

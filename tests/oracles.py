@@ -9,11 +9,14 @@ elimination over fractions, Berlekamp-Massey and its replay on
 ``Fraction`` terms (``_lfsr_synthesis`` and ``_replays``, with the
 verdict built from them in ``recurrence_verdict``), the girth as a full
 BFS from every vertex, the ball around a vertex by plain BFS, and
-``dataclass_twin``, a record class rebuilt as the frozen dataclass it was.
+``dataclass_twin``, a record class rebuilt as the frozen dataclass it was,
+and ``presentation_rows``, the presentation parse that wrote every relator
+out letter by letter, free-reduced it and summed its letters.
 None of this shares code paths with the implementation under test, with
-one exception: ``homology`` is the package's homology before reduction
+two exceptions: ``homology`` is the package's homology before reduction
 pairs, the Smith form of every full boundary matrix, so it shares
-``smith_normal_form`` (itself checked against the naive reductions here).
+``smith_normal_form`` (itself checked against the naive reductions here);
+``presentation_rows`` shares the relator splitter and the tokenizer.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from fractions import Fraction
 from systolic.complexes import SimplicialComplex, boundary_matrix, face_counts
 from systolic.genfun import RecurrenceVerdict
 from systolic.homology import HomologySummary
+from systolic.presentations import MAX_LETTERS, _split_relators, _tokenize
 from systolic.snf import SmithForm, smith_normal_form
 
 
@@ -455,6 +459,96 @@ def merge_torsion_chains(*chains) -> tuple[int, ...]:
                     values[a], values[b] = g, values[a] * values[b] // g
                     changed = True
     return tuple(v for v in values if v > 1)
+
+
+def _free_reduce(word) -> tuple[int, ...]:
+    """Cancel adjacent x, x^-1 pairs."""
+    out: list[int] = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def _inverse_word(word) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(tuple(word)))
+
+
+def presentation_rows(text: str, max_letters: int = MAX_LETTERS):
+    """Exponent-sum rows of a presentation string, read off its letters.
+
+    Words are 1-based signed letters: every power is written out, every
+    commutator expanded as u v u^-1 v^-1 and each word free-reduced; the
+    letters count against ``max_letters`` as they are written.  Returns
+    ``(generator_count, rows)`` in ``Presentation``'s row format.
+    """
+    if ";" not in text:
+        raise ValueError("presentation string must be '<generators> ; <relators>'")
+    gen_part, rel_part = text.split(";", 1)
+    names = [g.strip() for g in gen_part.split(",") if g.strip()]
+    if not names or len(set(names)) != len(names):
+        raise ValueError("generator names must be nonempty and distinct")
+    index = {name: i + 1 for i, name in enumerate(names)}
+    expanded = 0
+
+    def expand(letters: int) -> None:
+        nonlocal expanded
+        expanded += letters
+        if expanded > max_letters:
+            raise ValueError(f"relators expand past the cap of {max_letters} letters")
+
+    def parse_word(tokens, pos, stop):
+        word: list[int] = []
+        while pos < len(tokens) and tokens[pos] not in stop:
+            atom, pos = parse_atom(tokens, pos)
+            exponent = 1
+            if pos < len(tokens) and tokens[pos] == "^":
+                try:
+                    exponent = int(tokens[pos + 1])
+                except (IndexError, ValueError):
+                    raise ValueError("'^' must be followed by an integer") from None
+                pos += 2
+            if exponent < 0:
+                atom, exponent = _inverse_word(atom), -exponent
+            expand(len(atom) * exponent)
+            word.extend(atom * exponent)
+        return _free_reduce(word), pos
+
+    def parse_atom(tokens, pos):
+        tok = tokens[pos]
+        if tok == "[":
+            left, pos = parse_word(tokens, pos + 1, {","})
+            right, pos = parse_word(tokens, pos + 1, {"]"})
+            expand(2 * (len(left) + len(right)))
+            return _free_reduce(left + right + _inverse_word(left) + _inverse_word(right)), pos + 1
+        if tok == "(":
+            inner, pos = parse_word(tokens, pos + 1, {")"})
+            return inner, pos + 1
+        if tok in index:
+            return (index[tok],), pos + 1
+        longest_first = sorted(index, key=len, reverse=True)
+        out, at = [], 0
+        while at < len(tok):
+            match = next((n for n in longest_first if tok.startswith(n, at)), None)
+            if match is None:
+                raise ValueError(f"unknown generator or token {tok!r}")
+            out.append(index[match])
+            at += len(match)
+        return tuple(out), pos + 1
+
+    rows = []
+    for chunk in _split_relators(rel_part):
+        tokens = _tokenize(chunk)
+        word, pos = parse_word(tokens, 0, set())
+        if pos != len(tokens):
+            raise ValueError(f"trailing tokens in relator {chunk!r}")
+        sums: dict[int, int] = {}
+        for letter in word:
+            sums[abs(letter) - 1] = sums.get(abs(letter) - 1, 0) + (1 if letter > 0 else -1)
+        rows.append(tuple(sorted((g, total) for g, total in sums.items() if total)))
+    return len(names), tuple(rows)
 
 
 def minimal_parts_by_search(k: int, d: int) -> int:

@@ -1,16 +1,17 @@
+import random
+import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from systolic import presentations
 from systolic.presentations import (
     AbelianizedGroup,
     Presentation,
     abelianization,
-    commutator,
-    free_reduce,
     heisenberg_presentation,
-    inverse_word,
     parse_presentation,
 )
 
@@ -18,23 +19,41 @@ import oracles
 
 
 class TestWords:
-    def test_free_reduction(self):
-        assert free_reduce([1, 2, -2, -1, 3]) == (3,)
-
-    def test_inverse(self):
-        assert inverse_word((1, 2, -3)) == (3, -2, -1)
-
-    def test_commutator_expansion(self):
-        assert commutator([1], [2]) == (1, 2, -1, -2)
-
     def test_out_of_range_letter(self):
         with pytest.raises(ValueError):
-            Presentation(2, ((3,),))
+            Presentation(2, (((2, 1),),))
+
+    @pytest.mark.parametrize("row", [
+        ((-1, 1),), ((0, 0),), ((1, 2), (0, 1)), ((0, 1), (0, 1)), ((0, 1.0),), ((0, True),),
+    ])
+    def test_rows_other_than_increasing_nonzero_sums_are_refused(self, row):
+        with pytest.raises(ValueError):
+            Presentation(2, (row,))
+
+    def test_rows_are_sorted_nonzero_exponent_sums(self):
+        presentation = parse_presentation("a,b,c ; c^2 a b^-1 a^-1 b, (ab)^-3 [a,c]^5, a a^-1")
+        assert presentation.relators == (((2, 2),), ((0, -3), (1, -3)), ())
+
+    def test_juxtaposed_names_take_the_longest_name_first(self):
+        presentation = parse_presentation("a, ab, abc, c ; abcab, aab^2, cabc")
+        assert presentation.relators == (((1, 1), (2, 1)), ((0, 2), (1, 2)), ((2, 1), (3, 1)))
+
+    def test_segmentation_time_is_linear_in_the_tokens(self):
+        # 6000 generators and 4000 tokens of two juxtaposed names, an 81 KB
+        # string; every name was re-sorted and scanned for each token before
+        rng = random.Random(6)
+        names = [f"x{i}" for i in range(6000)]
+        pairs = [rng.sample(range(6000), 2) for _ in range(4000)]
+        text = ",".join(names) + " ; " + ", ".join(names[i] + names[j] for i, j in pairs)
+        start = time.perf_counter()
+        presentation = parse_presentation(text)
+        assert time.perf_counter() - start < 1.0
+        assert presentation.relators == tuple(tuple(sorted(((i, 1), (j, 1)))) for i, j in pairs)
 
 
 class TestAbelianization:
     def test_commutator_relator_gives_free_abelian(self):
-        image = abelianization(Presentation(2, (commutator([1], [2]),)))
+        image = abelianization(parse_presentation("a,b ; [a,b]"))
         assert image == AbelianizedGroup(2, ())
 
     def test_cyclic(self):
@@ -145,7 +164,8 @@ class TestParser:
 def test_abelianization_invariant_under_relator_shuffle_and_inversion(perm, flips):
     base = heisenberg_presentation(6)
     relators = [base.relators[i] for i in perm]
-    relators = [inverse_word(r) if flip else r for r, flip in zip(relators, flips)]
+    # inverting a relator negates its row
+    relators = [tuple((g, -total) for g, total in r) if flip else r for r, flip in zip(relators, flips)]
     shuffled = Presentation(3, tuple(relators))
     assert abelianization(shuffled) == abelianization(base)
 
@@ -154,3 +174,83 @@ def test_abelianization_invariant_under_relator_shuffle_and_inversion(perm, flip
 def test_free_product_torsion_orders_multiply(n1, n2):
     image = abelianization(parse_presentation(f"a,b ; a^{n1}, b^{n2}"))
     assert image.torsion_order == n1 * n2
+
+
+NAME_POOL = ("a", "b", "c", "ab", "abc", "ba", "x1", "x12", "y", "_z")
+
+
+def _random_presentation(rng: random.Random) -> str:
+    """Nested powers, zero and negative exponents, commutators, parentheses
+    and juxtaposed names of mixed lengths, with a few stray edits."""
+    names = rng.sample(NAME_POOL, rng.randint(1, 5))
+
+    def word(depth: int) -> str:
+        return " ".join(atom(depth) for _ in range(rng.randint(0 if depth else 1, 3)))
+
+    def atom(depth: int) -> str:
+        kinds = ("name", "name", "juxtaposed", "commutator", "parens")
+        kind = rng.choice(kinds if depth < 3 else kinds[:3])
+        if kind == "name":
+            text = rng.choice(names)
+        elif kind == "juxtaposed":
+            text = "".join(rng.choice(names) for _ in range(rng.randint(2, 3)))
+        elif kind == "commutator":
+            text = f"[{word(depth + 1)},{word(depth + 1)}]"
+        else:
+            text = f"({word(depth + 1)})"
+        if rng.random() < 0.5:
+            text += f"^{rng.randint(-12, 12)}"
+        return text
+
+    text = ",".join(names) + " ; " + ", ".join(word(0) for _ in range(rng.randint(0, 4)))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice("[](),^;-1a ") + text[at:]
+    return text
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_rows_match_the_letter_path(monkeypatch):
+    # a small cap, so that many inputs reach it; the letter path counts at
+    # least as much as the rows, and may refuse where the rows stay under it
+    cap = 300
+    monkeypatch.setattr(presentations, "MAX_LETTERS", cap)
+    capped = f"relators expand past the cap of {cap} letters"
+    rng = random.Random(19)
+    tally = Counter()
+    for _ in range(3000):
+        text = _random_presentation(rng)
+        new = _outcome(lambda: (lambda p: (p.generator_count, p.relators))(parse_presentation(text)))
+        old = _outcome(lambda: oracles.presentation_rows(text, cap))
+        if old == capped and new != capped:
+            tally["letter cap only"] += 1
+            old = _outcome(lambda: oracles.presentation_rows(text, 10 ** 7))
+        tally["refused" if isinstance(new, str) else "accepted"] += 1
+        tally["refused at the cap"] += new == capped
+        assert new == old, text
+    assert tally["accepted"] > 1000 and tally["refused"] > 500
+    assert tally["letter cap only"] > 100 and tally["refused at the cap"] > 100
+
+
+def test_the_cap_counts_rows_not_letters(monkeypatch):
+    cap = presentations.MAX_LETTERS
+    # a commutator counts only its sides, and a cancelling word its row:
+    # 800 000 and 600 000 here, against 2 400 000 and 1 800 000 letters
+    assert abelianization(parse_presentation("a,b ; [a^400000, b^400000]")) == AbelianizedGroup(2, ())
+    image = abelianization(parse_presentation("a,b ; (a b a^-1)^600000"))
+    assert image == AbelianizedGroup(1, (600000,))
+    for text in ("a,b ; [a^400000, b^400000]", "a,b ; (a b a^-1)^600000"):
+        assert _outcome(lambda: oracles.presentation_rows(text)) == (
+            f"relators expand past the cap of {cap} letters"
+        )
+    with pytest.raises(ValueError, match=f"cap of {cap} letters"):
+        parse_presentation("a,b ; [a^600000, b^400001]")

@@ -151,12 +151,14 @@ REPLACEMENTS = [
     ("Graph", {"edges": ((0, 0),)}),
     ("MetricGraph", {"edge_length": 2}),
     ("MetricGraph", {"edge_length": -1}),
-    ("Presentation", {"relators": ((1, -1, 2),)}),
+    ("Presentation", {"relators": (((3, 1),),)}),
     ("AbelianizedGroup", {"torsion_factors": (2, 3)}),
     ("CubicalModel", {"c": 6}),
     ("SmithForm", {"invariant_factors": (2, 3)}),
     ("WaringDecomposition", {"parts": (1,)}),
     ("BoundConstants", {"a": 1.0}),
+    ("Presentation", {"relators": (((0, 0),),)}),
+    ("Presentation", {"relators": (((1, 1), (0, 1)),)}),
 ]
 
 
