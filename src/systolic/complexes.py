@@ -7,6 +7,7 @@ new values and never mutate their inputs.  All arithmetic is exact.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from functools import cached_property
 from itertools import combinations
 
@@ -130,7 +131,7 @@ def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
             cleaned.append(tuple(sorted(tup)))
     cleaned = sorted(set(cleaned), key=lambda f: (-len(f), f))
     maximal: list[tuple[int, ...]] = []
-    holders: dict[int, set[int]] = {}  # vertex -> positions in maximal of the kept facets on it
+    holders: dict[int, set[int]] = defaultdict(set)  # vertex -> positions in maximal of kept facets on it
     for f in cleaned:  # longest first, so every facet that could contain f is indexed
         # f lies in a kept facet iff its vertices' holder sets meet (smallest
         # set first); a longest facet lies in no other
@@ -138,8 +139,9 @@ def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
             *sorted((holders.get(v, set()) for v in f), key=len)
         ):
             continue
-        for v in f:
-            holders.setdefault(v, set()).add(len(maximal))
+        if len(f) > len(cleaned[-1]):  # only a shorter facet reads the index
+            for v in f:
+                holders[v].add(len(maximal))
         maximal.append(f)
     maximal.sort()
     used_max = max((f[-1] for f in maximal if f), default=-1)
