@@ -27,9 +27,11 @@ class NonOrientableError(ValueError):
 
 
 # The most steps face enumeration may take: the sum of 2^|f| - 1 over the
-# facets.  66 666 disjoint tetrahedra come nearest it, at 999 990 steps, 2.6 s
-# and a 140 MiB peak (2 vCPUs, Python 3.11); T^3 with k = 10 takes 90 000.
-MAX_FACE_STEPS = 10 ** 6
+# facets.  It bounds what homology does after it: at the cap, 8 000 disjoint
+# tetrahedra take 0.95 s and a 82 MiB peak for homology in process, and 7
+# disjoint 13-simplices (114 681 steps), the costliest shape tried, 1.9 s
+# and 155 MiB (2 vCPUs, Python 3.11).  T^3 with k = 10 takes 90 000.
+MAX_FACE_STEPS = 120_000
 
 
 @record

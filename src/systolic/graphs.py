@@ -19,6 +19,8 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice
+from operator import lt
 
 from ._record import record
 
@@ -46,25 +48,31 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        edges = _canonical_edges(self.vertex_count, self.edges)
+        if edges is None:
+            # some bulk check failed: name the first bad edge, if there is one
+            seen = set()
+            for u, v in self.edges:
+                if u == v:
+                    raise ValueError(f"loop at vertex {u}")
+                if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                    raise ValueError(f"edge ({u}, {v}) out of range")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise ValueError(f"duplicate edge {key}")
+                seen.add(key)
+            edges = tuple(sorted(seen))
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # the edges are sorted (u, v) pairs with u < v, so each vertex gets
+        # its lower neighbours in increasing order, then its higher ones
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        return tuple(map(tuple, adj))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -73,8 +81,42 @@ class Graph:
     def is_regular(self, degree: int) -> bool:
         return all(d == degree for d in self.degrees)
 
-    def to_dict(self) -> dict:
-        return {"n": self.vertex_count, "edges": [list(e) for e in self.edges]}
+
+def _ends(edges, kinds):
+    """The first ends and the second ends of the edges, as two tuples, when
+    each edge is of a type in ``kinds`` and holds two ints (not bools);
+    None otherwise.  Every check is one pass over the edges in C."""
+    if not edges:
+        return (), ()
+    if not set(map(type, edges)) <= kinds or set(map(len, edges)) != {2}:
+        return None
+    us, vs = zip(*edges)
+    if set(map(type, us)) | set(map(type, vs)) != {int}:
+        return None
+    return us, vs
+
+
+def _canonical_edges(vertex_count, edges):
+    """The edges as sorted (min, max) pairs, checked in bulk: no loop, every
+    end in range, no edge twice.  None when a check fails, or when the
+    input is not a tuple or list of int pairs, so that the caller's
+    per-edge loop decides."""
+    if type(vertex_count) is not int or type(edges) not in (tuple, list):
+        return None
+    ends = _ends(edges, {tuple, list})
+    if ends is None:
+        return None
+    us, vs = ends
+    if not all(map(lt, us, vs)):  # a reversed pair or a loop
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+        if not all(map(lt, us, vs)):
+            return None
+    if us and (min(us) < 0 or max(vs) >= vertex_count):
+        return None
+    keys = sorted(zip(us, vs))  # linear when the input is sorted already
+    if not all(map(lt, keys, islice(keys, 1, None))):  # an edge twice
+        return None
+    return tuple(keys)
 
 
 @record
@@ -122,8 +164,12 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
     Working from level d closes cycles of length 2d + 1 and 2d + 2 only,
     so a root's search stops at the first level d with
     2d + 1 >= min(best, cutoff + 1): no cycle it could still close is
-    shorter than both.  With ``cutoff`` the result is still the exact girth
-    whenever that is <= cutoff, and otherwise some value > cutoff.
+    shorter than both.  At a level d with 2d + 1 < min(best, cutoff + 1)
+    <= 2d + 2 only a cycle of length 2d + 1 can still count, and it is
+    there exactly when an edge joins two vertices of level d, so one set
+    test settles the level and level d + 1 is never built.  With
+    ``cutoff`` the result is still the exact girth whenever that is
+    <= cutoff, and otherwise some value > cutoff.
     """
     adjacency = graph.adjacency
     n = graph.vertex_count
@@ -133,7 +179,7 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
     stamp = [-1] * n
     dist = [-1] * n
     # degree[v] counts v's neighbours still in, while v is in
-    degree = [len(nbrs) for nbrs in adjacency]
+    degree = list(map(len, adjacency))
 
     def peel(out):
         """Take out every vertex left with degree <= 1, after those in out."""
@@ -157,6 +203,10 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
         stamp[root], dist[root] = root, 0
         level, d = [root], 0
         while level and 2 * d + 1 < min(best, top):
+            if 2 * d + 2 >= min(best, top):  # the last level: only 2d + 1 counts
+                if not set(level).isdisjoint(chain.from_iterable(map(adjacency.__getitem__, level))):
+                    best = 2 * d + 1
+                break
             below, d = level, d + 1
             level = []
             for v in below:
@@ -347,7 +397,7 @@ def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
         if edges == target_edges:
             break
         counts.steps += 1
-        u = deficient[rng.randrange(len(deficient))]
+        u = rng.choice(deficient)
         v, near = _draw_partner(adj, u, deficient, reach, rng, counts)
         if v is not None:
             connect(u, v)
@@ -359,11 +409,11 @@ def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
         far = [w for w in range(n) if w != u and w not in near]
         if not far:
             return None
-        w = far[rng.randrange(len(far))]
+        w = rng.choice(far)
         others = [z for z in adj[w] if z != u]
         if not others:
             return None
-        z = others[rng.randrange(len(others))]
+        z = rng.choice(others)
         disconnect(w, z)
         connect(u, w)
         counts.rotations += 1
@@ -387,7 +437,7 @@ def _draw_partner(adj, u, deficient, reach, rng, counts):
     """
     half = _ball(adj, u, (reach + 1) // 2)
     for _ in range(REJECTIONS):
-        v = deficient[rng.randrange(len(deficient))]
+        v = rng.choice(deficient)
         if _is_far(adj, half, v, reach // 2):
             return v, None
         counts.rejections += 1
@@ -396,7 +446,7 @@ def _draw_partner(adj, u, deficient, reach, rng, counts):
     partners = [v for v in deficient if v not in near]
     if not partners:
         return None, near
-    return partners[rng.randrange(len(partners))], near
+    return rng.choice(partners), near
 
 
 def _is_far(adj, half, v, radius):
@@ -406,8 +456,13 @@ def _is_far(adj, half, v, radius):
     A path of length d <= reach from u to v has a vertex at distance
     min(d, ceil(reach/2)) from u and at most floor(reach/2) from v, so it
     meets both balls; a vertex in both gives a walk of length <= reach.
+    The last layer of v's ball, its largest, is never built: the
+    neighbours of the layer before it are streamed into the test.
     """
-    return v not in half and half.isdisjoint(_ball(adj, v, radius))
+    if radius == 0:
+        return v not in half
+    inner, last = _inner_ball(adj, v, radius)
+    return half.isdisjoint(inner) and half.isdisjoint(chain.from_iterable(map(adj.__getitem__, last)))
 
 
 def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng, trials=60):
@@ -425,7 +480,7 @@ def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng, tr
     if not edges:
         return False
     for _ in range(trials):
-        x, y = edges[rng.randrange(len(edges))]
+        x, y = rng.choice(edges)
         if rng.random() < 0.5:
             x, y = y, x
         if x in near:
@@ -433,7 +488,7 @@ def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng, tr
         disconnect(x, y)
         connect(u, x)
         candidates = mates if mates else [u]
-        v = candidates[rng.randrange(len(candidates))]
+        v = rng.choice(candidates)
         if v != y and v != x and y not in _ball(adj, v, reach):
             connect(v, y)
             return True
@@ -444,14 +499,24 @@ def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng, tr
 
 def _ball(adj, root, radius):
     """Vertices within the given BFS distance of root."""
-    seen = {root}
-    frontier = seen
-    for _ in range(radius - 1):
+    if radius == 0:
+        return {root}
+    seen, last = _inner_ball(adj, root, radius)
+    seen.update(*map(adj.__getitem__, last))  # the last level needs no frontier of its own
+    return seen
+
+
+def _inner_ball(adj, root, radius):
+    """B_{radius-1}(root) and its vertices at distance radius - 1, for
+    radius >= 1; the caller must not change the second."""
+    if radius == 1:
+        return {root}, (root,)
+    frontier = adj[root]
+    seen = {root, *frontier}
+    for _ in range(radius - 2):
         frontier = set().union(*map(adj.__getitem__, frontier)) - seen
         seen |= frontier
-    if radius > 0:  # the last level needs no frontier of its own
-        seen.update(*map(adj.__getitem__, frontier))
-    return seen
+    return seen, frontier
 
 
 def load_graph(source) -> Graph:
@@ -469,12 +534,14 @@ def load_graph(source) -> Graph:
         raise ValueError("graph JSON 'n' must be a non-negative integer")
     if n > MAX_VERTICES:
         raise ValueError(f"graph JSON 'n' = {n} exceeds the cap of {MAX_VERTICES} vertices")
-    if not isinstance(edges, list) or not all(
+    # the per-edge test runs only when the bulk one fails, and accepts list subclasses too
+    if not isinstance(edges, list) or (_ends(edges, {list}) is None and not all(
         isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
-    ):
+    )):
         raise ValueError("graph JSON 'edges' must be a list of integer pairs")
-    return Graph(n, tuple((u, v) for u, v in edges))
+    return Graph(n, edges)
 
 
 def dump_graph(graph: Graph) -> str:
-    return json.dumps(graph.to_dict(), separators=(", ", ": "))
+    # json writes the edge tuples as arrays, so they need no conversion to lists
+    return json.dumps({"n": graph.vertex_count, "edges": graph.edges}, separators=(", ", ": "))

@@ -101,7 +101,9 @@ def parse_presentation(text: str) -> Presentation:
     if not names or len(set(names)) != len(names):
         raise ValueError("generator names must be nonempty and distinct")
     index = {name: i for i, name in enumerate(names)}
-    lengths = sorted({len(name) for name in names}, reverse=True)
+    lengths: dict[str, list[int]] = {}
+    for length, first in sorted({(len(name), name[0]) for name in names}, reverse=True):
+        lengths.setdefault(first, []).append(length)
     counted = 0
 
     def parse_word(tokens: list[str], pos: int, stop: set[str]) -> tuple[dict[int, int], int]:
@@ -160,16 +162,17 @@ def _tokenize(s: str) -> list[str]:
     return tokens
 
 
-def _segment(token: str, index: dict[str, int], lengths: list[int]) -> dict[int, int] | None:
+def _segment(token: str, index: dict[str, int], lengths: dict[str, list[int]]) -> dict[int, int] | None:
     """Greedy longest-match split of a juxtaposed identifier like 'ab' into a, b.
 
-    ``lengths`` holds the distinct name lengths, longest first; at most one
-    name of each length starts at a position.  Returns the names' counts.
+    ``lengths`` maps a first character to the distinct lengths of the names
+    that start with it, longest first; at most one name of each length
+    starts at a position.  Returns the names' counts.
     """
     row: dict[int, int] = {}
     pos = 0
     while pos < len(token):
-        for n in lengths:
+        for n in lengths.get(token[pos], ()):
             name = token[pos:pos + n]
             if name in index:
                 break

@@ -8,7 +8,9 @@ parts read off a count list, Hankel-style recurrence solving by dense
 elimination over fractions, Berlekamp-Massey and its replay on
 ``Fraction`` terms (``_lfsr_synthesis`` and ``_replays``, with the
 verdict built from them in ``recurrence_verdict``), the girth as a full
-BFS from every vertex, the ball around a vertex by plain BFS, and
+BFS from every vertex, the ball around a vertex by plain BFS, the graph
+edge checks one edge at a time (``graph_edges`` and
+``loaded_graph_edges``), and
 ``dataclass_twin``, a record class rebuilt as the frozen dataclass it was,
 and ``presentation_rows``, the presentation parse that wrote every relator
 out letter by letter, free-reduced it and summed its letters.
@@ -306,6 +308,32 @@ def girth(graph, cutoff: int | None = None) -> int | float:
                     dist[nb] = dist[node] + 1
                     queue.append((nb, node))
     return best
+
+
+def graph_edges(vertex_count, edges) -> tuple:
+    """The package's ``Graph.__post_init__`` before bulk checks: each edge
+    checked in turn, then the canonical pairs sorted."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+    return tuple(sorted(seen))
+
+
+def loaded_graph_edges(vertex_count, edges) -> tuple:
+    """The package's ``load_graph`` edge check before bulk checks, then
+    ``graph_edges``."""
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+    ):
+        raise ValueError("graph JSON 'edges' must be a list of integer pairs")
+    return graph_edges(vertex_count, tuple((u, v) for u, v in edges))
 
 
 def all_orientations(facets) -> list[tuple[int, ...]]:

@@ -268,6 +268,18 @@ class TestGraphCommands:
             "131b0b9d0555aa6232c72195b44fb71744dd79d8cee049c72f8c6638f9549abd"
         )
 
+    def test_girth6_build_bytes_pinned(self, capsys):
+        # reach 4: the far test meets a ball of radius 2 around the drawn
+        # vertex, and this search also lists partners and double swaps
+        code, out, _ = run_cli(
+            ["build-graph", "--c", "7", "--girth", "6", "--vertices", "1000", "--seed", "5"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "730ca37f9fe6d13d4a3e6091e65c7a51068237b274b44cf86e1138222c5bcda1"
+        )
+
     @pytest.mark.parametrize("vertices", ["300002", "100000000"])
     def test_build_above_vertex_cap_is_usage_error(self, vertices, capsys):
         code, out, err = run_cli(

@@ -110,9 +110,21 @@ class TestFaceCap:
         with pytest.raises(ValueError, match="more than 22 steps"):
             SimplicialComplex(8, ((0, 1, 2, 3), (4, 5, 6), (7,)))
 
-    def test_torus_k10_is_well_below_the_cap(self):
-        steps = sum(2 ** len(f) - 1 for f in _freudenthal_torus(10).facets)
-        assert steps == 90_000 and 10 * steps <= complexes.MAX_FACE_STEPS
+    def test_torus_k10_is_below_the_cap(self):
+        torus = _freudenthal_torus(10)
+        steps = sum(2 ** len(f) - 1 for f in torus.facets)
+        assert steps == 90_000 and steps <= complexes.MAX_FACE_STEPS
+        assert from_facets(torus.facets) == torus
+
+    def test_homology_at_the_real_cap_and_one_past(self):
+        # disjoint tetrahedra, 15 steps each, and isolated vertices, 1 step
+        # each, to exactly the cap: homology there takes about a second
+        count, rest = divmod(complexes.MAX_FACE_STEPS, 15)
+        facets = [range(4 * i, 4 * i + 4) for i in range(count)]
+        facets += [[4 * count + i] for i in range(rest)]
+        assert homology(from_facets(facets)).betti == (count + rest, 0, 0, 0)
+        with pytest.raises(ValueError, match=f"more than {complexes.MAX_FACE_STEPS} steps"):
+            from_facets(facets + [[4 * count + rest]])
 
 
 class TestFaceCounts:

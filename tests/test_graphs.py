@@ -256,6 +256,94 @@ class TestGraphValue:
         assert PETERSEN.degrees == (3,) * 10
 
 
+# what the graph edge fuzz inserts into a valid edge list, one per case
+EDGE_DEFECTS = ("none", "loop", "out of range", "negative", "duplicate", "reversed duplicate",
+                "bool", "float", "non-list entry", "wrong length")
+
+
+def _edge_case(rng):
+    """(defect, order, n, edges): a random simple graph's edges as JSON
+    pairs, sorted canonical, shuffled or partly reversed, with one defect."""
+    n = rng.randint(0, 25)
+    pairs = list(combinations(range(n), 2))
+    edges = [list(pair) for pair in rng.sample(pairs, rng.randint(0, min(len(pairs), 40)))]
+    order = rng.choice(("sorted", "shuffled", "reversed"))
+    if order == "sorted":
+        edges.sort()
+    elif order == "reversed":
+        edges = [edge[::-1] if rng.random() < 0.5 else edge for edge in edges]
+    defect = rng.choice(EDGE_DEFECTS)
+    vertex = rng.randrange(n) if n else 0
+    at = rng.randint(0, len(edges))
+    if defect in ("duplicate", "reversed duplicate", "bool", "float", "non-list entry") and not edges:
+        defect = "none"
+    if defect == "loop":
+        edges.insert(at, [vertex, vertex])
+    elif defect == "out of range":
+        edges.insert(at, rng.choice(([vertex, n + rng.randrange(3)], [n + rng.randrange(3), vertex])))
+    elif defect == "negative":
+        edges.insert(at, rng.choice(([vertex, -rng.randint(1, 3)], [-rng.randint(1, 3), vertex])))
+    elif defect in ("duplicate", "reversed duplicate"):
+        u, v = rng.choice(edges)
+        edges.insert(at, [u, v] if defect == "duplicate" else [v, u])
+    elif defect in ("bool", "float"):
+        edge = rng.choice(edges)
+        side = rng.randrange(2)
+        edge[side] = rng.choice((True, False)) if defect == "bool" else float(edge[side])
+    elif defect == "non-list entry":
+        at = rng.randrange(len(edges))
+        edges[at] = rng.choice((tuple(edges[at]), str(edges[at][0]) * 2, edges[at][0], None))
+    elif defect == "wrong length":
+        edges.insert(at, rng.choice(([vertex], [vertex, vertex + 1, vertex + 2], [])))
+    return defect, order, n, edges
+
+
+def _outcome(build, n, edges):
+    """The repr of what build returns, or the type and text of what it raises."""
+    try:
+        return repr(build(n, edges))
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_bulk_edge_checks_match_the_per_edge_oracle():
+    # load_graph and Graph check edges in bulk and fall back to one edge at
+    # a time only to name a bad one: same edges, same error text
+    rng = random.Random(20)
+    seen, refused = set(), 0
+    for _ in range(3000):
+        defect, order, n, edges = _edge_case(rng)
+        seen.add(defect)
+        seen.add(order)
+        loaded = _outcome(lambda k, e: load_graph({"n": k, "edges": e}).edges, n, edges)
+        assert loaded == _outcome(oracles.loaded_graph_edges, n, edges), (n, edges)
+        built = _outcome(lambda k, e: Graph(k, e).edges, n, edges)
+        assert built == _outcome(oracles.graph_edges, n, edges), (n, edges)
+        as_tuple = _outcome(lambda k, e: Graph(k, tuple(e)).edges, n, edges)
+        assert as_tuple == built, (n, edges)
+        refused += loaded.startswith("ValueError")
+    assert seen == set(EDGE_DEFECTS) | {"sorted", "shuffled", "reversed"}
+    assert 0 < refused < 3000
+
+
+def test_graph_keeps_python_callers_behaviour():
+    # inputs load_graph refuses but Graph takes as it always did, or refuses
+    # with the unpacking error
+    assert Graph(3, ((True, 2), (0, 1))).edges == ((0, 1), (True, 2))
+    assert Graph(3, iter([(2, 0), (1, 0)])).edges == ((0, 1), (0, 2))
+    assert Graph(3, [range(2), [2, 1]]).edges == ((0, 1), (1, 2))
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        Graph(3, ((0, 1, 2),))
+    with pytest.raises(ValueError, match="duplicate edge"):
+        Graph(3, ((0, 1), (1.0, 0)))
+
+    class Pair(list):
+        pass
+
+    # a list subclass passes load_graph's per-edge test, not the bulk one
+    assert load_graph({"n": 3, "edges": [Pair([2, 1]), [0, 1]]}).edges == ((0, 1), (1, 2))
+
+
 def _random_edge_set(rng, n):
     pairs = list(combinations(range(n), 2))
     rng.shuffle(pairs)

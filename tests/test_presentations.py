@@ -50,6 +50,17 @@ class TestWords:
         assert time.perf_counter() - start < 1.0
         assert presentation.relators == tuple(tuple(sorted(((i, 1), (j, 1)))) for i, j in pairs)
 
+    def test_many_name_lengths_with_other_first_characters_parse_quickly(self):
+        # a 125 602-byte string: 400 name lengths, all but one starting with
+        # 'a', and one 45 000-character token of 'b's; slicing every length
+        # at every position takes seconds
+        names = ["b"] + ["a" * k for k in range(2, 401)]
+        text = ",".join(names) + " ; " + "b" * 45_000
+        start = time.perf_counter()
+        presentation = parse_presentation(text)
+        assert time.perf_counter() - start < 1.0
+        assert presentation.relators == (((0, 45_000),),)
+
 
 class TestAbelianization:
     def test_commutator_relator_gives_free_abelian(self):
