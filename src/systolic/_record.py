@@ -76,6 +76,14 @@ def asdict(obj) -> dict:
     return {name: getattr(obj, name) for name in fields(obj)}
 
 
+def trusted(cls, *values):
+    """A ``cls`` record of ``values``, one per field in order, made without
+    ``__init__`` or ``__post_init__``: for values that have passed its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__record_fields__, values))
+    return obj
+
+
 def replace(obj, **changes):
     """A copy with ``changes``; ``__init__`` and ``__post_init__`` run again."""
     return obj.__class__(**{**asdict(obj), **changes})

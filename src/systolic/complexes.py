@@ -1,8 +1,10 @@
-"""Finite simplicial complexes with exact integer boundary operators.
+"""Finite simplicial complexes and the sign convention of their boundaries.
 
 A complex is stored as its list of maximal simplices (facets); faces are
-enumerated on demand.  Everything is pure and immutable: operations return
-new values and never mutate their inputs.  All arithmetic is exact.
+enumerated on demand.  ``boundary_sign`` is the one place the boundary sign
+is written; ``homology`` and ``orient`` read it.  Everything is pure and
+immutable: operations return new values and never mutate their inputs.
+All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -28,9 +30,10 @@ class NonOrientableError(ValueError):
 
 # The most steps face enumeration may take: the sum of 2^|f| - 1 over the
 # facets.  It bounds what homology does after it: at the cap, 8 000 disjoint
-# tetrahedra take 0.95 s and a 82 MiB peak for homology in process, and 7
-# disjoint 13-simplices (114 681 steps), the costliest shape tried, 1.9 s
-# and 155 MiB (2 vCPUs, Python 3.11).  T^3 with k = 10 takes 90 000.
+# tetrahedra take 0.41-0.42 s and a 58 MiB peak for homology in process, 7
+# disjoint 13-simplices (114 681 steps) 0.70-0.92 s and 72 MiB, and a 15-,
+# a 14- and a 13-simplex, the largest peak tried, 0.60 s and 75 MiB (best
+# of 3, 2 vCPUs, Python 3.11).  T^3 with k = 10 takes 90 000.
 MAX_FACE_STEPS = 120_000
 
 
@@ -84,39 +87,6 @@ class SimplicialComplex:
                 groups[k - 1].update(combinations(facet, k))
         return tuple(tuple(sorted(g)) for g in groups)
 
-    def k_faces(self, k: int) -> tuple[tuple[int, ...], ...]:
-        if self.dim is None or k < 0 or k > self.dim:
-            return ()
-        return self.faces_by_dim[k]
-
-
-@record
-class BoundaryMatrix:
-    """Sparse integer matrix of the k-th simplicial boundary operator.
-
-    Rows are the (k-1)-faces and columns the k-faces, both in lexicographic
-    order.  The column of a simplex carries sign (-1)^i on the face obtained
-    by deleting its i-th vertex, so every column has exactly k+1 nonzeros.
-    """
-
-    k: int
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[int, int, int], ...]  # (row, col, sign), column-major
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
-    def sparse(self) -> dict[tuple[int, int], int]:
-        return {(i, j): v for i, j, v in self.entries}
-
-    def dense(self) -> list[list[int]]:
-        mat = [[0] * len(self.cols) for _ in self.rows]
-        for i, j, v in self.entries:
-            mat[i][j] = v
-        return mat
-
 
 def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
     """Build a canonical complex from an iterable of vertex tuples.
@@ -159,19 +129,10 @@ def face_counts(complex_: SimplicialComplex) -> list[int]:
     return [len(g) for g in complex_.faces_by_dim]
 
 
-def boundary_matrix(complex_: SimplicialComplex, k: int) -> BoundaryMatrix:
-    """The k-th boundary operator, for 1 <= k <= dim."""
-    if complex_.dim is None or k < 1 or k > complex_.dim:
-        raise ValueError(f"boundary index k={k} out of range for dim {complex_.dim}")
-    rows = complex_.k_faces(k - 1)
-    cols = complex_.k_faces(k)
-    row_index = {s: i for i, s in enumerate(rows)}
-    entries: list[tuple[int, int, int]] = []
-    for j, simplex in enumerate(cols):
-        for i, vertex in enumerate(simplex):
-            face = simplex[:i] + simplex[i + 1:]
-            entries.append((row_index[face], j, -1 if i % 2 else 1))
-    return BoundaryMatrix(k, rows, cols, tuple(entries))
+def boundary_sign(i: int) -> int:
+    """The sign, (-1)^i, that the boundary of a sorted simplex gives the face
+    deleting its i-th vertex."""
+    return -1 if i % 2 else 1
 
 
 @record
@@ -268,8 +229,8 @@ def orient(complex_: SimplicialComplex) -> OrientationResult:
                 if other == current:
                     continue
                 j = facets[other].index(_extra_vertex(facets[other], ridge))
-                # opposite induced signs: s_other = -s_current * (-1)^(i+j)
-                required = -signs[current] * (1 if (i + j) % 2 == 0 else -1)
+                # opposite induced signs: s_other * sign(j) = -s_current * sign(i)
+                required = -signs[current] * boundary_sign(i) * boundary_sign(j)
                 if signs[other] is None:
                     signs[other] = required
                     parent[other] = current

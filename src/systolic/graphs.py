@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import lt
 
-from ._record import record
+from ._record import record, trusted
 
 # The most vertices a graph may have, in a file or as a search target: above
 # 6**7 = 279_936, the top of the degree-7 vertex window at l=7.
@@ -97,16 +97,19 @@ def _ends(edges, kinds):
 
 
 def _canonical_edges(vertex_count, edges):
-    """The edges as sorted (min, max) pairs, checked in bulk: no loop, every
-    end in range, no edge twice.  None when a check fails, or when the
-    input is not a tuple or list of int pairs, so that the caller's
-    per-edge loop decides."""
+    """The edges as sorted (min, max) pairs, checked in bulk by ``_ends`` and
+    ``_sorted_pairs``.  None when a check fails, or when the input is not a
+    tuple or list of int pairs, so that the caller's per-edge loop decides."""
     if type(vertex_count) is not int or type(edges) not in (tuple, list):
         return None
     ends = _ends(edges, {tuple, list})
-    if ends is None:
-        return None
-    us, vs = ends
+    return None if ends is None else _sorted_pairs(vertex_count, *ends)
+
+
+def _sorted_pairs(vertex_count, us, vs):
+    """The int pairs (us[i], vs[i]) as sorted (min, max) pairs, checked in
+    bulk: no loop, every end in range, no edge twice.  None when a check
+    fails."""
     if not all(map(lt, us, vs)):  # a reversed pair or a loop
         us, vs = list(map(min, us, vs)), list(map(max, us, vs))
         if not all(map(lt, us, vs)):
@@ -535,11 +538,14 @@ def load_graph(source) -> Graph:
     if n > MAX_VERTICES:
         raise ValueError(f"graph JSON 'n' = {n} exceeds the cap of {MAX_VERTICES} vertices")
     # the per-edge test runs only when the bulk one fails, and accepts list subclasses too
-    if not isinstance(edges, list) or (_ends(edges, {list}) is None and not all(
+    ends = _ends(edges, {list}) if isinstance(edges, list) else None
+    if ends is None and not (isinstance(edges, list) and all(
         isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
     )):
         raise ValueError("graph JSON 'edges' must be a list of integer pairs")
-    return Graph(n, edges)
+    pairs = None if ends is None else _sorted_pairs(n, *ends)
+    # checked ends are not checked again; Graph's per-edge loop names a bad edge
+    return Graph(n, edges) if pairs is None else trusted(Graph, n, pairs)
 
 
 def dump_graph(graph: Graph) -> str:

@@ -5,10 +5,12 @@ any matrix is built, ``homology`` removes cells in pairs (Mrozek and Batko,
 "Coreduction homology algorithm", Discrete Comput. Geom. 2009), and only
 the cells left over reach the Smith form.
 
-The chain complex C has one basis element per face, with the boundary
-signs of ``boundary_matrix``.  Removing a set of cells means passing to the
-quotient by the subcomplex they span, whose differential is the original
-one restricted to the cells still live.  The removals are of three kinds.
+The chain complex C has one basis element per face, and the boundary of a
+sorted simplex gives the face that deletes its i-th vertex the sign
+``complexes.boundary_sign(i)``, (-1)^i.  Removing a set of cells means
+passing to the quotient by the subcomplex they span, whose differential is
+the original one restricted to the cells still live.  The removals are of
+three kinds.
 
 - One vertex per connected component.  A vertex v spans a subcomplex with
   homology Z in degree 0, and [v] generates a free summand of H_0.  So the
@@ -35,9 +37,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import combinations
 
 from ._record import record
-from .complexes import SimplicialComplex, boundary_matrix, face_counts
+from .complexes import SimplicialComplex, boundary_sign, face_counts
 from .snf import smith_normal_form
 
 
@@ -85,23 +88,23 @@ def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[tuple[dic
     sparse {(row, col): sign} mapping with its shape.
     """
     groups = complex_.faces_by_dim
-    matrices = [boundary_matrix(complex_, k) for k in range(1, len(groups))]
-    # cells are numbered by dimension, then in lexicographic order
-    starts = [0]
-    for group in groups:
-        starts.append(starts[-1] + len(group))
+    # cells are numbered by dimension, then in lexicographic order; a k-cell's
+    # faces are listed as combinations() gives them, so the one at position p
+    # misses vertex k - p
     faces: list[tuple[int, ...]] = [()] * len(groups[0])
-    for k, matrix in enumerate(matrices, 1):
-        rows = [starts[k - 1] + i for i, _, _ in matrix.entries]  # k+1 per column, in order
-        faces += (tuple(rows[j:j + k + 1]) for j in range(0, len(rows), k + 1))
-    cofaces: list[list[int]] = [[] for _ in range(starts[-1])]
+    starts = [0, len(faces)]
+    for k in range(1, len(groups)):
+        index = dict(zip(groups[k - 1], range(starts[k - 1], starts[k])))
+        faces += (tuple(map(index.__getitem__, combinations(s, k))) for s in groups[k])
+        starts.append(len(faces))
+    cofaces: list[list[int]] = [[] for _ in faces]
     for cell, boundary in enumerate(faces):
         for face in boundary:
             cofaces[face].append(cell)
 
-    live = [True] * starts[-1]
-    face_count = [len(f) for f in faces]
-    coface_count = [len(c) for c in cofaces]
+    live = [True] * len(faces)
+    face_count = list(map(len, faces))
+    coface_count = list(map(len, cofaces))
 
     def remove(cell):
         live[cell] = False
@@ -114,7 +117,7 @@ def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[tuple[dic
     for vertex in components:
         remove(vertex)
 
-    queue = deque(range(starts[-1]))
+    queue = deque(range(len(faces)))
     while queue:
         cell = queue.popleft()
         if not live[cell]:
@@ -131,13 +134,17 @@ def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[tuple[dic
             queue.extend(x for x in faces[member] if live[x])
             queue.extend(x for x in cofaces[member] if live[x])
 
-    left = [[c - starts[k] for c in range(starts[k], starts[k + 1]) if live[c]] for k in range(len(groups))]
+    left = [[c for c in range(starts[k], starts[k + 1]) if live[c]] for k in range(len(groups))]
     boundaries = []
-    for k, matrix in enumerate(matrices, 1):
+    for k in range(1, len(groups)):
         row = {face: i for i, face in enumerate(left[k - 1])}
-        col = {cell: j for j, cell in enumerate(left[k])}
-        entries = {(row[i], col[j]): v for i, j, v in matrix.entries if i in row and j in col}
-        boundaries.append((entries, (len(row), len(col))))
+        entries = {
+            (row[face], j): boundary_sign(k - p)
+            for j, cell in enumerate(left[k])
+            for p, face in enumerate(faces[cell])
+            if face in row
+        }
+        boundaries.append((entries, (len(left[k - 1]), len(left[k]))))
     return len(components), [len(cells) for cells in left], boundaries
 
 

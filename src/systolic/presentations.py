@@ -101,9 +101,12 @@ def parse_presentation(text: str) -> Presentation:
     if not names or len(set(names)) != len(names):
         raise ValueError("generator names must be nonempty and distinct")
     index = {name: i for i, name in enumerate(names)}
-    lengths: dict[str, list[int]] = {}
-    for length, first in sorted({(len(name), name[0]) for name in names}, reverse=True):
-        lengths.setdefault(first, []).append(length)
+    trie: dict = {}  # one level per character; the key "" holds the generator a name ends at
+    for name, generator in index.items():
+        node = trie
+        for ch in name:
+            node = node.setdefault(ch, {})
+        node[""] = generator
     counted = 0
 
     def parse_word(tokens: list[str], pos: int, stop: set[str]) -> tuple[dict[int, int], int]:
@@ -136,7 +139,7 @@ def parse_presentation(text: str) -> Presentation:
             return inner, pos + 1
         if tok in index:
             return {index[tok]: 1}, pos + 1
-        segmented = _segment(tok, index, lengths)
+        segmented = _segment(tok, trie)
         if segmented is not None:
             return segmented, pos + 1
         raise ValueError(f"unknown generator or token {tok!r}")
@@ -162,24 +165,27 @@ def _tokenize(s: str) -> list[str]:
     return tokens
 
 
-def _segment(token: str, index: dict[str, int], lengths: dict[str, list[int]]) -> dict[int, int] | None:
+def _segment(token: str, trie: dict) -> dict[int, int] | None:
     """Greedy longest-match split of a juxtaposed identifier like 'ab' into a, b.
 
-    ``lengths`` maps a first character to the distinct lengths of the names
-    that start with it, longest first; at most one name of each length
-    starts at a position.  Returns the names' counts.
+    ``trie`` holds the names, one level per character.  At each position the
+    walk down it stops where no name goes on, so it takes at most one step
+    per character of the longest name.  Returns the names' counts.
     """
     row: dict[int, int] = {}
     pos = 0
     while pos < len(token):
-        for n in lengths.get(token[pos], ()):
-            name = token[pos:pos + n]
-            if name in index:
+        node, match = trie, None
+        for end in range(pos, len(token)):
+            node = node.get(token[end])
+            if node is None:
                 break
-        else:
+            if "" in node:
+                match = node[""], end + 1
+        if match is None:
             return None
-        row[index[name]] = row.get(index[name], 0) + 1
-        pos += len(name)
+        generator, pos = match
+        row[generator] = row.get(generator, 0) + 1
     return row
 
 

@@ -87,9 +87,7 @@ class SmithForm:
 
 
 def _coerce(matrix, shape):
-    """Accept dense row lists, {(i, j): value} mappings, or BoundaryMatrix."""
-    if hasattr(matrix, "sparse") and hasattr(matrix, "shape"):
-        return dict(matrix.sparse()), matrix.shape
+    """Accept dense row lists or {(i, j): value} mappings."""
     if isinstance(matrix, dict):
         if shape is None:
             raise ValueError("sparse mapping input requires an explicit shape")
@@ -107,9 +105,8 @@ def _coerce(matrix, shape):
 def smith_normal_form(matrix, shape: tuple[int, int] | None = None) -> SmithForm:
     """Compute the Smith normal form of an integer matrix.
 
-    Input may be a dense sequence of rows, a sparse {(i, j): value} mapping
-    with ``shape``, or a boundary matrix.  The result is deterministic for a
-    given input.
+    Input may be a dense sequence of rows, or a sparse {(i, j): value}
+    mapping with ``shape``.  The result is deterministic for a given input.
     """
     entries, (nrows, ncols) = _coerce(matrix, shape)
     pivots, rows, cols = _unit_phase(entries)

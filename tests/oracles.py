@@ -10,13 +10,15 @@ elimination over fractions, Berlekamp-Massey and its replay on
 verdict built from them in ``recurrence_verdict``), the girth as a full
 BFS from every vertex, the ball around a vertex by plain BFS, the graph
 edge checks one edge at a time (``graph_edges`` and
-``loaded_graph_edges``), and
+``loaded_graph_edges``), the boundary operators as (row, col, sign)
+triples with each face found by deleting a vertex and its own copy of the
+sign (-1)^i (``boundary_matrix``, a ``BoundaryMatrix`` record), and
 ``dataclass_twin``, a record class rebuilt as the frozen dataclass it was,
 and ``presentation_rows``, the presentation parse that wrote every relator
 out letter by letter, free-reduced it and summed its letters.
 None of this shares code paths with the implementation under test, with
 two exceptions: ``homology`` is the package's homology before reduction
-pairs, the Smith form of every full boundary matrix, so it shares
+pairs, the Smith form of every full ``boundary_matrix``, so it shares
 ``smith_normal_form`` (itself checked against the naive reductions here);
 ``presentation_rows`` shares the relator splitter and the tokenizer.
 """
@@ -28,7 +30,8 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from systolic.complexes import SimplicialComplex, boundary_matrix, face_counts
+from systolic._record import record
+from systolic.complexes import SimplicialComplex, face_counts
 from systolic.genfun import RecurrenceVerdict
 from systolic.homology import HomologySummary
 from systolic.presentations import MAX_LETTERS, _split_relators, _tokenize
@@ -220,6 +223,50 @@ def _det(matrix: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
+@record
+class BoundaryMatrix:
+    """Sparse integer matrix of the k-th simplicial boundary operator.
+
+    Rows are the (k-1)-faces and columns the k-faces, both in lexicographic
+    order.  The column of a simplex carries sign (-1)^i on the face obtained
+    by deleting its i-th vertex, so every column has exactly k+1 nonzeros.
+    """
+
+    k: int
+    rows: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[int, int, int], ...]  # (row, col, sign), column-major
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.rows), len(self.cols))
+
+    def sparse(self) -> dict[tuple[int, int], int]:
+        return {(i, j): v for i, j, v in self.entries}
+
+    def dense(self) -> list[list[int]]:
+        mat = [[0] * len(self.cols) for _ in self.rows]
+        for i, j, v in self.entries:
+            mat[i][j] = v
+        return mat
+
+
+def boundary_matrix(complex_: SimplicialComplex, k: int) -> BoundaryMatrix:
+    """The k-th boundary operator, for 1 <= k <= dim, with each face found
+    by deleting a vertex and looked up by its vertex tuple."""
+    if complex_.dim is None or k < 1 or k > complex_.dim:
+        raise ValueError(f"boundary index k={k} out of range for dim {complex_.dim}")
+    rows = complex_.faces_by_dim[k - 1]
+    cols = complex_.faces_by_dim[k]
+    row_index = {s: i for i, s in enumerate(rows)}
+    entries: list[tuple[int, int, int]] = []
+    for j, simplex in enumerate(cols):
+        for i in range(len(simplex)):
+            face = simplex[:i] + simplex[i + 1:]
+            entries.append((row_index[face], j, -1 if i % 2 else 1))
+    return BoundaryMatrix(k, rows, cols, tuple(entries))
+
+
 def homology(complex_: SimplicialComplex) -> HomologySummary:
     """Homology groups H_k = Z^betti(k) + sum Z_d for k = 0..dim."""
     dim = complex_.dim
@@ -228,7 +275,8 @@ def homology(complex_: SimplicialComplex) -> HomologySummary:
     counts = face_counts(complex_)
     forms: list[SmithForm | None] = [None] * (dim + 2)
     for k in range(1, dim + 1):
-        forms[k] = smith_normal_form(boundary_matrix(complex_, k))
+        matrix = boundary_matrix(complex_, k)
+        forms[k] = smith_normal_form(matrix.sparse(), matrix.shape)
     ranks = [forms[k].rank if forms[k] else 0 for k in range(dim + 2)]
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1)]
     torsion = [

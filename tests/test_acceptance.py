@@ -24,7 +24,6 @@ from systolic.bounds import (
     surface_kappa_bounds,
 )
 from systolic.complexes import (
-    boundary_matrix,
     connected_sum,
     face_counts,
     is_admissible_dim2,
@@ -128,8 +127,8 @@ def test_criterion_3_determinant_divisor_bound():
     for name, complex_ in complexes.items():
         if complex_.dim is None or complex_.dim < 2:
             continue
-        matrix = boundary_matrix(complex_, 2)
-        product = smith_normal_form(matrix).factor_product
+        matrix = oracles.boundary_matrix(complex_, 2)
+        product = smith_normal_form(matrix.sparse(), matrix.shape).factor_product
         s2 = len(matrix.cols)
         if product * product > 3 ** s2:  # exact integer form of the bound
             violations.append(name)

@@ -11,7 +11,6 @@ from systolic.complexes import (
     NonOrientableError,
     NotPseudomanifoldError,
     SimplicialComplex,
-    boundary_matrix,
     connected_sum,
     face_counts,
     from_facets,
@@ -148,18 +147,18 @@ class TestFaceCounts:
 
 class TestBoundaryMatrix:
     def test_triangle_column_signs(self):
-        matrix = boundary_matrix(from_facets([[0, 1, 2]]), 2)
+        matrix = oracles.boundary_matrix(from_facets([[0, 1, 2]]), 2)
         dense = matrix.dense()
         assert matrix.rows == ((0, 1), (0, 2), (1, 2))
         assert [row[0] for row in dense] == [1, -1, 1]
 
     def test_three_cycle_rank(self):
         cycle = from_facets([[0, 1], [1, 2], [0, 2]])
-        dense = boundary_matrix(cycle, 1).dense()
+        dense = oracles.boundary_matrix(cycle, 1).dense()
         assert oracles.naive_invariant_factors(dense) == (1, 1)
 
     def test_sphere_rows_have_two_nonzeros(self):
-        matrix = boundary_matrix(SPHERE, 2)
+        matrix = oracles.boundary_matrix(SPHERE, 2)
         assert matrix.shape == (6, 4)
         for row in matrix.dense():
             assert sum(1 for x in row if x) == 2
@@ -167,24 +166,30 @@ class TestBoundaryMatrix:
     def test_columns_have_k_plus_one_nonzeros(self):
         for complex_ in (RP2, TORUS):
             for k in range(1, 3):
-                matrix = boundary_matrix(complex_, k)
+                matrix = oracles.boundary_matrix(complex_, k)
                 for j in range(len(matrix.cols)):
                     nonzeros = sum(1 for i, jj, v in matrix.entries if jj == j)
                     assert nonzeros == k + 1
 
     def test_boundary_composition_is_zero(self):
         for complex_ in (RP2, SPHERE, TORUS, MOEBIUS, PINCHED):
-            d1 = boundary_matrix(complex_, 1).dense()
-            d2 = boundary_matrix(complex_, 2).dense()
+            d1 = oracles.boundary_matrix(complex_, 1).dense()
+            d2 = oracles.boundary_matrix(complex_, 2).dense()
             for j in range(len(d2[0]) if d2 else 0):
                 column = [sum(d1[i][r] * d2[r][j] for r in range(len(d2))) for i in range(len(d1))]
                 assert all(x == 0 for x in column)
 
+    def test_package_sign_is_the_oracles(self):
+        matrix = oracles.boundary_matrix(TORUS, 2)
+        for i, j, v in matrix.entries:
+            deleted = next(p for p, x in enumerate(matrix.cols[j]) if x not in matrix.rows[i])
+            assert complexes.boundary_sign(deleted) == v
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            boundary_matrix(SPHERE, 3)
+            oracles.boundary_matrix(SPHERE, 3)
         with pytest.raises(ValueError):
-            boundary_matrix(SPHERE, 0)
+            oracles.boundary_matrix(SPHERE, 0)
 
 
 class TestPseudomanifold:
@@ -341,8 +346,8 @@ def test_boundary_squared_zero_random(facet_lists):
     if complex_.dim is None or complex_.dim < 2:
         return
     for k in range(2, complex_.dim + 1):
-        lower = boundary_matrix(complex_, k - 1).dense()
-        upper = boundary_matrix(complex_, k).dense()
+        lower = oracles.boundary_matrix(complex_, k - 1).dense()
+        upper = oracles.boundary_matrix(complex_, k).dense()
         for j in range(len(upper[0]) if upper else 0):
             for i in range(len(lower)):
                 assert sum(lower[i][r] * upper[r][j] for r in range(len(upper))) == 0

@@ -1,6 +1,6 @@
-"""Every public top-level name a module defines has a reader outside its
-unit tests: code of the package (its own module included) or the
-acceptance suite."""
+"""Every public top-level name a module defines, and every public method
+and property of its public classes, has a reader outside its unit tests:
+code of the package (its own module included) or the acceptance suite."""
 import ast
 from pathlib import Path
 
@@ -31,13 +31,39 @@ def _public_definitions(path: Path) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
+def _public_members(path: Path) -> set[tuple[str, str]]:
+    """(class, name) of the methods and properties, without a leading ``_``,
+    of the top-level classes without one."""
+    return {
+        (node.name, member.name)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for member in node.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    }
+
+
+def _referenced_by_package_and_acceptance() -> set[str]:
+    return set().union(*(_referenced(path) for path in [*PACKAGE.glob("*.py"), ACCEPTANCE]))
+
+
 def test_every_export_has_a_caller():
-    modules = sorted(PACKAGE.glob("*.py"))
-    referenced = set().union(*(_referenced(path) for path in [*modules, ACCEPTANCE]))
+    referenced = _referenced_by_package_and_acceptance()
     unread = [
         f"{module.stem}.{name}"
-        for module in modules
+        for module in sorted(PACKAGE.glob("*.py"))
         for name in sorted(_public_definitions(module) - referenced)
+    ]
+    assert unread == []
+
+
+def test_every_public_method_has_a_caller():
+    referenced = _referenced_by_package_and_acceptance()
+    unread = [
+        f"{module.stem}.{cls}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for cls, name in sorted(_public_members(module))
+        if name not in referenced
     ]
     assert unread == []
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from systolic.complexes import boundary_matrix, connected_sum, from_facets
+from systolic.complexes import connected_sum, from_facets
 from systolic.corpus import corpus_complex, corpus_complexes
 import systolic.homology as homology_mod
 from systolic.homology import (
@@ -30,7 +30,7 @@ class TestHomology:
         assert all(not t for t in summary.torsion)
 
     def test_rp2_against_naive_oracle(self):
-        dense = boundary_matrix(RP2, 2).dense()
+        dense = oracles.boundary_matrix(RP2, 2).dense()
         oracle_factors = oracles.naive_invariant_factors(dense)
         assert tuple(d for d in oracle_factors if d > 1) == (2,)
         summary = homology(RP2)
@@ -38,8 +38,8 @@ class TestHomology:
         assert summary.torsion[1] == (2,)
 
     def test_torus_against_naive_oracle(self):
-        d1 = oracles.naive_invariant_factors(boundary_matrix(TORUS, 1).dense())
-        d2 = oracles.naive_invariant_factors(boundary_matrix(TORUS, 2).dense())
+        d1 = oracles.naive_invariant_factors(oracles.boundary_matrix(TORUS, 1).dense())
+        d2 = oracles.naive_invariant_factors(oracles.boundary_matrix(TORUS, 2).dense())
         counts = [7, 21, 14]
         betti1 = (counts[1] - len(d1)) - len(d2)
         assert betti1 == 2
@@ -130,6 +130,57 @@ class TestReductionPairs:
         assert torsion_order_h1(_moore_space(m)) == m
 
 
+def _relabelled(complex_, rng, offset=0):
+    """The facets of ``complex_`` under a random vertex permutation, shifted by ``offset``."""
+    perm = rng.sample(range(complex_.vertex_count), complex_.vertex_count)
+    return [[perm[v] + offset for v in facet] for facet in complex_.facets]
+
+
+def _glued_chain(rng):
+    """A connected sum of one to three tori and projective planes: Sigma_g, N_g or a mix."""
+    parts = [rng.choice((TORUS, RP2)) for _ in range(rng.randint(1, 3))]
+    chain = parts[0]
+    for part in parts[1:]:
+        chain = connected_sum(chain, part, allow_nonorientable=True)
+    return chain
+
+
+def _random_mixed(rng, offset=0):
+    """Facets of one to four vertices among at most nine."""
+    n = rng.randint(1, 9)
+    return [
+        [v + offset for v in rng.sample(range(n), rng.randint(1, min(n, 4)))]
+        for _ in range(rng.randint(1, 10))
+    ]
+
+
+def test_homology_matches_the_oracle_on_a_seeded_fuzz():
+    # random facets of mixed dimension, glued surface chains and T^3, each
+    # alone or beside a random block on fresh vertices
+    rng = random.Random(2109)
+    seen = set()
+    for trial in range(300):
+        kind = trial % 3
+        if kind == 0:
+            facets = _random_mixed(rng)
+        elif kind == 1:
+            facets = _relabelled(_glued_chain(rng), rng)
+        else:
+            facets = _relabelled(_freudenthal_torus(rng.choice((2, 3, 4))), rng)
+        if rng.random() < 0.4:
+            facets += _random_mixed(rng, offset=1 + max((v for f in facets for v in f), default=0))
+        complex_ = from_facets(facets)
+        summary = homology(complex_)
+        assert summary == oracles.homology(complex_), facets
+        if any(summary.torsion):
+            seen.add("torsion")
+        if summary.betti and summary.betti[0] > 1:
+            seen.add("components")
+        if summary.betti and not any(homology_mod._reduce(complex_)[1]):
+            seen.add("empty leftovers")
+    assert seen == {"torsion", "components", "empty leftovers"}
+
+
 class TestTorsionOrder:
     def test_sphere_torsion_free(self):
         assert torsion_order_h1(SPHERE) == 1
@@ -160,7 +211,7 @@ class TestTorsionOrder:
         moore = _moore_space(6)
         assert torsion_order_h1(moore) == 6
         (rows, cols), = shapes
-        raw_rows, raw_cols = boundary_matrix(moore, 2).shape
+        raw_rows, raw_cols = oracles.boundary_matrix(moore, 2).shape
         assert rows < raw_rows and cols < raw_cols
 
 
@@ -200,13 +251,14 @@ def _minor_count(nrows, ncols, rank):
 
 class TestMinorGcd:
     def test_rp2_boundary(self):
-        form = smith_normal_form(boundary_matrix(RP2, 2))
+        matrix = oracles.boundary_matrix(RP2, 2)
+        form = smith_normal_form(matrix.sparse(), matrix.shape)
         assert (form.rank, form.factor_product) == (10, 2)
-        assert oracles.max_minor_gcd(boundary_matrix(RP2, 2).dense()) == (10, 2)
+        assert oracles.max_minor_gcd(matrix.dense()) == (10, 2)
 
     def test_single_triangle(self):
-        matrix = boundary_matrix(from_facets([[0, 1, 2]]), 2)
-        assert smith_normal_form(matrix).factor_product == 1
+        matrix = oracles.boundary_matrix(from_facets([[0, 1, 2]]), 2)
+        assert smith_normal_form(matrix.sparse(), matrix.shape).factor_product == 1
         assert oracles.max_minor_gcd(matrix.dense()) == (1, 1)
 
     def test_random_columns_match_brute_force(self):
@@ -226,8 +278,8 @@ class TestMinorGcd:
         compared = 0
         for complex_ in corpus_complexes().values():
             for k in range(1, complex_.dim + 1):
-                matrix = boundary_matrix(complex_, k)
-                form = smith_normal_form(matrix)
+                matrix = oracles.boundary_matrix(complex_, k)
+                form = smith_normal_form(matrix.sparse(), matrix.shape)
                 if k == 2:
                     assert form.factor_product ** 2 <= 3 ** len(matrix.cols)
                 # torus_7's boundaries would take millions of minors

@@ -61,6 +61,17 @@ class TestWords:
         assert time.perf_counter() - start < 1.0
         assert presentation.relators == (((0, 45_000),),)
 
+    def test_many_name_lengths_with_one_first_character_parse_quickly(self):
+        # 'x' and 'x' + 'a' * k for k = 1 .. 399, and one 45 000-character
+        # token of 'x's: trying every length that starts with 'x' at every
+        # position takes seconds
+        names = ["x"] + ["x" + "a" * k for k in range(1, 400)]
+        text = ",".join(names) + " ; " + "x" * 45_000
+        start = time.perf_counter()
+        presentation = parse_presentation(text)
+        assert time.perf_counter() - start < 1.0
+        assert presentation.relators == (((0, 45_000),),)
+
 
 class TestAbelianization:
     def test_commutator_relator_gives_free_abelian(self):

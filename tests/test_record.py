@@ -8,7 +8,7 @@ import pytest
 
 import systolic
 from systolic import bounds, complexes, genfun, graphs, homology, presentations, sleeves, snf, waring
-from systolic._record import asdict, fields, record, replace
+from systolic._record import asdict, fields, record, replace, trusted
 from systolic.corpus import corpus_complex, corpus_list
 
 import oracles
@@ -29,7 +29,7 @@ SAMPLES = {
         bounds.UpperBoundIngredients.make({1: 2.0}), bounds.UpperBoundIngredients(((2, 1.0),), (3.0,))
     ],
     "SimplicialComplex": lambda: [RP2, corpus_complex("torus_7")],
-    "BoundaryMatrix": lambda: [complexes.boundary_matrix(RP2, 1), complexes.boundary_matrix(RP2, 2)],
+    "BoundaryMatrix": lambda: [oracles.boundary_matrix(RP2, 1), oracles.boundary_matrix(RP2, 2)],
     "PseudomanifoldReport": lambda: [
         complexes.is_pseudomanifold(RP2), complexes.is_pseudomanifold(corpus_complex("pinched_spheres"))
     ],
@@ -64,9 +64,12 @@ SAMPLES = {
 
 
 def _record_classes():
+    """The record classes of the package, and the oracles' ``BoundaryMatrix``."""
     found = {}
-    for info in pkgutil.iter_modules(systolic.__path__):
-        module = importlib.import_module(f"systolic.{info.name}")
+    modules = [
+        importlib.import_module(f"systolic.{info.name}") for info in pkgutil.iter_modules(systolic.__path__)
+    ]
+    for module in [*modules, oracles]:
         for obj in vars(module).values():
             if isinstance(obj, type) and obj.__module__ == module.__name__ and "__record_fields__" in vars(obj):
                 found[obj.__name__] = obj
@@ -168,6 +171,13 @@ def test_replace_runs_post_init_as_the_twin_does(name, changes):
     assert _outcome(lambda: replace(first, **changes)) == _outcome(
         lambda: dataclasses.replace(_twin_of(first, twin), **changes)
     )
+
+
+def test_trusted_makes_the_record_without_post_init():
+    made = trusted(graphs.Graph, 5, PENTAGON.edges)
+    assert (made, hash(made), repr(made)) == (PENTAGON, hash(PENTAGON), repr(PENTAGON))
+    assert made.adjacency == PENTAGON.adjacency
+    assert trusted(graphs.Graph, 2, ((1, 0),)).edges == ((1, 0),)  # not checked, not normalised
 
 
 def test_cached_property_is_kept_per_instance():
