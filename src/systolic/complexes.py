@@ -30,10 +30,11 @@ class NonOrientableError(ValueError):
 
 # The most steps face enumeration may take: the sum of 2^|f| - 1 over the
 # facets.  It bounds what homology does after it: at the cap, 8 000 disjoint
-# tetrahedra take 0.41-0.42 s and a 58 MiB peak for homology in process, 7
-# disjoint 13-simplices (114 681 steps) 0.70-0.92 s and 72 MiB, and a 15-,
-# a 14- and a 13-simplex, the largest peak tried, 0.60 s and 75 MiB (best
-# of 3, 2 vCPUs, Python 3.11).  T^3 with k = 10 takes 90 000.
+# tetrahedra take 0.4-0.8 s and a 58 MiB peak for homology in process, 7
+# disjoint 13-simplices (114 681 steps) 0.7-1.2 s and 72 MiB, and a 15-, a
+# 14- and a 13-simplex, the largest peak tried, 0.6 s and 75 MiB (best of 3
+# in rounds whose host speed differed up to 2x; 2 vCPUs, Python 3.11).
+# T^3 with k = 10 takes 90 000.
 MAX_FACE_STEPS = 120_000
 
 
