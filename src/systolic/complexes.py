@@ -13,7 +13,7 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import combinations
 
-from ._record import record
+from ._record import record, trusted
 
 
 class MalformedSimplexError(ValueError):
@@ -60,11 +60,7 @@ class SimplicialComplex:
                 raise ValueError(f"facet {f} is not strictly sorted")
             if f and (f[0] < 0 or f[-1] >= self.vertex_count):
                 raise ValueError(f"facet {f} has vertices outside 0..{self.vertex_count - 1}")
-        if sum((1 << len(f)) - 1 for f in self.facets) > MAX_FACE_STEPS:
-            raise ValueError(
-                f"enumerating the faces takes more than {MAX_FACE_STEPS} steps "
-                "(2^|f| - 1 per facet f), past the cap"
-            )
+        _check_face_steps(self.facets)
 
     @property
     def dim(self) -> int | None:
@@ -122,7 +118,19 @@ def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
         vertex_count = used_max + 1
     elif vertex_count <= used_max:
         raise ValueError("vertex_count smaller than largest vertex id used")
-    return SimplicialComplex(vertex_count, tuple(maximal))
+    facets = tuple(maximal)
+    if maximal and maximal[0][0] < 0:  # the constructor names the facet
+        return SimplicialComplex(vertex_count, facets)
+    _check_face_steps(facets)  # sorted, in range and distinct by construction
+    return trusted(SimplicialComplex, vertex_count, facets)
+
+
+def _check_face_steps(facets) -> None:
+    if sum((1 << len(f)) - 1 for f in facets) > MAX_FACE_STEPS:
+        raise ValueError(
+            f"enumerating the faces takes more than {MAX_FACE_STEPS} steps "
+            "(2^|f| - 1 per facet f), past the cap"
+        )
 
 
 def face_counts(complex_: SimplicialComplex) -> list[int]:

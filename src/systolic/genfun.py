@@ -4,19 +4,21 @@ Exact minimal linear recurrence detection over the rationals.  Detection
 is exact: float data must be rationalised by the caller first, because the
 rationality criterion is a statement about exact recurrences.
 
-Berlekamp-Massey (Massey 1969) and the replay run on integers only.  The
-terms are read in order; D is the lcm of the denominators read so far, and
-a window of the last terms is kept multiplied by D.  When a denominator
-does not divide D, D, the window and the stored discrepancy are multiplied
-by the same factor: scaling a sequence changes none of its linear
-recurrences, so the connection polynomials stay as they are.  The update
-is fraction-free in Bareiss's sense, C <- b C - d x^gap B divided by its
+Berlekamp-Massey (Massey 1969) runs on integers only.  The terms are
+read in order; D is the lcm of the denominators read so far, and a window
+of the last terms is kept multiplied by D.  When a denominator does not
+divide D, D, the window and the stored discrepancy b are multiplied by the
+same factor: scaling a sequence changes none of its linear recurrences,
+so the connection polynomials stay as they are.  The update is
+fraction-free in Bareiss's sense, C <- b C - d x^gap B divided by its
 content, so C stays proportional to the monic polynomial of the rational
 update.  Only the returned coefficients are formed as fractions, -c_i/c_0,
 and they are exactly those of the rational computation: past 2L terms the
-minimal recurrence is unique.  Cost and memory follow the terms read, not
-the lcm of all denominators, which over 30 000 distinct primes has about
-half a million bits.
+minimal recurrence is unique.  A found verdict is not replayed: its
+polynomial generates every term the synthesis has read, which is all of
+them.  Cost and memory follow the terms read, not the lcm of all
+denominators, which over 30 000 distinct primes has about half a million
+bits.
 """
 from __future__ import annotations
 
@@ -64,36 +66,14 @@ class RecurrenceVerdict:
     max_order_searched: int
 
 
-def _scaled_windows(terms, width: int):
-    """Per term, yield how much D grew there and the last ``width`` terms times D.
-
-    D is the lcm of the denominators read so far, so every windowed term is
-    an integer.  When a denominator does not divide D, D and the window are
-    multiplied by the same factor, which changes no linear relation among
-    the window's terms.  The window is yielded newest last.
-    """
-    window: deque[int] = deque(maxlen=width)
-    scale = 1
-    for term in terms:
-        denominator = term.denominator
-        factor = denominator // math.gcd(scale, denominator)
-        if factor != 1:
-            scale *= factor
-            window = deque([t * factor for t in window], width)
-        window.append(term.numerator * (scale // denominator))
-        yield factor, window
-
-
 def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, list[int]]:
     """Minimal shift-register length and connection polynomial over Q.
 
     Returns (L, C) with C = [c_0, c_1, ..., c_L], integers with c_0 != 0,
-    such that c_0 s_n + sum_i c_i s_(n-i) = 0 for all n >= L.  The update is
-    fraction-free: C <- b C - d x^gap B, where d and b are the discrepancies
-    of C and of the previous polynomial B on the terms scaled by the same
-    D (so b is rescaled whenever D grows), and C is then divided by its
-    content.  C stays proportional to the monic polynomial of the rational
-    update.  L never decreases, so once it passes ``max_length`` the
+    such that c_0 s_n + sum_i c_i s_(n-i) = 0 for all n >= L, by the
+    fraction-free update of the module docstring: d and b are the
+    discrepancies of C and of the previous polynomial B on the terms scaled
+    by the same D.  L never decreases, so once it passes ``max_length`` the
     synthesis stops and returns an L above ``max_length`` with the
     polynomial of the terms read so far.
     """
@@ -102,8 +82,16 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
     length = 0
     gap = 1
     prev_discrepancy = 1
-    for n, (factor, window) in enumerate(_scaled_windows(terms, max_length + 1)):
-        prev_discrepancy *= factor
+    # the last terms times D, newest last: as many as a discrepancy reads
+    window: deque[int] = deque(maxlen=max_length + 1)
+    scale = 1  # D
+    for n, term in enumerate(terms):
+        factor = term.denominator // math.gcd(scale, term.denominator)
+        if factor != 1:  # D grows, and with it the window and b
+            scale *= factor
+            window = deque([t * factor for t in window], max_length + 1)
+            prev_discrepancy *= factor
+        window.append(term.numerator * (scale // term.denominator))
         # len(connection) is always length + 1
         discrepancy = sum(map(mul, connection, reversed(window)))
         if discrepancy == 0:
@@ -129,22 +117,12 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
     return length, connection
 
 
-def _replays(terms, connection: list[int]) -> bool:
-    """Whether c_0 s_n + sum_i c_i s_(n-i) = 0 for every n >= L, exactly."""
-    order = len(connection) - 1
-    return all(
-        sum(map(mul, connection, reversed(window))) == 0
-        for n, (_, window) in enumerate(_scaled_windows(terms, order + 1))
-        if n >= order
-    )
-
-
 def detect_linear_recurrence(sequence, max_order: int = 16) -> RecurrenceVerdict:
     """Minimal-order exact linear recurrence, or found=False up to max_order.
 
     Synthesis is Berlekamp-Massey over the rationals, computed on integers
-    (see the module docstring); a found verdict is replayed against the
-    entire sequence with no tolerance before being returned.
+    (see the module docstring).  It stops early only once L passes
+    max_order, so with L <= max_order its polynomial generates every term.
     """
     terms = sequence.terms if isinstance(sequence, RationalSequence) else tuple(
         Fraction(t) for t in sequence
@@ -157,7 +135,7 @@ def detect_linear_recurrence(sequence, max_order: int = 16) -> RecurrenceVerdict
             f"{max_order}; need at least {2 * max_order + 4} terms"
         )
     length, connection = _lfsr_synthesis(terms, max_order)
-    if length <= max_order and _replays(terms, connection):
+    if length <= max_order:
         coefficients = tuple(Fraction(-c, connection[0]) for c in connection[1:])
         return RecurrenceVerdict(True, length, coefficients, len(terms), max_order)
     return RecurrenceVerdict(False, 0, (), 0, max_order)

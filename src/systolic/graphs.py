@@ -1,8 +1,8 @@
 """Regular graphs of prescribed girth and metric systoles of uniform graphs.
 
 The constructor is a seeded randomized search (greedy distance-respecting
-pairing with conflict-edge deletion and restarts); every returned graph is
-re-verified independently, so a successful return is a certificate.  A
+pairing with conflict-edge deletion and restarts); ``_greedy_attempt``
+shows its graphs regular with the target girth, so none is checked again.  A
 step's partner for u is drawn by rejection: a uniformly drawn deficient v
 is kept when it lies outside B_{g-2}(u), tested by meet in the middle as
 B_ceil((g-2)/2)(u) and B_floor((g-2)/2)(v) being disjoint.  After
@@ -34,7 +34,7 @@ class InfeasibleGraphError(ValueError):
 
 
 class GirthSearchError(ValueError):
-    """Search budget exhausted without a verified graph; never a silent failure.
+    """Search budget exhausted without a finished graph; never a silent failure.
 
     A ValueError, as the request's parameters are what cannot be met.
     """
@@ -254,7 +254,6 @@ def vertex_window(degree: int, path_scale: int) -> tuple[int, int]:
     spread = (degree - 1) ** path_scale - (degree - 1)
     lower = -(-4 * spread // (degree - 2))
     upper = (degree - 1) ** path_scale
-    assert lower <= upper
     return lower, upper
 
 
@@ -284,11 +283,11 @@ def construct_regular_girth(
 
     Greedy pairing adds edges only between vertices at distance >= g-1,
     each partner uniform among the admissible ones, and deletes blocking
-    edges when stuck (Erdos-Sachs flavoured).  The result
-    is re-verified (regularity and BFS girth) before being returned;
-    infeasible requests are refused, a step budget below the edge count is
-    refused before the first attempt, and an exhausted budget raises instead
-    of returning an invalid graph.
+    edges when stuck (Erdos-Sachs flavoured).  A finished attempt is
+    returned unchecked, as ``_greedy_attempt`` proves it regular with girth
+    >= girth_target; infeasible requests are refused, a step budget below
+    the edge count is refused before the first attempt, and an exhausted
+    budget raises instead of returning a partial graph.
     """
     if vertices > MAX_VERTICES:
         raise ValueError(f"{vertices} vertices exceeds the cap of {MAX_VERTICES}")
@@ -323,9 +322,7 @@ def construct_regular_girth(
     for _ in range(max_restarts):
         edges = _greedy_attempt(degree, girth_target, vertices, rng, step_budget, counts)
         if edges is not None:
-            graph = Graph(vertices, tuple(edges))
-            if graph.is_regular(degree) and girth(graph, cutoff=girth_target) >= girth_target:
-                return graph
+            return trusted(Graph, vertices, edges)
         counts.restarts += 1
     raise GirthSearchError(
         f"no {degree}-regular graph of girth >= {girth_target} on {vertices} "
@@ -363,7 +360,11 @@ def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
     none, u is repaired either by a double swap (remove an edge (x, y), add
     (u, x) and (v, y) for another deficient v, re-checking distances after
     each step) or by rotating a stub from a saturated far vertex; deletions
-    never shorten cycles, so the girth invariant holds throughout.
+    never shorten cycles, so the girth invariant holds throughout.  No
+    degree passes c: u, its partner and the mate gain an edge only while
+    deficient (a lone deficient u lacks an even number, so two or more),
+    and x, y and w lose one first.  The attempt ends only at n*c/2 edges,
+    so with every degree c, and returns them as sorted (a, b), a < b.
 
     The deficient vertices are an unsorted list: a vertex reaching full
     degree is swapped with the last one and removed, found through its
@@ -422,7 +423,7 @@ def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
         counts.rotations += 1
     if edges != target_edges:
         return None
-    return [(a, b) for a in range(n) for b in adj[a] if a < b]
+    return tuple((a, b) for a in range(n) for b in sorted(adj[a]) if b > a)
 
 
 def _draw_partner(adj, u, deficient, reach, rng, counts):

@@ -83,6 +83,10 @@ def heisenberg_presentation(n: int) -> Presentation:
 # reduced word has at least as many letters as that sum.
 MAX_LETTERS = 1_000_000
 
+# The most trie steps that splitting juxtaposed names may take in one
+# presentation; README states the cost at the cap.
+MAX_SEGMENT_STEPS = 2_000_000
+
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\[|\]|\(|\)|,|\^|-?\d+)")
 
 
@@ -107,7 +111,7 @@ def parse_presentation(text: str) -> Presentation:
         for ch in name:
             node = node.setdefault(ch, {})
         node[""] = generator
-    counted = 0
+    counted = walked = 0
 
     def parse_word(tokens: list[str], pos: int, stop: set[str]) -> tuple[dict[int, int], int]:
         nonlocal counted
@@ -129,6 +133,7 @@ def parse_presentation(text: str) -> Presentation:
         return row, pos
 
     def parse_atom(tokens: list[str], pos: int) -> tuple[dict[int, int], int]:
+        nonlocal walked
         tok = tokens[pos]
         if tok == "[":
             _, pos = parse_word(tokens, pos + 1, {","})
@@ -139,7 +144,8 @@ def parse_presentation(text: str) -> Presentation:
             return inner, pos + 1
         if tok in index:
             return {index[tok]: 1}, pos + 1
-        segmented = _segment(tok, trie)
+        segmented, steps = _segment(tok, trie, MAX_SEGMENT_STEPS - walked)
+        walked += steps
         if segmented is not None:
             return segmented, pos + 1
         raise ValueError(f"unknown generator or token {tok!r}")
@@ -165,15 +171,17 @@ def _tokenize(s: str) -> list[str]:
     return tokens
 
 
-def _segment(token: str, trie: dict) -> dict[int, int] | None:
+def _segment(token: str, trie: dict, budget: int) -> tuple[dict[int, int] | None, int]:
     """Greedy longest-match split of a juxtaposed identifier like 'ab' into a, b.
 
     ``trie`` holds the names, one level per character.  At each position the
     walk down it stops where no name goes on, so it takes at most one step
-    per character of the longest name.  Returns the names' counts.
+    per character of the longest name and one for the character that ends
+    it.  Returns the names' counts (None if the token does not split) and
+    the steps taken, refusing the token once they pass ``budget``.
     """
     row: dict[int, int] = {}
-    pos = 0
+    pos = steps = 0
     while pos < len(token):
         node, match = trie, None
         for end in range(pos, len(token)):
@@ -182,11 +190,14 @@ def _segment(token: str, trie: dict) -> dict[int, int] | None:
                 break
             if "" in node:
                 match = node[""], end + 1
+        steps += end - pos + 1
+        if steps > budget:
+            raise ValueError(f"juxtaposed names take more than {MAX_SEGMENT_STEPS} steps to split, past the cap")
         if match is None:
-            return None
+            return None, steps
         generator, pos = match
         row[generator] = row.get(generator, 0) + 1
-    return row
+    return row, steps
 
 
 def _split_relators(text: str) -> list[str]:

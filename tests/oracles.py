@@ -10,7 +10,9 @@ elimination over fractions, Berlekamp-Massey and its replay on
 verdict built from them in ``recurrence_verdict``), the girth as a full
 BFS from every vertex, the ball around a vertex by plain BFS, the graph
 edge checks one edge at a time (``graph_edges`` and
-``loaded_graph_edges``), the boundary operators as (row, col, sign)
+``loaded_graph_edges``), ``check_regular_girth``, the certificate of a
+built graph that ``construct_regular_girth`` no longer checks at run
+time, the boundary operators as (row, col, sign)
 triples with each face found by deleting a vertex and its own copy of the
 sign (-1)^i (``boundary_matrix``, a ``BoundaryMatrix`` record), and
 ``dataclass_twin``, a record class rebuilt as the frozen dataclass it was,
@@ -27,12 +29,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 from systolic._record import record
 from systolic.complexes import SimplicialComplex, face_counts
 from systolic.genfun import RecurrenceVerdict
+from systolic.graphs import Graph
 from systolic.homology import HomologySummary
 from systolic.presentations import MAX_LETTERS, _split_relators, _tokenize
 from systolic.snf import SmithForm, smith_normal_form
@@ -372,6 +375,19 @@ def graph_edges(vertex_count, edges) -> tuple:
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
     return tuple(sorted(seen))
+
+
+def check_regular_girth(graph, degree: int, girth_target: int) -> None:
+    """Assert what ``construct_regular_girth`` proves of the graph it returns
+    unchecked: its edges are canonical (the per-edge check and ``Graph`` give
+    them back unchanged), every vertex ends ``degree`` of them, and the girth
+    by full BFS is at least ``girth_target``."""
+    n = graph.vertex_count
+    assert type(graph.edges) is tuple and graph_edges(n, graph.edges) == graph.edges
+    assert Graph(n, graph.edges) == graph
+    ends = Counter(itertools.chain.from_iterable(graph.edges))
+    assert [ends[v] for v in range(n)] == [degree] * n
+    assert girth(graph, girth_target) >= girth_target
 
 
 def loaded_graph_edges(vertex_count, edges) -> tuple:

@@ -31,7 +31,7 @@ from systolic.complexes import (
 )
 from systolic.corpus import corpus_complex, corpus_complexes
 from systolic.genfun import RationalSequence, detect_linear_recurrence
-from systolic.graphs import Graph, construct_regular_girth, girth, vertex_window
+from systolic.graphs import Graph, construct_regular_girth, girth, load_graph, vertex_window
 from systolic.homology import check_s2_torsion_bound, homology
 from systolic.presentations import abelianization, heisenberg_presentation
 from systolic.sleeves import CubicalModel, assemble, upper_bound_even
@@ -176,7 +176,8 @@ def test_criterion_6_girth_construction():
     targets = [(3, 5, 10), (3, 6, 14), (7, 4, 50), (7, 5, 150)]
     for degree, girth_target, vertices in targets:
         graph = construct_regular_girth(degree, girth_target, vertices, seed=1)
-        # independent verification, not the builder's internal check
+        # independent verification: the build checks nothing at run time
+        oracles.check_regular_girth(graph, degree, girth_target)
         assert all(d == degree for d in graph.degrees)
         assert girth(graph) >= girth_target
 
@@ -348,3 +349,5 @@ def test_criterion_11_cli_determinism(tmp_path):
         assert all(r.returncode == 0 for r in runs), (args, runs[0].stderr)
         outputs = {r.stdout for r in runs}
         assert len(outputs) == 1, f"non-deterministic output for {args}"
+        if args[0] == "build-graph":
+            oracles.check_regular_girth(load_graph(runs[0].stdout), 3, 6)

@@ -20,6 +20,8 @@ from systolic import __version__, bounds, complexes, graphs, presentations, snf
 from systolic.corpus import corpus_list
 from test_snf import _freudenthal_torus
 
+import oracles
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -185,6 +187,18 @@ class TestAbelianizeCommand:
             assert (code, out) == (2, "")
             assert err == f"error: relators expand past the cap of {cap} letters\n"
 
+    def test_segmenting_at_the_step_cap_and_one_past(self, capsys):
+        # in a token of juxtaposed 'cd's each position walks c, d and the next
+        # character, the last one c and d only; two 'b's at the end take 2 + 1
+        cap = presentations.MAX_SEGMENT_STEPS
+        pairs = (cap + 1) // 3
+        assert 3 * pairs - 1 == cap
+        code, out, _ = run_cli(["abelianize", "b, cd ; " + "cd" * pairs], capsys)
+        assert (code, json.loads(out)) == (0, {"free_rank": 1, "torsion_factors": [pairs]})
+        code, out, err = run_cli(["abelianize", "b, cd ; " + "cd" * (pairs - 1) + "bb"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: juxtaposed names take more than {cap} steps to split, past the cap\n"
+
     def test_deep_nesting_is_refused(self, capsys):
         code, out, _ = run_cli(["abelianize", "a ; " + "(" * 200 + "a^2" + ")" * 200], capsys)
         assert (code, json.loads(out)) == (0, {"free_rank": 0, "torsion_factors": [2]})
@@ -217,6 +231,7 @@ class TestGraphCommands:
             capsys,
         )
         assert code == 0
+        oracles.check_regular_girth(graphs.load_graph(out_file.read_text()), 3, 5)
         code, out, _ = run_cli(
             ["girth", str(out_file), "--edge-length", "1/4"], capsys
         )
@@ -267,6 +282,7 @@ class TestGraphCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "131b0b9d0555aa6232c72195b44fb71744dd79d8cee049c72f8c6638f9549abd"
         )
+        oracles.check_regular_girth(graphs.load_graph(out), 7, 5)
 
     def test_girth6_build_bytes_pinned(self, capsys):
         # reach 4: the far test meets a ball of radius 2 around the drawn
@@ -278,6 +294,37 @@ class TestGraphCommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "730ca37f9fe6d13d4a3e6091e65c7a51068237b274b44cf86e1138222c5bcda1"
+        )
+        oracles.check_regular_girth(graphs.load_graph(out), 7, 6)
+
+    def test_bench_scale_build_bytes_pinned(self, capsys):
+        # the benchmark's l=5 request; computed while the build still checked
+        # its graph with Graph(), is_regular and girth before returning it
+        code, out, _ = run_cli(
+            ["build-graph", "--c", "7", "--girth", "6", "--vertices", "6216", "--seed", "7"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1ffc54c9ee073adfc547575dd0757c20c49ac573b980d34840f0c2527c322f91"
+        )
+        oracles.check_regular_girth(graphs.load_graph(out), 7, 6)
+
+    def test_build_proves_nothing_again_at_run_time(self, capsys, monkeypatch):
+        # the build's girth and edges are theorems of the search, so neither
+        # girth nor Graph's checks may run while it builds
+        def refuse(*args, **kwargs):
+            raise AssertionError("the build re-checked its own graph")
+
+        monkeypatch.setattr(graphs, "girth", refuse)
+        monkeypatch.setattr(graphs.Graph, "__post_init__", refuse)
+        code, out, _ = run_cli(
+            ["build-graph", "--c", "7", "--girth", "5", "--vertices", "1032", "--seed", "4"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "131b0b9d0555aa6232c72195b44fb71744dd79d8cee049c72f8c6638f9549abd"
         )
 
     @pytest.mark.parametrize("vertices", ["300002", "100000000"])
@@ -974,6 +1021,8 @@ class TestDeterminism:
         third = _run_subprocess(args, hashseed=42)
         assert first.returncode == second.returncode == third.returncode == 0
         assert first.stdout == second.stdout == third.stdout
+        if args[0] == "build-graph":
+            oracles.check_regular_girth(graphs.load_graph(first.stdout), 3, 5)
 
 
 # Runs one command in a fresh interpreter and writes, as the last line of

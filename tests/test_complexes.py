@@ -98,6 +98,50 @@ class TestFromFacets:
             orient(from_facets([[]]))
         assert from_facets([[], [3]]).facets == ((3,),)
 
+    def test_canonical_facets_are_not_checked_again(self, monkeypatch):
+        # from_facets makes its facets canonical itself, so the constructor's
+        # order, range and duplicate checks do not run on that path
+        def refuse(self):
+            raise AssertionError("from_facets re-checked its own facets")
+
+        monkeypatch.setattr(SimplicialComplex, "__post_init__", refuse)
+        made = from_facets([[2, 0, 1], [1, 0], [5], [2, 1, 0]])
+        assert (made.vertex_count, made.facets) == (6, ((0, 1, 2), (5,)))
+
+    def test_python_callers_keep_every_check(self):
+        for vertex_count, facets, message in (
+            (-1, (), "non-negative"), (3, ((0, 1), (0, 1)), "duplicate"),
+            (3, ((1, 0),), "strictly sorted"), (3, ((0, 3),), "outside"), (3, ((-1, 0),), "outside"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SimplicialComplex(vertex_count, facets)
+
+    def test_outcomes_match_the_checked_constructor(self, monkeypatch):
+        # the same complexes and error texts as when from_facets ended in
+        # the constructor, on seeded facet lists with negative vertices,
+        # repeats, non-maximal faces and vertex counts too small
+        rng = random.Random(22)
+        cases = []
+        for _ in range(600):
+            facets = [[rng.randint(-2, 9) for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(0, 6))]
+            cases.append((facets, rng.choice((None, rng.randint(-2, 12)))))
+
+        def outcomes():
+            found = []
+            for facets, vertex_count in cases:
+                try:
+                    found.append(repr(from_facets(facets, vertex_count)))
+                except ValueError as error:
+                    found.append((type(error), str(error)))
+            return found
+
+        fast = outcomes()
+        monkeypatch.setattr(complexes, "trusted", lambda cls, *values: cls(*values))
+        assert fast == outcomes()
+        errors = {text.split()[0] for text in (o[1] for o in fast if isinstance(o, tuple))}
+        assert {"repeated", "vertex_count", "facet"} <= errors
+        assert sum(isinstance(o, str) for o in fast) > 100
+
 
 class TestFaceCap:
     def test_at_the_cap_and_one_past(self, monkeypatch):

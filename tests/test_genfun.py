@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import genfun
 from systolic.genfun import RationalSequence, detect_linear_recurrence
 
 import oracles
@@ -71,14 +70,14 @@ class TestDetect:
             assert verdict.verified_length == length
 
     def test_replay_checks_every_term_from_the_order_on(self):
+        # the oracle's replay, which the fuzz below applies to every found verdict
         terms = [Fraction(2) ** k for k in range(12)]
-        assert genfun._replays(terms, [1, -2])
-        assert genfun._replays(terms, [3, -6])
+        assert oracles._replays(terms, 1, (Fraction(2),))
         # a wrong first term is seen only by the check at n = L = 1
         for n in (0, 6, 11):
             wrong = list(terms)
             wrong[n] += Fraction(1, 3)
-            assert not genfun._replays(wrong, [1, -2])
+            assert not oracles._replays(wrong, 1, (Fraction(2),))
 
     def test_replay_is_exact_not_approximate(self):
         # a sequence following x2 recurrence except for a tiny final defect
@@ -146,6 +145,36 @@ def test_verdict_matches_the_fraction_oracle():
         assert verdict == oracles.recurrence_verdict(terms, max_order), (terms, max_order)
         kinds["found" if verdict.found else "not found"] += 1
         kinds["order 0"] += verdict.found and verdict.order == 0
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_every_found_verdict_replays_over_the_whole_sequence():
+    # the package returns a found verdict without a replay: Berlekamp-Massey's
+    # final polynomial generates every term it has read
+    rng = random.Random(22)
+    kinds = {"integer found": 0, "rational found": 0, "not found": 0}
+    for _ in range(400):
+        max_order = rng.randint(1, 10)
+        length = 2 * max_order + 4 + rng.randint(0, 60)
+        integer = rng.random() < 0.5
+        term = (lambda: Fraction(rng.randint(-9, 9))) if integer else (lambda: _rational(rng))
+        kind = rng.choice(("recurrent", "recurrent", "perturbed", "random"))
+        if kind == "random":
+            terms = [term() for _ in range(length)]
+        else:
+            order = rng.randint(1, max_order + 2)
+            coefficients = [term() for _ in range(order)]
+            terms = _recurrent(coefficients, [term() for _ in range(order)], length)
+            if kind == "perturbed":
+                terms[rng.randrange(length)] += rng.choice((1, Fraction(1, 7)))
+        verdict = detect_linear_recurrence(RationalSequence.from_values(terms), max_order)
+        if verdict.found:
+            assert verdict.order <= max_order and verdict.verified_length == length
+            assert oracles._replays(terms, verdict.order, verdict.coefficients), (terms, max_order)
+            kinds["integer found" if integer else "rational found"] += 1
+        else:
+            assert not oracles.recurrence_verdict(terms, max_order).found, (terms, max_order)
+            kinds["not found"] += 1
     assert min(kinds.values()) > 0, kinds
 
 

@@ -26,6 +26,8 @@ from systolic.graphs import (
     vertex_window,
 )
 
+from systolic._record import trusted
+
 import oracles
 
 
@@ -147,21 +149,25 @@ class TestVertexWindow:
 class TestConstruction:
     def test_petersen_parameters(self):
         graph = construct_regular_girth(3, 5, 10, seed=1)
+        oracles.check_regular_girth(graph, 3, 5)
         assert graph.is_regular(3)
         assert girth(graph) == 5
 
     def test_degree3_girth6(self):
         graph = construct_regular_girth(3, 6, 14, seed=1)
+        oracles.check_regular_girth(graph, 3, 6)
         assert graph.is_regular(3)
         assert girth(graph) >= 6
 
     def test_degree7_girth4(self):
         graph = construct_regular_girth(7, 4, 50, seed=1)
+        oracles.check_regular_girth(graph, 7, 4)
         assert graph.is_regular(7)
         assert girth(graph) >= 4
 
     def test_degree7_girth5(self):
         graph = construct_regular_girth(7, 5, 150, seed=1)
+        oracles.check_regular_girth(graph, 7, 5)
         assert graph.is_regular(7)
         assert girth(graph) >= 5
 
@@ -212,6 +218,30 @@ class TestConstruction:
         a = construct_regular_girth(3, 5, 14, seed=9)
         b = construct_regular_girth(3, 5, 14, seed=9)
         assert a.edges == b.edges
+        oracles.check_regular_girth(a, 3, 5)
+
+    def test_seeded_builds_pass_the_certificate(self):
+        # the build returns its graph unchecked; each one drawn here, over
+        # small (c, g) with n from the Moore bound up, is checked by the
+        # oracle: canonical edges, every degree c, full-BFS girth >= g
+        rng = random.Random(2222)
+        built, refused = set(), 0
+        for _ in range(150):
+            degree, girth_target = rng.randint(3, 7), rng.randint(3, 6)
+            low = max(moore_bound(degree, girth_target), degree + 1)
+            n = rng.randint(low, 2 * low + 30)
+            n += n * degree % 2
+            try:
+                graph = construct_regular_girth(degree, girth_target, n, seed=rng.randrange(10**6),
+                                                max_restarts=8)
+            except GirthSearchError:  # near the Moore bound a few searches run out
+                refused += 1
+                continue
+            oracles.check_regular_girth(graph, degree, girth_target)
+            built.add((degree, girth_target))
+        # every degree and every girth occurs, and most searches succeed
+        assert {c for c, _ in built} == set(range(3, 8)) and {g for _, g in built} == {3, 4, 5, 6}
+        assert refused < 40, refused
 
 
 class TestMetricSystole:
@@ -420,7 +450,9 @@ def _girth_cases(rng):
         edges += [(rng.randrange(a + b), a + b + 10 + i) for i in range(5)]
         yield _relabelled(rng, a + b + 15, edges)
     for degree, girth_target, n, seed in ((3, 5, 12, 3), (3, 6, 30, 1), (4, 5, 24, 2), (7, 5, 150, 1)):
-        yield construct_regular_girth(degree, girth_target, n, seed=seed)
+        graph = construct_regular_girth(degree, girth_target, n, seed=seed)
+        oracles.check_regular_girth(graph, degree, girth_target)
+        yield graph
 
 
 def test_girth_matches_the_full_search_oracle():
@@ -465,8 +497,10 @@ def test_ball_matches_oracle():
 def test_girth_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(5)
-    cases = [PETERSEN, construct_regular_girth(3, 6, 40, seed=2),
-             construct_regular_girth(7, 5, 150, seed=1)]
+    built = [construct_regular_girth(3, 6, 40, seed=2), construct_regular_girth(7, 5, 150, seed=1)]
+    oracles.check_regular_girth(built[0], 3, 6)
+    oracles.check_regular_girth(built[1], 7, 5)
+    cases = [PETERSEN, *built]
     cases += [Graph(n, _random_edge_set(rng, n)) for n in rng.choices(range(2, 16), k=60)]
     for graph in cases:
         other = nx.Graph()
@@ -487,6 +521,7 @@ def test_constructed_graphs_verified_independently():
     graph = construct_regular_girth(3, 5, 12, seed=3)
     assert oracles.brute_force_girth(12, graph.edges) >= 5
     assert all(d == 3 for d in graph.degrees)
+    oracles.check_regular_girth(graph, 3, 5)
 
 
 def test_far_test_matches_the_ball_oracle():
@@ -575,8 +610,8 @@ def test_search_partners_are_admissible(monkeypatch):
             edges = graphs._greedy_attempt(degree, girth_target, n, rng, 200_000, counts)
             attempts += 1
             if edges is not None:
-                graph = Graph(n, tuple(edges))
-                assert graph.is_regular(degree) and oracles.girth(graph) >= girth_target
+                # the attempt's edges, as construct_regular_girth returns them
+                oracles.check_regular_girth(trusted(Graph, n, edges), degree, girth_target)
                 break
             failed += 1
     # the grid covers every branch: kept and listed partner draws, double

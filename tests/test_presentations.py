@@ -72,6 +72,35 @@ class TestWords:
         assert time.perf_counter() - start < 1.0
         assert presentation.relators == (((0, 45_000),),)
 
+    def test_names_extending_the_match_are_refused_at_the_step_cap(self):
+        # 'a' and 'a' * k + 'b' for k = 1 .. 299, and one 45 000-character
+        # token of 'a's: every position walks about 300 trie levels before it
+        # falls back to 'a', 13.5 million steps in all, which took 1.5 s
+        names = ["a"] + ["a" * k + "b" for k in range(1, 300)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {presentations.MAX_SEGMENT_STEPS} steps to split"):
+            parse_presentation(",".join(names) + " ; " + "a" * 45_000)
+        assert time.perf_counter() - start < 1.0
+
+    def test_segmenting_counts_every_trie_step(self):
+        # a walk takes one step per character it reads, the one that ends it too
+        trie = {"b": {"": 0}, "c": {"d": {"": 1}}}
+        assert presentations._segment("cd" * 5, trie, 14) == ({1: 5}, 14)
+        assert presentations._segment("cd" * 4 + "bb", trie, 15) == ({1: 4, 0: 2}, 15)
+        assert presentations._segment("cdx", trie, 4) == (None, 4)
+        with pytest.raises(ValueError, match=f"more than {presentations.MAX_SEGMENT_STEPS} steps to split"):
+            presentations._segment("cd" * 5, trie, 13)
+
+
+    def test_the_step_cap_counts_the_whole_presentation(self, monkeypatch):
+        # each 'cdcd' takes 5 steps: four such tokens, over three relators,
+        # reach a cap of 20, and a fifth passes it
+        monkeypatch.setattr(presentations, "MAX_SEGMENT_STEPS", 20)
+        text = "cd ; cdcd cdcd, cdcd^2, cdcd"
+        assert parse_presentation(text).relators == (((0, 4),), ((0, 4),), ((0, 2),))
+        with pytest.raises(ValueError, match="more than 20 steps to split"):
+            parse_presentation(text + " cdcd")
+
 
 class TestAbelianization:
     def test_commutator_relator_gives_free_abelian(self):

@@ -13,6 +13,8 @@ from systolic.sleeves import (
     upper_bound_even,
 )
 
+import oracles
+
 MODEL = CubicalModel(3, 7)
 
 
@@ -152,6 +154,7 @@ class TestMultipleClassBound:
 def test_assembly_with_constructed_graph():
     # end to end: build a graph, then assemble on it
     graph = construct_regular_girth(7, 3, 30, seed=5)
+    oracles.check_regular_girth(graph, 7, 3)
     report = assemble(MODEL, Fraction(1, 5), graph)
     assert report.two_n == 30
     assert report.volume == Fraction(4 * 3 * 15 * 7, 5)
