@@ -59,21 +59,16 @@ def load_constants(path: str) -> BoundConstants:
 
 @record
 class BoundReport:
-    """Named lower and upper bound values for one quantity."""
+    """A named lower and upper bound value for one quantity."""
 
     name: str
-    inputs: tuple[tuple[str, float], ...]
-    lower_bounds: tuple[tuple[str, float], ...]
-    upper_bounds: tuple[tuple[str, float], ...]
+    lower: float
+    upper: float
 
     @property
     def consistent(self) -> bool:
-        """max lower <= min upper, with relative float slack; vacuous if one side empty."""
-        if not self.lower_bounds or not self.upper_bounds:
-            return True
-        low = max(v for _, v in self.lower_bounds)
-        high = min(v for _, v in self.upper_bounds)
-        return low <= high * (1 + _REL_SLACK) + _REL_SLACK
+        """lower <= upper, with relative float slack."""
+        return self.lower <= self.upper * (1 + _REL_SLACK) + _REL_SLACK
 
 
 def height_lb(h, constants: BoundConstants = BoundConstants()) -> float:
@@ -123,12 +118,7 @@ def sandwich(k, constants: BoundConstants = BoundConstants()) -> BoundReport:
         raise ValueError("multiple k must be at least 1")
     lower = constants.pair_lower * k / math.log(1 + k) ** constants.m
     upper = multiple_class_bound(k, constants.pair_upper)
-    return BoundReport(
-        name="multiple-class-sandwich",
-        inputs=(("k", float(k)), ("m", float(constants.m))),
-        lower_bounds=(("k-over-polylog", lower),),
-        upper_bounds=(("k-over-log", upper),),
-    )
+    return BoundReport("multiple-class-sandwich", lower, upper)
 
 
 def lens_lb(n, constants: BoundConstants = BoundConstants()) -> float:

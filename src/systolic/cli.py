@@ -177,21 +177,18 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_girth(args) -> int:
-    import math
-    from fractions import Fraction
-
     from .graphs import MetricGraph, girth, load_graph, metric_systole
 
     with open(args.graph) as handle:
         graph = load_graph(handle)
     shortest = girth(graph)
-    payload: dict = {"girth": _jsonable(shortest if shortest == math.inf else int(shortest))}
+    payload: dict = {"girth": shortest}
     if args.edge_length:
         systole = metric_systole(
             MetricGraph(graph, _rational(args.edge_length, "--edge-length")), shortest
         )
         payload["edge_length"] = args.edge_length
-        payload["metric_systole"] = _jsonable(systole if systole == math.inf else Fraction(systole))
+        payload["metric_systole"] = systole
     _dump_json(payload, args.out)
     return 0
 
@@ -241,8 +238,8 @@ def _sandwich(point, constants):
     report = _bounds().sandwich(_real(point), constants)
     return {
         "name": report.name,
-        "lower": report.lower_bounds[0][1],
-        "upper": report.upper_bounds[0][1],
+        "lower": report.lower,
+        "upper": report.upper,
         "consistent": report.consistent,
         "constants": constants.provenance,
     }

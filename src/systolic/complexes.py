@@ -344,13 +344,9 @@ def connected_sum(
 
 
 def load_complex(source) -> SimplicialComplex:
-    """Read the JSON complex format {"vertices": n, "facets": [[...], ...]}."""
-    if isinstance(source, (str, bytes)):
-        data = json.loads(source)
-    elif isinstance(source, dict):
-        data = source
-    else:
-        data = json.load(source)
+    """Read the JSON complex format {"vertices": n, "facets": [[...], ...]}
+    from text or a file."""
+    data = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
     facets = data.get("facets") if isinstance(data, dict) else None
     if not isinstance(facets, list) or not all(
         isinstance(f, list) and all(type(v) is int for v in f) for f in facets

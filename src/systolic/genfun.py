@@ -18,7 +18,9 @@ minimal recurrence is unique.  A found verdict is not replayed: its
 polynomial generates every term the synthesis has read, which is all of
 them.  Cost and memory follow the terms read, not the lcm of all
 denominators, which over 30 000 distinct primes has about half a million
-bits.
+bits.  The coefficients can still grow with every term read, and the cost
+of a step grows with their size, so the synthesis is refused once they
+hold more than ``MAX_COEFFICIENT_BITS`` bits together.
 """
 from __future__ import annotations
 
@@ -28,6 +30,14 @@ from fractions import Fraction
 from operator import mul
 
 from ._record import record
+
+# The most bits the connection polynomial's coefficients may hold together.
+# The cost of a step grows with them: on every shape of terms tried, a
+# synthesis that stays just below the cap takes at most about 1.6 s (2 vCPUs,
+# Python 3.11).  It does not bound terms whose coefficients stay small while
+# L grows, such as 0/1 terms with their ones at the powers of two.  The bench
+# shapes hold at most 45 000 bits, order 200 on 1 000 terms about 650 000.
+MAX_COEFFICIENT_BITS = 1_000_000
 
 
 @record
@@ -75,7 +85,8 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
     discrepancies of C and of the previous polynomial B on the terms scaled
     by the same D.  L never decreases, so once it passes ``max_length`` the
     synthesis stops and returns an L above ``max_length`` with the
-    polynomial of the terms read so far.
+    polynomial of the terms read so far.  A polynomial whose coefficients
+    hold more than ``MAX_COEFFICIENT_BITS`` bits is refused.
     """
     connection = [1]
     previous = [1]
@@ -104,6 +115,11 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
         content = math.gcd(*update)
         if content != 1:
             update = [c // content for c in update]
+        if sum(map(int.bit_length, update)) > MAX_COEFFICIENT_BITS:
+            raise ValueError(
+                f"recurrence synthesis refused after {n + 1} terms: its coefficients hold more "
+                f"than {MAX_COEFFICIENT_BITS} bits, past the cap (genfun.MAX_COEFFICIENT_BITS)"
+            )
         if 2 * length <= n:
             previous = connection
             prev_discrepancy = discrepancy
@@ -117,16 +133,14 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
     return length, connection
 
 
-def detect_linear_recurrence(sequence, max_order: int = 16) -> RecurrenceVerdict:
+def detect_linear_recurrence(sequence: RationalSequence, max_order: int = 16) -> RecurrenceVerdict:
     """Minimal-order exact linear recurrence, or found=False up to max_order.
 
     Synthesis is Berlekamp-Massey over the rationals, computed on integers
     (see the module docstring).  It stops early only once L passes
     max_order, so with L <= max_order its polynomial generates every term.
     """
-    terms = sequence.terms if isinstance(sequence, RationalSequence) else tuple(
-        Fraction(t) for t in sequence
-    )
+    terms = sequence.terms
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     if len(terms) < 2 * max_order + 4:

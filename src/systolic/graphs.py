@@ -48,21 +48,17 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        edges = _canonical_edges(self.vertex_count, self.edges)
-        if edges is None:
-            # some bulk check failed: name the first bad edge, if there is one
-            seen = set()
-            for u, v in self.edges:
-                if u == v:
-                    raise ValueError(f"loop at vertex {u}")
-                if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                    raise ValueError(f"edge ({u}, {v}) out of range")
-                key = (min(u, v), max(u, v))
-                if key in seen:
-                    raise ValueError(f"duplicate edge {key}")
-                seen.add(key)
-            edges = tuple(sorted(seen))
-        object.__setattr__(self, "edges", edges)
+        seen = set()
+        for u, v in self.edges:
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                raise ValueError(f"edge ({u}, {v}) out of range")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise ValueError(f"duplicate edge {key}")
+            seen.add(key)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -82,28 +78,18 @@ class Graph:
         return all(d == degree for d in self.degrees)
 
 
-def _ends(edges, kinds):
+def _ends(edges):
     """The first ends and the second ends of the edges, as two tuples, when
-    each edge is of a type in ``kinds`` and holds two ints (not bools);
-    None otherwise.  Every check is one pass over the edges in C."""
+    each edge is a list of two ints (not bools); None otherwise.  Every
+    check is one pass over the edges in C."""
     if not edges:
         return (), ()
-    if not set(map(type, edges)) <= kinds or set(map(len, edges)) != {2}:
+    if set(map(type, edges)) != {list} or set(map(len, edges)) != {2}:
         return None
     us, vs = zip(*edges)
     if set(map(type, us)) | set(map(type, vs)) != {int}:
         return None
     return us, vs
-
-
-def _canonical_edges(vertex_count, edges):
-    """The edges as sorted (min, max) pairs, checked in bulk by ``_ends`` and
-    ``_sorted_pairs``.  None when a check fails, or when the input is not a
-    tuple or list of int pairs, so that the caller's per-edge loop decides."""
-    if type(vertex_count) is not int or type(edges) not in (tuple, list):
-        return None
-    ends = _ends(edges, {tuple, list})
-    return None if ends is None else _sorted_pairs(vertex_count, *ends)
 
 
 def _sorted_pairs(vertex_count, us, vs):
@@ -136,7 +122,7 @@ class MetricGraph:
         object.__setattr__(self, "edge_length", length)
 
 
-def girth(graph: Graph, cutoff: int | None = None) -> int | float:
+def girth(graph: Graph) -> int | float:
     """Length of a shortest cycle; inf for forests.
 
     First the vertices of degree <= 1 are peeled, repeatedly: such a vertex
@@ -165,14 +151,11 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
     while working from a level d with 2d + 1 <= |C|.
 
     Working from level d closes cycles of length 2d + 1 and 2d + 2 only,
-    so a root's search stops at the first level d with
-    2d + 1 >= min(best, cutoff + 1): no cycle it could still close is
-    shorter than both.  At a level d with 2d + 1 < min(best, cutoff + 1)
-    <= 2d + 2 only a cycle of length 2d + 1 can still count, and it is
-    there exactly when an edge joins two vertices of level d, so one set
-    test settles the level and level d + 1 is never built.  With
-    ``cutoff`` the result is still the exact girth whenever that is
-    <= cutoff, and otherwise some value > cutoff.
+    so a root's search stops at the first level d with 2d + 1 >= best: no
+    cycle it could still close is shorter.  At a level d with
+    2d + 1 < best <= 2d + 2 only a cycle of length 2d + 1 can still count,
+    and it is there exactly when an edge joins two vertices of level d, so
+    one set test settles the level and level d + 1 is never built.
     """
     adjacency = graph.adjacency
     n = graph.vertex_count
@@ -199,14 +182,13 @@ def girth(graph: Graph, cutoff: int | None = None) -> int | float:
         stamp[v] = n
     peel(leaves)
     best = math.inf
-    top = best if cutoff is None else cutoff + 1
     for root in range(n):
         if stamp[root] == n:
             continue
         stamp[root], dist[root] = root, 0
         level, d = [root], 0
-        while level and 2 * d + 1 < min(best, top):
-            if 2 * d + 2 >= min(best, top):  # the last level: only 2d + 1 counts
+        while level and 2 * d + 1 < best:
+            if 2 * d + 2 >= best:  # the last level: only 2d + 1 counts
                 if not set(level).isdisjoint(chain.from_iterable(map(adjacency.__getitem__, level))):
                     best = 2 * d + 1
                 break
@@ -275,9 +257,6 @@ def construct_regular_girth(
     girth_target: int,
     vertices: int,
     seed: int = 0,
-    *,
-    max_restarts: int = 400,
-    step_budget: int = 200_000,
 ) -> Graph:
     """Seeded search for a degree-regular graph with girth >= girth_target.
 
@@ -285,9 +264,10 @@ def construct_regular_girth(
     each partner uniform among the admissible ones, and deletes blocking
     edges when stuck (Erdos-Sachs flavoured).  A finished attempt is
     returned unchecked, as ``_greedy_attempt`` proves it regular with girth
-    >= girth_target; infeasible requests are refused, a step budget below
-    the edge count is refused before the first attempt, and an exhausted
-    budget raises instead of returning a partial graph.
+    >= girth_target.  Infeasible requests are refused; so is a request
+    with more edges than ``STEP_BUDGET``, the steps of one attempt, before
+    the first attempt.  After ``MAX_RESTARTS`` abandoned attempts the
+    search raises instead of returning a partial graph.
     """
     if vertices > MAX_VERTICES:
         raise ValueError(f"{vertices} vertices exceeds the cap of {MAX_VERTICES}")
@@ -312,15 +292,15 @@ def construct_regular_girth(
         )
     # each step adds at most one edge, so a smaller budget cannot finish
     edges_needed = vertices * degree // 2
-    if edges_needed > step_budget:
+    if edges_needed > STEP_BUDGET:
         raise GirthSearchError(
             f"{vertices} vertices of degree {degree} need {edges_needed} edges, "
-            f"more than the step budget of {step_budget} steps per attempt"
+            f"more than the step budget of {STEP_BUDGET} steps per attempt"
         )
     rng = random.Random(seed)
     counts = SearchCounts()
-    for _ in range(max_restarts):
-        edges = _greedy_attempt(degree, girth_target, vertices, rng, step_budget, counts)
+    for _ in range(MAX_RESTARTS):
+        edges = _greedy_attempt(degree, girth_target, vertices, rng, counts)
         if edges is not None:
             return trusted(Graph, vertices, edges)
         counts.restarts += 1
@@ -348,9 +328,14 @@ class SearchCounts:
 
 # Drawn partners a step rejects before it lists the admissible ones.
 REJECTIONS = 32
+# Attempts one search makes, and steps one attempt takes, before giving up.
+MAX_RESTARTS = 400
+STEP_BUDGET = 200_000
+# Edges a double swap tries before the step falls back to a rotation.
+SWAP_TRIALS = 60
 
 
-def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
+def _greedy_attempt(degree, girth_target, n, rng, counts):
     """One randomized build: distance-respecting pairing with repairs.
 
     An edge (u, v) is only added when dist(u, v) >= g-1, so every created
@@ -397,7 +382,7 @@ def _greedy_attempt(degree, girth_target, n, rng, step_budget, counts):
                 deficient.append(x)
         edges -= 1
 
-    for _ in range(step_budget):
+    for _ in range(STEP_BUDGET):
         if edges == target_edges:
             break
         counts.steps += 1
@@ -469,7 +454,7 @@ def _is_far(adj, half, v, radius):
     return half.isdisjoint(inner) and half.isdisjoint(chain.from_iterable(map(adj.__getitem__, last)))
 
 
-def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng, trials=60):
+def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng):
     """Erdos-Sachs endgame repair: resolve two deficiencies through one edge.
 
     Remove a random edge (x, y) with x outside near = B_reach(u), add
@@ -483,7 +468,7 @@ def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng, tr
     edges = [(a, b) for a in range(n) for b in adj[a] if a < b]
     if not edges:
         return False
-    for _ in range(trials):
+    for _ in range(SWAP_TRIALS):
         x, y = rng.choice(edges)
         if rng.random() < 0.5:
             x, y = y, x
@@ -524,13 +509,9 @@ def _inner_ball(adj, root, radius):
 
 
 def load_graph(source) -> Graph:
-    """Read the JSON graph format {"n": k, "edges": [[u, v], ...]}."""
-    if isinstance(source, (str, bytes)):
-        data = json.loads(source)
-    elif isinstance(source, dict):
-        data = source
-    else:
-        data = json.load(source)
+    """Read the JSON graph format {"n": k, "edges": [[u, v], ...]} from text
+    or a file."""
+    data = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError("graph JSON must contain 'n' and 'edges'")
     n, edges = data["n"], data["edges"]
@@ -538,13 +519,10 @@ def load_graph(source) -> Graph:
         raise ValueError("graph JSON 'n' must be a non-negative integer")
     if n > MAX_VERTICES:
         raise ValueError(f"graph JSON 'n' = {n} exceeds the cap of {MAX_VERTICES} vertices")
-    # the per-edge test runs only when the bulk one fails, and accepts list subclasses too
-    ends = _ends(edges, {list}) if isinstance(edges, list) else None
-    if ends is None and not (isinstance(edges, list) and all(
-        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
-    )):
+    ends = _ends(edges) if type(edges) is list else None
+    if ends is None:
         raise ValueError("graph JSON 'edges' must be a list of integer pairs")
-    pairs = None if ends is None else _sorted_pairs(n, *ends)
+    pairs = _sorted_pairs(n, *ends)
     # checked ends are not checked again; Graph's per-edge loop names a bad edge
     return Graph(n, edges) if pairs is None else trusted(Graph, n, pairs)
 

@@ -51,11 +51,6 @@ class HomologySummary:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
 
-    def torsion_order(self, k: int) -> int:
-        if k < 0 or k >= len(self.torsion):
-            return 1
-        return math.prod(self.torsion[k])
-
 
 def homology(complex_: SimplicialComplex) -> HomologySummary:
     """Homology groups H_k = Z^betti(k) + sum Z_d for k = 0..dim."""

@@ -8,10 +8,9 @@ word problem.
 """
 from __future__ import annotations
 
-import math
 import re
 
-from ._record import record
+from ._record import record, trusted
 from .snf import smith_normal_form
 
 
@@ -39,19 +38,6 @@ class AbelianizedGroup:
 
     free_rank: int
     torsion_factors: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("negative free rank")
-        chain = self.torsion_factors
-        if any(d <= 1 for d in chain):
-            raise ValueError("torsion factors must exceed 1")
-        if any(chain[i + 1] % chain[i] for i in range(len(chain) - 1)):
-            raise ValueError("torsion factors must form a divisibility chain")
-
-    @property
-    def torsion_order(self) -> int:
-        return math.prod(self.torsion_factors)
 
 
 def abelianization(presentation: Presentation) -> AbelianizedGroup:
@@ -157,7 +143,8 @@ def parse_presentation(text: str) -> Presentation:
         if pos != len(tokens):
             raise ValueError(f"trailing tokens in relator {chunk!r}")
         relators.append(tuple(sorted((g, total) for g, total in row.items() if total)))
-    return Presentation(len(names), tuple(relators))
+    # the rows are sorted, nonzero and in range by construction
+    return trusted(Presentation, len(names), tuple(relators))
 
 
 def _tokenize(s: str) -> list[str]:

@@ -63,15 +63,6 @@ class SmithForm:
     row_dim: int
     col_dim: int
 
-    def __post_init__(self):
-        factors = self.invariant_factors
-        if any(d <= 0 for d in factors):
-            raise ValueError("invariant factors must be positive")
-        if any(factors[i + 1] % factors[i] for i in range(len(factors) - 1)):
-            raise ValueError("invariant factors must form a divisibility chain")
-        if len(factors) > min(self.row_dim, self.col_dim):
-            raise ValueError("rank exceeds matrix dimensions")
-
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)

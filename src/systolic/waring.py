@@ -6,11 +6,14 @@ Hennecart and Landreau ("Waring's problem for sixteen biquadrates --
 numerical results", 2000): layer t holds, as the bits of one integer, every
 j <= limit that is a sum of at most t d-th powers, and layer t + 1 is the OR
 of layer t shifted by each d-th power.  The count of j is the first layer
-holding j.  Layers are stored as ``bytes``, so a bit test is O(1), and only
-while there are at most ``MAX_LAYERS`` of them; a table that would need more
-(large d, where few powers fit) is the list of counts built by the dynamic
-program over 1..limit instead.  A layered table is rebuilt, not extended,
-so it grows geometrically: to min(max(k, twice the old limit), the cap).
+holding j.  Layers are stored as ``bytes``, so a bit test is O(1).  Tables
+are layered for d <= 5 only: every integer is a sum of at most
+g(d) = 4, 9, 19, 37 d-th powers for d = 2..5, so such a table has at most
+38 layers.  From d = 6 on a count can pass 64, the width of a count list's
+entry (127 = 2^6 + 63 ones takes 64 sixth powers), so those tables are the
+list of counts built by the dynamic program over 1..limit instead.  A
+layered table is rebuilt, not extended, so it grows geometrically: to
+min(max(k, twice the old limit), the cap).
 """
 from __future__ import annotations
 
@@ -20,8 +23,6 @@ from ._record import record
 
 # the largest k the tables accept
 CAP = 10_000_000
-# 64 layers cost 64 bits per integer, the width of a count list's entry
-MAX_LAYERS = 64
 
 
 class WaringCapError(ValueError):
@@ -35,13 +36,6 @@ class WaringDecomposition:
     k: int
     d: int
     parts: tuple[int, ...]
-
-    def __post_init__(self):
-        # exact big-integer re-verification of every decomposition
-        if sum(p ** self.d for p in self.parts) != self.k:
-            raise ValueError(f"parts {self.parts} do not sum to {self.k} under d={self.d}")
-        if any(p < 1 for p in self.parts):
-            raise ValueError("parts must be positive integers")
 
     @property
     def count(self) -> int:
@@ -72,21 +66,14 @@ class _Layers:
         self.layers = layers
 
     @classmethod
-    def build(cls, d: int, limit: int) -> _Layers | None:
-        """The layers for 0..limit, or None if they would be more than MAX_LAYERS."""
-        # a count does not depend on the limit, and every d that needs more than
-        # 64 layers needs them below 128 (j = 64 takes 64 parts for d >= 7, j = 127
-        # takes 64 for d = 6, and d <= 5 never does): that prefix rejects a large table early
-        if limit >= 128 and cls.build(d, 127) is None:
-            return None
+    def build(cls, d: int, limit: int) -> _Layers:
+        """The layers for 0..limit, for d <= 5: at most g(d) + 1 of them."""
         powers = _powers(d, limit)
         full = (1 << (limit + 1)) - 1
         size = limit // 8 + 1
         layer = 1
         layers = [layer.to_bytes(size, "little")]
         while layer != full:
-            if len(layers) == MAX_LAYERS:
-                return None
             grown = layer
             for p in powers:
                 grown |= layer << p
@@ -136,7 +123,7 @@ def _extend_counts(d: int, counts: list[int], upto: int) -> list[int]:
     return counts
 
 
-# per-exponent tables: d -> layers, or the count list where layers would be too many
+# per-exponent tables: d -> layers for d <= 5, the count list otherwise
 _tables: dict[int, _Layers | list[int]] = {}
 
 
@@ -145,12 +132,11 @@ def _table(d: int, upto: int) -> _Layers | list[int]:
     table = _tables.get(d)
     if table is not None and len(table) > upto:
         return table
-    if not isinstance(table, list):  # a count list stays one: a larger limit needs no fewer layers
+    if d <= 5:
         old = len(table) - 1 if table is not None else 0
-        layers = _Layers.build(d, max(upto, min(2 * old, CAP)))
-        if layers is not None:
-            _tables[d] = layers
-            return layers
+        table = _tables[d] = _Layers.build(d, max(upto, min(2 * old, CAP)))
+        return table
+    if table is None:
         table = _tables[d] = [0]
     return _extend_counts(d, table, upto)
 

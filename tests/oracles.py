@@ -362,8 +362,8 @@ def girth(graph, cutoff: int | None = None) -> int | float:
 
 
 def graph_edges(vertex_count, edges) -> tuple:
-    """The package's ``Graph.__post_init__`` before bulk checks: each edge
-    checked in turn, then the canonical pairs sorted."""
+    """The per-edge check of the package's ``Graph``: each edge checked in
+    turn, then the canonical pairs sorted."""
     seen = set()
     for u, v in edges:
         if u == v:
@@ -391,7 +391,7 @@ def check_regular_girth(graph, degree: int, girth_target: int) -> None:
 
 
 def loaded_graph_edges(vertex_count, edges) -> tuple:
-    """The package's ``load_graph`` edge check before bulk checks, then
+    """The package's ``load_graph`` edge check one edge at a time, then
     ``graph_edges``."""
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges

@@ -89,8 +89,8 @@ class TestHeightFromTorsion:
 class TestSandwich:
     def test_unit_values_at_one(self):
         report = sandwich(1, BoundConstants(m=2))
-        assert report.lower_bounds[0][1] == pytest.approx(1 / math.log(2) ** 2, rel=1e-12)
-        assert report.upper_bounds[0][1] == pytest.approx(1 / math.log(2), rel=1e-12)
+        assert report.lower == pytest.approx(1 / math.log(2) ** 2, rel=1e-12)
+        assert report.upper == pytest.approx(1 / math.log(2), rel=1e-12)
         assert not report.consistent  # lower exceeds upper below k = e - 1
 
     def test_consistent_beyond_e_minus_one(self):

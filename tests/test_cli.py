@@ -245,9 +245,9 @@ class TestGraphCommands:
         path.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
         calls = []
 
-        def counted(graph, cutoff=None):
+        def counted(graph):
             calls.append(graph)
-            return graphs_girth(graph, cutoff)
+            return graphs_girth(graph)
 
         graphs_girth = graphs.girth
         monkeypatch.setattr(graphs, "girth", counted)
@@ -629,6 +629,22 @@ class TestGenfunCommand:
         )
         assert code == 0
         assert json.loads(out)["order"] == 2
+
+    def test_coefficient_growth_is_refused_at_the_cap(self, tmp_path, capsys):
+        # 1/2, 1/3, ..., 1/p_204: uncapped, the synthesis ran 98 s and its
+        # coefficients reached 175 241 bits each
+        primes = [p for p in range(2, 1250) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+        seq_file = tmp_path / "primes.json"
+        seq_file.write_text(json.dumps({"terms": [f"1/{p}" for p in primes[:204]]}))
+        assert seq_file.stat().st_size == 1854
+        start = time.monotonic()
+        code, out, err = run_cli(
+            ["genfun", "detect", "--file", str(seq_file), "--max-order", "100"], capsys
+        )
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "genfun.MAX_COEFFICIENT_BITS" in err
 
 
 class TestCorpusCommand:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from systolic import genfun
 from systolic.genfun import RationalSequence, detect_linear_recurrence
 
 import oracles
@@ -44,10 +45,10 @@ class TestDetect:
         assert oracles.hankel_min_order(values, 12) is None
 
     def test_no_short_recurrence_returns_early(self):
-        # run over all 1 200 terms the synthesis takes about 2 minutes; L
-        # passes 16 within the first few dozen
+        # run over all 1 200 terms the synthesis would pass the coefficient
+        # cap; L passes 16 within the first few dozen
         rng = random.Random(1200)
-        digits = [rng.randint(0, 9) for _ in range(1200)]
+        digits = RationalSequence.from_values([rng.randint(0, 9) for _ in range(1200)])
         start = time.monotonic()
         verdict = detect_linear_recurrence(digits, max_order=16)
         assert time.monotonic() - start < 1.0
@@ -176,6 +177,26 @@ def test_every_found_verdict_replays_over_the_whole_sequence():
             assert not oracles.recurrence_verdict(terms, max_order).found, (terms, max_order)
             kinds["not found"] += 1
     assert min(kinds.values()) > 0, kinds
+
+
+class TestCoefficientCap:
+    """600 seeded terms in -9..9: up to order 287 the coefficients hold at
+    most 999 419 bits together, and order 288 takes them to 1 007 122,
+    past MAX_COEFFICIENT_BITS."""
+
+    @staticmethod
+    def digits():
+        rng = random.Random(23)
+        return RationalSequence.from_values([rng.randint(-9, 9) for _ in range(600)])
+
+    def test_at_the_cap(self):
+        assert genfun.MAX_COEFFICIENT_BITS == 1_000_000
+        verdict = detect_linear_recurrence(self.digits(), max_order=287)
+        assert not verdict.found and verdict.max_order_searched == 287
+
+    def test_past_the_cap(self):
+        with pytest.raises(ValueError, match=r"more than 1000000 bits, past the cap \(genfun\.MAX_COEFFICIENT_BITS\)"):
+            detect_linear_recurrence(self.digits(), max_order=288)
 
 
 def test_distinct_prime_denominators_have_bounded_cost():

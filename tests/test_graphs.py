@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -56,9 +57,6 @@ class TestGirth:
     def test_forest_is_infinite(self):
         tree = Graph(5, ((0, 1), (0, 2), (2, 3), (2, 4)))
         assert girth(tree) == math.inf
-
-    def test_cutoff_still_exact_below(self):
-        assert girth(cycle_graph(12), cutoff=12) == 12
 
     def test_two_triangles_sharing_vertex(self):
         graph = Graph(5, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)))
@@ -179,11 +177,13 @@ class TestConstruction:
         with pytest.raises(InfeasibleGraphError):
             construct_regular_girth(3, 4, 9, seed=0)
 
-    def test_budget_exhaustion_is_explicit(self):
+    def test_budget_exhaustion_is_explicit(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_RESTARTS", 2)
+        monkeypatch.setattr(graphs, "STEP_BUDGET", 500)
         messages = []
         for _ in range(2):
             with pytest.raises(GirthSearchError) as failure:
-                construct_regular_girth(7, 5, 50, seed=0, max_restarts=2, step_budget=500)
+                construct_regular_girth(7, 5, 50, seed=0)
             messages.append(str(failure.value))
         # the search counters explain the failure and are deterministic
         assert messages[0] == messages[1]
@@ -200,12 +200,16 @@ class TestConstruction:
             raise AssertionError("searched a request the budget cannot finish")
 
         monkeypatch.setattr(graphs, "_greedy_attempt", no_attempt)
+        monkeypatch.setattr(graphs, "MAX_RESTARTS", 3)
+        monkeypatch.setattr(graphs, "STEP_BUDGET", 3000)
         with pytest.raises(GirthSearchError, match="need 3500 edges.*budget of 3000 steps"):
-            construct_regular_girth(7, 4, 1000, step_budget=3000, max_restarts=3)
+            construct_regular_girth(7, 4, 1000)
         # exactly enough steps for every edge is not refused
         monkeypatch.setattr(graphs, "_greedy_attempt", lambda *args: None)
+        monkeypatch.setattr(graphs, "MAX_RESTARTS", 1)
+        monkeypatch.setattr(graphs, "STEP_BUDGET", 3500)
         with pytest.raises(GirthSearchError, match="0 steps"):
-            construct_regular_girth(7, 4, 1000, step_budget=3500, max_restarts=1)
+            construct_regular_girth(7, 4, 1000)
 
     def test_vertex_cap(self):
         assert MAX_VERTICES >= vertex_window(7, 7)[1]
@@ -220,10 +224,11 @@ class TestConstruction:
         assert a.edges == b.edges
         oracles.check_regular_girth(a, 3, 5)
 
-    def test_seeded_builds_pass_the_certificate(self):
+    def test_seeded_builds_pass_the_certificate(self, monkeypatch):
         # the build returns its graph unchecked; each one drawn here, over
         # small (c, g) with n from the Moore bound up, is checked by the
         # oracle: canonical edges, every degree c, full-BFS girth >= g
+        monkeypatch.setattr(graphs, "MAX_RESTARTS", 8)
         rng = random.Random(2222)
         built, refused = set(), 0
         for _ in range(150):
@@ -232,8 +237,7 @@ class TestConstruction:
             n = rng.randint(low, 2 * low + 30)
             n += n * degree % 2
             try:
-                graph = construct_regular_girth(degree, girth_target, n, seed=rng.randrange(10**6),
-                                                max_restarts=8)
+                graph = construct_regular_girth(degree, girth_target, n, seed=rng.randrange(10**6))
             except GirthSearchError:  # near the Moore bound a few searches run out
                 refused += 1
                 continue
@@ -274,7 +278,7 @@ class TestGraphValue:
             Graph(3, ((0, 1), (1, 0)))
 
     def test_load_vertex_cap(self):
-        assert load_graph({"n": MAX_VERTICES, "edges": []}).vertex_count == MAX_VERTICES
+        assert load_graph(f'{{"n": {MAX_VERTICES}, "edges": []}}').vertex_count == MAX_VERTICES
         with pytest.raises(ValueError, match="cap"):
             load_graph('{"n": 1000000, "edges": []}')
 
@@ -337,16 +341,17 @@ def _outcome(build, n, edges):
 
 
 def test_bulk_edge_checks_match_the_per_edge_oracle():
-    # load_graph and Graph check edges in bulk and fall back to one edge at
-    # a time only to name a bad one: same edges, same error text
+    # load_graph checks edges in bulk and falls back to Graph's loop, one
+    # edge at a time, only to name a bad one: same edges, same error text
     rng = random.Random(20)
     seen, refused = set(), 0
     for _ in range(3000):
         defect, order, n, edges = _edge_case(rng)
         seen.add(defect)
         seen.add(order)
-        loaded = _outcome(lambda k, e: load_graph({"n": k, "edges": e}).edges, n, edges)
-        assert loaded == _outcome(oracles.loaded_graph_edges, n, edges), (n, edges)
+        text = json.dumps({"n": n, "edges": edges})
+        loaded = _outcome(lambda k, e: load_graph(text).edges, n, edges)
+        assert loaded == _outcome(oracles.loaded_graph_edges, n, json.loads(text)["edges"]), text
         built = _outcome(lambda k, e: Graph(k, e).edges, n, edges)
         assert built == _outcome(oracles.graph_edges, n, edges), (n, edges)
         as_tuple = _outcome(lambda k, e: Graph(k, tuple(e)).edges, n, edges)
@@ -366,12 +371,6 @@ def test_graph_keeps_python_callers_behaviour():
         Graph(3, ((0, 1, 2),))
     with pytest.raises(ValueError, match="duplicate edge"):
         Graph(3, ((0, 1), (1.0, 0)))
-
-    class Pair(list):
-        pass
-
-    # a list subclass passes load_graph's per-edge test, not the bulk one
-    assert load_graph({"n": 3, "edges": [Pair([2, 1]), [0, 1]]}).edges == ((0, 1), (1, 2))
 
 
 def _random_edge_set(rng, n):
@@ -463,14 +462,10 @@ def test_girth_matches_the_full_search_oracle():
         parities.add(expected % 2 if expected != math.inf else "forest")
         top = 10 if expected == math.inf else expected + 1
         for cutoff in range(3, top + 1):
-            found, old = girth(graph, cutoff), oracles.girth(graph, cutoff)
-            # exact up to the cutoff, past it only known to be past it
-            if expected <= cutoff:
-                assert found == old == expected, (graph.edges, cutoff)
-            else:
-                assert found > cutoff and old > cutoff and found >= expected, (graph.edges, cutoff)
-            # what construct_regular_girth asks of it
-            assert (found >= cutoff) == (expected >= cutoff)
+            # the oracle's cutoff, which check_regular_girth uses: exact up
+            # to the cutoff, past it only known to be past it
+            old = oracles.girth(graph, cutoff)
+            assert old == expected if expected <= cutoff else old > cutoff, (graph.edges, cutoff)
     assert parities == {0, 1, "forest"}
 
 
@@ -607,7 +602,7 @@ def test_search_partners_are_admissible(monkeypatch):
     for degree, girth_target, n, seed in ORACLE_GRID:
         rng = random.Random(seed)
         for _ in range(3):
-            edges = graphs._greedy_attempt(degree, girth_target, n, rng, 200_000, counts)
+            edges = graphs._greedy_attempt(degree, girth_target, n, rng, counts)
             attempts += 1
             if edges is not None:
                 # the attempt's edges, as construct_regular_girth returns them

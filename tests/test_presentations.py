@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import tracemalloc
@@ -138,7 +139,7 @@ class TestHeisenberg:
 
     def test_torsion_order_over_family(self):
         for n in range(1, 201):
-            assert abelianization(heisenberg_presentation(n)).torsion_order == n
+            assert math.prod(abelianization(heisenberg_presentation(n)).torsion_factors) == n
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -149,13 +150,13 @@ class TestFreeProduct:
     def test_two_cyclic_groups(self):
         image = abelianization(parse_presentation("a,b ; a^2, b^2"))
         assert image.torsion_factors == (2, 2)
-        assert image.torsion_order == 4
+        assert math.prod(image.torsion_factors) == 4
 
     def test_ten_fold_order_two(self):
         names = [f"g{i}" for i in range(10)]
         text = ",".join(names) + " ; " + ", ".join(f"{g}^2" for g in names)
         image = abelianization(parse_presentation(text))
-        assert image.torsion_order == 2 ** 10
+        assert math.prod(image.torsion_factors) == 2 ** 10
 
     def test_trivial_factor_neutral(self):
         base = parse_presentation("a,b,c ; [a,b]c^-5, [a,c], [b,c]")
@@ -224,7 +225,7 @@ def test_abelianization_invariant_under_relator_shuffle_and_inversion(perm, flip
 @given(st.integers(1, 60), st.integers(1, 60))
 def test_free_product_torsion_orders_multiply(n1, n2):
     image = abelianization(parse_presentation(f"a,b ; a^{n1}, b^{n2}"))
-    assert image.torsion_order == n1 * n2
+    assert math.prod(image.torsion_factors) == n1 * n2
 
 
 NAME_POOL = ("a", "b", "c", "ab", "abc", "ba", "x1", "x12", "y", "_z")

@@ -3,7 +3,6 @@ import pytest
 from systolic import waring
 from systolic.waring import (
     WaringCapError,
-    WaringDecomposition,
     min_count,
     min_powers,
     verify_g4,
@@ -77,10 +76,6 @@ class TestMinPowers:
         assert min_powers(5, 2_000_000_000).parts == (1,) * 5
         assert min_count(5, 10 ** 8) == 5
 
-    def test_tampered_decomposition_rejected(self):
-        with pytest.raises(ValueError):
-            WaringDecomposition(10, 4, (1, 1))
-
 
 class TestBellmanProperty:
     def test_dp_optimality_condition(self):
@@ -125,6 +120,10 @@ class TestVerifyG4:
         assert len(waring._tables[4]) == 10 ** 4 + 1
 
 
+# Waring's g(d): every integer is a sum of at most g(d) d-th powers
+G = {2: 4, 3: 9, 4: 19, 5: 37}
+
+
 @pytest.fixture(scope="module")
 def count_lists():
     """The dynamic program's count lists, the reference for the layers."""
@@ -135,7 +134,7 @@ class TestLayers:
     @pytest.mark.parametrize("d, limit", [(2, 10 ** 5), (3, 10 ** 5), (4, 10 ** 5), (5, 3 * 10 ** 4)])
     def test_counts_equal_the_list_dp(self, d, limit, count_lists):
         layers = waring._Layers.build(d, limit)
-        assert len(layers.layers) <= waring.MAX_LAYERS
+        assert len(layers.layers) <= G[d] + 1
         assert len(layers) == limit + 1
         counts = count_lists[d]
         assert all(layers[k] == counts[k] for k in range(limit + 1))
@@ -172,7 +171,13 @@ class TestLayers:
 
 
 class TestListFallback:
-    """Tables that would need more than MAX_LAYERS layers are count lists."""
+    """Tables for d >= 6, where a count can pass 64, are count lists."""
+
+    @pytest.mark.parametrize("k", [50, 10 ** 4])
+    def test_layered_exactly_up_to_d5(self, k, monkeypatch):
+        for d in range(2, 10):
+            monkeypatch.setattr(waring, "_tables", {})
+            assert isinstance(waring._table(d, k), waring._Layers) == (d <= 5), d
 
     def test_d7_against_search(self, monkeypatch):
         monkeypatch.setattr(waring, "_tables", {})
@@ -196,6 +201,6 @@ class TestListFallback:
         monkeypatch.setattr(waring, "_tables", {})
         for d in range(2, 12):
             min_count(5000, d)
-        for table in waring._tables.values():
-            assert isinstance(table, list) or len(table.layers) <= waring.MAX_LAYERS
-        assert waring._Layers.build(6, 5000) is None  # g(6) = 73 parts
+        for d, table in waring._tables.items():
+            assert isinstance(table, list) if d > 5 else len(table.layers) <= G[d] + 1
+        assert max(waring._tables[6]) == 73  # g(6), attained at 703
