@@ -83,7 +83,3 @@ def trusted(cls, *values):
     obj.__dict__.update(zip(cls.__record_fields__, values))
     return obj
 
-
-def replace(obj, **changes):
-    """A copy with ``changes``; ``__init__`` and ``__post_init__`` run again."""
-    return obj.__class__(**{**asdict(obj), **changes})

@@ -11,7 +11,7 @@ import json
 import math
 from fractions import Fraction
 
-from ._record import record, replace
+from ._record import record
 
 _REL_SLACK = 1e-12
 
@@ -51,10 +51,9 @@ def load_constants(path: str) -> BoundConstants:
     if not isinstance(data, dict):
         raise ValueError(f"constants file {path} must hold a JSON object")
     try:  # unknown keys and non-numeric values
-        constants = BoundConstants(**{k: v for k, v in data.items() if k != "provenance"})
+        return BoundConstants(**{**data, "provenance": str(path)})
     except TypeError as exc:
         raise ValueError(f"constants file {path}: {exc}") from exc
-    return replace(constants, provenance=str(path))
 
 
 @record

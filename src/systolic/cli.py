@@ -46,18 +46,19 @@ def _jsonable(value):
     return value
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks, out_path: str | None) -> None:
+    """Write the strings ``chunks`` to ``out_path``, or to stdout, as they come."""
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _dump_json(payload, out_path: str | None) -> None:
     import json
 
-    _emit(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n", out_path)
+    _emit((json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n",), out_path)
 
 
 def _csv_cell(value) -> str:
@@ -68,14 +69,11 @@ def _csv_cell(value) -> str:
 
 def _dump_csv(columns, rows, out_path: str | None, provenance: str = "") -> None:
     """Write the comment line, the header and each row as the iterable yields it."""
-    handle = open(out_path, "w") if out_path else sys.stdout
-    try:
-        handle.write(f"# systolic {__version__}{provenance}\n{','.join(columns)}\n")
-        for row in rows:
-            handle.write(",".join(_csv_cell(cell) for cell in row) + "\n")
-    finally:
-        if out_path:
-            handle.close()
+    import itertools
+
+    header = f"# systolic {__version__}{provenance}\n{','.join(columns)}\n"
+    lines = (",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    _emit(itertools.chain((header,), lines), out_path)
 
 
 def _bounds():
@@ -140,10 +138,7 @@ def cmd_homology(args) -> int:
         ]
         _dump_csv(("name", "betti", "torsion"), rows, args.out)
         return 0
-    payload = {
-        name: {"betti": list(summary.betti), "torsion": [list(t) for t in summary.torsion]}
-        for name, summary in summaries
-    }
+    payload = dict(summaries)
     if len(payload) == 1:
         payload = next(iter(payload.values()))
     _dump_json(payload, args.out)
@@ -168,11 +163,7 @@ def cmd_abelianize(args) -> int:
     from .presentations import abelianization, parse_presentation
 
     presentation = parse_presentation(args.presentation)
-    image = abelianization(presentation)
-    _dump_json(
-        {"free_rank": image.free_rank, "torsion_factors": list(image.torsion_factors)},
-        args.out,
-    )
+    _dump_json(abelianization(presentation), args.out)
     return 0
 
 
@@ -197,7 +188,7 @@ def cmd_build_graph(args) -> int:
     from .graphs import construct_regular_girth, dump_graph
 
     graph = construct_regular_girth(args.c, args.girth, args.vertices, seed=args.seed)
-    _emit(dump_graph(graph) + "\n", args.out)
+    _emit((dump_graph(graph) + "\n",), args.out)
     return 0
 
 

@@ -158,50 +158,71 @@ class PseudomanifoldReport:
         return self.is_pseudomanifold
 
 
-def _ridge_incidence(complex_: SimplicialComplex) -> dict[tuple[int, ...], list[int]]:
-    """Map each (m-1)-face to the indices of facets containing it."""
-    incidence: dict[tuple[int, ...], list[int]] = {}
+def _ridge_incidence(complex_: SimplicialComplex) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Map each (m-1)-face to the (facet index, position of the missing
+    vertex) of each facet containing it."""
+    incidence: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for idx, facet in enumerate(complex_.facets):
         for i in range(len(facet)):
-            ridge = facet[:i] + facet[i + 1:]
-            incidence.setdefault(ridge, []).append(idx)
+            incidence.setdefault(facet[:i] + facet[i + 1:], []).append((idx, i))
     return incidence
 
 
 def is_pseudomanifold(complex_: SimplicialComplex) -> PseudomanifoldReport:
     """Pure + every ridge in exactly two facets + strongly connected."""
+    return _facet_walk(complex_)[0]
+
+
+def _facet_walk(complex_: SimplicialComplex) -> tuple[PseudomanifoldReport, list | None, tuple | None]:
+    """The pseudomanifold report, and the signs and first conflict of one
+    walk of the facet graph from facet 0.
+
+    Each facet the walk reaches gets the sign that gives it and the facet it
+    was reached from opposite induced signs on their shared ridge; a facet
+    never reached keeps None, so the walk also decides strong connectivity.
+    The first reached facet whose sign disagrees gives the conflict, a path
+    of facet indices through the walk's tree, or None; it is read only when
+    the report accepts, so a ridge not in exactly two facets is walked once,
+    which keeps a ridge shared by k facets at k steps instead of k^2.  An
+    empty or impure complex is not walked.
+    """
     if not complex_.facets:
-        return PseudomanifoldReport(False, False, (), False, "empty complex")
+        return PseudomanifoldReport(False, False, (), False, "empty complex"), None, None
     if not complex_.is_pure:
-        return PseudomanifoldReport(False, False, (), False, "not dimension-homogeneous")
+        return PseudomanifoldReport(False, False, (), False, "not dimension-homogeneous"), None, None
     incidence = _ridge_incidence(complex_)
     bad = tuple(
         (ridge, len(fs)) for ridge, fs in sorted(incidence.items()) if len(fs) != 2
     )
-    connected = _facet_graph_connected(complex_, incidence)
-    ok = not bad and connected
-    detail = "" if ok else ("boundary or branching ridges" if bad else "facet adjacency graph disconnected")
-    return PseudomanifoldReport(ok, True, bad, connected, detail)
-
-
-def _facet_graph_connected(complex_, incidence) -> bool:
-    n = len(complex_.facets)
-    if n == 0:
-        return False
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for facet_ids in incidence.values():
-        for a in facet_ids:
-            for b in facet_ids:
-                if a != b:
-                    adjacency[a].add(b)
-    seen = {0}
+    facets = complex_.facets
+    signs: list[int | None] = [None] * len(facets)
+    parent: list[int] = [-1] * len(facets)
+    conflict = None
+    signs[0] = 1
     stack = [0]
     while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n
+        current = stack.pop()
+        facet = facets[current]
+        for i in range(len(facet)):
+            ridge = facet[:i] + facet[i + 1:]
+            sharing = incidence[ridge]
+            if len(sharing) != 2:  # the report refuses it, so it is walked once, for connectivity
+                incidence[ridge] = ()
+            for other, j in sharing:
+                if other == current:
+                    continue
+                # opposite induced signs: s_other * sign(j) = -s_current * sign(i)
+                required = -signs[current] * boundary_sign(i) * boundary_sign(j)
+                if signs[other] is None:
+                    signs[other] = required
+                    parent[other] = current
+                    stack.append(other)
+                elif signs[other] != required and conflict is None:
+                    conflict = _conflict_path(parent, current, other)
+    connected = None not in signs
+    ok = not bad and connected
+    detail = "" if ok else ("boundary or branching ridges" if bad else "facet adjacency graph disconnected")
+    return PseudomanifoldReport(ok, True, bad, connected, detail), signs, conflict
 
 
 @record
@@ -217,40 +238,16 @@ class OrientationResult:
 def orient(complex_: SimplicialComplex) -> OrientationResult:
     """Assign facet signs with opposite induced signs on each shared ridge.
 
-    Propagates signs across the facet adjacency graph; an odd cycle of
-    incompatibilities yields a non-orientable verdict with a certificate.
+    Reads the signs of the one facet walk that also checks the
+    pseudomanifold; an odd cycle of incompatibilities yields a
+    non-orientable verdict with the walk's first conflict as certificate.
     """
-    report = is_pseudomanifold(complex_)
+    report, signs, conflict = _facet_walk(complex_)
     if not report:
         raise NotPseudomanifoldError(f"orientation undefined: {report.detail}")
-    facets = complex_.facets
-    incidence = _ridge_incidence(complex_)
-    signs: list[int | None] = [None] * len(facets)
-    parent: list[int] = [-1] * len(facets)
-    signs[0] = 1
-    queue = [0]
-    while queue:
-        current = queue.pop()
-        facet = facets[current]
-        for i in range(len(facet)):
-            ridge = facet[:i] + facet[i + 1:]
-            for other in incidence[ridge]:
-                if other == current:
-                    continue
-                j = facets[other].index(_extra_vertex(facets[other], ridge))
-                # opposite induced signs: s_other * sign(j) = -s_current * sign(i)
-                required = -signs[current] * boundary_sign(i) * boundary_sign(j)
-                if signs[other] is None:
-                    signs[other] = required
-                    parent[other] = current
-                    queue.append(other)
-                elif signs[other] != required:
-                    return OrientationResult(False, None, _conflict_path(parent, current, other))
+    if conflict is not None:
+        return OrientationResult(False, None, conflict)
     return OrientationResult(True, tuple(signs), None)
-
-
-def _extra_vertex(facet: tuple[int, ...], ridge: tuple[int, ...]) -> int:
-    return next(v for v in facet if v not in ridge)
 
 
 def _conflict_path(parent: list[int], a: int, b: int) -> tuple[int, ...]:
@@ -323,10 +320,10 @@ def connected_sum(
     if x.dim is None or y.dim is None or x.dim != y.dim or x.dim < 1:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     for side, z in (("first", x), ("second", y)):
-        report = is_pseudomanifold(z)
+        report, _, conflict = _facet_walk(z)
         if not report:
             raise NotPseudomanifoldError(f"{side} argument: {report.detail}")
-        if not allow_nonorientable and not orient(z).orientable:
+        if not allow_nonorientable and conflict is not None:
             raise NonOrientableError(f"{side} argument is non-orientable")
     removed_x = x.facets[0]
     removed_y = y.facets[0]

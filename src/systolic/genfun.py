@@ -20,7 +20,10 @@ them.  Cost and memory follow the terms read, not the lcm of all
 denominators, which over 30 000 distinct primes has about half a million
 bits.  The coefficients can still grow with every term read, and the cost
 of a step grows with their size, so the synthesis is refused once they
-hold more than ``MAX_COEFFICIENT_BITS`` bits together.
+hold more than ``MAX_COEFFICIENT_BITS`` bits together.  Coefficients that
+stay small do not bound the run, since L, and with it the length of every
+discrepancy sum, can grow with the terms read, so the synthesis is also
+refused once those sums need more than ``MAX_STEP_WORK`` multiply-adds.
 """
 from __future__ import annotations
 
@@ -34,10 +37,16 @@ from ._record import record
 # The most bits the connection polynomial's coefficients may hold together.
 # The cost of a step grows with them: on every shape of terms tried, a
 # synthesis that stays just below the cap takes at most about 1.6 s (2 vCPUs,
-# Python 3.11).  It does not bound terms whose coefficients stay small while
-# L grows, such as 0/1 terms with their ones at the powers of two.  The bench
-# shapes hold at most 45 000 bits, order 200 on 1 000 terms about 650 000.
+# Python 3.11).  The bench shapes hold at most 45 000 bits, order 200 on
+# 1 000 terms about 650 000.
 MAX_COEFFICIENT_BITS = 1_000_000
+# The most multiply-adds the discrepancy sums may take together, len(C) per
+# term read.  It bounds the terms whose coefficients stay small while L
+# grows: 8 000 0/1 terms with their ones at the powers of two, at max_order
+# 3 998, take 15 995 999 of them in 1.5-1.7 s (2 vCPUs, Python 3.11).  The
+# bench shapes take at most 33 000, a recurrence of order 200 over 1 000
+# terms about 161 000.
+MAX_STEP_WORK = 16_000_000
 
 
 @record
@@ -58,7 +67,14 @@ class RationalSequence:
 
     @classmethod
     def from_values(cls, values) -> "RationalSequence":
-        return cls(tuple(map(Fraction, values)))
+        """Terms from exact values; a float or a boolean is refused, not read
+        as its binary value."""
+        terms = []
+        for value in values:
+            if isinstance(value, (bool, float)):
+                raise ValueError(f"term {value!r} is not exact: give a rational as a string or an integer")
+            terms.append(Fraction(value))
+        return cls(tuple(terms))
 
 
 @record
@@ -86,7 +102,8 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
     by the same D.  L never decreases, so once it passes ``max_length`` the
     synthesis stops and returns an L above ``max_length`` with the
     polynomial of the terms read so far.  A polynomial whose coefficients
-    hold more than ``MAX_COEFFICIENT_BITS`` bits is refused.
+    hold more than ``MAX_COEFFICIENT_BITS`` bits is refused, and so is a
+    discrepancy sum that would take the multiply-adds past ``MAX_STEP_WORK``.
     """
     connection = [1]
     previous = [1]
@@ -96,6 +113,7 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
     # the last terms times D, newest last: as many as a discrepancy reads
     window: deque[int] = deque(maxlen=max_length + 1)
     scale = 1  # D
+    work = 0  # multiply-adds of the discrepancy sums
     for n, term in enumerate(terms):
         factor = term.denominator // math.gcd(scale, term.denominator)
         if factor != 1:  # D grows, and with it the window and b
@@ -104,6 +122,12 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
             prev_discrepancy *= factor
         window.append(term.numerator * (scale // term.denominator))
         # len(connection) is always length + 1
+        work += len(connection)
+        if work > MAX_STEP_WORK:
+            raise ValueError(
+                f"recurrence synthesis refused at term {n + 1}: its discrepancy sums take more "
+                f"than {MAX_STEP_WORK} multiply-adds, past the cap (genfun.MAX_STEP_WORK)"
+            )
         discrepancy = sum(map(mul, connection, reversed(window)))
         if discrepancy == 0:
             gap += 1

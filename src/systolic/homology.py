@@ -58,7 +58,7 @@ def homology(complex_: SimplicialComplex) -> HomologySummary:
     if not groups:
         return HomologySummary((), ())
     components, live_counts, boundaries = _reduce(complex_)
-    forms = [smith_normal_form(entries, shape) for entries, shape in boundaries]
+    forms = list(map(smith_normal_form, boundaries))
     ranks = [0, *(form.rank for form in forms), 0]
     betti = [live_counts[k] - ranks[k] - ranks[k + 1] for k in range(len(groups))]
     betti[0] += components
@@ -72,15 +72,16 @@ def torsion_order_h1(complex_: SimplicialComplex) -> int:
     if len(groups) < 3:
         return 1
     _, _, boundaries = _reduce(complex_)
-    return math.prod(smith_normal_form(*boundaries[1]).torsion_factors)
+    return math.prod(smith_normal_form(boundaries[1]).torsion_factors)
 
 
-def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[tuple[dict, tuple[int, int]]]]:
+def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[dict]]:
     """Remove one vertex per component, then reduction pairs, from the faces of ``complex_``.
 
     Returns the number of components, the number of cells left in each
     dimension, and for k = 1..dim the leftover boundary operator as a
-    sparse {(row, col): sign} mapping with its shape.
+    sparse {(face, cell): sign} mapping keyed by the live cells' ids, in
+    increasing cell order.
     """
     groups = complex_.faces_by_dim
     # cells are numbered by dimension, then in lexicographic order; a k-cell's
@@ -130,16 +131,15 @@ def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[tuple[dic
             queue.extend(x for x in cofaces[member] if live[x])
 
     left = [[c for c in range(starts[k], starts[k + 1]) if live[c]] for k in range(len(groups))]
-    boundaries = []
-    for k in range(1, len(groups)):
-        row = {face: i for i, face in enumerate(left[k - 1])}
-        entries = {
-            (row[face], j): boundary_sign(k - p)
-            for j, cell in enumerate(left[k])
+    boundaries = [
+        {
+            (face, cell): boundary_sign(k - p)
+            for cell in left[k]
             for p, face in enumerate(faces[cell])
-            if face in row
+            if live[face]
         }
-        boundaries.append((entries, (len(left[k - 1]), len(left[k]))))
+        for k in range(1, len(groups))
+    ]
     return len(components), [len(cells) for cells in left], boundaries
 
 

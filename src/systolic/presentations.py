@@ -42,9 +42,8 @@ class AbelianizedGroup:
 
 def abelianization(presentation: Presentation) -> AbelianizedGroup:
     """Abelian invariants from the Smith form of the exponent-sum matrix."""
-    shape = (len(presentation.relators), presentation.generator_count)
     entries = {(i, j): v for i, rel in enumerate(presentation.relators) for j, v in rel}
-    form = smith_normal_form(entries, shape)
+    form = smith_normal_form(entries)
     return AbelianizedGroup(
         presentation.generator_count - form.rank, form.torsion_factors
     )

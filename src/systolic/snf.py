@@ -60,8 +60,6 @@ class SmithForm:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
 
     invariant_factors: tuple[int, ...]
-    row_dim: int
-    col_dim: int
 
     @property
     def rank(self) -> int:
@@ -77,29 +75,25 @@ class SmithForm:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-def _coerce(matrix, shape):
+def _coerce(matrix) -> dict:
     """Accept dense row lists or {(i, j): value} mappings."""
     if isinstance(matrix, dict):
-        if shape is None:
-            raise ValueError("sparse mapping input requires an explicit shape")
-        return {k: v for k, v in matrix.items() if v}, shape
+        return {k: v for k, v in matrix.items() if v}
     rows = [list(r) for r in matrix]
-    ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged dense matrix")
-    entries = {
-        (i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v
-    }
-    return entries, (len(rows), ncols)
+    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
 
 
-def smith_normal_form(matrix, shape: tuple[int, int] | None = None) -> SmithForm:
+def smith_normal_form(matrix) -> SmithForm:
     """Compute the Smith normal form of an integer matrix.
 
     Input may be a dense sequence of rows, or a sparse {(i, j): value}
-    mapping with ``shape``.  The result is deterministic for a given input.
+    mapping whose row and column ids are any integers: rows and columns
+    with no entry add nothing to the invariant factors, and the ids only
+    order the work.  The result is deterministic for a given input.
     """
-    entries, (nrows, ncols) = _coerce(matrix, shape)
+    entries = _coerce(matrix)
     pivots, rows, cols = _unit_phase(entries)
     factors = [1] * len(pivots)
     for block_rows, block_cols in _blocks(rows, cols):
@@ -113,7 +107,7 @@ def smith_normal_form(matrix, shape: tuple[int, int] | None = None) -> SmithForm
         factors += _residual_factors(
             [[rows[i].get(j, 0) for j in block_cols] for i in block_rows]
         )
-    return SmithForm(_divisibility_chain(factors), nrows, ncols)
+    return SmithForm(_divisibility_chain(factors))
 
 
 def _unit_phase(entries: dict) -> tuple[list[tuple], dict, dict]:
@@ -314,18 +308,16 @@ def _divisibility_chain(values: list[int]) -> tuple[int, ...]:
     """Normalise positive diagonal entries into a divisibility chain.
 
     Zeros are dropped.  Units already divide everything, so they are set
-    aside and only the other values are normalised pairwise.
+    aside.  One pass over the pairs a < b replaces each pair by its gcd and
+    lcm, which keeps the product and the cokernel.  One pass is enough:
+    after the step (a, b), chain[a] divides chain[b], and every later value
+    at b is a gcd or an lcm of two multiples of chain[a], so chain[a]
+    divides every entry after it once its row of steps is done.
     """
     units = values.count(1)
     chain = [v for v in values if v > 1]
-    changed = True
-    while changed:
-        changed = False
-        chain.sort()
-        for a in range(len(chain)):
-            for b in range(a + 1, len(chain)):
-                if chain[b] % chain[a]:
-                    g = math.gcd(chain[a], chain[b])
-                    chain[a], chain[b] = g, chain[a] * chain[b] // g
-                    changed = True
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = math.gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] * chain[b] // g
     return (1,) * units + tuple(chain)

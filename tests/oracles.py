@@ -279,7 +279,7 @@ def homology(complex_: SimplicialComplex) -> HomologySummary:
     forms: list[SmithForm | None] = [None] * (dim + 2)
     for k in range(1, dim + 1):
         matrix = boundary_matrix(complex_, k)
-        forms[k] = smith_normal_form(matrix.sparse(), matrix.shape)
+        forms[k] = smith_normal_form(matrix.sparse())
     ranks = [forms[k].rank if forms[k] else 0 for k in range(dim + 2)]
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1)]
     torsion = [

@@ -128,7 +128,7 @@ def test_criterion_3_determinant_divisor_bound():
         if complex_.dim is None or complex_.dim < 2:
             continue
         matrix = oracles.boundary_matrix(complex_, 2)
-        product = smith_normal_form(matrix.sparse(), matrix.shape).factor_product
+        product = smith_normal_form(matrix.sparse()).factor_product
         s2 = len(matrix.cols)
         if product * product > 3 ** s2:  # exact integer form of the bound
             violations.append(name)

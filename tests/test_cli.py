@@ -646,6 +646,21 @@ class TestGenfunCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "genfun.MAX_COEFFICIENT_BITS" in err
 
+    def test_long_sparse_sequence_is_refused_at_the_step_cap(self, tmp_path, capsys):
+        # 0/1 terms with their ones at the powers of two: the coefficients stay
+        # small, and uncapped the synthesis ran 9.2 s
+        terms = [int(k & (k - 1) == 0) for k in range(1, 16_001)]
+        seq_file = tmp_path / "powers.json"
+        seq_file.write_text(json.dumps({"terms": terms}, separators=(",", ":")))
+        start = time.monotonic()
+        code, out, err = run_cli(
+            ["genfun", "detect", "--file", str(seq_file), "--max-order", "7998"], capsys
+        )
+        assert time.monotonic() - start < 5.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "genfun.MAX_STEP_WORK" in err
+
 
 class TestCorpusCommand:
     def test_lists_required_entries(self, capsys):

@@ -55,6 +55,11 @@ class TestDetect:
         assert not verdict.found
         assert verdict.max_order_searched == 16
 
+    @pytest.mark.parametrize("value", [0.1, 3.0, True, False])
+    def test_inexact_value_is_refused(self, value):
+        with pytest.raises(ValueError, match=f"term {value!r} is not exact"):
+            RationalSequence.from_values([1, "1/2", value] * 20)
+
     def test_too_short_rejected(self):
         seq = RationalSequence.from_values([1, 2, 3])
         with pytest.raises(ValueError):
@@ -197,6 +202,26 @@ class TestCoefficientCap:
     def test_past_the_cap(self):
         with pytest.raises(ValueError, match=r"more than 1000000 bits, past the cap \(genfun\.MAX_COEFFICIENT_BITS\)"):
             detect_linear_recurrence(self.digits(), max_order=288)
+
+
+class TestStepCap:
+    """0/1 terms with their ones at the powers of two keep the coefficients
+    small while L grows with the terms read: 8 000 terms at max_order 3 998
+    take 15 995 999 multiply-adds, and 8 002 at 3 999 take 16 003 999, past
+    MAX_STEP_WORK."""
+
+    @staticmethod
+    def powers_of_two(n):
+        return RationalSequence.from_values([int(k & (k - 1) == 0) for k in range(1, n + 1)])
+
+    def test_at_the_cap(self):
+        assert genfun.MAX_STEP_WORK == 16_000_000
+        verdict = detect_linear_recurrence(self.powers_of_two(8000), max_order=3998)
+        assert not verdict.found and verdict.max_order_searched == 3998
+
+    def test_past_the_cap(self):
+        with pytest.raises(ValueError, match=r"more than 16000000 multiply-adds, past the cap \(genfun\.MAX_STEP_WORK\)"):
+            detect_linear_recurrence(self.powers_of_two(8002), max_order=3999)
 
 
 def test_distinct_prime_denominators_have_bounded_cost():

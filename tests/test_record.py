@@ -8,7 +8,7 @@ import pytest
 
 import systolic
 from systolic import bounds, complexes, genfun, graphs, homology, presentations, sleeves, snf, waring
-from systolic._record import asdict, fields, record, replace, trusted
+from systolic._record import asdict, fields, record, trusted
 from systolic.corpus import corpus_complex, corpus_list
 
 import oracles
@@ -110,7 +110,7 @@ def test_record_matches_its_dataclass_twin(name):
     assert type(first) is cls and first != second
     assert fields(cls) == fields(first) == tuple(f.name for f in dataclasses.fields(twin))
     pairs = [(made, _twin_of(made, twin)) for made in (first, second)]
-    pairs.append((replace(first), pairs[0][1]))
+    pairs.append((cls(**asdict(first)), pairs[0][1]))
     for made, twin_made in pairs:
         assert repr(made) == repr(twin_made)
         assert hash(made) == hash(twin_made)
@@ -168,9 +168,8 @@ REPLACEMENTS = [
 @pytest.mark.parametrize("name, changes", REPLACEMENTS)
 def test_replace_runs_post_init_as_the_twin_does(name, changes):
     first, twin = SAMPLES[name]()[0], oracles.dataclass_twin(RECORDS[name])
-    assert _outcome(lambda: replace(first, **changes)) == _outcome(
-        lambda: dataclasses.replace(_twin_of(first, twin), **changes)
-    )
+    values = {**asdict(first), **changes}
+    assert _outcome(lambda: RECORDS[name](**values)) == _outcome(lambda: twin(**values))
 
 
 def test_trusted_makes_the_record_without_post_init():
@@ -184,7 +183,8 @@ def test_cached_property_is_kept_per_instance():
     torus = corpus_complex("torus_7")
     faces = torus.faces_by_dim
     assert torus.faces_by_dim is faces and "faces_by_dim" in vars(torus)
-    assert replace(torus).faces_by_dim == faces and "faces_by_dim" not in vars(replace(torus))
+    copy = complexes.SimplicialComplex(torus.vertex_count, torus.facets)
+    assert "faces_by_dim" not in vars(copy) and copy.faces_by_dim == faces
 
 
 def test_a_field_without_a_default_after_one_with_a_default_is_refused():

@@ -36,14 +36,13 @@ class TestKnownForms:
         assert smith_normal_form([[0, 0], [0, 0]]).rank == 0
 
     def test_sparse_input(self):
-        form = smith_normal_form({(0, 0): 2, (1, 1): 3}, shape=(3, 3))
+        form = smith_normal_form({(0, 0): 2, (1, 1): 3})
         assert form.invariant_factors == (1, 6)
-        assert (form.row_dim, form.col_dim) == (3, 3)
 
     def test_boundary_matrix_input(self):
         rp2 = corpus_complex("rp2_min")
         matrix = oracles.boundary_matrix(rp2, 2)
-        form = smith_normal_form(matrix.sparse(), matrix.shape)
+        form = smith_normal_form(matrix.sparse())
         assert form.torsion_factors == (2,)
 
     def test_non_integer_rejected(self):
@@ -264,7 +263,7 @@ class TestResidualPhase:
 
     def test_blocks_are_reduced_apart(self):
         n = 400
-        form = smith_normal_form({(i, i): 2 + i % 2 for i in range(n)}, shape=(n, n))
+        form = smith_normal_form({(i, i): 2 + i % 2 for i in range(n)})
         assert form.invariant_factors == (1,) * (n // 2) + (6,) * (n // 2)
 
     @pytest.mark.parametrize("x, y", [(3, 3), (2, 6), (5, 0), (1, 7), (4, 6), (6, 4), (9, 21)])
@@ -284,6 +283,28 @@ class TestResidualPhase:
             assert form.invariant_factors == (1,) * 32 + (2, 6, 12)
         # the Euclidean elimination took over 20 s on the seed 7 matrix alone
         assert time.monotonic() - start < 5.0
+
+
+def test_sparse_ids_only_order_the_work():
+    # strictly increasing relabellings of the row and column ids keep every
+    # choice of the elimination, and the form equals the dense one
+    rng = random.Random(24)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        density = rng.choice((0.2, 0.5, 1.0))
+        values = rng.choice(((-1, 1), tuple(range(-6, 7)), (2, -2, 3, 4, -6, 9)))
+        dense = [
+            [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        row_ids = sorted(rng.sample(range(-50, 1000), rows))
+        col_ids = sorted(rng.sample(range(-50, 1000), cols))
+        relabelled = {(row_ids[i], col_ids[j]): v for (i, j), v in _dense_entries(dense).items()}
+        form = smith_normal_form(dense)
+        assert smith_normal_form(relabelled) == smith_normal_form(_dense_entries(dense)) == form
+        assert snf._unit_phase(relabelled)[0] == [
+            (row_ids[i], col_ids[j]) for i, j in snf._unit_phase(_dense_entries(dense))[0]
+        ]
 
 
 def test_divisibility_chain_matches_pairwise():
@@ -311,7 +332,7 @@ def test_matches_sympy_invariant_factors():
         assert smith_normal_form(dense).invariant_factors == sympy_factors(dense), dense
     for name in ("rp2_min", "torus_7"):
         matrix = oracles.boundary_matrix(corpus_complex(name), 2)
-        assert smith_normal_form(matrix.sparse(), matrix.shape).invariant_factors == sympy_factors(matrix.dense())
+        assert smith_normal_form(matrix.sparse()).invariant_factors == sympy_factors(matrix.dense())
 
 
 class TestResidualCap:
