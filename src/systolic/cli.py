@@ -88,20 +88,14 @@ def _load_constants(path):
     return bounds.load_constants(path) if path else bounds.BoundConstants()
 
 
-def _rational(value, what: str):
-    """An exact rational (a Fraction) from outside input, or a usage error naming it.
-
-    A string or an integer is exact; a float (or a JSON boolean) is refused
-    rather than read as its binary value.
-    """
+def _rational(text: str, what: str):
+    """An exact rational (a Fraction) from an option's text, or a usage error naming it."""
     from fractions import Fraction
 
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{what} {value!r} is not exact: give a rational as a string or an integer")
     try:
-        return Fraction(value)
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        raise ValueError(f"{what} {value!r} is not a rational number") from exc
+        return Fraction(text)
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(f"{what} {text!r} is not a rational number") from exc
 
 
 def _named_complexes(args):
@@ -438,7 +432,7 @@ def cmd_genfun(args) -> int:
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list):
         raise ValueError('sequence JSON must be an object {"terms": [...]}')
-    sequence = RationalSequence(tuple(_rational(t, "term") for t in terms))
+    sequence = RationalSequence.from_values(terms)
     verdict = detect_linear_recurrence(sequence, max_order=args.max_order)
     _dump_json(verdict, args.out)
     return 0

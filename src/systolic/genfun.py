@@ -67,13 +67,19 @@ class RationalSequence:
 
     @classmethod
     def from_values(cls, values) -> "RationalSequence":
-        """Terms from exact values; a float or a boolean is refused, not read
-        as its binary value."""
+        """Terms from exact values, or a one-line ValueError naming the term.
+
+        A float or a boolean is refused, not read as its binary value, and
+        so is a value ``Fraction`` cannot read (such as None, "1/0" or
+        "abc")."""
         terms = []
         for value in values:
             if isinstance(value, (bool, float)):
                 raise ValueError(f"term {value!r} is not exact: give a rational as a string or an integer")
-            terms.append(Fraction(value))
+            try:
+                terms.append(Fraction(value))
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise ValueError(f"term {value!r} is not a rational number") from exc
         return cls(tuple(terms))
 
 

@@ -2,22 +2,24 @@
 
 The constructor is a seeded randomized search (greedy distance-respecting
 pairing with conflict-edge deletion and restarts); ``_greedy_attempt``
-shows its graphs regular with the target girth, so none is checked again.  A
-step's partner for u is drawn by rejection: a uniformly drawn deficient v
-is kept when it lies outside B_{g-2}(u), tested by meet in the middle as
-B_ceil((g-2)/2)(u) and B_floor((g-2)/2)(v) being disjoint.  After
-``REJECTIONS`` rejected draws the step lists the admissible partners from
-the whole ball B_{g-2}(u) and draws among them.  A kept draw is uniform
-over the admissible partners, and so is a listed one, so the distribution
-of built graphs is that of a uniform draw from the list at every step;
-only the generator's draws differ.
+shows its graphs regular with the target girth, so none is checked again.
+It goes one vertex visit at a time: u is drawn uniformly from the deficient
+vertices, and the visit fills u's missing stubs.  Each partner for u is
+drawn by rejection: a uniformly drawn deficient v is kept when it lies
+outside B_{g-2}(u), tested by meet in the middle as B_ceil((g-2)/2)(u) and
+B_floor((g-2)/2)(v) being disjoint.  u's ball is built once per visit and
+grown by each partner's ball as the visit adds its edges.  After
+``REJECTIONS`` rejected draws the visit lists the admissible partners from
+the whole ball B_{g-2}(u), draws among them and ends.  Within a visit a
+kept draw is uniform over the admissible partners, and so is a listed one,
+so every partner is a uniform draw from that list as the graph then
+stands; only the generator's draws differ.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 from operator import lt
@@ -116,6 +118,8 @@ class MetricGraph:
     edge_length: Fraction
 
     def __post_init__(self):
+        from fractions import Fraction  # here, so that building a graph does not load it
+
         length = Fraction(self.edge_length)
         if length <= 0:
             raise ValueError("edge length must be positive")
@@ -339,14 +343,36 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
     """One randomized build: distance-respecting pairing with repairs.
 
     An edge (u, v) is only added when dist(u, v) >= g-1, so every created
-    cycle has length >= g by construction.  Each step draws u uniformly
-    from the deficient vertices and a partner from ``_draw_partner``,
-    uniform among the deficient vertices outside B_{g-2}(u).  When there is
-    none, u is repaired either by a double swap (remove an edge (x, y), add
-    (u, x) and (v, y) for another deficient v, re-checking distances after
-    each step) or by rotating a stub from a saturated far vertex; deletions
-    never shorten cycles, so the girth invariant holds throughout.  No
-    degree passes c: u, its partner and the mate gain an edge only while
+    cycle has length >= g by construction.  The build goes one *visit* at a
+    time: u is drawn uniformly from the deficient vertices, and the visit
+    searches partners for u until u is full.  Each search is one step of
+    ``STEP_BUDGET``.  A partner is drawn by rejection: up to ``REJECTIONS``
+    times a vertex drawn uniformly from the deficient ones is kept when it
+    is far from u (``_is_far``, against half = B_h(u), h = ceil((g-2)/2)).
+    A kept draw is a uniform draw conditioned on admissibility, so each
+    partner is uniform over the deficient vertices outside B_{g-2}(u) in the
+    graph as it then stands.
+
+    half is built once per visit and kept exact as the visit adds edges:
+    after (u, v) is added, B_h(u) is the old B_h(u) together with
+    B_{h-1}(v), both in the new graph.  A shortest path from u of length
+    <= h either avoids the edge uv, and is then a path of the old graph
+    (which differs only by that edge), so its end lies in the old ball; or
+    it takes uv, which it can only take first, as u -> v, since a shortest
+    path does not return to u, and the rest is a path of length <= h - 1
+    from v.  Conversely every vertex of B_{h-1}(v) lies within 1 + (h - 1)
+    of u.  The visit adds only edges at u, so no other change can reach
+    half.
+
+    After ``REJECTIONS`` rejected draws the step lists the deficient
+    vertices outside near = B_{g-2}(u) and draws among them, again uniform
+    over the admissible partners.  When there is none, u is repaired either
+    by a double swap (remove an edge (x, y), add (u, x) and (v, y) for
+    another deficient v, re-checking distances after each step) or by
+    rotating a stub from a saturated far vertex; deletions never shorten
+    cycles, so the girth invariant holds throughout.  A listing, a swap and
+    a rotation each end the visit, as they change the graph away from u.
+    No degree passes c: u, its partner and the mate gain an edge only while
     deficient (a lone deficient u lacks an even number, so two or more),
     and x, y and w lose one first.  The attempt ends only at n*c/2 edges,
     so with every degree c, and returns them as sorted (a, b), a < b.
@@ -361,6 +387,10 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
     edges = 0
     target_edges = n * degree // 2
     reach = girth_target - 2  # partners must lie outside this ball
+    h, radius = (reach + 1) // 2, reach // 2  # meet in the middle: u's side, v's side
+    choice = rng.choice
+    budget = STEP_BUDGET
+    steps = rejections = 0
 
     def connect(a, b):
         nonlocal edges
@@ -382,14 +412,58 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
                 deficient.append(x)
         edges -= 1
 
-    for _ in range(STEP_BUDGET):
-        if edges == target_edges:
-            break
-        counts.steps += 1
-        u = rng.choice(deficient)
-        v, near = _draw_partner(adj, u, deficient, reach, rng, counts)
-        if v is not None:
-            connect(u, v)
+    while edges < target_edges and steps < budget:
+        u = choice(deficient)
+        neighbours = adj[u]
+        half = _ball(adj, u, h)
+        while True:  # the visit: one partner search a step
+            steps += 1
+            for _ in range(REJECTIONS):
+                v = choice(deficient)
+                if radius == 2:  # _is_far written out for g = 6, 7, the window's largest builds
+                    reached = adj[v]
+                    if v not in half and half.isdisjoint(reached) and half.isdisjoint(
+                        chain.from_iterable(map(adj.__getitem__, reached))
+                    ):
+                        break
+                elif _is_far(adj, half, v, radius):
+                    break
+                rejections += 1
+            else:
+                v = None
+                break
+            # connect(u, v), inline: v leaves deficient when full, and u
+            # ends the visit when full
+            reached = adj[v]
+            neighbours.add(v)
+            reached.add(u)
+            edges += 1
+            if len(reached) == degree:
+                last = deficient.pop()
+                if last != v:
+                    deficient[position[v]] = last
+                    position[last] = position[v]
+            if len(neighbours) == degree:
+                last = deficient.pop()
+                if last != u:
+                    deficient[position[u]] = last
+                    position[last] = position[u]
+                break
+            if steps == budget:
+                break
+            # B_h(u) grows by B_{h-1}(v)
+            half.add(v)
+            if h == 2:
+                half |= reached
+            elif h > 2:
+                half |= _ball(adj, v, h - 1)
+        if v is not None:  # u is full, or the budget is spent
+            continue
+        counts.listings += 1
+        near = _ball(adj, u, reach)
+        partners = [w for w in deficient if w not in near]
+        if partners:
+            connect(u, choice(partners))
             continue
         if _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng):
             counts.swaps += 1
@@ -397,45 +471,20 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
         # reshuffle: rotate a stub from a saturated far vertex onto u
         far = [w for w in range(n) if w != u and w not in near]
         if not far:
-            return None
-        w = rng.choice(far)
+            break
+        w = choice(far)
         others = [z for z in adj[w] if z != u]
         if not others:
-            return None
-        z = rng.choice(others)
+            break
+        z = choice(others)
         disconnect(w, z)
         connect(u, w)
         counts.rotations += 1
+    counts.steps += steps
+    counts.rejections += rejections
     if edges != target_edges:
         return None
     return tuple((a, b) for a in range(n) for b in sorted(adj[a]) if b > a)
-
-
-def _draw_partner(adj, u, deficient, reach, rng, counts):
-    """A deficient vertex at distance > reach from u, uniform among them.
-
-    Returns (partner, near).  Up to ``REJECTIONS`` times, a vertex drawn
-    uniformly from ``deficient`` is kept if ``_is_far`` from u, against
-    B_ceil(reach/2)(u) built once for the step.  After that many
-    rejections the step lists the deficient vertices outside
-    near = B_reach(u) and draws among them; partner is None if there are
-    none.  Either way the partner, given that one is returned, is uniform
-    over the same admissible set: a kept draw is a uniform draw
-    conditioned on admissibility.  ``near`` is None unless the step listed;
-    the repairs reuse it.
-    """
-    half = _ball(adj, u, (reach + 1) // 2)
-    for _ in range(REJECTIONS):
-        v = rng.choice(deficient)
-        if _is_far(adj, half, v, reach // 2):
-            return v, None
-        counts.rejections += 1
-    counts.listings += 1
-    near = _ball(adj, u, reach)
-    partners = [v for v in deficient if v not in near]
-    if not partners:
-        return None, near
-    return rng.choice(partners), near
 
 
 def _is_far(adj, half, v, radius):

@@ -23,10 +23,16 @@ from ._record import record
 
 # the largest k the tables accept
 CAP = 10_000_000
+# Steps the list DP may take for one count list (d >= 6), counted over the
+# whole list 0..k whatever is cached: an entry costs two, and each power it
+# tries one more.  A step takes about 40 ns, so a list at the cap about 2 s.
+MAX_LIST_STEPS = 45_000_000
+# Parts a decomposition may have: from d = 24 on, k <= CAP is all ones.
+MAX_PARTS = 1_000_000
 
 
 class WaringCapError(ValueError):
-    """k exceeds the desk-scale cap."""
+    """A request passes one of the desk-scale caps."""
 
 
 @record
@@ -107,8 +113,15 @@ class _Layers:
 
 
 def _extend_counts(d: int, counts: list[int], upto: int) -> list[int]:
-    """Extend the count list in place to 0..upto by the dynamic program."""
+    """Extend the count list in place to 0..upto by the dynamic program, or
+    refuse a list of more than ``MAX_LIST_STEPS`` steps."""
     powers = _powers(d, upto)
+    steps = 2 * upto + sum(upto + 1 - p for p in powers)
+    if steps > MAX_LIST_STEPS:
+        raise WaringCapError(
+            f"the d={d} count list up to {upto} takes {steps} steps, "
+            f"past the cap (waring.MAX_LIST_STEPS = {MAX_LIST_STEPS})"
+        )
     start = len(counts)
     counts.extend([0] * (upto + 1 - start))
     for i in range(start, upto + 1):
@@ -155,10 +168,14 @@ def min_powers(k: int, d: int) -> WaringDecomposition:
     """
     _validate(k, d)
     counts = _table(d, k)
+    target = counts[k]
+    if target > MAX_PARTS:
+        raise WaringCapError(
+            f"k={k} needs {target} parts for d={d}, past the cap (waring.MAX_PARTS = {MAX_PARTS})"
+        )
     powers = _powers(d, k)
     parts: list[int] = []
     remaining = k
-    target = counts[k]
     while remaining:
         target -= 1
         base = bisect.bisect_right(powers, remaining)  # the largest b with b^d <= remaining

@@ -280,7 +280,7 @@ class TestGraphCommands:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "131b0b9d0555aa6232c72195b44fb71744dd79d8cee049c72f8c6638f9549abd"
+            "37e111345f63873f48e567a81ba15a0864ef05e3fca3d7e17051def0fa13e765"
         )
         oracles.check_regular_girth(graphs.load_graph(out), 7, 5)
 
@@ -293,20 +293,19 @@ class TestGraphCommands:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "730ca37f9fe6d13d4a3e6091e65c7a51068237b274b44cf86e1138222c5bcda1"
+            "5c1df165d94d7e9c34b0a9cc992ad7bb15df8e7e31e84226faf53b9d13310709"
         )
         oracles.check_regular_girth(graphs.load_graph(out), 7, 6)
 
     def test_bench_scale_build_bytes_pinned(self, capsys):
-        # the benchmark's l=5 request; computed while the build still checked
-        # its graph with Graph(), is_regular and girth before returning it
+        # the benchmark's l=5 request
         code, out, _ = run_cli(
             ["build-graph", "--c", "7", "--girth", "6", "--vertices", "6216", "--seed", "7"],
             capsys,
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "1ffc54c9ee073adfc547575dd0757c20c49ac573b980d34840f0c2527c322f91"
+            "4325c1f8ceccfa0ee7bb97c6c937d389c8a2fb62040ad3475dd68a0bf908daac"
         )
         oracles.check_regular_girth(graphs.load_graph(out), 7, 6)
 
@@ -324,8 +323,10 @@ class TestGraphCommands:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "131b0b9d0555aa6232c72195b44fb71744dd79d8cee049c72f8c6638f9549abd"
+            "37e111345f63873f48e567a81ba15a0864ef05e3fca3d7e17051def0fa13e765"
         )
+        monkeypatch.undo()  # the certificate runs girth and Graph's checks
+        oracles.check_regular_girth(graphs.load_graph(out), 7, 5)
 
     @pytest.mark.parametrize("vertices", ["300002", "100000000"])
     def test_build_above_vertex_cap_is_usage_error(self, vertices, capsys):
@@ -581,6 +582,14 @@ class TestWaringCommand:
         assert done.returncode == 0
         assert json.loads(done.stdout)["parts"] == [1] * 5
 
+    @pytest.mark.parametrize("k, d, cap", [("3695425", "6", "waring.MAX_LIST_STEPS"),
+                                          ("1000001", "40", "waring.MAX_PARTS")])
+    def test_past_a_cap_is_one_line(self, k, d, cap):
+        # both refusals come before the decomposition is walked or written
+        done = _run_subprocess(["waring", "--k", k, "--d", d], 0)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert len(done.stderr.splitlines()) == 1 and cap in done.stderr.decode()
+
     def test_sweep_rows(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"command": "waring", "grid": {"k": [5, 10.5, True], "d": [2.5, 2000000000]}}))
@@ -620,6 +629,19 @@ class TestGenfunCommand:
         )
         assert (code, out) == (2, "")
         assert err == f"error: term {shown} is not exact: give a rational as a string or an integer\n"
+
+    @pytest.mark.parametrize("term, shown", [("null", "None"), ('"1/0"', "'1/0'"), ('"abc"', "'abc'"),
+                                             ("[1]", "[1]"), ("{}", "{}")])
+    def test_unreadable_term_is_refused(self, term, shown, tmp_path, capsys):
+        # RationalSequence.from_values names the term, as the CLI did before
+        # it built the sequence through it
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text('{"terms": ["3/2", 2, ' + term + "]}")
+        code, out, err = run_cli(
+            ["genfun", "detect", "--file", str(seq_file), "--max-order", "1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: term {shown} is not a rational number\n"
 
     def test_integer_terms_are_accepted(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.json"

@@ -1,11 +1,21 @@
-"""Every public top-level name a module defines, and every public method
-and property of its public classes, has a reader outside its unit tests:
-code of the package (its own module included) or the acceptance suite."""
+"""Every public top-level name a module defines has a reader outside its
+unit tests: code of the package (its own module included) or the acceptance
+suite.  Every public method and property of its public classes runs, as a
+member of its own class, under the acceptance suite or the CLI tests."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "systolic"
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+import member_calls
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "systolic"
+ACCEPTANCE = TESTS / "test_acceptance.py"
+CLI_TESTS = TESTS / "test_cli.py"
 
 
 def _referenced(path: Path) -> set[str]:
@@ -57,15 +67,28 @@ def test_every_export_has_a_caller():
     assert unread == []
 
 
-def test_every_public_method_has_a_caller():
-    referenced = _referenced_by_package_and_acceptance()
-    unread = [
+def test_every_public_method_has_a_caller(tmp_path):
+    # matched by (class, member): a read of a same-named attribute of
+    # another class does not count, as a name search over the sources would
+    members = {
         f"{module.stem}.{cls}.{name}"
-        for module in sorted(PACKAGE.glob("*.py"))
-        for cls, name in sorted(_public_members(module))
-        if name not in referenced
-    ]
-    assert unread == []
+        for module in PACKAGE.glob("*.py")
+        for cls, name in _public_members(module)
+    }
+    # the plugin records every member the sources define, and no other
+    assert {
+        f"{module}.{cls.__qualname__}.{name}" for module, cls, name in member_calls.public_members()
+    } == members
+    calls = tmp_path / "calls.json"
+    env = dict(os.environ, MEMBER_CALLS=str(calls),
+               PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), str(TESTS)]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "member_calls",
+         str(ACCEPTANCE), str(CLI_TESTS)],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout[-3000:]
+    assert sorted(members - set(json.loads(calls.read_text()))) == []
 
 
 def test_every_module_parses_as_python_3_10():

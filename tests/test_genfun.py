@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -59,6 +60,11 @@ class TestDetect:
     def test_inexact_value_is_refused(self, value):
         with pytest.raises(ValueError, match=f"term {value!r} is not exact"):
             RationalSequence.from_values([1, "1/2", value] * 20)
+
+    @pytest.mark.parametrize("value", [None, "1/0", "abc", [1]])
+    def test_unreadable_value_is_refused(self, value):
+        with pytest.raises(ValueError, match=f"^term {re.escape(repr(value))} is not a rational number$"):
+            RationalSequence.from_values([1, "1/2", value])
 
     def test_too_short_rejected(self):
         seq = RationalSequence.from_values([1, 2, 3])

@@ -1,8 +1,11 @@
+import inspect
 import json
 import math
 import random
 import re
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
@@ -534,35 +537,138 @@ def test_far_test_matches_the_ball_oracle():
                 assert graphs._is_far(adj, half, v, reach // 2) == (v != u and v not in near)
 
 
+def _line_of(function, text):
+    """The line number of the one line of ``function`` that reads ``text``."""
+    source, first = inspect.getsourcelines(function)
+    lines = [first + i for i, line in enumerate(source) if line.strip() == text]
+    assert len(lines) == 1, (text, lines)
+    return lines[0]
+
+
+class VisitSpy(random.Random):
+    """A seeded generator that checks ``_greedy_attempt`` at every draw.
+
+    At each partner draw (the line ``v = choice(deficient)``) it reads the
+    attempt's locals and asserts that ``deficient`` holds exactly the
+    vertices below full degree and that the kept ball ``half`` equals
+    ``oracles._ball(adj, u, h)``, h = ceil((g-2)/2), recomputed.  At the
+    next draw of any kind, or in ``settle`` once the attempt returns, it
+    asserts that the attempt added the edge (u, v) exactly when v lies
+    outside ``oracles._ball(adj, u, g - 2)``.  A listing's draw must be made
+    from exactly those partners.  ``tally`` counts partner draws kept and
+    rejected, those made after a kept partner of the same visit (so against
+    a grown ball), and listings; ``ranks`` holds (rank, count) of each kept
+    partner among the sorted admissible ones.
+    """
+
+    def __init__(self, seed, degree, girth_target):
+        super().__init__(seed)
+        self.degree, self.reach = degree, girth_target - 2
+        self.h = (self.reach + 1) // 2
+        self.partner_line = _line_of(graphs._greedy_attempt, "v = choice(deficient)")
+        self.listing_line = _line_of(graphs._greedy_attempt, "connect(u, choice(partners))")
+        self.pending = self.last = None
+        self.tally = Counter()
+        self.ranks = []
+
+    def settle(self):
+        if self.pending is not None:
+            neighbours, v, before, far = self.pending
+            self.pending = None
+            assert len(neighbours) == before + far and (v in neighbours or not far)
+
+    def random(self):
+        self.settle()
+        return super().random()
+
+    def choice(self, seq):
+        self.settle()
+        pick = super().choice(seq)
+        frame = sys._getframe(1)
+        if frame.f_code is not graphs._greedy_attempt.__code__:
+            return pick
+        line = frame.f_lineno
+        if line not in (self.partner_line, self.listing_line):
+            return pick
+        state = frame.f_locals
+        adj, u, deficient = state["adj"], state["u"], state["deficient"]
+        assert sorted(deficient) == [w for w in range(len(adj)) if len(adj[w]) < self.degree]
+        near = oracles._ball(adj, u, self.reach)
+        admissible = sorted(w for w in deficient if w not in near)
+        if line == self.listing_line:
+            assert sorted(seq) == admissible
+            self.tally["listings"] += 1
+            return pick
+        half = state["half"]
+        assert half == oracles._ball(adj, u, self.h)
+        if self.last is not None and self.last[0] is half:
+            self.tally["grown"] += self.last[1]
+        far = pick not in near
+        self.pending = (adj[u], pick, len(adj[u]), far)
+        self.last = (half, far)
+        self.tally["kept" if far else "rejected"] += 1
+        if far:
+            self.ranks.append((admissible.index(pick), len(admissible)))
+        return pick
+
+
+def _spied_attempts(spy, degree, girth_target, n, counts, tries):
+    """Up to ``tries`` attempts under ``spy``; the finished graph, certified,
+    or None."""
+    for _ in range(tries):
+        edges = graphs._greedy_attempt(degree, girth_target, n, spy, counts)
+        spy.settle()
+        if edges is not None:
+            # the attempt's edges, as construct_regular_girth returns them
+            graph = trusted(Graph, n, edges)
+            oracles.check_regular_girth(graph, degree, girth_target)
+            return graph
+    return None
+
+
+def test_visit_keeps_u_ball_exact():
+    # a seeded fuzz over small (c, g, n) with g = 4 ... 8, so h = 1, 2, 3:
+    # at every partner draw the ball kept since the visit began, grown by
+    # B_{h-1}(v) at each kept partner, equals B_h(u) recomputed, and every
+    # finished build passes the certificate
+    rng = random.Random(2525)
+    built, grown = Counter(), Counter()
+    for _ in range(120):
+        degree, girth_target = rng.randint(3, 6), rng.randint(4, 8)
+        low = max(moore_bound(degree, girth_target), degree + 1)
+        if low > 100:
+            continue
+        n = rng.randint(low, 3 * low + 20)
+        n += n * degree % 2
+        spy = VisitSpy(rng.randrange(10**6), degree, girth_target)
+        counts = SearchCounts()
+        if _spied_attempts(spy, degree, girth_target, n, counts, 4) is not None:
+            built[girth_target] += 1
+        assert spy.tally["kept"] + counts.listings == counts.steps
+        assert spy.tally["rejected"] == counts.rejections
+        grown[(girth_target - 1) // 2] += spy.tally["grown"]
+    # each h saw balls grown within a visit, and each girth finished builds
+    assert set(grown) == {1, 2, 3} and all(grown.values()), grown
+    assert set(built) == {4, 5, 6, 7, 8}, built
+
+
 def test_partner_draw_is_uniform_over_the_admissible_partners():
-    # On a 60-cycle every vertex is deficient for degree 3; with reach 28 the
-    # only partners of 0 are 29, 30 and 31, so about a fifth of the steps
-    # reject REJECTIONS draws and list them.  Each branch's count of each
-    # partner stays within 5 standard deviations of uniform.
-    n, u, reach, draws = 60, 0, 28, 6000
-    adj = [{(v - 1) % n, (v + 1) % n} for v in range(n)]
-    deficient = list(range(n))
-    random.Random(8).shuffle(deficient)
-    near = oracles._ball(adj, u, reach)
-    admissible = {v for v in deficient if v not in near}
-    assert admissible == {29, 30, 31}
-    rng, counts = random.Random(3), SearchCounts()
-    tally = {"kept": {}, "listed": {}}
-    for _ in range(draws):
-        v, listed = graphs._draw_partner(adj, u, deficient, reach, rng, counts)
-        assert listed is None or listed == near
-        branch = tally["kept" if listed is None else "listed"]
-        branch[v] = branch.get(v, 0) + 1
-    assert counts.listings == sum(tally["listed"].values())
-    assert 0 < counts.listings < draws / 2 < counts.rejections
-    for branch in tally.values():
-        total = sum(branch.values())
-        assert set(branch) == admissible
-        mean, sd = total / 3, math.sqrt(total * (1 / 3) * (2 / 3))
-        assert all(abs(count - mean) <= 5 * sd for count in branch.values()), tally
-    # one step further out no deficient vertex is admissible: the step lists
-    # once and hands the ball to the repairs
-    assert graphs._draw_partner(adj, u, deficient, 30, rng, counts) == (None, set(range(n)))
+    # every kept partner is a uniform draw from the admissible ones as the
+    # graph then stands: over the kept partners of small builds, the share
+    # whose rank among the sorted admissible partners falls below each
+    # quartile stays within 5 standard deviations of its expectation
+    ranks = []
+    for seed in range(12):
+        spy = VisitSpy(seed, 5, 6)
+        _spied_attempts(spy, 5, 6, 120, SearchCounts(), 3)
+        ranks += spy.ranks
+    assert len(ranks) > 2000
+    for quarter in (1, 2, 3):
+        hits = sum(rank < quarter * count // 4 for rank, count in ranks)
+        shares = [(quarter * count // 4) / count for _, count in ranks]
+        mean = sum(shares)
+        sd = math.sqrt(sum(p * (1 - p) for p in shares))
+        assert abs(hits - mean) <= 5 * sd, (quarter, hits, mean, sd)
 
 
 # (degree, girth, vertices, seed): window sizes at l=3 (168) and l=4 (1032,
@@ -578,40 +684,26 @@ ORACLE_GRID = (
 )
 
 
-def test_search_partners_are_admissible(monkeypatch):
-    # every partner drawn is a deficient vertex outside oracles._ball(u,
-    # g - 2), so each edge the draw adds closes no cycle shorter than g
-    degree = None
-    draw = graphs._draw_partner
-
-    def checked(adj, u, deficient, reach, rng, counts):
-        assert sorted(deficient) == [v for v in range(len(adj)) if len(adj[v]) < degree]
-        near = oracles._ball(adj, u, reach)
-        admissible = {v for v in deficient if v not in near}
-        v, listed = draw(adj, u, deficient, reach, rng, counts)
-        assert listed is None or listed == near
-        if v is None:
-            assert not admissible and listed is not None
-        else:
-            assert v in admissible
-        return v, listed
-
-    monkeypatch.setattr(graphs, "_draw_partner", checked)
+def test_search_partners_are_admissible():
+    # every partner kept or listed is a deficient vertex outside
+    # oracles._ball(u, g - 2), so each edge a visit adds closes no cycle
+    # shorter than g; the spy checks each draw against the oracle
     counts = SearchCounts()
-    attempts = failed = 0
+    attempts = failed = listings = 0
     for degree, girth_target, n, seed in ORACLE_GRID:
-        rng = random.Random(seed)
+        spy = VisitSpy(seed, degree, girth_target)
         for _ in range(3):
-            edges = graphs._greedy_attempt(degree, girth_target, n, rng, counts)
+            edges = graphs._greedy_attempt(degree, girth_target, n, spy, counts)
+            spy.settle()
             attempts += 1
             if edges is not None:
-                # the attempt's edges, as construct_regular_girth returns them
                 oracles.check_regular_girth(trusted(Graph, n, edges), degree, girth_target)
                 break
             failed += 1
-    # the grid covers every branch: kept and listed partner draws, double
-    # swaps, rotations and attempts that end without a graph
-    assert counts.rejections > 0 and counts.listings > 0
+        listings += spy.tally["listings"]
+    # the grid covers every branch: kept, rejected and listed partner draws,
+    # double swaps, rotations and attempts that end without a graph
+    assert counts.rejections > 0 and counts.listings > 0 and listings > 0
     assert counts.swaps > 0 and counts.rotations > 0
     assert 0 < failed < attempts
     assert counts.steps > 10_000

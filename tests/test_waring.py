@@ -204,3 +204,64 @@ class TestListFallback:
         for d, table in waring._tables.items():
             assert isinstance(table, list) if d > 5 else len(table.layers) <= G[d] + 1
         assert max(waring._tables[6]) == 73  # g(6), attained at 703
+
+
+def _list_steps(d, upto):
+    """The list DP's steps for 0..upto, one entry at a time: two for the
+    entry, one for each power it tries."""
+    powers = [b ** d for b in range(1, upto + 1) if b ** d <= upto]
+    return sum(2 + sum(p <= i for p in powers) for i in range(1, upto + 1))
+
+
+class TestListCap:
+    """A d >= 6 count list may take MAX_LIST_STEPS steps: for d = 6,
+    k = 3 695 424 takes 44 999 998 and k + 1 45 000 012."""
+
+    def test_steps_match_the_entry_by_entry_count(self, monkeypatch):
+        for d, upto in [(6, 1), (6, 64), (6, 1000), (7, 5000), (30, 300)]:
+            steps = _list_steps(d, upto)
+            monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps)
+            assert waring._extend_counts(d, [0], upto)[upto] == min_count(upto, d)
+            monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps - 1)
+            with pytest.raises(WaringCapError, match=rf"takes {steps} steps"):
+                waring._extend_counts(d, [0], upto)
+
+    def test_a_cached_list_counts_from_zero(self, monkeypatch):
+        # whether a k is refused does not depend on what is cached
+        expected = waring._extend_counts(6, [0], 1000)[1000]
+        monkeypatch.setattr(waring, "_tables", {})
+        monkeypatch.setattr(waring, "MAX_LIST_STEPS", _list_steps(6, 1000))
+        assert min_count(1000, 6) == expected
+        with pytest.raises(WaringCapError):
+            min_count(1001, 6)
+
+    def test_at_the_cap(self, monkeypatch):
+        assert waring.MAX_LIST_STEPS == 45_000_000
+        monkeypatch.setattr(waring, "_tables", {})
+        decomposition = min_powers(3_695_424, 6)
+        assert sum(p ** 6 for p in decomposition.parts) == 3_695_424
+        assert decomposition.count <= 73  # g(6)
+
+    def test_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(waring, "_tables", {})
+        message = r"takes 45000012 steps, past the cap \(waring\.MAX_LIST_STEPS = 45000000\)"
+        with pytest.raises(WaringCapError, match=message):
+            min_powers(3_695_425, 6)
+        assert waring._tables.get(6, [0]) == [0]  # refused before the list is built
+
+
+class TestPartsCap:
+    """From d = 24 on every k <= CAP is a sum of ones, so a decomposition
+    may have at most MAX_PARTS parts."""
+
+    def test_at_the_cap(self, monkeypatch):
+        assert waring.MAX_PARTS == 1_000_000
+        monkeypatch.setattr(waring, "_tables", {})
+        assert min_powers(10 ** 6, 40).parts == (1,) * 10 ** 6
+
+    def test_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(waring, "_tables", {})
+        message = r"needs 1000001 parts for d=40, past the cap \(waring\.MAX_PARTS = 1000000\)"
+        with pytest.raises(WaringCapError, match=message):
+            min_powers(10 ** 6 + 1, 40)
+        assert min_count(10 ** 6 + 1, 40) == 10 ** 6 + 1  # the count alone is not capped
