@@ -350,6 +350,10 @@ def cmd_sweep(args) -> int:
     command = spec.get("command")
     if not isinstance(command, str) or command not in EVALUATORS:
         raise ValueError(f"sweep does not support command {command!r}")
+    if command == "waring":  # its count lists share one budget, checked before any row
+        from .waring import list_budget
+
+        list_budget(grid.get("k", ()), grid.get("d", ()))
     constants = _load_constants(args.constants)
     keys = sorted(grid)
     errors = 0

@@ -4,15 +4,23 @@ Arbitrary-precision integers throughout: elimination is the place where
 coefficient explosion silently corrupts fixed-width arithmetic, so no numpy
 here.  The elimination runs in two phases.
 
-Unit phase.  The columns wait in a min-heap keyed by (length, index), and
-each pivot is the +-1 entry of the popped column whose row is shortest,
-which keeps the sparse working set small on boundary matrices.  A unit
-pivot divides its column exactly, so one pass of row steps clears the
-column, its row is then alone and is deleted, and the diagonal gains a 1.
-A column is queued again whenever its length changes or one of its entries
-becomes +-1, and a popped key whose column is gone or has another length is
-skipped, so the phase ends with no +-1 entry left.  Which units are taken
-changes no result: the invariant factors are unique.
+Unit phase.  The columns wait in a min-heap keyed by (length, index).  The
+pivot column is the least (length, index) among the columns that hold a +-1,
+and its pivot is the +-1 whose row has the least (length, index); short
+pivots keep the sparse working set small on boundary matrices.  A unit
+pivot divides its column exactly, so one pass of row steps, row i minus
+q times the pivot row, clears the column; the pivot row leaves the matrix
+and the diagonal gains a 1.  Only the columns of the pivot row change, and
+each gets one key, at its length once the pass ends (an emptied column is
+deleted).  So every column that
+holds a +-1 has its current key in the heap: it had one before the pass, or
+the pass pushed it.  A popped key whose column is gone or has another length
+is stale and skipped; a current key whose column holds no +-1 is dropped,
+as the column is queued again when a pass next changes it.  The least
+current key with a +-1 is thus always popped before any other such column,
+which is the rule above; two equal keys of one column give one choice.
+The phase ends with no +-1 entry left.  Which units are taken changes no
+result: the invariant factors are unique.
 
 Residual phase.  What is left has no unit entry.  Each connected block of it
 goes to a dense routine.  Fraction-free (Bareiss) elimination gives the
@@ -78,11 +86,11 @@ class SmithForm:
 def _coerce(matrix) -> dict:
     """Accept dense row lists or {(i, j): value} mappings."""
     if isinstance(matrix, dict):
-        return {k: v for k, v in matrix.items() if v}
+        return matrix
     rows = [list(r) for r in matrix]
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged dense matrix")
-    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
 
 
 def smith_normal_form(matrix) -> SmithForm:
@@ -114,60 +122,63 @@ def _unit_phase(entries: dict) -> tuple[list[tuple], dict, dict]:
     """Eliminate the +-1 entries of the sparse matrix ``entries``.
 
     Returns the (row, col) of each pivot, in order, and the live rows and
-    columns left, none of whose entries is +-1.
+    columns left, none of whose entries is +-1.  Zero entries are dropped.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, dict[int, int]] = {}
     for (i, j), v in entries.items():
-        if not isinstance(v, int):
-            raise TypeError("matrix entries must be integers")
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, {})[i] = v
+        if v:
+            if not isinstance(v, int):
+                raise TypeError("matrix entries must be integers")
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, {})[i] = v
     heap = [(len(col), j) for j, col in cols.items()]
     heapq.heapify(heap)
-
-    def set_entry(i, j, v):
-        # a column whose length changes or that gains a +-1 is queued again
-        if v:
-            rows.setdefault(i, {})[j] = v
-            col = cols.setdefault(j, {})
-            grew = i not in col
-            col[i] = v
-            if grew or abs(v) == 1:
-                heapq.heappush(heap, (len(col), j))
-        else:
-            del rows[i][j]
-            if not rows[i]:
-                del rows[i]
-            col = cols[j]
-            del col[i]
-            if col:
-                heapq.heappush(heap, (len(col), j))
-            else:
-                del cols[j]
-
-    def row_submul(dst, src, q):
-        # row dst -= q * row src
-        for j, v in list(rows[src].items()):
-            set_entry(dst, j, rows.get(dst, {}).get(j, 0) - q * v)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     pivots: list[tuple] = []
     while heap:
-        length, pj = heapq.heappop(heap)
+        length, pj = heappop(heap)
         col = cols.get(pj)
         if col is None or len(col) != length:
-            continue  # stale: a length change queued the current key
-        units = [i for i, v in col.items() if abs(v) == 1]
-        if not units:
-            continue  # queued again if it gains a +-1
-        pi = min(units, key=lambda i: (len(rows[i]), i))
+            continue  # stale: the current key is in the heap too
+        pi = best = None
+        for i, v in col.items():
+            if v == 1 or v == -1:
+                key = (len(rows[i]), i)
+                if best is None or key < best:
+                    pi, best = i, key
+        if pi is None:
+            continue  # queued again when a pass changes the column
         pivots.append((pi, pj))
-        # a unit pivot divides its column exactly; its row is then alone
-        p = col[pi]
-        for i in [i for i in col if i != pi]:
-            row_submul(i, pi, col[i] * p)
-        for j in list(rows[pi]):
-            set_entry(pi, j, 0)
+        # the pivot row leaves the matrix; each other row of the pivot column
+        # then loses q times it, which clears the column as p = +-1
+        prow = rows.pop(pi)
+        for j in prow:
+            del cols[j][pi]
+        del cols[pj]
+        p = prow.pop(pj)
+        steps = [(j, v, cols[j]) for j, v in prow.items()]
+        for i, c in col.items():
+            q = c * p
+            row = rows[i]
+            del row[pj]
+            for j, v, cj in steps:
+                old = row.get(j)
+                if old is None:
+                    row[j] = cj[i] = -q * v
+                elif old != q * v:
+                    row[j] = cj[i] = old - q * v
+                else:
+                    del row[j]
+                    del cj[i]
+            if not row:
+                del rows[i]
+        for j, _, cj in steps:
+            if cj:
+                heappush(heap, (len(cj), j))
+            else:
+                del cols[j]
 
     return pivots, rows, cols
 

@@ -9,23 +9,25 @@ of layer t shifted by each d-th power.  The count of j is the first layer
 holding j.  Layers are stored as ``bytes``, so a bit test is O(1).  Tables
 are layered for d <= 5 only: every integer is a sum of at most
 g(d) = 4, 9, 19, 37 d-th powers for d = 2..5, so such a table has at most
-38 layers.  From d = 6 on a count can pass 64, the width of a count list's
-entry (127 = 2^6 + 63 ones takes 64 sixth powers), so those tables are the
-list of counts built by the dynamic program over 1..limit instead.  A
+38 layers.  From d = 6 on a count can pass 64 (127 = 2^6 + 63 ones takes 64
+sixth powers), and a table would need as many layers, so those tables are
+an array of counts built by the dynamic program over 1..limit instead.  A
 layered table is rebuilt, not extended, so it grows geometrically: to
 min(max(k, twice the old limit), the cap).
 """
 from __future__ import annotations
 
 import bisect
+from array import array
 
 from ._record import record
 
 # the largest k the tables accept
 CAP = 10_000_000
-# Steps the list DP may take for one count list (d >= 6), counted over the
-# whole list 0..k whatever is cached: an entry costs two, and each power it
-# tries one more.  A step takes about 40 ns, so a list at the cap about 2 s.
+# Steps the list DP may take for one count list (d >= 6), and for all the
+# lists one request builds (``list_budget``), counted over each whole list
+# 0..k whatever is cached: an entry costs two, and each power it tries one
+# more.  A step takes about 40 ns, so a request at the cap about 2 s.
 MAX_LIST_STEPS = 45_000_000
 # Parts a decomposition may have: from d = 24 on, k <= CAP is all ones.
 MAX_PARTS = 1_000_000
@@ -112,35 +114,60 @@ class _Layers:
         return t, tuple(argmax)
 
 
-def _extend_counts(d: int, counts: list[int], upto: int) -> list[int]:
+def _list_steps(d: int, upto: int) -> int:
+    """Steps of the d >= 6 count list over 0..upto (see ``MAX_LIST_STEPS``)."""
+    return 2 * upto + sum(upto + 1 - p for p in _powers(d, upto))
+
+
+def list_budget(ks, ds) -> None:
+    """Refuse a request whose d >= 6 count lists take more than
+    ``MAX_LIST_STEPS`` steps in all: for each d >= 6 in ``ds``, the list up
+    to the largest k in ``ks``.  Values that ``min_count`` refuses count
+    nothing."""
+    ks = [k for k in ks if isinstance(k, int) and not isinstance(k, bool) and 1 <= k <= CAP]
+    ds = {d for d in ds if isinstance(d, int) and not isinstance(d, bool) and d >= 6}
+    if not ks or not ds:
+        return
+    top = max(ks)
+    steps = sum(_list_steps(d, top) for d in ds)
+    if steps > MAX_LIST_STEPS:
+        raise WaringCapError(
+            f"the d >= 6 count lists of this request ({len(ds)} of them, up to {top}) "
+            f"take {steps} steps, past the cap (waring.MAX_LIST_STEPS = {MAX_LIST_STEPS})"
+        )
+
+
+def _extend_counts(d: int, counts: array, upto: int) -> array:
     """Extend the count list in place to 0..upto by the dynamic program, or
     refuse a list of more than ``MAX_LIST_STEPS`` steps."""
-    powers = _powers(d, upto)
-    steps = 2 * upto + sum(upto + 1 - p for p in powers)
+    steps = _list_steps(d, upto)
     if steps > MAX_LIST_STEPS:
         raise WaringCapError(
             f"the d={d} count list up to {upto} takes {steps} steps, "
             f"past the cap (waring.MAX_LIST_STEPS = {MAX_LIST_STEPS})"
         )
+    powers = _powers(d, upto)
     start = len(counts)
-    counts.extend([0] * (upto + 1 - start))
-    for i in range(start, upto + 1):
-        best = i  # all ones is always available
-        for p in powers:
-            if p > i:
-                break
-            candidate = counts[i - p] + 1
-            if candidate < best:
-                best = candidate
-        counts[i] = best
+    append = counts.append
+    best = counts[-1]  # counts[i - 1], the candidate of the power 1, less one
+    # between two consecutive powers, the powers no larger than i stay the same
+    for t, end in enumerate([*powers[1:], upto + 1], 1):
+        others = powers[1:t]
+        for i in range(max(start, powers[t - 1]), end):
+            for p in others:
+                candidate = counts[i - p]
+                if candidate < best:
+                    best = candidate
+            best += 1
+            append(best)
     return counts
 
 
 # per-exponent tables: d -> layers for d <= 5, the count list otherwise
-_tables: dict[int, _Layers | list[int]] = {}
+_tables: dict[int, _Layers | array] = {}
 
 
-def _table(d: int, upto: int) -> _Layers | list[int]:
+def _table(d: int, upto: int) -> _Layers | array:
     """The cached minimal counts for exponent d, grown to cover 0..upto."""
     table = _tables.get(d)
     if table is not None and len(table) > upto:
@@ -150,7 +177,9 @@ def _table(d: int, upto: int) -> _Layers | list[int]:
         table = _tables[d] = _Layers.build(d, max(upto, min(2 * old, CAP)))
         return table
     if table is None:
-        table = _tables[d] = [0]
+        # a count is at most k <= CAP < 2^31, so a C int holds it: 4 bytes
+        # an entry, where a list of int objects takes 8 and up to 28 more
+        table = _tables[d] = array("i", [0])
     return _extend_counts(d, table, upto)
 
 

@@ -2,7 +2,8 @@
 
 Deliberately naive and slow: textbook Smith reduction with divisibility
 enforcement, the sparse Smith elimination with a full scan per pivot and a
-pairwise divisibility chain, the gcd of every maximal minor, exhaustive
+pairwise divisibility chain, the Smith form's unit phase with a helper call
+per changed entry (``unit_phase``), the gcd of every maximal minor, exhaustive
 cycle enumeration, exhaustive orientation search, largest-first Waring
 parts read off a count list, Hankel-style recurrence solving by dense
 elimination over fractions, Berlekamp-Massey and its replay on
@@ -27,6 +28,7 @@ pairs, the Smith form of every full ``boundary_matrix``, so it shares
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import math
 from collections import Counter, deque
@@ -187,6 +189,72 @@ def scan_pivot_elimination(entries) -> tuple[list[int], list[tuple]]:
         for i in list(cols.get(pj, {})):
             set_entry(i, pj, 0)
     return diagonal, pivots
+
+
+# The Smith form's unit phase as it was before each pivot became one pass:
+# a helper call per changed entry and per row step, and a heap key per
+# changed entry.  It picks the same pivots and leaves the same rows and
+# columns.
+def unit_phase(entries: dict) -> tuple[list[tuple], dict, dict]:
+    """Eliminate the +-1 entries of the sparse matrix ``entries``.
+
+    Returns the (row, col) of each pivot, in order, and the live rows and
+    columns left, none of whose entries is +-1.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, dict[int, int]] = {}
+    for (i, j), v in entries.items():
+        if not isinstance(v, int):
+            raise TypeError("matrix entries must be integers")
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, {})[i] = v
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+
+    def set_entry(i, j, v):
+        # a column whose length changes or that gains a +-1 is queued again
+        if v:
+            rows.setdefault(i, {})[j] = v
+            col = cols.setdefault(j, {})
+            grew = i not in col
+            col[i] = v
+            if grew or abs(v) == 1:
+                heapq.heappush(heap, (len(col), j))
+        else:
+            del rows[i][j]
+            if not rows[i]:
+                del rows[i]
+            col = cols[j]
+            del col[i]
+            if col:
+                heapq.heappush(heap, (len(col), j))
+            else:
+                del cols[j]
+
+    def row_submul(dst, src, q):
+        # row dst -= q * row src
+        for j, v in list(rows[src].items()):
+            set_entry(dst, j, rows.get(dst, {}).get(j, 0) - q * v)
+
+    pivots: list[tuple] = []
+    while heap:
+        length, pj = heapq.heappop(heap)
+        col = cols.get(pj)
+        if col is None or len(col) != length:
+            continue  # stale: a length change queued the current key
+        units = [i for i, v in col.items() if abs(v) == 1]
+        if not units:
+            continue  # queued again if it gains a +-1
+        pi = min(units, key=lambda i: (len(rows[i]), i))
+        pivots.append((pi, pj))
+        # a unit pivot divides its column exactly; its row is then alone
+        p = col[pi]
+        for i in [i for i in col if i != pi]:
+            row_submul(i, pi, col[i] * p)
+        for j in list(rows[pi]):
+            set_entry(pi, j, 0)
+
+    return pivots, rows, cols
 
 
 def max_minor_gcd(dense: list[list[int]]) -> tuple[int, int]:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import systolic.cli as cli_mod
 import systolic.homology as homology_mod
 from systolic.cli import EVALUATORS, main
-from systolic import __version__, bounds, complexes, graphs, presentations, snf
+from systolic import __version__, bounds, complexes, graphs, presentations, snf, waring
 from systolic.corpus import corpus_list
 from test_snf import _freudenthal_torus
 
@@ -589,6 +589,35 @@ class TestWaringCommand:
         done = _run_subprocess(["waring", "--k", k, "--d", d], 0)
         assert (done.returncode, done.stdout) == (2, b"")
         assert len(done.stderr.splitlines()) == 1 and cap in done.stderr.decode()
+
+    def test_sweep_past_the_list_budget_is_one_line(self, tmp_path):
+        # d = 6 ... 13 at k = 10^6: each list is inside the cap, all eight are not
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": "waring", "grid": {"k": [10 ** 6], "d": list(range(6, 14))}}))
+        done = _run_subprocess(["sweep", "--spec", str(spec)], 0)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.decode() == (
+            "error: the d >= 6 count lists of this request (8 of them, up to 1000000) take "
+            "48293008 steps, past the cap (waring.MAX_LIST_STEPS = 45000000)\n"
+        )
+
+    def test_sweep_at_the_list_budget(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": "waring", "grid": {"k": [2000, 703], "d": [6, 7, 3]}}))
+        steps = waring._list_steps(6, 2000) + waring._list_steps(7, 2000)
+        monkeypatch.setattr(waring, "_tables", {})
+        monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps)
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            f"{d},{k},{waring.min_count(k, d)}," for d in (6, 7, 3) for k in (2000, 703)
+        ]
+        monkeypatch.setattr(waring, "_tables", {})
+        monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps - 1)
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the d >= 6 count lists of this request") and err.count("\n") == 1
+        assert waring._tables == {}  # refused before any table is built
 
     def test_sweep_rows(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

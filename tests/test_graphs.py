@@ -282,6 +282,8 @@ class TestGraphValue:
 
     def test_load_vertex_cap(self):
         assert load_graph(f'{{"n": {MAX_VERTICES}, "edges": []}}').vertex_count == MAX_VERTICES
+        with pytest.raises(ValueError, match=f"'n' = {MAX_VERTICES + 1} exceeds the cap"):
+            load_graph(f'{{"n": {MAX_VERTICES + 1}, "edges": []}}')
         with pytest.raises(ValueError, match="cap"):
             load_graph('{"n": 1000000, "edges": []}')
 

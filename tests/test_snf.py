@@ -6,8 +6,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from systolic import snf
-from systolic.complexes import from_facets
+from systolic import homology as homology_mod, snf
+from systolic.complexes import connected_sum, from_facets
 from systolic.corpus import corpus_complex, corpus_complexes
 from systolic.snf import smith_normal_form
 
@@ -223,6 +223,80 @@ class TestUnitPhase:
                 for _ in range(rows)
             ]
             _assert_scan_pivots(dense, _dense_entries(dense))
+
+
+def _glued(name, genus):
+    """Sigma_g (torus_7) or N_g (rp2_min), as g - 1 connected sums."""
+    part = corpus_complex(name)
+    chain = part
+    for _ in range(genus - 1):
+        chain = connected_sum(chain, part, allow_nonorientable=True)
+    return chain
+
+
+def _unit_phase_corpus():
+    """Named sparse matrices for the unit phase: every corpus boundary, the
+    leftover boundaries of T^3 and of glued surfaces, the bench U*D*V
+    presentations and the two FOUND 19 x 20 matrices."""
+    for name, complex_ in corpus_complexes().items():
+        for k in range(1, complex_.dim + 1):
+            yield f"{name} d{k}", oracles.boundary_matrix(complex_, k).sparse()
+    leftovers = [(f"T3 k={k}", _freudenthal_torus(k)) for k in (3, 4)]
+    leftovers += [(f"{name} g={g}", _glued(name, g)) for name in ("torus_7", "rp2_min")
+                  for g in (2, 5)]
+    for name, complex_ in leftovers:
+        for k, boundary in enumerate(homology_mod._reduce(complex_)[2], 1):
+            yield f"{name} leftover d{k}", boundary
+    for size, seed in ((30, 0), (36, 0), (36, 1)):
+        yield f"U*D*V {size} seed {seed}", _dense_entries(_presentation_matrix(size, seed))
+    for seed in (7, 0):
+        yield f"FOUND seed {seed}", _dense_entries(_found_matrix(seed))
+
+
+def _seeded_sparse(rng):
+    """A sparse matrix with entries in -3..3: any of them, only units, or no unit."""
+    values = rng.choice((tuple(range(-3, 4)), (-1, 1), (-3, -2, 2, 3)))
+    rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    return {(i, j): rng.choice(values) for i in range(rows) for j in range(cols)
+            if rng.random() < density}
+
+
+class TestUnitPhaseOracle:
+    """The one-pass unit phase returns the oracle's pivots, rows and columns."""
+
+    def test_named_matrices(self):
+        seen = 0
+        for name, entries in _unit_phase_corpus():
+            pivots, rows, cols = snf._unit_phase(entries)
+            assert (pivots, rows, cols) == oracles.unit_phase(entries), name
+            seen += 1
+        assert seen > 20
+
+    def test_seeded_sparse_matrices(self):
+        rng = random.Random(2601)
+        kinds = set()
+        for _ in range(1200):
+            entries = _seeded_sparse(rng)
+            nonzero = {key: v for key, v in entries.items() if v}
+            pivots, rows, cols = snf._unit_phase(entries)  # zeros are dropped here
+            assert (pivots, rows, cols) == oracles.unit_phase(nonzero), entries
+            if nonzero and all(abs(v) == 1 for v in nonzero.values()):
+                kinds.add("all units")
+            if nonzero and all(abs(v) > 1 for v in nonzero.values()):
+                kinds.add("no unit")
+            if pivots and rows:
+                kinds.add("units and a residual")
+        assert kinds == {"all units", "no unit", "units and a residual"}
+
+    def test_insertion_order_does_not_matter(self):
+        rng = random.Random(2602)
+        matrices = [entries for _, entries in _unit_phase_corpus()]
+        matrices += [_seeded_sparse(rng) for _ in range(300)]
+        for entries in matrices:
+            shuffled = list(entries.items())
+            rng.shuffle(shuffled)
+            assert snf._unit_phase(dict(shuffled)) == snf._unit_phase(entries), entries
 
 
 class TestResidualPhase:

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from systolic import waring
@@ -183,7 +185,7 @@ class TestListFallback:
         monkeypatch.setattr(waring, "_tables", {})
         limit = 2 * 10 ** 4
         counts = waring._table(7, limit)
-        assert isinstance(counts, list)
+        assert isinstance(counts, array)
         assert max(counts) == 143  # 144 layers, 0..143
         for k in [*range(1, 501), *range(501, limit + 1, 61), counts.index(143)]:
             assert counts[k] == oracles.minimal_parts_by_search(k, 7)
@@ -193,7 +195,7 @@ class TestListFallback:
     def test_d30_is_all_ones(self, monkeypatch):
         monkeypatch.setattr(waring, "_tables", {})
         assert min_count(3000, 30) == 3000
-        assert isinstance(waring._tables[30], list)
+        assert isinstance(waring._tables[30], array)
         for k in range(1, 301, 7):
             assert min_count(k, 30) == oracles.minimal_parts_by_search(k, 30)
 
@@ -202,8 +204,27 @@ class TestListFallback:
         for d in range(2, 12):
             min_count(5000, d)
         for d, table in waring._tables.items():
-            assert isinstance(table, list) if d > 5 else len(table.layers) <= G[d] + 1
+            assert isinstance(table, array) if d > 5 else len(table.layers) <= G[d] + 1
         assert max(waring._tables[6]) == 73  # g(6), attained at 703
+
+    def test_counts_past_a_byte_against_search(self, monkeypatch):
+        # below 2^9 every d = 9 count is all ones: 511 takes 511, 1023 takes 512
+        monkeypatch.setattr(waring, "_tables", {})
+        counts = waring._table(9, 1100)
+        assert counts.typecode == "i" and counts.itemsize >= 4
+        assert (counts[511], max(counts), counts.index(512)) == (511, 512, 1023)
+        assert [counts[k] for k in range(1, 1101)] == [
+            oracles.minimal_parts_by_search(k, 9) for k in range(1, 1101)
+        ]
+
+    def test_extension_equals_one_build(self):
+        # a list grown in pieces, across power boundaries, equals one built at once
+        for d in (6, 7, 9):
+            whole = waring._extend_counts(d, array("i", [0]), 5000)
+            grown = array("i", [0])
+            for upto in (1, 63, 64, 65, 128, 2186, 2187, 2188, 5000):
+                waring._extend_counts(d, grown, upto)
+                assert grown == whole[:upto + 1], (d, upto)
 
 
 def _list_steps(d, upto):
@@ -247,7 +268,37 @@ class TestListCap:
         message = r"takes 45000012 steps, past the cap \(waring\.MAX_LIST_STEPS = 45000000\)"
         with pytest.raises(WaringCapError, match=message):
             min_powers(3_695_425, 6)
-        assert waring._tables.get(6, [0]) == [0]  # refused before the list is built
+        assert list(waring._tables.get(6, [0])) == [0]  # refused before the list is built
+
+
+class TestListBudget:
+    """One request's d >= 6 count lists may take MAX_LIST_STEPS steps in all:
+    one list per d, up to the largest k."""
+
+    def test_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(waring, "MAX_LIST_STEPS", _list_steps(6, 900) + _list_steps(7, 900))
+        assert waring.list_budget([5, 900, 3], [6, 7, 6, 2]) is None
+
+    def test_past_the_budget(self, monkeypatch):
+        steps = _list_steps(6, 900) + _list_steps(7, 900)
+        monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps - 1)
+        message = (rf"the d >= 6 count lists of this request \(2 of them, up to 900\) take "
+                   rf"{steps} steps, past the cap \(waring\.MAX_LIST_STEPS = {steps - 1}\)")
+        with pytest.raises(WaringCapError, match=message):
+            waring.list_budget([5, 900, 3], [6, 7, 6, 2])
+
+    def test_values_min_count_refuses_count_nothing(self, monkeypatch):
+        monkeypatch.setattr(waring, "MAX_LIST_STEPS", _list_steps(6, 900))
+        waring.list_budget([900, 0, -5, 10 ** 8, True, 2.5, "900"], [6, 6.0, True, 1, "7"])
+        assert waring.list_budget([], [6, 7]) is None
+        assert waring.list_budget([10 ** 7], [2, 3, 4, 5]) is None
+
+    def test_at_the_real_cap(self):
+        # d = 6 ... 12 at k = 10^6 take 44 301 199 steps; adding d = 13 passes the cap
+        assert waring.MAX_LIST_STEPS == 45_000_000
+        waring.list_budget([10 ** 6], range(6, 13))
+        with pytest.raises(WaringCapError, match="take 48293008 steps"):
+            waring.list_budget([10 ** 6], range(6, 14))
 
 
 class TestPartsCap:
