@@ -12,15 +12,15 @@ pivot divides its column exactly, so one pass of row steps, row i minus
 q times the pivot row, clears the column; the pivot row leaves the matrix
 and the diagonal gains a 1.  Only the columns of the pivot row change, and
 each gets one key, at its length once the pass ends (an emptied column is
-deleted).  So every column that
-holds a +-1 has its current key in the heap: it had one before the pass, or
-the pass pushed it.  A popped key whose column is gone or has another length
-is stale and skipped; a current key whose column holds no +-1 is dropped,
-as the column is queued again when a pass next changes it.  The least
-current key with a +-1 is thus always popped before any other such column,
-which is the rule above; two equal keys of one column give one choice.
-The phase ends with no +-1 entry left.  Which units are taken changes no
-result: the invariant factors are unique.
+deleted).  So every column that holds a +-1 has its current key in the
+heap: it had one before the pass, or the pass pushed it.  A popped key
+whose column is gone or has another length is stale and skipped; a current
+key whose column holds no +-1 is dropped, as the column is queued again
+when a pass next changes it.  The least current key with a +-1 is thus
+always popped before any other such column, which is the rule above; two
+equal keys of one column give one choice.  The phase ends with no +-1
+entry left.  Which units are taken changes no result: the invariant
+factors are unique.
 
 Residual phase.  What is left has no unit entry.  Each connected block of it
 goes to a dense routine.  Fraction-free (Bareiss) elimination gives the
