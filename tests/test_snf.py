@@ -227,8 +227,7 @@ class TestUnitPhase:
 
 def _glued(name, genus):
     """Sigma_g (torus_7) or N_g (rp2_min), as g - 1 connected sums."""
-    part = corpus_complex(name)
-    chain = part
+    chain = part = corpus_complex(name)
     for _ in range(genus - 1):
         chain = connected_sum(chain, part, allow_nonorientable=True)
     return chain
@@ -268,8 +267,7 @@ class TestUnitPhaseOracle:
     def test_named_matrices(self):
         seen = 0
         for name, entries in _unit_phase_corpus():
-            pivots, rows, cols = snf._unit_phase(entries)
-            assert (pivots, rows, cols) == oracles.unit_phase(entries), name
+            assert snf._unit_phase(entries) == oracles.unit_phase(entries), name
             seen += 1
         assert seen > 20
 
