@@ -236,7 +236,7 @@ def _glued(name, genus):
 def _unit_phase_corpus():
     """Named sparse matrices for the unit phase: every corpus boundary, the
     leftover boundaries of T^3 and of glued surfaces, the bench U*D*V
-    presentations and the two FOUND 19 x 20 matrices."""
+    presentations and the two 19 x 20 matrices of ``_found_matrix``."""
     for name, complex_ in corpus_complexes().items():
         for k in range(1, complex_.dim + 1):
             yield f"{name} d{k}", oracles.boundary_matrix(complex_, k).sparse()
@@ -249,7 +249,7 @@ def _unit_phase_corpus():
     for size, seed in ((30, 0), (36, 0), (36, 1)):
         yield f"U*D*V {size} seed {seed}", _dense_entries(_presentation_matrix(size, seed))
     for seed in (7, 0):
-        yield f"FOUND seed {seed}", _dense_entries(_found_matrix(seed))
+        yield f"19 x 20 seed {seed}", _dense_entries(_found_matrix(seed))
 
 
 def _seeded_sparse(rng):
