@@ -6,9 +6,12 @@ identical invocations produce byte-identical artifacts.  Exit codes:
 0 success (possibly with per-row warnings), 1 invariant violation (a
 theorem-level check came back false, which signals a bug), 2 bad input.
 
-Each command imports the modules it runs when it runs, and so does each
-evaluator, so start-up (``--version`` and the parser) loads only this
-module, argparse and the package's ``__init__``.
+Each command imports the modules it runs when it runs, so start-up
+(``--version`` and the parser) loads only this module, argparse and the
+package's ``__init__``.  ``bounds`` and ``sweep`` share one dispatch path:
+each request builds the evaluator table (``_evaluators``) once, over the
+``bounds`` module it loads for its constants, and a sweep looks up its
+entry and loads its constants before the first row.
 """
 from __future__ import annotations
 
@@ -19,8 +22,9 @@ from . import __version__
 
 USAGE_ERROR = 2
 INVARIANT_VIOLATION = 1
-# The most grid points one sweep evaluates, which bounds the run's time.
-MAX_SWEEP_POINTS = 10 ** 6
+# The most grid points one sweep evaluates: about 2 s through the CLI for the
+# costliest evaluators, `sandwich` and `group-count` (2 vCPUs, Python 3.11).
+MAX_SWEEP_POINTS = 200_000
 
 
 def _jsonable(value):
@@ -76,15 +80,7 @@ def _dump_csv(columns, rows, out_path: str | None, provenance: str = "") -> None
     _emit(itertools.chain((header,), lines), out_path)
 
 
-def _bounds():
-    """The bounds module, imported by the first evaluation that needs it."""
-    from . import bounds
-
-    return bounds
-
-
-def _load_constants(path):
-    bounds = _bounds()
+def _load_constants(bounds, path):
     return bounds.load_constants(path) if path else bounds.BoundConstants()
 
 
@@ -219,17 +215,6 @@ def _whole(point) -> int:
     return int(value)
 
 
-def _sandwich(point, constants):
-    report = _bounds().sandwich(_real(point), constants)
-    return {
-        "name": report.name,
-        "lower": report.lower,
-        "upper": report.upper,
-        "consistent": report.consistent,
-        "constants": constants.provenance,
-    }
-
-
 def _kappa_bounds(key: str, evaluate):
     def build(point, _constants):
         n = _whole(point)
@@ -239,18 +224,29 @@ def _kappa_bounds(key: str, evaluate):
     return build
 
 
-def _betti(point, _constants):
-    from .corpus import corpus_complex
-    from .homology import homology
+def _per_corpus_name(evaluate):
+    """A build that evaluates each corpus complex once per table.  A name that
+    is not one is never kept, so ``corpus_complex`` refuses it at every row."""
+    done = {}
 
-    return {"betti": list(homology(corpus_complex(point["name"])).betti)}
+    def build(point, _constants):
+        name = point["name"]
+        if not (isinstance(name, str) and name in done):
+            from . import homology
+            from .corpus import corpus_complex
+
+            done[name] = evaluate(homology, corpus_complex(name))
+        return done[name]
+
+    return build
 
 
-def _torsion_check(point, _constants):
-    from .corpus import corpus_complex
-    from .homology import check_s2_torsion_bound
+def _betti(homology, complex_):
+    return {"betti": list(homology.homology(complex_).betti)}
 
-    report = check_s2_torsion_bound(corpus_complex(point["name"]))
+
+def _torsion_check(homology, complex_):
+    report = homology.check_s2_torsion_bound(complex_)
     return {"s2": report.s2, "torsion": report.torsion_order, "holds": report.holds}
 
 
@@ -275,51 +271,79 @@ class _Evaluator:
     sweep-only.  A plain class: building a record slows CLI start-up.
     """
 
-    def __init__(self, build, row: tuple[str, ...] | None = None, bound: bool = True):
-        self.build, self.row, self.bound = build, row, bound
+    def __init__(self, name: str, build, row: tuple[str, ...] | None = None, bound: bool = True):
+        self.name, self.build, self.row, self.bound = name, build, row, bound
+
+    def __call__(self, point, constants):
+        """The ``bounds`` payload at the point and the text of its sweep cell,
+        refused unless each value the cell shows is finite: a float that
+        overflows, to inf or by raising, is not a bound."""
+        import json
+        import math
+
+        try:
+            result = self.build(point, constants)
+        except OverflowError as exc:
+            raise ValueError(f"{self.name}: the result is past the float range") from exc
+        shown = {"value": result} if self.row is None else {key: result[key] for key in self.row}
+        if any(isinstance(value, float) and not math.isfinite(value) for value in shown.values()):
+            raise ValueError(f"{self.name}: the result is past the float range")
+        if self.row is None:
+            return {"name": self.name, "value": result, "constants": constants.provenance}, str(result)
+        cell = json.dumps(_jsonable(shown), separators=(";", ":"), allow_nan=False)
+        return result, cell.replace(",", ";")
 
 
-EVALUATORS = {
-    "height": _Evaluator(lambda p, k: _bounds().height_lb(_real(p), k)),
-    "simvol": _Evaluator(lambda p, k: _bounds().simvol_lb(_real(p), k)),
-    "torsion": _Evaluator(lambda p, k: _bounds().torsion_lb(_real(p), k)),
-    "height-from-torsion": _Evaluator(lambda p, _: _bounds().height_from_torsion(_real(p))),
-    "lens": _Evaluator(lambda p, k: _bounds().lens_lb(_whole(p), k)),
-    "pi1-3manifold": _Evaluator(lambda p, k: _bounds().finite_pi1_3manifold_lb(_whole(p), k)),
-    "kappa-upper": _Evaluator(lambda p, _: _bounds().kappa_upper_from_systole(_real(p))),
-    "kappa-alpha": _Evaluator(lambda p, _: _bounds().kappa_alpha_scale(_real(p))),
-    "area-from-kappa": _Evaluator(lambda p, _: _bounds().systolic_area_upper_from_kappa(_real(p))),
-    "sandwich": _Evaluator(_sandwich, ("lower", "upper", "consistent")),
-    # the payload carries the chain_ok theorem check, which sets the exit code
-    "group-count": _Evaluator(
-        lambda p, _: _jsonable(_bounds().group_count_bound(_whole(p))), ("exponent", "chain_ok")
-    ),
-    "surface-kappa": _Evaluator(
-        _kappa_bounds("genus", lambda n: _bounds().surface_kappa_bounds(n)), ("lower", "upper")
-    ),
-    "abelian-kappa": _Evaluator(
-        _kappa_bounds("rank", lambda n: _bounds().abelian_kappa_bounds(n)), ("lower", "upper")
-    ),
-    "homology": _Evaluator(_betti, ("betti",), bound=False),
-    "check-torsion-bound": _Evaluator(_torsion_check, ("s2", "torsion", "holds"), bound=False),
-    "sleeve-volume": _Evaluator(_sleeve_volume, bound=False),
-    "multiple-class-bound": _Evaluator(
-        lambda p, _: _bounds().multiple_class_bound(p["k"], p["C"]), bound=False
-    ),
-    "waring": _Evaluator(_waring_count, bound=False),
-}
+def _evaluators(bounds) -> dict[str, _Evaluator]:
+    """The evaluator table of one request, over the loaded ``bounds`` module."""
+    from ._record import asdict
+
+    def sandwich(point, constants):
+        report = bounds.sandwich(_real(point), constants)
+        return {
+            "name": report.name,
+            "lower": report.lower,
+            "upper": report.upper,
+            "consistent": report.consistent,
+            "constants": constants.provenance,
+        }
+
+    entries = (
+        _Evaluator("height", lambda p, k: bounds.height_lb(_real(p), k)),
+        _Evaluator("simvol", lambda p, k: bounds.simvol_lb(_real(p), k)),
+        _Evaluator("torsion", lambda p, k: bounds.torsion_lb(_real(p), k)),
+        _Evaluator("height-from-torsion", lambda p, _: bounds.height_from_torsion(_real(p))),
+        _Evaluator("lens", lambda p, k: bounds.lens_lb(_whole(p), k)),
+        _Evaluator("pi1-3manifold", lambda p, k: bounds.finite_pi1_3manifold_lb(_whole(p), k)),
+        _Evaluator("kappa-upper", lambda p, _: bounds.kappa_upper_from_systole(_real(p))),
+        _Evaluator("kappa-alpha", lambda p, _: bounds.kappa_alpha_scale(_real(p))),
+        _Evaluator("area-from-kappa", lambda p, _: bounds.systolic_area_upper_from_kappa(_real(p))),
+        _Evaluator("sandwich", sandwich, ("lower", "upper", "consistent")),
+        # the payload carries the chain_ok theorem check, which sets the exit code
+        _Evaluator("group-count", lambda p, _: asdict(bounds.group_count_bound(_whole(p))),
+                   ("exponent", "chain_ok")),
+        _Evaluator("surface-kappa", _kappa_bounds("genus", bounds.surface_kappa_bounds), ("lower", "upper")),
+        _Evaluator("abelian-kappa", _kappa_bounds("rank", bounds.abelian_kappa_bounds), ("lower", "upper")),
+        _Evaluator("homology", _per_corpus_name(_betti), ("betti",), bound=False),
+        _Evaluator("check-torsion-bound", _per_corpus_name(_torsion_check), ("s2", "torsion", "holds"),
+                   bound=False),
+        _Evaluator("sleeve-volume", _sleeve_volume, bound=False),
+        _Evaluator("multiple-class-bound", lambda p, _: bounds.multiple_class_bound(p["k"], p["C"]),
+                   bound=False),
+        _Evaluator("waring", _waring_count, bound=False),
+    )
+    return {entry.name: entry for entry in entries}
 
 
 def cmd_bounds(args) -> int:
-    entry = EVALUATORS.get(args.name)
+    from . import bounds
+
+    entry = _evaluators(bounds).get(args.name)
     if entry is None or not entry.bound:
         raise ValueError(f"unknown bounds evaluator {args.name!r}")
     if args.value is None:
         raise ValueError(f"bounds {args.name} requires --value")
-    constants = _load_constants(args.constants)
-    payload = _evaluate(args.name, {"value": args.value}, constants)
-    if entry.row is None:
-        payload = {"name": args.name, "value": payload, "constants": constants.provenance}
+    payload, _ = entry({"value": args.value}, _load_constants(bounds, args.constants))
     _dump_json(payload, args.out)
     return INVARIANT_VIOLATION if payload.get("chain_ok") is False else 0
 
@@ -329,6 +353,8 @@ def cmd_sweep(args) -> int:
     import itertools
     import json
     import math
+
+    from . import bounds
 
     with open(args.spec) as handle:
         spec = json.load(handle)
@@ -348,13 +374,15 @@ def cmd_sweep(args) -> int:
             f"sweep spec {args.spec} has unknown key {unknown[0]!r} (it takes command, grid and seed)"
         )
     command = spec.get("command")
-    if not isinstance(command, str) or command not in EVALUATORS:
+    entries = _evaluators(bounds)
+    if not isinstance(command, str) or command not in entries:
         raise ValueError(f"sweep does not support command {command!r}")
+    entry = entries[command]
     if command == "waring":  # its count lists share one budget, checked before any row
         from .waring import list_budget
 
         list_budget(grid.get("k", ()), grid.get("d", ()))
-    constants = _load_constants(args.constants)
+    constants = _load_constants(bounds, args.constants)
     keys = sorted(grid)
     errors = 0
 
@@ -362,7 +390,7 @@ def cmd_sweep(args) -> int:
         nonlocal errors
         for combo in itertools.product(*(grid[key] for key in keys)):
             try:
-                cells = [_sweep_cell(command, dict(zip(keys, combo)), constants), ""]
+                cells = [entry(dict(zip(keys, combo)), constants)[1], ""]
             except Exception as exc:  # per-row failure becomes a row-level error field
                 errors += 1
                 cells = ["", f'"{exc}"']
@@ -374,36 +402,6 @@ def cmd_sweep(args) -> int:
     if errors:
         sys.stderr.write(f"sweep finished with {errors} row errors\n")
     return 0
-
-
-def _evaluate(name: str, point: dict, constants):
-    """EVALUATORS[name] at the point, refused unless each value it shows is finite.
-
-    The values shown are the bare number, or the payload's ``row`` keys; a
-    float that overflows, to inf or by raising, is not a bound.
-    """
-    import math
-
-    entry = EVALUATORS[name]
-    try:
-        result = entry.build(point, constants)
-    except OverflowError as exc:
-        raise ValueError(f"{name}: the result is past the float range") from exc
-    shown = [result] if entry.row is None else [result[key] for key in entry.row]
-    if any(isinstance(value, float) and not math.isfinite(value) for value in shown):
-        raise ValueError(f"{name}: the result is past the float range")
-    return result
-
-
-def _sweep_cell(name: str, point: dict, constants) -> str:
-    result = _evaluate(name, point, constants)
-    entry = EVALUATORS[name]
-    if entry.row is None:
-        return str(result)
-    import json
-
-    shown = _jsonable({key: result[key] for key in entry.row})
-    return json.dumps(shown, separators=(";", ":"), allow_nan=False).replace(",", ";")
 
 
 def cmd_waring(args) -> int:

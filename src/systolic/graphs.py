@@ -22,7 +22,7 @@ import math
 import random
 from functools import cached_property
 from itertools import chain, islice
-from operator import lt
+from operator import lt, mul
 
 from ._record import record, trusted
 
@@ -30,12 +30,16 @@ from ._record import record, trusted
 # admits a file anywhere in the degree-7 vertex window at l=7, whose top is
 # 6**7 = 279_936.  It governs files; builds are refused first by
 # STEP_BUDGET, which no build of 57_143 or more degree-7 vertices passes.
-# At the cap, `girth` on a 7-regular graph of girth 6 (298_368 vertices, a
-# random 48-lift of an l=5 build, 18 MB of JSON) takes 4.5-4.6 s through the
-# CLI with a 279 MiB peak: 1.2 s to load, 0.2 s for the adjacency and 3.3 s
-# to search (2 vCPUs, Python 3.11).  `sleeve` on that file costs the same,
-# as it finds the girth before its window check refuses the graph.
+# It bounds memory; MAX_DEGREE_SQUARES bounds the girth search.
 MAX_VERTICES = 300_000
+# The largest sum over the vertices of degree**2 that `girth` searches: that
+# of a 7-regular graph at MAX_VERTICES, so every degree-7 file the vertex cap
+# admits is searched.  On graphs of girth 6, of degrees 7 to 60, a `girth`
+# run through the CLI costs 2.1-2.8e-7 s per unit of the sum (2 vCPUs,
+# Python 3.11).  The costliest tried, a 7-regular random 48-lift of an l=5
+# build (298_368 vertices, sum 14_620_032), takes 4.1-4.3 s with a 279 MiB
+# peak, about 1.2 s of it the load.
+MAX_DEGREE_SQUARES = 7 ** 2 * MAX_VERTICES
 
 
 class InfeasibleGraphError(ValueError):
@@ -167,16 +171,25 @@ def girth(graph: Graph) -> int | float:
     2d + 1 < best <= 2d + 2 only a cycle of length 2d + 1 can still count,
     and it is there exactly when an edge joins two vertices of level d, so
     one set test settles the level and level d + 1 is never built.
+
+    A graph whose squared degrees sum past ``MAX_DEGREE_SQUARES`` is refused
+    before the search.
     """
     adjacency = graph.adjacency
     n = graph.vertex_count
+    # degree[v] counts v's neighbours still in, while v is in
+    degree = list(map(len, adjacency))
+    squares = sum(map(mul, degree, degree))
+    if squares > MAX_DEGREE_SQUARES:
+        raise ValueError(
+            f"the graph's squared degrees sum to {squares}, "
+            f"past the cap (graphs.MAX_DEGREE_SQUARES = {MAX_DEGREE_SQUARES})"
+        )
     # stamp[v] is the root whose search reached v, or n once v is out of
     # every later search (peeled, or a finished root); dist[v] is v's level
     # in that search, or -1 once v is out.
     stamp = [-1] * n
     dist = [-1] * n
-    # degree[v] counts v's neighbours still in, while v is in
-    degree = list(map(len, adjacency))
 
     def peel(out):
         """Take out every vertex left with degree <= 1, after those in out."""

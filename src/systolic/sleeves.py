@@ -61,8 +61,10 @@ def assemble(model: CubicalModel, eps, graph: Graph) -> AssemblyReport:
 
     Requires: graph c-regular with an even vertex count inside the
     admissible window for l = floor(1/(2 eps)), and girth strictly above
-    1/(2 eps).  Each violation is named; success certifies the systole
-    lower bound 1 via the distance-decreasing projection onto the graph.
+    1/(2 eps), checked in that order, so a graph outside the window is
+    refused before the girth search.  Each violation is named; success
+    certifies the systole lower bound 1 via the distance-decreasing
+    projection onto the graph.
     """
     eps = Fraction(eps)
     volume_single = sleeve_volume_single(model, eps)
@@ -71,19 +73,27 @@ def assemble(model: CubicalModel, eps, graph: Graph) -> AssemblyReport:
     if graph.vertex_count % 2 or graph.vertex_count < 4:
         raise ValueError("assembly graph needs an even vertex count 2n >= 4")
     threshold = 1 / (2 * eps)
+    path_scale = int(threshold)  # floor, exact on Fractions
+    two_n = graph.vertex_count
+    if path_scale >= two_n.bit_length():
+        # Here l >= bit_length(2n) >= 3, and for c >= 7 the window starts
+        # above 2n, so (c-1)^l is not formed: its lower end is at least
+        # 4((c-1)^(l-1) - 1) >= 4 * 6^(l-1) - 4 > 2^l > 2n.
+        raise ValueError(
+            f"vertex count {two_n} outside the admissible window for degree {model.c}, "
+            f"path scale {path_scale}, which starts above 2^{path_scale}"
+        )
+    low, high = vertex_window(model.c, path_scale)
+    if not low <= two_n <= high:
+        raise ValueError(
+            f"vertex count {two_n} outside the admissible window [{low}, {high}] "
+            f"for degree {model.c}, path scale {path_scale}"
+        )
     g = girth(graph)  # finite: the graph is nonempty and c-regular with c >= 7
     if not g > threshold:
         raise ValueError(
             f"girth {g} does not exceed 1/(2 eps) = {threshold}; "
             "the systole certificate fails"
-        )
-    path_scale = int(threshold)  # floor, exact on Fractions
-    low, high = vertex_window(model.c, path_scale)
-    two_n = graph.vertex_count
-    if not low <= two_n <= high:
-        raise ValueError(
-            f"vertex count {two_n} outside the admissible window [{low}, {high}] "
-            f"for degree {model.c}, path scale {path_scale}"
         )
     n = two_n // 2
     return AssemblyReport(

@@ -24,10 +24,11 @@ from ._record import record
 
 # the largest k the tables accept
 CAP = 10_000_000
-# Steps the list DP may take for one count list (d >= 6), and for all the
-# lists one request builds (``list_budget``), counted over each whole list
-# 0..k whatever is cached: an entry costs two, and each power it tries one
-# more.  A step takes about 40 ns, so a request at the cap about 2 s.
+# Steps the list DP may take for all the d >= 6 count lists one request
+# builds, checked by ``list_budget`` alone: a `waring` sweep passes it its
+# grid, and ``_table`` the one list it extends.  Each list counts over the
+# whole of 0..k whatever is cached: an entry costs two, and each power it
+# tries one more.  A step takes about 40 ns, so a request at the cap about 2 s.
 MAX_LIST_STEPS = 45_000_000
 # Parts a decomposition may have: from d = 24 on, k <= CAP is all ones.
 MAX_PARTS = 1_000_000
@@ -138,14 +139,7 @@ def list_budget(ks, ds) -> None:
 
 
 def _extend_counts(d: int, counts: array, upto: int) -> array:
-    """Extend the count list in place to 0..upto by the dynamic program, or
-    refuse a list of more than ``MAX_LIST_STEPS`` steps."""
-    steps = _list_steps(d, upto)
-    if steps > MAX_LIST_STEPS:
-        raise WaringCapError(
-            f"the d={d} count list up to {upto} takes {steps} steps, "
-            f"past the cap (waring.MAX_LIST_STEPS = {MAX_LIST_STEPS})"
-        )
+    """Extend the count list in place to 0..upto by the dynamic program."""
     powers = _powers(d, upto)
     start = len(counts)
     append = counts.append
@@ -176,6 +170,7 @@ def _table(d: int, upto: int) -> _Layers | array:
         old = len(table) - 1 if table is not None else 0
         table = _tables[d] = _Layers.build(d, max(upto, min(2 * old, CAP)))
         return table
+    list_budget((upto,), (d,))
     if table is None:
         # a count is at most k <= CAP < 2^31, so a C int holds it: 4 bytes
         # an entry, where a list of int objects takes 8 and up to 28 more

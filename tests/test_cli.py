@@ -15,12 +15,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import systolic.cli as cli_mod
 import systolic.homology as homology_mod
-from systolic.cli import EVALUATORS, main
-from systolic import __version__, bounds, complexes, graphs, presentations, snf, waring
+from systolic.cli import main
+from systolic import __version__, bounds, complexes, graphs, presentations, sleeves, snf, waring
 from systolic.corpus import corpus_list
 from test_snf import _freudenthal_torus
 
 import oracles
+
+EVALUATORS = cli_mod._evaluators(bounds)
 
 
 def run_cli(args, capsys):
@@ -256,6 +258,20 @@ class TestGraphCommands:
         assert json.loads(out) == {"girth": 5, "edge_length": "1/3", "metric_systole": "5/3"}
         assert len(calls) == 1
 
+    def test_girth_at_and_past_the_degree_squares_cap(self, tmp_path, capsys, monkeypatch):
+        # a 5-cycle with a pendant vertex: degrees 3, 2, 2, 2, 2 and 1, whose squares sum to 26
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": 6, "edges": [[i, (i + 1) % 5] for i in range(5)] + [[0, 5]]}))
+        monkeypatch.setattr(graphs, "MAX_DEGREE_SQUARES", 26)
+        code, out, _ = run_cli(["girth", str(path)], capsys)
+        assert (code, json.loads(out)) == (0, {"girth": 5})
+        monkeypatch.setattr(graphs, "MAX_DEGREE_SQUARES", 25)
+        code, out, err = run_cli(["girth", str(path), "--edge-length", "1/3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the graph's squared degrees sum to 26, past the cap (graphs.MAX_DEGREE_SQUARES = 25)\n"
+        )
+
     def test_infeasible_build_is_usage_error(self, capsys):
         code, _, err = run_cli(
             ["build-graph", "--c", "3", "--girth", "5", "--vertices", "8"], capsys
@@ -359,15 +375,16 @@ class TestGraphCommands:
 
 
 class TestSleeveCommand:
-    def test_assembly_report(self, tmp_path, capsys):
+    @staticmethod
+    def circulant_file(tmp_path, n):
+        # offsets 1, 2, 3 and n/2: 7-regular with girth 3
         graph_file = tmp_path / "g.json"
-        edges = set()
-        n = 26
-        for i in range(n):
-            for d in (1, 2, 3, 13):
-                j = (i + d) % n
-                edges.add((min(i, j), max(i, j)))
+        edges = {(min(i, (i + d) % n), max(i, (i + d) % n)) for i in range(n) for d in (1, 2, 3, n // 2)}
         graph_file.write_text(json.dumps({"n": n, "edges": sorted(map(list, edges))}))
+        return graph_file
+
+    def test_assembly_report(self, tmp_path, capsys):
+        graph_file = self.circulant_file(tmp_path, 26)
         code, out, _ = run_cli(
             ["sleeve", "--m", "3", "--c", "7", "--eps", "1/5", "--graph", str(graph_file)],
             capsys,
@@ -379,20 +396,33 @@ class TestSleeveCommand:
         assert payload["handle_count"] == 66
 
     def test_girth_violation_rejected(self, tmp_path, capsys):
-        graph_file = tmp_path / "g.json"
-        edges = set()
-        n = 26
-        for i in range(n):
-            for d in (1, 2, 3, 13):
-                j = (i + d) % n
-                edges.add((min(i, j), max(i, j)))
-        graph_file.write_text(json.dumps({"n": n, "edges": sorted(map(list, edges))}))
+        graph_file = self.circulant_file(tmp_path, 168)  # inside the l=3 window [168, 216]
         code, _, err = run_cli(
             ["sleeve", "--m", "3", "--c", "7", "--eps", "1/7", "--graph", str(graph_file)],
             capsys,
         )
         assert code == 2
-        assert "girth" in err
+        assert err == "error: girth 3 does not exceed 1/(2 eps) = 7/2; the systole certificate fails\n"
+
+    @pytest.mark.parametrize(
+        "eps, window",
+        [("1/7", "[168, 216] for degree 7, path scale 3"),
+         ("1/10000000", "for degree 7, path scale 5000000, which starts above 2^5000000"),
+         ("1/1000000000000", "for degree 7, path scale 500000000000, which starts above 2^500000000000")],
+    )
+    def test_window_is_checked_before_the_girth(self, eps, window, tmp_path, capsys, monkeypatch):
+        def no_girth(graph):
+            raise AssertionError("girth searched outside the window")
+
+        monkeypatch.setattr(sleeves, "girth", no_girth)
+        graph_file = self.circulant_file(tmp_path, 26)
+        start = time.monotonic()
+        code, out, err = run_cli(
+            ["sleeve", "--m", "3", "--c", "7", "--eps", eps, "--graph", str(graph_file)], capsys
+        )
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: vertex count 26 outside the admissible window {window}\n"
 
     @pytest.mark.parametrize("eps", ["1/3", "1/10000000"])
     def test_empty_graph_is_refused_at_once(self, eps, tmp_path, capsys):
@@ -821,10 +851,10 @@ class TestSweep:
         calls = []
         monkeypatch.setattr(bounds, "multiple_class_bound", lambda *point: calls.append(point))
         spec = tmp_path / "spec.json"
-        # 101 * 9901 = MAX_SWEEP_POINTS + 1
+        # 3 * 66 667 = MAX_SWEEP_POINTS + 1
         spec.write_text(json.dumps({
             "command": "multiple-class-bound",
-            "grid": {"k": list(range(1, 102)), "C": list(range(1, 9902))},
+            "grid": {"k": [1, 2, 3], "C": list(range(1, 66668))},
         }))
         start = time.perf_counter()
         code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
@@ -833,14 +863,19 @@ class TestSweep:
         assert len(err.splitlines()) == 1 and str(cli_mod.MAX_SWEEP_POINTS) in err
 
     def test_grid_at_the_cap_is_accepted(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli_mod, "MAX_SWEEP_POINTS", 6)
+        assert cli_mod.MAX_SWEEP_POINTS == 200_000
+        calls = []
+        monkeypatch.setattr(bounds, "multiple_class_bound", lambda *point: calls.append(point) or 1.5)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
-            "command": "multiple-class-bound", "grid": {"k": [1, 2], "C": [1, 2, 3]},
+            "command": "multiple-class-bound", "grid": {"k": [1, 2], "C": list(range(100_000))},
         }))
-        code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
-        assert code == 0
-        assert len(out.splitlines()) == 2 + 6
+        out_file = tmp_path / "rows.csv"
+        code, out, err = run_cli(["sweep", "--spec", str(spec), "--out", str(out_file)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert len(calls) == 200_000
+        lines = out_file.read_text().splitlines()
+        assert len(lines) == 2 + 200_000 and lines[-1] == "99999,2,1.5,"
 
     def test_constants_and_seed_in_the_comment(self, tmp_path, capsys):
         const = tmp_path / "constants.json"
@@ -870,6 +905,29 @@ class TestSweep:
 
         peak(2_000)  # first use: imports and caches
         assert peak(20_000) < 2 * peak(2_000)
+
+    @pytest.mark.parametrize("command, evaluator", [("homology", "homology"),
+                                                    ("check-torsion-bound", "check_s2_torsion_bound")])
+    def test_each_corpus_name_is_evaluated_once(self, command, evaluator, tmp_path, capsys, monkeypatch):
+        calls = []
+        evaluate = getattr(homology_mod, evaluator)
+        monkeypatch.setattr(homology_mod, evaluator, lambda complex_: calls.append(complex_) or evaluate(complex_))
+        names = ["torus_7", "rp2_min", "no_such_complex", 7, ["torus_7"], None] * 50
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": command, "grid": {"name": names}}))
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert code == 0 and err == "sweep finished with 200 row errors\n"
+        assert len(calls) == 2  # once for torus_7, once for rp2_min
+        rows = out.splitlines()[2:]
+        assert rows[6:] == rows[:6] * 49
+        # a name that is not a corpus name keeps its error at every row
+        have = "have ('rp2_min', 'sphere_delta3', 'torus_7', 'moebius_band', 'pinched_spheres')"
+        assert rows[2:6] == [
+            f'no_such_complex,,""unknown corpus complex \'no_such_complex\'; {have}""',
+            f'7,,""unknown corpus complex 7; {have}""',
+            f'[\'torus_7\'],,""unknown corpus complex [\'torus_7\']; {have}""',
+            f'None,,""unknown corpus complex None; {have}""',
+        ]
 
     def test_row_error_does_not_abort(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from systolic import graphs
 from systolic.graphs import (
+    MAX_DEGREE_SQUARES,
     MAX_VERTICES,
     GirthSearchError,
     Graph,
@@ -96,6 +97,18 @@ class TestGirth:
         start = time.perf_counter()
         assert girth(graph) == math.inf
         assert time.perf_counter() - start < 1.0
+
+    def test_degree_squares_cap(self):
+        # a star of 3 833 leaves beside 2 139 disjoint edges: its squared
+        # degrees sum to the cap exactly, and one more edge passes it by 2
+        assert MAX_DEGREE_SQUARES == 7 ** 2 * MAX_VERTICES == 14_700_000
+        n = 3834 + 2 * 2139
+        edges = tuple((0, leaf) for leaf in range(1, 3834)) + tuple((v, v + 1) for v in range(3834, n, 2))
+        graph = Graph(n, edges)
+        assert sum(d * d for d in graph.degrees) == MAX_DEGREE_SQUARES
+        assert girth(graph) == math.inf
+        with pytest.raises(ValueError, match=r"sum to 14700002, past the cap \(graphs\.MAX_DEGREE_SQUARES = 14700000\)$"):
+            girth(Graph(n + 2, edges + ((n, n + 1),)))
 
     def test_cycle_of_the_vertex_cap_in_linear_time(self):
         # each root is peeled after its search, so the rest of the cycle

@@ -5,6 +5,7 @@ import pytest
 
 from systolic.bounds import multiple_class_bound
 from systolic.graphs import Graph, construct_regular_girth, girth, vertex_window
+from systolic import sleeves
 from systolic.sleeves import (
     AssemblyReport,
     CubicalModel,
@@ -75,9 +76,33 @@ class TestAssemble:
             assert report.volume == two_n * sleeve_volume_single(MODEL, Fraction(1, 5))
 
     def test_girth_not_exceeding_threshold_rejected(self):
-        graph = seven_regular_girth3(26)
-        with pytest.raises(ValueError, match="girth"):
+        graph = seven_regular_girth3(168)  # inside the l=3 window [168, 216]
+        with pytest.raises(ValueError, match="girth 3 does not exceed"):
             assemble(MODEL, Fraction(1, 7), graph)  # threshold 3.5 >= girth 3
+
+    @pytest.mark.parametrize(
+        "two_n, eps, message",
+        [
+            (26, Fraction(1, 7), r"window \[168, 216\] for degree 7, path scale 3$"),
+            (40, Fraction(1, 5), r"window \[24, 36\] for degree 7, path scale 2$"),
+            (26, Fraction(1, 10), r"for degree 7, path scale 5, which starts above 2\^5$"),
+            (26, Fraction(1, 10 ** 12), r"path scale 500000000000, which starts above 2\^500000000000$"),
+        ],
+    )
+    def test_window_is_checked_before_the_girth(self, two_n, eps, message, monkeypatch):
+        def no_girth(graph):
+            raise AssertionError("girth searched outside the window")
+
+        monkeypatch.setattr(sleeves, "girth", no_girth)
+        with pytest.raises(ValueError, match=rf"^vertex count {two_n} outside .*{message}"):
+            assemble(MODEL, eps, seven_regular_girth3(two_n))
+
+    @pytest.mark.parametrize("c", [7, 8, 11, 30])
+    def test_a_window_past_the_bit_length_starts_above_2n(self, c):
+        # the refusal that does not form (c-1)^l: l >= bit_length(2n) puts 2n below the window
+        for two_n in range(4, 300, 2):
+            for path_scale in range(two_n.bit_length(), two_n.bit_length() + 3):
+                assert vertex_window(c, path_scale)[0] > two_n
 
     def test_window_violation_rejected(self):
         graph = seven_regular_girth3(40)  # above the l=2 window maximum 36

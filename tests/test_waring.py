@@ -241,11 +241,14 @@ class TestListCap:
     def test_steps_match_the_entry_by_entry_count(self, monkeypatch):
         for d, upto in [(6, 1), (6, 64), (6, 1000), (7, 5000), (30, 300)]:
             steps = _list_steps(d, upto)
+            monkeypatch.setattr(waring, "_tables", {})
             monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps)
-            assert waring._extend_counts(d, [0], upto)[upto] == min_count(upto, d)
+            assert waring._table(d, upto)[upto] == waring._extend_counts(d, [0], upto)[upto]
+            monkeypatch.setattr(waring, "_tables", {})
             monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps - 1)
-            with pytest.raises(WaringCapError, match=rf"takes {steps} steps"):
-                waring._extend_counts(d, [0], upto)
+            with pytest.raises(WaringCapError, match=rf"\(1 of them, up to {upto}\) take {steps} steps"):
+                waring._table(d, upto)
+            assert waring._tables == {}
 
     def test_a_cached_list_counts_from_zero(self, monkeypatch):
         # whether a k is refused does not depend on what is cached
@@ -265,7 +268,8 @@ class TestListCap:
 
     def test_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(waring, "_tables", {})
-        message = r"takes 45000012 steps, past the cap \(waring\.MAX_LIST_STEPS = 45000000\)"
+        message = (r"the d >= 6 count lists of this request \(1 of them, up to 3695425\) "
+                   r"take 45000012 steps, past the cap \(waring\.MAX_LIST_STEPS = 45000000\)")
         with pytest.raises(WaringCapError, match=message):
             min_powers(3_695_425, 6)
         assert list(waring._tables.get(6, [0])) == [0]  # refused before the list is built
