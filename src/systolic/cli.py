@@ -71,13 +71,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: in quotes, each quote doubled, when it
+    holds a comma, a quote or a line break; as it is otherwise."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_header(columns, provenance: str = "") -> str:
+    return f"# systolic {__version__}{provenance}\n{','.join(columns)}\n"
+
+
 def _dump_csv(columns, rows, out_path: str | None, provenance: str = "") -> None:
     """Write the comment line, the header and each row as the iterable yields it."""
     import itertools
 
-    header = f"# systolic {__version__}{provenance}\n{','.join(columns)}\n"
     lines = (",".join(map(_csv_cell, row)) + "\n" for row in rows)
-    _emit(itertools.chain((header,), lines), out_path)
+    _emit(itertools.chain((_csv_header(columns, provenance),), lines), out_path)
 
 
 def _load_constants(bounds, path):
@@ -384,21 +395,25 @@ def cmd_sweep(args) -> int:
         list_budget(grid.get("k", ()), grid.get("d", ()))
     constants = _load_constants(bounds, args.constants)
     keys = sorted(grid)
+    values = [grid[key] for key in keys]
+    # each grid value is written as text once, before the first row
+    texts = [[_csv_field(_csv_cell(value)) for value in column] for column in values]
     errors = 0
 
-    def rows():
+    def lines():
         nonlocal errors
-        for combo in itertools.product(*(grid[key] for key in keys)):
+        for combo, cells in zip(itertools.product(*values), itertools.product(*texts)):
             try:
-                cells = [entry(dict(zip(keys, combo)), constants)[1], ""]
+                outcome = _csv_field(entry(dict(zip(keys, combo)), constants)[1]) + ","
             except Exception as exc:  # per-row failure becomes a row-level error field
                 errors += 1
-                cells = ["", f'"{exc}"']
-            yield [*combo, *cells]
+                outcome = ',"' + str(exc).replace('"', '""') + '"'
+            yield ",".join(cells) + "," + outcome + "\n"
 
     constants_source = args.constants or "defaults(illustrative)"
     provenance = f" seed={spec.get('seed', 0)} command={command} constants={constants_source}"
-    _dump_csv((*keys, "result", "error"), rows(), args.out, provenance)
+    header = _csv_header([*map(_csv_field, keys), "result", "error"], provenance)
+    _emit(itertools.chain((header,), lines()), args.out)
     if errors:
         sys.stderr.write(f"sweep finished with {errors} row errors\n")
     return 0

@@ -13,7 +13,9 @@ grown by each partner's ball as the visit adds its edges.  After
 the whole ball B_{g-2}(u), draws among them and ends.  Within a visit a
 kept draw is uniform over the admissible partners, and so is a listed one,
 so every partner is a uniform draw from that list as the graph then
-stands; only the generator's draws differ.
+stands.  A draw from the m deficient vertices takes k = m.bit_length()
+and calls ``getrandbits(k)`` until the result r is below m; it picks the
+vertex at index r of the deficient list.
 """
 from __future__ import annotations
 
@@ -399,7 +401,12 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
 
     The deficient vertices are an unsorted list: a vertex reaching full
     degree is swapped with the last one and removed, found through its
-    recorded position.
+    recorded position.  u and each partner are drawn from it inline: for
+    m = len(deficient) and k = m.bit_length(), ``rng.getrandbits(k)`` is
+    called until its result r is below m, and the vertex is deficient[r],
+    uniform over the list.  This is the draw ``rng.choice(deficient)``
+    makes, so the inline draws take the stream it would.  Within a step
+    m stays fixed, as deficient changes only when an edge is added.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
     deficient = list(range(n))  # the vertices below full degree, in no order
@@ -408,7 +415,8 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
     target_edges = n * degree // 2
     reach = girth_target - 2  # partners must lie outside this ball
     h, radius = (reach + 1) // 2, reach // 2  # meet in the middle: u's side, v's side
-    choice = rng.choice
+    choice, getrandbits = rng.choice, rng.getrandbits
+    adjacent, flatten = adj.__getitem__, chain.from_iterable
     budget = STEP_BUDGET
     steps = rejections = 0
 
@@ -433,17 +441,31 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
         edges -= 1
 
     while edges < target_edges and steps < budget:
-        u = choice(deficient)
+        m = len(deficient)
+        k = m.bit_length()
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        u = deficient[i]
         neighbours = adj[u]
-        half = _ball(adj, u, h)
+        if h == 2:  # _ball(adj, u, 2), written out
+            half = {u, *neighbours}
+            half.update(*map(adjacent, neighbours))
+        else:
+            half = _ball(adj, u, h)
         while True:  # the visit: one partner search a step
             steps += 1
+            m = len(deficient)  # deficient changes only when an edge is added
+            k = m.bit_length()
             for _ in range(REJECTIONS):
-                v = choice(deficient)
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                v = deficient[r]
                 if radius == 2:  # _is_far written out for g = 6, 7, the window's largest builds
                     reached = adj[v]
                     if v not in half and half.isdisjoint(reached) and half.isdisjoint(
-                        chain.from_iterable(map(adj.__getitem__, reached))
+                        flatten(map(adjacent, reached))
                     ):
                         break
                 elif _is_far(adj, half, v, radius):
@@ -475,7 +497,9 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
             half.add(v)
             if h == 2:
                 half |= reached
-            elif h > 2:
+            elif h == 3:  # B_2(v), written out for g = 7, 8
+                half.update(reached, *map(adjacent, reached))
+            elif h > 3:
                 half |= _ball(adj, v, h - 1)
         if v is not None:  # u is full, or the budget is spent
             continue
@@ -504,7 +528,7 @@ def _greedy_attempt(degree, girth_target, n, rng, counts):
     counts.rejections += rejections
     if edges != target_edges:
         return None
-    return tuple((a, b) for a in range(n) for b in sorted(adj[a]) if b > a)
+    return tuple([(a, b) for a in range(n) for b in sorted(adj[a]) if b > a])
 
 
 def _is_far(adj, half, v, radius):

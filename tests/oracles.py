@@ -13,17 +13,20 @@ BFS from every vertex, the ball around a vertex by plain BFS, the graph
 edge checks one edge at a time (``graph_edges`` and
 ``loaded_graph_edges``), ``check_regular_girth``, the certificate of a
 built graph that ``construct_regular_girth`` no longer checks at run
-time, the boundary operators as (row, col, sign)
+time, ``greedy_attempt``, the girth search's attempt with each draw made
+by ``rng.choice``, the boundary operators as (row, col, sign)
 triples with each face found by deleting a vertex and its own copy of the
 sign (-1)^i (``boundary_matrix``, a ``BoundaryMatrix`` record), and
 ``dataclass_twin``, a record class rebuilt as the frozen dataclass it was,
 and ``presentation_rows``, the presentation parse that wrote every relator
 out letter by letter, free-reduced it and summed its letters.
 None of this shares code paths with the implementation under test, with
-two exceptions: ``homology`` is the package's homology before reduction
+three exceptions: ``homology`` is the package's homology before reduction
 pairs, the Smith form of every full ``boundary_matrix``, so it shares
 ``smith_normal_form`` (itself checked against the naive reductions here);
-``presentation_rows`` shares the relator splitter and the tokenizer.
+``presentation_rows`` shares the relator splitter and the tokenizer;
+``greedy_attempt`` shares the far test ``_is_far`` and the repair
+``_double_swap``.
 """
 from __future__ import annotations
 
@@ -33,11 +36,12 @@ import itertools
 import math
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import chain
 
 from systolic._record import record
 from systolic.complexes import SimplicialComplex, face_counts
 from systolic.genfun import RecurrenceVerdict
-from systolic.graphs import Graph
+from systolic.graphs import REJECTIONS, STEP_BUDGET, Graph, _double_swap, _is_far
 from systolic.homology import HomologySummary
 from systolic.presentations import MAX_LETTERS, _split_relators, _tokenize
 from systolic.snf import SmithForm, smith_normal_form
@@ -765,6 +769,158 @@ def _ball(adj, root, radius):
                     nxt.append(nb)
         frontier = nxt
     return seen
+
+
+# The girth search's attempt before its draws were written out: each vertex
+# drawn from ``deficient`` is ``rng.choice(deficient)``, the far test goes
+# through ``adj.__getitem__`` looked up at each draw, and B_2(u) is built by
+# ``_ball``, here the plain BFS above, which returns the same set.
+def greedy_attempt(degree, girth_target, n, rng, counts):
+    """One randomized build: distance-respecting pairing with repairs.
+
+    An edge (u, v) is only added when dist(u, v) >= g-1, so every created
+    cycle has length >= g by construction.  The build goes one *visit* at a
+    time: u is drawn uniformly from the deficient vertices, and the visit
+    searches partners for u until u is full.  Each search is one step of
+    ``STEP_BUDGET``.  A partner is drawn by rejection: up to ``REJECTIONS``
+    times a vertex drawn uniformly from the deficient ones is kept when it
+    is far from u (``_is_far``, against half = B_h(u), h = ceil((g-2)/2)).
+    A kept draw is a uniform draw conditioned on admissibility, so each
+    partner is uniform over the deficient vertices outside B_{g-2}(u) in the
+    graph as it then stands.
+
+    half is built once per visit and kept exact as the visit adds edges:
+    after (u, v) is added, B_h(u) is the old B_h(u) together with
+    B_{h-1}(v), both in the new graph.  A shortest path from u of length
+    <= h either avoids the edge uv, and is then a path of the old graph
+    (which differs only by that edge), so its end lies in the old ball; or
+    it takes uv, which it can only take first, as u -> v, since a shortest
+    path does not return to u, and the rest is a path of length <= h - 1
+    from v.  Conversely every vertex of B_{h-1}(v) lies within 1 + (h - 1)
+    of u.  The visit adds only edges at u, so no other change can reach
+    half.
+
+    After ``REJECTIONS`` rejected draws the step lists the deficient
+    vertices outside near = B_{g-2}(u) and draws among them, again uniform
+    over the admissible partners.  When there is none, u is repaired either
+    by a double swap (remove an edge (x, y), add (u, x) and (v, y) for
+    another deficient v, re-checking distances after each step) or by
+    rotating a stub from a saturated far vertex; deletions never shorten
+    cycles, so the girth invariant holds throughout.  A listing, a swap and
+    a rotation each end the visit, as they change the graph away from u.
+    No degree passes c: u, its partner and the mate gain an edge only while
+    deficient (a lone deficient u lacks an even number, so two or more),
+    and x, y and w lose one first.  The attempt ends only at n*c/2 edges,
+    so with every degree c, and returns them as sorted (a, b), a < b.
+
+    The deficient vertices are an unsorted list: a vertex reaching full
+    degree is swapped with the last one and removed, found through its
+    recorded position.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    deficient = list(range(n))  # the vertices below full degree, in no order
+    position = list(range(n))  # position[v] is v's index in deficient
+    edges = 0
+    target_edges = n * degree // 2
+    reach = girth_target - 2  # partners must lie outside this ball
+    h, radius = (reach + 1) // 2, reach // 2  # meet in the middle: u's side, v's side
+    choice = rng.choice
+    budget = STEP_BUDGET
+    steps = rejections = 0
+
+    def connect(a, b):
+        nonlocal edges
+        for x, y in ((a, b), (b, a)):
+            adj[x].add(y)
+            if len(adj[x]) == degree:
+                last = deficient.pop()
+                if last != x:
+                    deficient[position[x]] = last
+                    position[last] = position[x]
+        edges += 1
+
+    def disconnect(a, b):
+        nonlocal edges
+        for x, y in ((a, b), (b, a)):
+            adj[x].discard(y)
+            if len(adj[x]) == degree - 1:
+                position[x] = len(deficient)
+                deficient.append(x)
+        edges -= 1
+
+    while edges < target_edges and steps < budget:
+        u = choice(deficient)
+        neighbours = adj[u]
+        half = _ball(adj, u, h)
+        while True:  # the visit: one partner search a step
+            steps += 1
+            for _ in range(REJECTIONS):
+                v = choice(deficient)
+                if radius == 2:  # _is_far written out for g = 6, 7, the window's largest builds
+                    reached = adj[v]
+                    if v not in half and half.isdisjoint(reached) and half.isdisjoint(
+                        chain.from_iterable(map(adj.__getitem__, reached))
+                    ):
+                        break
+                elif _is_far(adj, half, v, radius):
+                    break
+                rejections += 1
+            else:
+                v = None
+                break
+            # connect(u, v), inline: v leaves deficient when full, and u
+            # ends the visit when full
+            reached = adj[v]
+            neighbours.add(v)
+            reached.add(u)
+            edges += 1
+            if len(reached) == degree:
+                last = deficient.pop()
+                if last != v:
+                    deficient[position[v]] = last
+                    position[last] = position[v]
+            if len(neighbours) == degree:
+                last = deficient.pop()
+                if last != u:
+                    deficient[position[u]] = last
+                    position[last] = position[u]
+                break
+            if steps == budget:
+                break
+            # B_h(u) grows by B_{h-1}(v)
+            half.add(v)
+            if h == 2:
+                half |= reached
+            elif h > 2:
+                half |= _ball(adj, v, h - 1)
+        if v is not None:  # u is full, or the budget is spent
+            continue
+        counts.listings += 1
+        near = _ball(adj, u, reach)
+        partners = [w for w in deficient if w not in near]
+        if partners:
+            connect(u, choice(partners))
+            continue
+        if _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng):
+            counts.swaps += 1
+            continue
+        # reshuffle: rotate a stub from a saturated far vertex onto u
+        far = [w for w in range(n) if w != u and w not in near]
+        if not far:
+            break
+        w = choice(far)
+        others = [z for z in adj[w] if z != u]
+        if not others:
+            break
+        z = choice(others)
+        disconnect(w, z)
+        connect(u, w)
+        counts.rotations += 1
+    counts.steps += steps
+    counts.rejections += rejections
+    if edges != target_edges:
+        return None
+    return tuple((a, b) for a in range(n) for b in sorted(adj[a]) if b > a)
 
 
 # what @record adds to a class, which the twin gets from dataclass instead

@@ -1,5 +1,8 @@
 import argparse
+import csv
 import hashlib
+import io
+import itertools
 import json
 import os
 import random
@@ -574,9 +577,9 @@ def test_evaluator_table_serves_bounds_and_sweep(name, tmp_path, capsys):
     spec.write_text(json.dumps({"command": name, "grid": {"value": [value]}}))
     code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
     assert code == 0
-    header, row = out.strip().split("\n")[1:]
-    assert header == "value,result,error"
-    _, cell, error = row.split(",")
+    header, row = csv.reader(out.strip().split("\n")[1:])
+    assert header == ["value", "result", "error"]
+    _, cell, error = row
     assert error == ""
     row_keys = EVALUATORS[name].row
     if row_keys is None:
@@ -770,10 +773,10 @@ class TestSweep:
         }))
         code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
         assert code == 0
-        rows = [line for line in out.strip().split("\n") if not line.startswith("#")]
-        assert rows[0] == "name,result,error"
+        rows = list(csv.reader(line for line in out.strip().split("\n") if not line.startswith("#")))
+        assert rows[0] == ["name", "result", "error"]
         assert len(rows) == 4
-        assert all('"holds":true' in row for row in rows[1:])
+        assert all('"holds":true' in row[1] for row in rows[1:])
 
     def test_sleeve_grid(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -804,9 +807,12 @@ class TestSweep:
         }))
         code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
         assert code == 0
-        rows = [line for line in out.strip().split("\n") if not line.startswith("#")][1:]
-        assert '{"lower":"4/3";"upper":14}' in rows[0]
-        assert '{"lower":"8/3";"upper":24}' in rows[1]
+        rows = list(csv.reader(line for line in out.strip().split("\n") if not line.startswith("#")))[1:]
+        assert [row[1] for row in rows] == [
+            '{"lower":"4/3";"upper":14}', '{"lower":"8/3";"upper":24}', '{"lower":"8";"upper":44}'
+        ]
+        # a cell holding quotes is quoted, with each of its quotes doubled
+        assert out.splitlines()[2] == '1,"{""lower"":""4/3"";""upper"":14}",'
 
     @pytest.mark.parametrize(
         "spec_doc",
@@ -923,11 +929,48 @@ class TestSweep:
         # a name that is not a corpus name keeps its error at every row
         have = "have ('rp2_min', 'sphere_delta3', 'torus_7', 'moebius_band', 'pinched_spheres')"
         assert rows[2:6] == [
-            f'no_such_complex,,""unknown corpus complex \'no_such_complex\'; {have}""',
-            f'7,,""unknown corpus complex 7; {have}""',
-            f'[\'torus_7\'],,""unknown corpus complex [\'torus_7\']; {have}""',
-            f'None,,""unknown corpus complex None; {have}""',
+            f'no_such_complex,,"""unknown corpus complex \'no_such_complex\'; {have}"""',
+            f'7,,"""unknown corpus complex 7; {have}"""',
+            f'[\'torus_7\'],,"""unknown corpus complex [\'torus_7\']; {have}"""',
+            f'None,,"""unknown corpus complex None; {have}"""',
         ]
+
+    def test_rows_read_back_as_csv(self, tmp_path, capsys):
+        # a grid value, result or error holding a comma, a quote or a line
+        # break is quoted with its quotes doubled (RFC 4180), so csv.reader
+        # reads each row back with one cell per column and every text exact
+        names = ["torus_7", "no_such_complex", 'a "quoted", name', "two\nlines", ["torus_7", "rp2_min"],
+                 {"a": 1, "b": 2}, 7]
+        pads = [[1, 2], "x,y", 'say "hi"', 3]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": "homology", "grid": {"name": names, "pad": pads}}))
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert code == 0 and err == f"sweep finished with {6 * len(pads)} row errors\n"
+        header, *rows = list(csv.reader(io.StringIO(out, newline="")))[1:]
+        assert header == ["name", "pad", "result", "error"]
+        assert len(rows) == len(names) * len(pads)
+        entry, constants = EVALUATORS["homology"], bounds.BoundConstants()
+        for (name, pad), row in zip(itertools.product(names, pads), rows):
+            try:
+                expected = [entry({"name": name}, constants)[1], ""]
+            except KeyError as exc:
+                expected = ["", str(exc)]
+            assert row == [str(name), str(pad), *expected]
+        assert out.splitlines()[5] == 'torus_7,3,"{""betti"":[1;2;1]}",'
+
+    def test_each_grid_value_is_formatted_once(self, tmp_path, capsys, monkeypatch):
+        formatted = []
+        cell = cli_mod._csv_cell
+        monkeypatch.setattr(cli_mod, "_csv_cell", lambda value: formatted.append(value) or cell(value))
+        big = 10 ** 4000
+        grid = {"value": [big, 7, True], "pad": list(range(500))}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": "group-count", "grid": grid}))
+        code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert code == 0 and len(out.splitlines()) == 2 + 3 * 500
+        # the grid's keys are sorted: pad, then value
+        assert formatted == [*grid["pad"], *grid["value"]]
+        assert out.splitlines()[2].startswith(f"0,{big},")
 
     def test_row_error_does_not_abort(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

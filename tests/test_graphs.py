@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from systolic import graphs
 from systolic.graphs import (
     MAX_DEGREE_SQUARES,
+    MAX_RESTARTS,
     MAX_VERTICES,
     GirthSearchError,
     Graph,
@@ -552,10 +553,15 @@ def test_far_test_matches_the_ball_oracle():
                 assert graphs._is_far(adj, half, v, reach // 2) == (v != u and v not in near)
 
 
+def _lines_of(function, text):
+    """The line numbers of the lines of ``function`` that read ``text``."""
+    source, first = inspect.getsourcelines(function)
+    return [first + i for i, line in enumerate(source) if line.strip() == text]
+
+
 def _line_of(function, text):
     """The line number of the one line of ``function`` that reads ``text``."""
-    source, first = inspect.getsourcelines(function)
-    lines = [first + i for i, line in enumerate(source) if line.strip() == text]
+    lines = _lines_of(function, text)
     assert len(lines) == 1, (text, lines)
     return lines[0]
 
@@ -563,7 +569,9 @@ def _line_of(function, text):
 class VisitSpy(random.Random):
     """A seeded generator that checks ``_greedy_attempt`` at every draw.
 
-    At each partner draw (the line ``v = choice(deficient)``) it reads the
+    A partner draw calls ``getrandbits`` from the lines
+    ``r = getrandbits(k)`` until r < len(deficient), and takes
+    ``deficient[r]``.  At the call that ends the draw the spy reads the
     attempt's locals and asserts that ``deficient`` holds exactly the
     vertices below full degree and that the kept ball ``half`` equals
     ``oracles._ball(adj, u, h)``, h = ceil((g-2)/2), recomputed.  At the
@@ -580,7 +588,8 @@ class VisitSpy(random.Random):
         super().__init__(seed)
         self.degree, self.reach = degree, girth_target - 2
         self.h = (self.reach + 1) // 2
-        self.partner_line = _line_of(graphs._greedy_attempt, "v = choice(deficient)")
+        self.partner_lines = _lines_of(graphs._greedy_attempt, "r = getrandbits(k)")
+        assert len(self.partner_lines) == 2, self.partner_lines  # the first draw and the redraw
         self.listing_line = _line_of(graphs._greedy_attempt, "connect(u, choice(partners))")
         self.pending = self.last = None
         self.tally = Counter()
@@ -600,21 +609,34 @@ class VisitSpy(random.Random):
         self.settle()
         pick = super().choice(seq)
         frame = sys._getframe(1)
-        if frame.f_code is not graphs._greedy_attempt.__code__:
-            return pick
-        line = frame.f_lineno
-        if line not in (self.partner_line, self.listing_line):
-            return pick
-        state = frame.f_locals
+        if frame.f_code is graphs._greedy_attempt.__code__ and frame.f_lineno == self.listing_line:
+            _, admissible = self.admissible(frame.f_locals)
+            assert sorted(seq) == admissible
+            self.tally["listings"] += 1
+        return pick
+
+    def getrandbits(self, k):
+        self.settle()
+        r = super().getrandbits(k)
+        frame = sys._getframe(1)
+        if frame.f_code is graphs._greedy_attempt.__code__ and frame.f_lineno in self.partner_lines:
+            state = frame.f_locals
+            if r < len(state["deficient"]):  # else the attempt draws again
+                self.partner(state, state["deficient"][r])
+        return r
+
+    def admissible(self, state):
+        """B_{g-2}(u) and the sorted deficient vertices outside it, after
+        checking that ``deficient`` holds exactly the vertices below full
+        degree."""
         adj, u, deficient = state["adj"], state["u"], state["deficient"]
         assert sorted(deficient) == [w for w in range(len(adj)) if len(adj[w]) < self.degree]
         near = oracles._ball(adj, u, self.reach)
-        admissible = sorted(w for w in deficient if w not in near)
-        if line == self.listing_line:
-            assert sorted(seq) == admissible
-            self.tally["listings"] += 1
-            return pick
-        half = state["half"]
+        return near, sorted(w for w in deficient if w not in near)
+
+    def partner(self, state, pick):
+        near, admissible = self.admissible(state)
+        adj, u, half = state["adj"], state["u"], state["half"]
         assert half == oracles._ball(adj, u, self.h)
         if self.last is not None and self.last[0] is half:
             self.tally["grown"] += self.last[1]
@@ -624,7 +646,6 @@ class VisitSpy(random.Random):
         self.tally["kept" if far else "rejected"] += 1
         if far:
             self.ranks.append((admissible.index(pick), len(admissible)))
-        return pick
 
 
 def _spied_attempts(spy, degree, girth_target, n, counts, tries):
@@ -722,3 +743,39 @@ def test_search_partners_are_admissible():
     assert counts.swaps > 0 and counts.rotations > 0
     assert 0 < failed < attempts
     assert counts.steps > 10_000
+
+
+def _attempts(attempt, degree, girth_target, n, seed, tries):
+    """Up to ``tries`` attempts of ``attempt`` from ``random.Random(seed)``,
+    restarting as ``construct_regular_girth`` does: each attempt's edges
+    (None when it failed) and the tallies."""
+    rng, counts = random.Random(seed), SearchCounts()
+    results = []
+    for _ in range(tries):
+        results.append(attempt(degree, girth_target, n, rng, counts))
+        if results[-1] is not None:
+            break
+        counts.restarts += 1
+    return results, vars(counts)
+
+
+def test_attempt_matches_the_choice_oracle():
+    # the draws written out with getrandbits are the draws rng.choice made:
+    # from equal seeds the attempt and oracles.greedy_attempt give the same
+    # edges and tallies, over the oracle grid (listings, double swaps,
+    # rotations and failed attempts), the benchmark's build requests and
+    # builds of girth 7 to 10, whose balls have h = 3 and 4
+    total = SearchCounts()
+    for degree, girth_target, n, seed in ORACLE_GRID:
+        ours = _attempts(graphs._greedy_attempt, degree, girth_target, n, seed, 3)
+        assert ours == _attempts(oracles.greedy_attempt, degree, girth_target, n, seed, 3)
+        for name, count in ours[1].items():
+            setattr(total, name, getattr(total, name) + count)
+    assert total.listings > 0 and total.swaps > 0 and total.rotations > 0 and total.restarts > 0
+    requests = ((7, 4, 168), (7, 5, 1032), (7, 5, 1200), (7, 6, 6216),
+                (5, 7, 800), (4, 8, 600), (3, 9, 600), (3, 10, 1200))
+    for degree, girth_target, n in requests:
+        for seed in range(3):
+            ours = _attempts(graphs._greedy_attempt, degree, girth_target, n, seed, MAX_RESTARTS)
+            assert ours[0][-1] is not None
+            assert ours == _attempts(oracles.greedy_attempt, degree, girth_target, n, seed, MAX_RESTARTS)
