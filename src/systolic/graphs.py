@@ -13,9 +13,7 @@ grown by each partner's ball as the visit adds its edges.  After
 the whole ball B_{g-2}(u), draws among them and ends.  Within a visit a
 kept draw is uniform over the admissible partners, and so is a listed one,
 so every partner is a uniform draw from that list as the graph then
-stands.  A draw from the m deficient vertices takes k = m.bit_length()
-and calls ``getrandbits(k)`` until the result r is below m; it picks the
-vertex at index r of the deficient list.
+stands.
 """
 from __future__ import annotations
 

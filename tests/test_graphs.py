@@ -581,7 +581,9 @@ class VisitSpy(random.Random):
     from exactly those partners.  ``tally`` counts partner draws kept and
     rejected, those made after a kept partner of the same visit (so against
     a grown ball), and listings; ``ranks`` holds (rank, count) of each kept
-    partner among the sorted admissible ones.
+    partner among the sorted admissible ones.  As it overrides
+    ``getrandbits``, its ``choice`` draws through it, as ``random.Random``'s
+    does, so a spied attempt draws the stream of ``random.Random(seed)``.
     """
 
     def __init__(self, seed, degree, girth_target):
@@ -765,13 +767,12 @@ def test_attempt_matches_the_choice_oracle():
     # edges and tallies, over the oracle grid (listings, double swaps,
     # rotations and failed attempts), the benchmark's build requests and
     # builds of girth 7 to 10, whose balls have h = 3 and 4
-    total = SearchCounts()
+    total = Counter()
     for degree, girth_target, n, seed in ORACLE_GRID:
         ours = _attempts(graphs._greedy_attempt, degree, girth_target, n, seed, 3)
         assert ours == _attempts(oracles.greedy_attempt, degree, girth_target, n, seed, 3)
-        for name, count in ours[1].items():
-            setattr(total, name, getattr(total, name) + count)
-    assert total.listings > 0 and total.swaps > 0 and total.rotations > 0 and total.restarts > 0
+        total.update(ours[1])
+    assert all(total[name] > 0 for name in ("listings", "swaps", "rotations", "restarts")), total
     requests = ((7, 4, 168), (7, 5, 1032), (7, 5, 1200), (7, 6, 6216),
                 (5, 7, 800), (4, 8, 600), (3, 9, 600), (3, 10, 1200))
     for degree, girth_target, n in requests:
