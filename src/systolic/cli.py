@@ -84,10 +84,11 @@ def _csv_header(columns, provenance: str = "") -> str:
 
 
 def _dump_csv(columns, rows, out_path: str | None, provenance: str = "") -> None:
-    """Write the comment line, the header and each row as the iterable yields it."""
+    """Write the comment line, the header and each row as the iterable yields
+    it, each cell an RFC 4180 field."""
     import itertools
 
-    lines = (",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    lines = (",".join(_csv_field(_csv_cell(value)) for value in row) + "\n" for row in rows)
     _emit(itertools.chain((_csv_header(columns, provenance),), lines), out_path)
 
 
@@ -462,11 +463,7 @@ def cmd_corpus(args) -> int:
     if args.format == "json":
         _dump_json(entries, args.out)
     else:
-        _dump_csv(
-            ("name", "kind", "provenance"),
-            [(e.name, e.kind, f'"{e.provenance}"') for e in entries],
-            args.out,
-        )
+        _dump_csv(("name", "kind", "provenance"), [(e.name, e.kind, e.provenance) for e in entries], args.out)
     return 0
 
 

@@ -144,20 +144,6 @@ def boundary_sign(i: int) -> int:
     return -1 if i % 2 else 1
 
 
-@record
-class PseudomanifoldReport:
-    """Verdict plus diagnostics for the pseudomanifold predicate."""
-
-    is_pseudomanifold: bool
-    pure: bool
-    bad_ridges: tuple[tuple[tuple[int, ...], int], ...]  # (ridge, facet count != 2)
-    strongly_connected: bool
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.is_pseudomanifold
-
-
 def _ridge_incidence(complex_: SimplicialComplex) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     """Map each (m-1)-face to the (facet index, position of the missing
     vertex) of each facet containing it."""
@@ -168,32 +154,26 @@ def _ridge_incidence(complex_: SimplicialComplex) -> dict[tuple[int, ...], list[
     return incidence
 
 
-def is_pseudomanifold(complex_: SimplicialComplex) -> PseudomanifoldReport:
-    """Pure + every ridge in exactly two facets + strongly connected."""
-    return _facet_walk(complex_)[0]
+def _facet_walk(complex_: SimplicialComplex) -> tuple[str, list | None, tuple | None]:
+    """Why the complex is not a pseudomanifold ("" when it is one), and the
+    signs and first conflict of one walk of the facet graph from facet 0.
 
-
-def _facet_walk(complex_: SimplicialComplex) -> tuple[PseudomanifoldReport, list | None, tuple | None]:
-    """The pseudomanifold report, and the signs and first conflict of one
-    walk of the facet graph from facet 0.
-
-    Each facet the walk reaches gets the sign that gives it and the facet it
-    was reached from opposite induced signs on their shared ridge; a facet
-    never reached keeps None, so the walk also decides strong connectivity.
-    The first reached facet whose sign disagrees gives the conflict, a path
-    of facet indices through the walk's tree, or None; it is read only when
-    the report accepts, so a ridge not in exactly two facets is walked once,
-    which keeps a ridge shared by k facets at k steps instead of k^2.  An
-    empty or impure complex is not walked.
+    A pseudomanifold is pure, has every ridge in exactly two facets and is
+    strongly connected.  An empty or impure complex, or one with a ridge in
+    other than two facets, is refused before the walk.  Each facet the walk
+    reaches gets the sign that gives it and the facet it was reached from
+    opposite induced signs on their shared ridge; a facet never reached
+    keeps None, and the complex is refused as not strongly connected.  The
+    first reached facet whose sign disagrees gives the conflict, a path of
+    facet indices through the walk's tree, or None.
     """
     if not complex_.facets:
-        return PseudomanifoldReport(False, False, (), False, "empty complex"), None, None
+        return "empty complex", None, None
     if not complex_.is_pure:
-        return PseudomanifoldReport(False, False, (), False, "not dimension-homogeneous"), None, None
+        return "not dimension-homogeneous", None, None
     incidence = _ridge_incidence(complex_)
-    bad = tuple(
-        (ridge, len(fs)) for ridge, fs in sorted(incidence.items()) if len(fs) != 2
-    )
+    if any(len(sharing) != 2 for sharing in incidence.values()):
+        return "boundary or branching ridges", None, None
     facets = complex_.facets
     signs: list[int | None] = [None] * len(facets)
     parent: list[int] = [-1] * len(facets)
@@ -204,11 +184,7 @@ def _facet_walk(complex_: SimplicialComplex) -> tuple[PseudomanifoldReport, list
         current = stack.pop()
         facet = facets[current]
         for i in range(len(facet)):
-            ridge = facet[:i] + facet[i + 1:]
-            sharing = incidence[ridge]
-            if len(sharing) != 2:  # the report refuses it, so it is walked once, for connectivity
-                incidence[ridge] = ()
-            for other, j in sharing:
+            for other, j in incidence[facet[:i] + facet[i + 1:]]:
                 if other == current:
                     continue
                 # opposite induced signs: s_other * sign(j) = -s_current * sign(i)
@@ -219,10 +195,9 @@ def _facet_walk(complex_: SimplicialComplex) -> tuple[PseudomanifoldReport, list
                     stack.append(other)
                 elif signs[other] != required and conflict is None:
                     conflict = _conflict_path(parent, current, other)
-    connected = None not in signs
-    ok = not bad and connected
-    detail = "" if ok else ("boundary or branching ridges" if bad else "facet adjacency graph disconnected")
-    return PseudomanifoldReport(ok, True, bad, connected, detail), signs, conflict
+    if None in signs:
+        return "facet adjacency graph disconnected", None, None
+    return "", signs, conflict
 
 
 @record
@@ -242,9 +217,9 @@ def orient(complex_: SimplicialComplex) -> OrientationResult:
     pseudomanifold; an odd cycle of incompatibilities yields a
     non-orientable verdict with the walk's first conflict as certificate.
     """
-    report, signs, conflict = _facet_walk(complex_)
-    if not report:
-        raise NotPseudomanifoldError(f"orientation undefined: {report.detail}")
+    refusal, signs, conflict = _facet_walk(complex_)
+    if refusal:
+        raise NotPseudomanifoldError(f"orientation undefined: {refusal}")
     if conflict is not None:
         return OrientationResult(False, None, conflict)
     return OrientationResult(True, tuple(signs), None)
@@ -320,9 +295,9 @@ def connected_sum(
     if x.dim is None or y.dim is None or x.dim != y.dim or x.dim < 1:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     for side, z in (("first", x), ("second", y)):
-        report, _, conflict = _facet_walk(z)
-        if not report:
-            raise NotPseudomanifoldError(f"{side} argument: {report.detail}")
+        refusal, _, conflict = _facet_walk(z)
+        if refusal:
+            raise NotPseudomanifoldError(f"{side} argument: {refusal}")
         if not allow_nonorientable and conflict is not None:
             raise NonOrientableError(f"{side} argument is non-orientable")
     removed_x = x.facets[0]

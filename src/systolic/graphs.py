@@ -26,11 +26,12 @@ from operator import lt, mul
 
 from ._record import record, trusted
 
-# The most vertices a graph may have, in a file or as a search target.  It
-# admits a file anywhere in the degree-7 vertex window at l=7, whose top is
-# 6**7 = 279_936.  It governs files; builds are refused first by
-# STEP_BUDGET, which no build of 57_143 or more degree-7 vertices passes.
-# It bounds memory; MAX_DEGREE_SQUARES bounds the girth search.
+# The most vertices a graph file may have.  It admits a file anywhere in the
+# degree-7 vertex window at l=7, whose top is 6**7 = 279_936.  Builds are
+# refused by STEP_BUDGET instead: past 300_000 vertices of degree >= 3 a
+# build needs more than 450_000 edges, and no build of 57_143 or more
+# degree-7 vertices passes.  It bounds memory; MAX_DEGREE_SQUARES bounds the
+# girth search.
 MAX_VERTICES = 300_000
 # The largest sum over the vertices of degree**2 that `girth` searches: that
 # of a 7-regular graph at MAX_VERTICES, so every degree-7 file the vertex cap
@@ -293,14 +294,20 @@ def construct_regular_girth(
     the first attempt.  After ``MAX_RESTARTS`` abandoned attempts the
     search raises instead of returning a partial graph.
     """
-    if vertices > MAX_VERTICES:
-        raise ValueError(f"{vertices} vertices exceeds the cap of {MAX_VERTICES}")
     if degree < 3 or girth_target < 3:
         raise InfeasibleGraphError("need degree >= 3 and girth >= 3")
     if vertices * degree % 2:
         raise InfeasibleGraphError(f"{degree}-regular graph needs an even degree sum")
     if vertices <= degree:
         raise InfeasibleGraphError(f"{degree}-regular graph needs more than {degree} vertices")
+    # each step adds at most one edge, so a smaller budget cannot finish;
+    # checked before the Moore bound, which a huge request makes huge
+    edges_needed = vertices * degree // 2
+    if edges_needed > STEP_BUDGET:
+        raise GirthSearchError(
+            f"{vertices} vertices of degree {degree} need {edges_needed} edges, "
+            f"more than the step budget of {STEP_BUDGET} steps per attempt"
+        )
     if girth_target // 2 >= vertices.bit_length():
         # moore_bound >= 2**(g // 2) > vertices: refuse before forming a bound
         # that can run to thousands of digits
@@ -313,13 +320,6 @@ def construct_regular_girth(
         raise InfeasibleGraphError(
             f"{vertices} vertices is below the Moore bound {floor} for "
             f"degree {degree}, girth {girth_target}"
-        )
-    # each step adds at most one edge, so a smaller budget cannot finish
-    edges_needed = vertices * degree // 2
-    if edges_needed > STEP_BUDGET:
-        raise GirthSearchError(
-            f"{vertices} vertices of degree {degree} need {edges_needed} edges, "
-            f"more than the step budget of {STEP_BUDGET} steps per attempt"
         )
     rng = random.Random(seed)
     counts = SearchCounts()

@@ -222,16 +222,16 @@ class FourthPowerReport:
 
 def verify_g4(limit: int) -> FourthPowerReport:
     """Check that every k <= limit needs at most 19 fourth powers."""
-    _validate(limit, 4)
+    _validate(limit, 4, "limit")
     # g(4) = 19 (Balasubramanian, Deshouillers and Dress, 1986): d = 4 tables are layered
     max_count, argmax = _table(4, limit).top(limit)
     return FourthPowerReport(limit, max_count, argmax, max_count <= 19)
 
 
-def _validate(k: int, d: int) -> None:
+def _validate(k: int, d: int, name: str = "k") -> None:
     if isinstance(d, bool) or not isinstance(d, int) or d < 2:
         raise ValueError("exponent d must be an integer >= 2")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+        raise ValueError(f"{name} must be a positive integer")
     if k > CAP:
-        raise WaringCapError(f"k={k} exceeds the desk-scale cap {CAP}")
+        raise WaringCapError(f"{name}={k} exceeds the desk-scale cap {CAP}")

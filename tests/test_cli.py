@@ -51,6 +51,19 @@ class TestHomologyCommand:
         assert lines[1] == "name,betti,torsion"
         assert any(line.startswith("rp2_min,1 0 0") for line in lines)
 
+    @pytest.mark.parametrize("command, header", [
+        (["homology", "--format", "csv"], ["name", "betti", "torsion"]),
+        (["check-torsion-bound"], ["name", "s2", "bound", "holds"]),
+    ])
+    def test_a_stem_with_a_comma_is_one_quoted_cell(self, command, header, tmp_path, capsys):
+        path = tmp_path / "tri,angle.json"
+        path.write_text(json.dumps({"facets": [[0, 1, 2]]}))
+        code, out, _ = run_cli([*command, str(path)], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows[0] == header
+        assert len(rows) == 2 and rows[1][0] == "tri,angle" and len(rows[1]) == len(header)
+
     def test_no_inputs_is_usage_error(self, capsys):
         code, _, err = run_cli(["homology"], capsys)
         assert code == 2
@@ -354,7 +367,7 @@ class TestGraphCommands:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "300000" in err
+        assert "more than the step budget of 200000 steps per attempt" in err
 
     def test_build_beyond_step_budget_is_refused_at_once(self, monkeypatch, capsys):
         # the l=7 window top: 979776 edges against 200000 steps per attempt
@@ -608,6 +621,13 @@ class TestWaringCommand:
         assert payload["max_count"] == 19
         assert payload["argmax"] == [79]
 
+    @pytest.mark.parametrize("limit, message", [
+        ("0", "error: limit must be a positive integer\n"),
+        ("20000000", "error: limit=20000000 exceeds the desk-scale cap 10000000\n"),
+    ])
+    def test_verify_names_the_limit_it_refuses(self, limit, message, capsys):
+        assert run_cli(["waring", "verify", "--limit", limit], capsys) == (2, "", message)
+
     def test_huge_exponent_returns_at_once(self):
         start = time.monotonic()
         done = _run_subprocess(["waring", "--k", "5", "--d", "2000000000"], 0)
@@ -753,6 +773,14 @@ class TestCorpusCommand:
         assert "rp2_min" in out
         assert "petersen" in out
         assert len(out.strip().split("\n")) >= 3
+
+    def test_csv_cells_read_back_as_the_entries(self, capsys):
+        # one quoting rule: a provenance is quoted only when it holds a comma
+        code, out, _ = run_cli(["corpus", "--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[2:]
+        assert rows == [[e.name, e.kind, e.provenance] for e in corpus_list()]
+        assert "\npinched_spheres,complex,Two tetrahedron boundaries sharing" in out
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(["corpus", "--format", "json"], capsys)

@@ -15,7 +15,6 @@ from systolic.complexes import (
     face_counts,
     from_facets,
     is_admissible_dim2,
-    is_pseudomanifold,
     load_complex,
     orient,
 )
@@ -31,6 +30,11 @@ SPHERE = corpus_complex("sphere_delta3")
 TORUS = corpus_complex("torus_7")
 MOEBIUS = corpus_complex("moebius_band")
 PINCHED = corpus_complex("pinched_spheres")
+
+
+def refusal(complex_):
+    """Why orient and connected_sum refuse the complex: "" for a pseudomanifold."""
+    return complexes._facet_walk(complex_)[0]
 
 
 class TestFromFacets:
@@ -93,7 +97,7 @@ class TestFromFacets:
             assert from_facets([[]], vertex_count) == from_facets([], vertex_count)
         assert from_facets([[]]) == SimplicialComplex(0, ())
         assert from_facets([[]]).dim is None
-        assert not is_pseudomanifold(from_facets([[]]))
+        assert refusal(from_facets([[]])) == "empty complex"
         with pytest.raises(NotPseudomanifoldError):
             orient(from_facets([[]]))
         assert from_facets([[], [3]]).facets == ((3,),)
@@ -238,12 +242,10 @@ class TestBoundaryMatrix:
 
 class TestPseudomanifold:
     def test_sphere_is_pseudomanifold(self):
-        assert is_pseudomanifold(SPHERE)
+        assert refusal(SPHERE) == ""
 
     def test_two_triangles_sharing_edge_fail(self):
-        report = is_pseudomanifold(from_facets([[0, 1, 2], [1, 2, 3]]))
-        assert not report
-        assert report.bad_ridges  # boundary edges are listed
+        assert refusal(from_facets([[0, 1, 2], [1, 2, 3]])) == "boundary or branching ridges"
 
     def test_rp2_by_ridge_enumeration(self):
         incidence = {}
@@ -252,30 +254,30 @@ class TestPseudomanifold:
                 ridge = facet[:i] + facet[i + 1:]
                 incidence[ridge] = incidence.get(ridge, 0) + 1
         assert all(count == 2 for count in incidence.values())
-        assert is_pseudomanifold(RP2)
+        assert refusal(RP2) == ""
 
     def test_moebius_fails(self):
-        assert not is_pseudomanifold(MOEBIUS)
+        assert refusal(MOEBIUS) == "boundary or branching ridges"
 
     def test_pinched_fails_connectivity(self):
-        report = is_pseudomanifold(PINCHED)
-        assert not report
-        assert not report.strongly_connected
-        assert not report.bad_ridges
+        # every edge of the two tetrahedron boundaries lies in two triangles
+        assert refusal(PINCHED) == "facet adjacency graph disconnected"
 
     def test_empty_complex(self):
-        assert not is_pseudomanifold(from_facets([]))
+        assert refusal(from_facets([])) == "empty complex"
 
     def test_branching_ridge_is_walked_once(self):
         # 16 000 triangles on one edge, under the face cap: a facet graph of
         # k^2 adjacencies took 0.35 s and 251 MiB at k = 2 000, and 16 000 is
-        # past the memory of a small host
+        # past the memory of a small host; the branching ridge is refused
+        # before the walk
         fan = from_facets([(0, 1, v) for v in range(2, 16_002)])
         start = time.monotonic()
-        report = is_pseudomanifold(fan)
+        assert refusal(fan) == "boundary or branching ridges"
+        with pytest.raises(NotPseudomanifoldError) as refused:
+            orient(fan)
         assert time.monotonic() - start < 1.0
-        assert report.bad_ridges[0] == ((0, 1), 16_000) and report.strongly_connected
-        assert not report
+        assert str(refused.value) == "orientation undefined: boundary or branching ridges"
 
 
 class TestOrient:
@@ -371,7 +373,7 @@ class TestConnectedSum:
             assert len(connected_sum(x, y).facets) == len(x.facets) + len(y.facets) - 2
 
     def test_result_is_pseudomanifold(self):
-        assert is_pseudomanifold(connected_sum(TORUS, TORUS))
+        assert refusal(connected_sum(TORUS, TORUS)) == ""
 
     def test_nonorientable_refused_by_default(self):
         with pytest.raises(NonOrientableError):
@@ -382,6 +384,19 @@ class TestConnectedSum:
         summary = homology(klein)
         assert summary.betti == (1, 1, 0)
         assert summary.torsion[1] == (2,)
+
+    def test_refusals_name_the_argument_and_the_reason(self):
+        impure = from_facets([[0, 1, 2], [2, 3]])
+        for x, y, message in (
+            (MOEBIUS, SPHERE, "first argument: boundary or branching ridges"),
+            (SPHERE, PINCHED, "second argument: facet adjacency graph disconnected"),
+            (impure, SPHERE, "first argument: not dimension-homogeneous"),
+        ):
+            with pytest.raises(NotPseudomanifoldError) as refused:
+                connected_sum(x, y)
+            assert str(refused.value) == message
+        with pytest.raises(NotPseudomanifoldError, match="^orientation undefined: not dimension-homogeneous$"):
+            orient(impure)
 
     def test_dimension_mismatch(self):
         edge = from_facets([[0, 1], [1, 2], [0, 2]])

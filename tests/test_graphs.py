@@ -229,11 +229,24 @@ class TestConstruction:
             construct_regular_girth(7, 4, 1000)
 
     def test_vertex_cap(self):
+        # the step budget refuses every build past the file cap: 300 001
+        # vertices of degree 3 or more need more than 450 000 edges
         assert MAX_VERTICES >= vertex_window(7, 7)[1]
-        with pytest.raises(ValueError, match="cap"):
-            construct_regular_girth(7, 6, MAX_VERTICES + 2, seed=0)
-        with pytest.raises(ValueError, match="cap"):
-            construct_regular_girth(7, 6, 100_000_000, seed=0)
+        assert (MAX_VERTICES + 1) * 3 // 2 > graphs.STEP_BUDGET
+        for vertices, edges in ((MAX_VERTICES + 2, 1_050_007), (100_000_000, 350_000_000)):
+            with pytest.raises(GirthSearchError) as refused:
+                construct_regular_girth(7, 6, vertices, seed=0)
+            assert str(refused.value) == (
+                f"{vertices} vertices of degree 7 need {edges} edges, "
+                "more than the step budget of 200000 steps per attempt"
+            )
+
+    def test_huge_request_is_refused_before_the_moore_bound(self):
+        # forming moore_bound(10**1999, 2000) takes more than 30 s
+        start = time.monotonic()
+        with pytest.raises(GirthSearchError, match="step budget"):
+            construct_regular_girth(10 ** 1999, 2000, 10 ** 2000)
+        assert time.monotonic() - start < 1.0
 
     def test_deterministic_for_seed(self):
         a = construct_regular_girth(3, 5, 14, seed=9)

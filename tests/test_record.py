@@ -30,9 +30,6 @@ SAMPLES = {
     ],
     "SimplicialComplex": lambda: [RP2, corpus_complex("torus_7")],
     "BoundaryMatrix": lambda: [oracles.boundary_matrix(RP2, 1), oracles.boundary_matrix(RP2, 2)],
-    "PseudomanifoldReport": lambda: [
-        complexes.is_pseudomanifold(RP2), complexes.is_pseudomanifold(corpus_complex("pinched_spheres"))
-    ],
     "OrientationResult": lambda: [complexes.orient(RP2), complexes.orient(corpus_complex("torus_7"))],
     "CorpusEntry": lambda: corpus_list()[:2],
     "RationalSequence": lambda: [
