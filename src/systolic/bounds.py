@@ -38,6 +38,8 @@ class BoundConstants:
             raise ValueError("dimension m must be a positive integer")
         for field in ("cm", "cm_prime", "cm_second", "pair_lower", "pair_upper"):
             value = getattr(self, field)
+            if isinstance(value, bool):
+                raise ValueError(f"constant {field} must be a number, not a boolean")
             if value <= 0:
                 raise ValueError(f"constant {field} must be positive")
             if not math.isfinite(value):

@@ -107,8 +107,11 @@ def _rational(text: str, what: str):
 
 
 def _named_complexes(args):
-    """(name, complex) pairs from file paths or the whole built-in corpus."""
+    """(name, complex) pairs from file paths, named by their stems, which
+    must differ, or the whole built-in corpus."""
     if args.corpus:
+        if args.inputs:
+            raise ValueError(f"--corpus takes no files, but was given {', '.join(map(repr, args.inputs))}")
         from .corpus import corpus_complexes
 
         return list(corpus_complexes().items())
@@ -118,10 +121,16 @@ def _named_complexes(args):
 
     from .complexes import load_complex
 
-    out = []
+    named = {}
     for path in args.inputs:
+        named.setdefault(Path(path).stem, []).append(path)
+    for stem, paths in named.items():
+        if len(paths) > 1:
+            raise ValueError(f"input files {', '.join(map(repr, paths))} share the name {stem!r}")
+    out = []
+    for stem, (path,) in named.items():
         with open(path) as handle:
-            out.append((Path(path).stem, load_complex(handle)))
+            out.append((stem, load_complex(handle)))
     return out
 
 
@@ -176,7 +185,7 @@ def cmd_girth(args) -> int:
         graph = load_graph(handle)
     shortest = girth(graph)
     payload: dict = {"girth": shortest}
-    if args.edge_length:
+    if args.edge_length is not None:
         systole = metric_systole(
             MetricGraph(graph, _rational(args.edge_length, "--edge-length")), shortest
         )
@@ -385,6 +394,9 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"sweep spec {args.spec} has unknown key {unknown[0]!r} (it takes command, grid and seed)"
         )
+    seed = spec.get("seed", 0)
+    if type(seed) is not int:
+        raise ValueError(f"sweep spec {args.spec} has a 'seed' that is not an integer")
     command = spec.get("command")
     entries = _evaluators(bounds)
     if not isinstance(command, str) or command not in entries:
@@ -412,7 +424,7 @@ def cmd_sweep(args) -> int:
             yield ",".join(cells) + "," + outcome + "\n"
 
     constants_source = args.constants or "defaults(illustrative)"
-    provenance = f" seed={spec.get('seed', 0)} command={command} constants={constants_source}"
+    provenance = f" seed={seed} command={command} constants={constants_source}"
     header = _csv_header([*map(_csv_field, keys), "result", "error"], provenance)
     _emit(itertools.chain((header,), lines()), args.out)
     if errors:

@@ -16,18 +16,6 @@ from itertools import combinations
 from ._record import record, trusted
 
 
-class MalformedSimplexError(ValueError):
-    """Raised when a facet repeats a vertex."""
-
-
-class NotPseudomanifoldError(ValueError):
-    """Raised when an operation requires a pseudomanifold and the input is not one."""
-
-
-class NonOrientableError(ValueError):
-    """Raised when an operation requires an orientable input."""
-
-
 # The most steps face enumeration may take: the sum of 2^|f| - 1 over the
 # facets.  It bounds what homology does after it: at the cap, 8 000 disjoint
 # tetrahedra take 0.4-0.8 s and a 58 MiB peak for homology in process, 7
@@ -95,7 +83,7 @@ def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
     for raw in facets:
         tup = tuple(raw)
         if len(set(tup)) != len(tup):
-            raise MalformedSimplexError(f"repeated vertex in simplex {tup}")
+            raise ValueError(f"repeated vertex in simplex {tup}")
         if tup:  # the empty simplex is a face of every simplex, never a facet
             cleaned.append(tuple(sorted(tup)))
     cleaned = sorted(set(cleaned), key=lambda f: (-len(f), f))
@@ -154,30 +142,28 @@ def _ridge_incidence(complex_: SimplicialComplex) -> dict[tuple[int, ...], list[
     return incidence
 
 
-def _facet_walk(complex_: SimplicialComplex) -> tuple[str, list | None, tuple | None]:
-    """Why the complex is not a pseudomanifold ("" when it is one), and the
-    signs and first conflict of one walk of the facet graph from facet 0.
+def _facet_walk(complex_: SimplicialComplex) -> tuple[str, bool]:
+    """Why the complex is not a pseudomanifold ("" when it is one), and
+    whether one walk of the facet graph from facet 0 orients it.
 
     A pseudomanifold is pure, has every ridge in exactly two facets and is
     strongly connected.  An empty or impure complex, or one with a ridge in
     other than two facets, is refused before the walk.  Each facet the walk
     reaches gets the sign that gives it and the facet it was reached from
     opposite induced signs on their shared ridge; a facet never reached
-    keeps None, and the complex is refused as not strongly connected.  The
-    first reached facet whose sign disagrees gives the conflict, a path of
-    facet indices through the walk's tree, or None.
+    keeps None, and the complex is refused as not strongly connected.  A
+    reached facet whose sign disagrees makes the complex non-orientable.
     """
     if not complex_.facets:
-        return "empty complex", None, None
+        return "empty complex", False
     if not complex_.is_pure:
-        return "not dimension-homogeneous", None, None
+        return "not dimension-homogeneous", False
     incidence = _ridge_incidence(complex_)
     if any(len(sharing) != 2 for sharing in incidence.values()):
-        return "boundary or branching ridges", None, None
+        return "boundary or branching ridges", False
     facets = complex_.facets
     signs: list[int | None] = [None] * len(facets)
-    parent: list[int] = [-1] * len(facets)
-    conflict = None
+    orientable = True
     signs[0] = 1
     stack = [0]
     while stack:
@@ -191,53 +177,27 @@ def _facet_walk(complex_: SimplicialComplex) -> tuple[str, list | None, tuple | 
                 required = -signs[current] * boundary_sign(i) * boundary_sign(j)
                 if signs[other] is None:
                     signs[other] = required
-                    parent[other] = current
                     stack.append(other)
-                elif signs[other] != required and conflict is None:
-                    conflict = _conflict_path(parent, current, other)
+                elif signs[other] != required:
+                    orientable = False
     if None in signs:
-        return "facet adjacency graph disconnected", None, None
-    return "", signs, conflict
+        return "facet adjacency graph disconnected", False
+    return "", orientable
 
 
 @record
 class OrientationResult:
     orientable: bool
-    signs: tuple[int, ...] | None  # one sign per facet when orientable
-    conflict_cycle: tuple[int, ...] | None  # facet indices witnessing inconsistency
-
-    def __bool__(self) -> bool:
-        return self.orientable
 
 
 def orient(complex_: SimplicialComplex) -> OrientationResult:
-    """Assign facet signs with opposite induced signs on each shared ridge.
-
-    Reads the signs of the one facet walk that also checks the
-    pseudomanifold; an odd cycle of incompatibilities yields a
-    non-orientable verdict with the walk's first conflict as certificate.
-    """
-    refusal, signs, conflict = _facet_walk(complex_)
+    """Whether the facets take signs with opposite induced signs on each
+    shared ridge: the verdict of the one facet walk that also checks the
+    pseudomanifold, which refuses anything else."""
+    refusal, orientable = _facet_walk(complex_)
     if refusal:
-        raise NotPseudomanifoldError(f"orientation undefined: {refusal}")
-    if conflict is not None:
-        return OrientationResult(False, None, conflict)
-    return OrientationResult(True, tuple(signs), None)
-
-
-def _conflict_path(parent: list[int], a: int, b: int) -> tuple[int, ...]:
-    def chain(x):
-        out = []
-        while x != -1:
-            out.append(x)
-            x = parent[x]
-        return out
-
-    left, right = chain(a), chain(b)
-    common = set(left) & set(right)
-    trim = lambda path: path[: next(i for i, x in enumerate(path) if x in common) + 1]
-    left, right = trim(left), trim(right)
-    return tuple(left + right[-2::-1])
+        raise ValueError(f"orientation undefined: {refusal}")
+    return OrientationResult(orientable)
 
 
 def is_admissible_dim2(complex_: SimplicialComplex) -> bool:
@@ -295,11 +255,11 @@ def connected_sum(
     if x.dim is None or y.dim is None or x.dim != y.dim or x.dim < 1:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     for side, z in (("first", x), ("second", y)):
-        refusal, _, conflict = _facet_walk(z)
+        refusal, orientable = _facet_walk(z)
         if refusal:
-            raise NotPseudomanifoldError(f"{side} argument: {refusal}")
-        if not allow_nonorientable and conflict is not None:
-            raise NonOrientableError(f"{side} argument is non-orientable")
+            raise ValueError(f"{side} argument: {refusal}")
+        if not (allow_nonorientable or orientable):
+            raise ValueError(f"{side} argument is non-orientable")
     removed_x = x.facets[0]
     removed_y = y.facets[0]
     mapping = dict(zip(removed_y, removed_x))
@@ -325,6 +285,6 @@ def load_complex(source) -> SimplicialComplex:
     ):
         raise ValueError("complex JSON must contain a 'facets' list of integer vertex-id lists")
     vertices = data.get("vertices")
-    if vertices is not None and type(vertices) is not int:
-        raise ValueError("complex JSON 'vertices' must be an integer")
+    if vertices is not None and (type(vertices) is not int or vertices < 0):
+        raise ValueError("complex JSON 'vertices' must be a non-negative integer")
     return from_facets(facets, vertex_count=vertices)

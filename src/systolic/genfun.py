@@ -62,9 +62,6 @@ class RationalSequence:
         if not self.terms:
             raise ValueError("sequence must be nonempty")
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     @classmethod
     def from_values(cls, values) -> "RationalSequence":
         """Terms from exact values, or a one-line ValueError naming the term.

@@ -43,17 +43,6 @@ MAX_VERTICES = 300_000
 MAX_DEGREE_SQUARES = 7 ** 2 * MAX_VERTICES
 
 
-class InfeasibleGraphError(ValueError):
-    """Requested parameters violate a known feasibility floor."""
-
-
-class GirthSearchError(ValueError):
-    """Search budget exhausted without a finished graph; never a silent failure.
-
-    A ValueError, as the request's parameters are what cannot be met.
-    """
-
-
 @record
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -295,29 +284,29 @@ def construct_regular_girth(
     search raises instead of returning a partial graph.
     """
     if degree < 3 or girth_target < 3:
-        raise InfeasibleGraphError("need degree >= 3 and girth >= 3")
+        raise ValueError("need degree >= 3 and girth >= 3")
     if vertices * degree % 2:
-        raise InfeasibleGraphError(f"{degree}-regular graph needs an even degree sum")
+        raise ValueError(f"{degree}-regular graph needs an even degree sum")
     if vertices <= degree:
-        raise InfeasibleGraphError(f"{degree}-regular graph needs more than {degree} vertices")
+        raise ValueError(f"{degree}-regular graph needs more than {degree} vertices")
     # each step adds at most one edge, so a smaller budget cannot finish;
     # checked before the Moore bound, which a huge request makes huge
     edges_needed = vertices * degree // 2
     if edges_needed > STEP_BUDGET:
-        raise GirthSearchError(
+        raise ValueError(
             f"{vertices} vertices of degree {degree} need {edges_needed} edges, "
             f"more than the step budget of {STEP_BUDGET} steps per attempt"
         )
     if girth_target // 2 >= vertices.bit_length():
         # moore_bound >= 2**(g // 2) > vertices: refuse before forming a bound
         # that can run to thousands of digits
-        raise InfeasibleGraphError(
+        raise ValueError(
             f"{vertices} vertices is below the Moore bound (at least 2**{girth_target // 2}) "
             f"for degree {degree}, girth {girth_target}"
         )
     floor = moore_bound(degree, girth_target)
     if vertices < floor:
-        raise InfeasibleGraphError(
+        raise ValueError(
             f"{vertices} vertices is below the Moore bound {floor} for "
             f"degree {degree}, girth {girth_target}"
         )
@@ -328,7 +317,7 @@ def construct_regular_girth(
         if edges is not None:
             return trusted(Graph, vertices, edges)
         counts.restarts += 1
-    raise GirthSearchError(
+    raise ValueError(
         f"no {degree}-regular graph of girth >= {girth_target} on {vertices} "
         f"vertices found within the search budget (seed {seed}; {counts})"
     )

@@ -30,8 +30,8 @@ gcd(e, D); where the diagonal runs out before r, the value is D.  The first
 r entries of the divisibility chain of these values are the block's
 invariant factors d_1 | ... | d_r.  Both dense routines take at most
 rows * cols * min(rows, cols) entry updates; a block past
-``MAX_RESIDUAL_WORK`` of them is refused with ``ResidualCapError`` before
-any is made.
+``MAX_RESIDUAL_WORK`` of them is refused, with a ``ValueError`` naming the
+cap, before any is made.
 
 This is exact (Cohen, A Course in Computational Algebraic Number Theory,
 2.4; Hafner and McCurley, SIAM J. Comput. 1991).  d_1 ... d_r is the gcd of
@@ -57,10 +57,6 @@ from ._record import record
 # small entries (2 vCPUs, Python 3.11).  No residual block of the built-in
 # corpus, of T^3 up to k = 10 or of a 36 x 36 presentation comes near it.
 MAX_RESIDUAL_WORK = 3_000_000
-
-
-class ResidualCapError(ValueError):
-    """A residual block is past MAX_RESIDUAL_WORK, so its Smith form is refused."""
 
 
 @record
@@ -107,7 +103,7 @@ def smith_normal_form(matrix) -> SmithForm:
     for block_rows, block_cols in _blocks(rows, cols):
         m, n = len(block_rows), len(block_cols)
         if m * n * min(m, n) > MAX_RESIDUAL_WORK:
-            raise ResidualCapError(
+            raise ValueError(
                 f"Smith form refused: a {m} x {n} block with no unit entry needs up to "
                 f"{m * n * min(m, n)} entry updates, past the cap of {MAX_RESIDUAL_WORK} "
                 "(snf.MAX_RESIDUAL_WORK)"

@@ -34,10 +34,6 @@ MAX_LIST_STEPS = 45_000_000
 MAX_PARTS = 1_000_000
 
 
-class WaringCapError(ValueError):
-    """A request passes one of the desk-scale caps."""
-
-
 @record
 class WaringDecomposition:
     """k = sum of parts[i]^d with a minimal number of parts."""
@@ -132,7 +128,7 @@ def list_budget(ks, ds) -> None:
     top = max(ks)
     steps = sum(_list_steps(d, top) for d in ds)
     if steps > MAX_LIST_STEPS:
-        raise WaringCapError(
+        raise ValueError(
             f"the d >= 6 count lists of this request ({len(ds)} of them, up to {top}) "
             f"take {steps} steps, past the cap (waring.MAX_LIST_STEPS = {MAX_LIST_STEPS})"
         )
@@ -194,7 +190,7 @@ def min_powers(k: int, d: int) -> WaringDecomposition:
     counts = _table(d, k)
     target = counts[k]
     if target > MAX_PARTS:
-        raise WaringCapError(
+        raise ValueError(
             f"k={k} needs {target} parts for d={d}, past the cap (waring.MAX_PARTS = {MAX_PARTS})"
         )
     powers = _powers(d, k)
@@ -234,4 +230,4 @@ def _validate(k: int, d: int, name: str = "k") -> None:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"{name} must be a positive integer")
     if k > CAP:
-        raise WaringCapError(f"{name}={k} exceeds the desk-scale cap {CAP}")
+        raise ValueError(f"{name}={k} exceeds the desk-scale cap {CAP}")

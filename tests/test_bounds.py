@@ -290,6 +290,13 @@ class TestConstants:
             with pytest.raises(ValueError, match="positive integer"):
                 BoundConstants(m=m)
 
+    @pytest.mark.parametrize("field", ["cm", "cm_prime", "cm_second", "pair_lower", "pair_upper"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_rejected(self, field, value):
+        # True passed as 1 and False as "must be positive"
+        with pytest.raises(ValueError, match=f"^constant {field} must be a number, not a boolean$"):
+            BoundConstants(**{field: value})
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_rejected(self, value):
         with pytest.raises(ValueError, match="pair_lower must be finite"):

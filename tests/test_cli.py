@@ -69,6 +69,29 @@ class TestHomologyCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", [
+        ["homology"], ["homology", "--format", "csv"], ["check-torsion-bound"],
+    ])
+    def test_repeated_stems_are_refused(self, command, tmp_path, capsys):
+        # a JSON summary is keyed by stem, so the second file hid the first
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "t.json")
+            paths[-1].write_text(json.dumps({"facets": [[0, 1, 2]]}))
+        code, out, err = run_cli([*command, *map(str, paths)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: input files {str(paths[0])!r}, {str(paths[1])!r} share the name 't'\n"
+
+    @pytest.mark.parametrize("command", [["homology"], ["check-torsion-bound"]])
+    def test_files_with_corpus_are_refused(self, command, tmp_path, capsys):
+        # --corpus dropped the file without a word
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"facets": [[0, 1, 2]]}))
+        code, out, err = run_cli([*command, str(path), "--corpus"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --corpus takes no files, but was given {str(path)!r}\n"
+
     @pytest.mark.parametrize("command", ["homology", "check-torsion-bound"])
     def test_faces_past_the_cap_are_refused_at_once(self, command, tmp_path, capsys):
         # one 40-vertex facet has 2^40 - 1 faces
@@ -257,6 +280,13 @@ class TestGraphCommands:
         payload = json.loads(out)
         assert payload["girth"] == 5
         assert payload["metric_systole"] == "5/4"
+
+    def test_empty_edge_length_is_refused(self, tmp_path, capsys):
+        # an empty --edge-length was ignored, and only the girth printed
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
+        code, out, err = run_cli(["girth", str(path), "--edge-length", ""], capsys)
+        assert (code, out, err) == (2, "", "error: --edge-length '' is not a rational number\n")
 
     def test_girth_with_edge_length_runs_one_search(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cycle.json"
@@ -535,6 +565,13 @@ class TestBoundsCommand:
         )
         assert (code, out) == (2, "")
         assert err == f"error: constant {field} must be finite\n"
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_constant_is_refused(self, value, tmp_path, capsys):
+        const = tmp_path / "constants.json"
+        const.write_text(f'{{"cm": {value}}}')
+        code, out, err = run_cli(["bounds", "height", "--value", "5", "--constants", str(const)], capsys)
+        assert (code, out, err) == (2, "", "error: constant cm must be a number, not a boolean\n")
 
     def test_unknown_evaluator(self, capsys):
         code, _, _ = run_cli(["bounds", "no-such-bound", "--value", "1"], capsys)
@@ -924,6 +961,16 @@ class TestSweep:
         comment = out_file.read_text().splitlines()[0]
         assert comment == f"# systolic {__version__} seed=9 command=height constants={const}"
 
+    @pytest.mark.parametrize("seed", ["7\nx,y,z", "7", True, 7.0, None, {"a": 1}, [7]])
+    def test_seed_that_is_not_an_integer_is_refused(self, seed, tmp_path, capsys):
+        # a text seed was written raw into the comment, and its line break
+        # put a data row above the header
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": "height", "grid": {"value": [2, 3]}, "seed": seed}))
+        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: sweep spec {spec} has a 'seed' that is not an integer\n"
+
     def test_rows_are_written_as_they_are_made(self, tmp_path, capsys):
         def peak(points):
             spec = tmp_path / "spec.json"
@@ -1019,6 +1066,7 @@ MALFORMED_INPUTS = {
         '{"facets": [[0, 1, 2.5]]}',
         '{"facets": [[0, 2, true]]}',
         '{"vertices": "4", "facets": [[0, 1, 2]]}',
+        '{"vertices": -5, "facets": [[0, 1, 2]]}',
         "5",
     ],
     "girth": ['{"n": "4", "edges": [[0, 1]]}', '{"n": 4, "edges": [[0, 1.5]]}'],

@@ -44,11 +44,16 @@ def _reads(path: Path) -> set[tuple[str, str]]:
 
 
 def _own_loads(path: Path) -> set[str]:
-    """Names a module loads in its own body."""
+    """Names a module loads in its own body, outside ``raise`` statements: a
+    class the module only raises has no reader there, as raising it tells the
+    caller nothing a plain ValueError would not."""
+    tree = ast.parse(path.read_text())
+    raised = {id(node) for statement in ast.walk(tree) if isinstance(statement, ast.Raise)
+              for node in ast.walk(statement)}
     return {
         node.id
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in raised
     }
 
 
