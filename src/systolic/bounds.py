@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from ._record import record
@@ -42,6 +43,8 @@ class BoundConstants:
                 raise ValueError(f"constant {field} must be a number, not a boolean")
             if value <= 0:
                 raise ValueError(f"constant {field} must be positive")
+            if type(value) is int and value > sys.float_info.max:  # math.isfinite would overflow
+                raise ValueError(f"constant {field} is past the float range")
             if not math.isfinite(value):
                 raise ValueError(f"constant {field} must be finite")
 

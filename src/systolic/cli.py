@@ -3,8 +3,8 @@
 Subcommands: homology, check-torsion-bound, abelianize, girth, build-graph,
 sleeve, bounds, waring, genfun, corpus, sweep.  Output is deterministic:
 identical invocations produce byte-identical artifacts.  Exit codes:
-0 success (possibly with per-row warnings), 1 invariant violation (a
-theorem-level check came back false, which signals a bug), 2 bad input.
+0 success (a sweep's rows may hold errors), 1 invariant violation (a
+theorem-level check, in any sweep row too, came back false: a bug), 2 bad input.
 
 Each command imports the modules it runs when it runs, so start-up
 (``--version`` and the parser) loads only this module, argparse and the
@@ -16,6 +16,7 @@ entry and loads its constants before the first row.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -34,8 +35,6 @@ def _jsonable(value):
     if fractions and isinstance(value, fractions.Fraction):
         return str(value)
     if isinstance(value, float):
-        import math
-
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return value
@@ -96,14 +95,17 @@ def _load_constants(bounds, path):
     return bounds.load_constants(path) if path else bounds.BoundConstants()
 
 
-def _rational(text: str, what: str):
-    """An exact rational (a Fraction) from an option's text, or a usage error naming it."""
+def _rational(value, what: str):
+    """An exact rational (a Fraction) from an option's text or a grid value,
+    or a usage error naming it; a boolean is not one."""
     from fractions import Fraction
 
-    try:
-        return Fraction(text)
-    except (ArithmeticError, ValueError) as exc:
-        raise ValueError(f"{what} {text!r} is not a rational number") from exc
+    if type(value) in (str, int, float):
+        try:
+            return Fraction(value)
+        except (ArithmeticError, ValueError):
+            pass
+    raise ValueError(f"{what} {value!r} is not a rational number")
 
 
 def _named_complexes(args):
@@ -186,11 +188,9 @@ def cmd_girth(args) -> int:
     shortest = girth(graph)
     payload: dict = {"girth": shortest}
     if args.edge_length is not None:
-        systole = metric_systole(
-            MetricGraph(graph, _rational(args.edge_length, "--edge-length")), shortest
-        )
-        payload["edge_length"] = args.edge_length
-        payload["metric_systole"] = systole
+        length = _rational(args.edge_length, "--edge-length")
+        payload["edge_length"] = length
+        payload["metric_systole"] = metric_systole(MetricGraph(graph, length), shortest)
     _dump_json(payload, args.out)
     return 0
 
@@ -218,41 +218,40 @@ def cmd_sleeve(args) -> int:
     return 0
 
 
-def _real(point) -> float:
-    """The grid point's "value", which must be a finite number."""
-    import math
-
-    value = point["value"]
-    if not math.isfinite(value):
-        raise ValueError(f"value {value} is not finite")
-    return value
+# The kinds of grid value an evaluator declares, _rational too: each reads a key's value or
+# refuses it, naming the key and the kind.  A boolean is no number; an int of any size is finite.
+def _finite_number(value, key: str):
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return value
+    raise ValueError(f"{key} {value!r} is not a finite number")
 
 
-def _whole(point) -> int:
-    """The grid point's "value" where the formula needs a whole number."""
-    value = _real(point)
-    if value != int(value):
-        raise ValueError(f"value {value} is not a whole number")
-    return int(value)
+def _whole_number(value, key: str) -> int:  # read as the int it equals
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} {value!r} is not a whole number")
 
 
-def _kappa_bounds(key: str, evaluate):
-    def build(point, _constants):
-        n = _whole(point)
-        low, high = evaluate(n)
-        return {key: n, "lower": low, "upper": high}
+def _integer(value, key: str) -> int:  # a JSON integer: 7.0 is not one
+    if type(value) is int:
+        return value
+    raise ValueError(f"{key} {value!r} is not an integer")
 
-    return build
+
+def _corpus_name(value, key: str) -> str:  # corpus_complex refuses one that names none
+    if type(value) is str:
+        return value
+    raise ValueError(f"{key} {value!r} is not a corpus name")
 
 
 def _per_corpus_name(evaluate):
-    """A build that evaluates each corpus complex once per table.  A name that
-    is not one is never kept, so ``corpus_complex`` refuses it at every row."""
+    """A build of a corpus name that evaluates each corpus complex once per
+    table; a string that names none is never kept, so ``corpus_complex``
+    refuses it at every row."""
     done = {}
 
-    def build(point, _constants):
-        name = point["name"]
-        if not (isinstance(name, str) and name in done):
+    def build(name, _constants):
+        if name not in done:
             from . import homology
             from .corpus import corpus_complex
 
@@ -262,96 +261,83 @@ def _per_corpus_name(evaluate):
     return build
 
 
-def _betti(homology, complex_):
-    return {"betti": list(homology.homology(complex_).betti)}
-
-
 def _torsion_check(homology, complex_):
     report = homology.check_s2_torsion_bound(complex_)
     return {"s2": report.s2, "torsion": report.torsion_order, "holds": report.holds}
 
 
-def _sleeve_volume(point, _constants):
+def _sleeve_volume(m, c, eps, _constants):
     from .sleeves import CubicalModel, sleeve_volume_single
 
-    return sleeve_volume_single(CubicalModel(point["m"], point["c"]), point["eps"])
+    return sleeve_volume_single(CubicalModel(m, c), eps)
 
 
-def _waring_count(point, _constants):
+def _waring_count(k, d, _constants):
     from .waring import min_count
 
-    return min_count(point["k"], point["d"])
+    return min_count(k, d)
 
 
 class _Evaluator:
-    """One evaluator of a sweep grid point, which ``bounds NAME --value v`` calls as {"value": v}.
+    """One evaluator of sweep grid points; ``bounds NAME --value v`` calls it as
+    {"value": v} when "value" is its one key.  ``keys`` maps each key it reads
+    to its kind, in the order of ``build(*values, constants)``, which returns
+    the ``bounds`` payload; ``row`` names the payload keys a sweep row shows
+    (None: the payload is a bare number), and ``theorem`` the one holding a
+    theorem-level check.  A plain class: building a record slows start-up."""
 
-    ``build(point, constants)`` returns the ``bounds`` payload, or a bare
-    number when ``row`` is None; ``row`` names the payload keys a sweep row
-    shows.  Entries with ``bound`` False read other grid keys and are
-    sweep-only.  A plain class: building a record slows CLI start-up.
-    """
-
-    def __init__(self, name: str, build, row: tuple[str, ...] | None = None, bound: bool = True):
-        self.name, self.build, self.row, self.bound = name, build, row, bound
+    def __init__(self, name: str, build, keys, row=None, theorem=None):
+        self.name, self.build, self.keys, self.row, self.theorem = name, build, keys, row, theorem
 
     def __call__(self, point, constants):
-        """The ``bounds`` payload at the point and the text of its sweep cell,
-        refused unless each value the cell shows is finite: a float that
-        overflows, to inf or by raising, is not a bound."""
-        import json
-        import math
-
+        """The result at the grid point, refused unless each value a row shows is finite:
+        an overflow, to inf or by raising, or a divisor that underflowed to 0 is no bound."""
         try:
-            result = self.build(point, constants)
-        except OverflowError as exc:
+            result = self.build(*[kind(point[key], key) for key, kind in self.keys.items()], constants)
+        except (OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"{self.name}: the result is past the float range") from exc
-        shown = {"value": result} if self.row is None else {key: result[key] for key in self.row}
-        if any(isinstance(value, float) and not math.isfinite(value) for value in shown.values()):
+        shown = (result,) if self.row is None else [result[key] for key in self.row]
+        if any(isinstance(value, float) and not math.isfinite(value) for value in shown):
             raise ValueError(f"{self.name}: the result is past the float range")
-        if self.row is None:
-            return {"name": self.name, "value": result, "constants": constants.provenance}, str(result)
-        cell = json.dumps(_jsonable(shown), separators=(";", ":"), allow_nan=False)
-        return result, cell.replace(",", ";")
+        return result
 
 
 def _evaluators(bounds) -> dict[str, _Evaluator]:
     """The evaluator table of one request, over the loaded ``bounds`` module."""
     from ._record import asdict
 
-    def sandwich(point, constants):
-        report = bounds.sandwich(_real(point), constants)
-        return {
-            "name": report.name,
-            "lower": report.lower,
-            "upper": report.upper,
-            "consistent": report.consistent,
-            "constants": constants.provenance,
-        }
+    def sandwich(k, constants):
+        report = bounds.sandwich(k, constants)
+        return dict(asdict(report), consistent=report.consistent, constants=constants.provenance)
 
+    finite, whole, name = {"value": _finite_number}, {"value": _whole_number}, {"name": _corpus_name}
     entries = (
-        _Evaluator("height", lambda p, k: bounds.height_lb(_real(p), k)),
-        _Evaluator("simvol", lambda p, k: bounds.simvol_lb(_real(p), k)),
-        _Evaluator("torsion", lambda p, k: bounds.torsion_lb(_real(p), k)),
-        _Evaluator("height-from-torsion", lambda p, _: bounds.height_from_torsion(_real(p))),
-        _Evaluator("lens", lambda p, k: bounds.lens_lb(_whole(p), k)),
-        _Evaluator("pi1-3manifold", lambda p, k: bounds.finite_pi1_3manifold_lb(_whole(p), k)),
-        _Evaluator("kappa-upper", lambda p, _: bounds.kappa_upper_from_systole(_real(p))),
-        _Evaluator("kappa-alpha", lambda p, _: bounds.kappa_alpha_scale(_real(p))),
-        _Evaluator("area-from-kappa", lambda p, _: bounds.systolic_area_upper_from_kappa(_real(p))),
-        _Evaluator("sandwich", sandwich, ("lower", "upper", "consistent")),
-        # the payload carries the chain_ok theorem check, which sets the exit code
-        _Evaluator("group-count", lambda p, _: asdict(bounds.group_count_bound(_whole(p))),
-                   ("exponent", "chain_ok")),
-        _Evaluator("surface-kappa", _kappa_bounds("genus", bounds.surface_kappa_bounds), ("lower", "upper")),
-        _Evaluator("abelian-kappa", _kappa_bounds("rank", bounds.abelian_kappa_bounds), ("lower", "upper")),
-        _Evaluator("homology", _per_corpus_name(_betti), ("betti",), bound=False),
-        _Evaluator("check-torsion-bound", _per_corpus_name(_torsion_check), ("s2", "torsion", "holds"),
-                   bound=False),
-        _Evaluator("sleeve-volume", _sleeve_volume, bound=False),
-        _Evaluator("multiple-class-bound", lambda p, _: bounds.multiple_class_bound(p["k"], p["C"]),
-                   bound=False),
-        _Evaluator("waring", _waring_count, bound=False),
+        _Evaluator("height", bounds.height_lb, finite),
+        _Evaluator("simvol", bounds.simvol_lb, finite),
+        _Evaluator("torsion", bounds.torsion_lb, finite),
+        _Evaluator("height-from-torsion", lambda t1, _: bounds.height_from_torsion(t1), finite),
+        _Evaluator("lens", bounds.lens_lb, whole),
+        _Evaluator("pi1-3manifold", bounds.finite_pi1_3manifold_lb, whole),
+        _Evaluator("kappa-upper", lambda s, _: bounds.kappa_upper_from_systole(s), finite),
+        _Evaluator("kappa-alpha", lambda s, _: bounds.kappa_alpha_scale(s), finite),
+        _Evaluator("area-from-kappa", lambda kappa, _: bounds.systolic_area_upper_from_kappa(kappa), finite),
+        _Evaluator("sandwich", sandwich, finite, ("lower", "upper", "consistent")),
+        _Evaluator("group-count", lambda n, _: asdict(bounds.group_count_bound(n)), whole,
+                   ("exponent", "chain_ok"), "chain_ok"),
+        _Evaluator("surface-kappa", lambda n, _: dict(zip(("genus", "lower", "upper"),
+                                                          (n, *bounds.surface_kappa_bounds(n)))),
+                   whole, ("lower", "upper")),
+        _Evaluator("abelian-kappa", lambda n, _: dict(zip(("rank", "lower", "upper"),
+                                                          (n, *bounds.abelian_kappa_bounds(n)))),
+                   whole, ("lower", "upper")),
+        _Evaluator("homology", _per_corpus_name(lambda homology, x: {"betti": list(homology.homology(x).betti)}),
+                   name, ("betti",)),
+        _Evaluator("check-torsion-bound", _per_corpus_name(_torsion_check), name,
+                   ("s2", "torsion", "holds"), "holds"),
+        _Evaluator("sleeve-volume", _sleeve_volume, {"m": _finite_number, "c": _finite_number, "eps": _rational}),
+        _Evaluator("multiple-class-bound", lambda k, c, _: bounds.multiple_class_bound(k, c),
+                   {"k": _finite_number, "C": _finite_number}),
+        _Evaluator("waring", _waring_count, {"k": _integer, "d": _integer}),
     )
     return {entry.name: entry for entry in entries}
 
@@ -360,20 +346,23 @@ def cmd_bounds(args) -> int:
     from . import bounds
 
     entry = _evaluators(bounds).get(args.name)
-    if entry is None or not entry.bound:
+    if entry is None or list(entry.keys) != ["value"]:
         raise ValueError(f"unknown bounds evaluator {args.name!r}")
     if args.value is None:
         raise ValueError(f"bounds {args.name} requires --value")
-    payload, _ = entry({"value": args.value}, _load_constants(bounds, args.constants))
+    constants = _load_constants(bounds, args.constants)
+    payload = entry({"value": args.value}, constants)
+    if entry.row is None:
+        payload = {"name": entry.name, "value": payload, "constants": constants.provenance}
     _dump_json(payload, args.out)
-    return INVARIANT_VIOLATION if payload.get("chain_ok") is False else 0
+    return INVARIANT_VIOLATION if entry.theorem and not payload[entry.theorem] else 0
 
 
 def cmd_sweep(args) -> int:
-    """One output row per grid point; per-row failures never abort the run."""
+    """One output row per grid point; a refused point never aborts the run,
+    and a false theorem-level check in any row exits 1 after the last."""
     import itertools
     import json
-    import math
 
     from . import bounds
 
@@ -386,14 +375,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep spec {args.spec} needs a non-empty 'grid' of value lists")
     points = math.prod(len(values) for values in grid.values())
     if points > MAX_SWEEP_POINTS:
-        raise ValueError(
-            f"sweep spec {args.spec} has {points} grid points, past the cap of {MAX_SWEEP_POINTS}"
-        )
+        raise ValueError(f"sweep spec {args.spec} has {points} grid points, past the cap of {MAX_SWEEP_POINTS}")
     unknown = sorted(set(spec) - {"command", "grid", "seed"})
     if unknown:
-        raise ValueError(
-            f"sweep spec {args.spec} has unknown key {unknown[0]!r} (it takes command, grid and seed)"
-        )
+        raise ValueError(f"sweep spec {args.spec} has unknown key {unknown[0]!r} (it takes command, grid and seed)")
     seed = spec.get("seed", 0)
     if type(seed) is not int:
         raise ValueError(f"sweep spec {args.spec} has a 'seed' that is not an integer")
@@ -402,23 +387,35 @@ def cmd_sweep(args) -> int:
     if not isinstance(command, str) or command not in entries:
         raise ValueError(f"sweep does not support command {command!r}")
     entry = entries[command]
+    keys = sorted(grid)
+    if keys != sorted(entry.keys):
+        raise ValueError(
+            f"sweep spec {args.spec} has the grid keys {', '.join(map(repr, keys))}, "
+            f"but {command} takes {', '.join(map(repr, entry.keys))}"
+        )
     if command == "waring":  # its count lists share one budget, checked before any row
         from .waring import list_budget
 
-        list_budget(grid.get("k", ()), grid.get("d", ()))
+        list_budget(grid["k"], grid["d"])
     constants = _load_constants(bounds, args.constants)
-    keys = sorted(grid)
     values = [grid[key] for key in keys]
     # each grid value is written as text once, before the first row
     texts = [[_csv_field(_csv_cell(value)) for value in column] for column in values]
-    errors = 0
+    encode = json.JSONEncoder(separators=(";", ":"), allow_nan=False).encode
+    errors, violated = 0, False
 
     def lines():
-        nonlocal errors
+        nonlocal errors, violated
         for combo, cells in zip(itertools.product(*values), itertools.product(*texts)):
             try:
-                outcome = _csv_field(entry(dict(zip(keys, combo)), constants)[1]) + ","
-            except Exception as exc:  # per-row failure becomes a row-level error field
+                result = entry(dict(zip(keys, combo)), constants)
+                if entry.row is None:
+                    cell = str(result)
+                else:
+                    cell = encode(_jsonable({key: result[key] for key in entry.row})).replace(",", ";")
+                    violated |= entry.theorem is not None and not result[entry.theorem]
+                outcome = _csv_field(cell) + ","
+            except ValueError as exc:  # a refused grid point becomes the row's error field
                 errors += 1
                 outcome = ',"' + str(exc).replace('"', '""') + '"'
             yield ",".join(cells) + "," + outcome + "\n"
@@ -429,7 +426,7 @@ def cmd_sweep(args) -> int:
     _emit(itertools.chain((header,), lines()), args.out)
     if errors:
         sys.stderr.write(f"sweep finished with {errors} row errors\n")
-    return 0
+    return INVARIANT_VIOLATION if violated else 0
 
 
 def cmd_waring(args) -> int:
@@ -591,7 +588,7 @@ def main(argv=None) -> int:
         _refuse_option_before_command(parser.readers, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, KeyError, ArithmeticError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except RecursionError:  # a JSON file or a presentation nested past the stack

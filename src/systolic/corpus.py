@@ -40,7 +40,7 @@ def corpus_list() -> list[CorpusEntry]:
 
 def corpus_complex(name: str) -> SimplicialComplex:
     if name not in _COMPLEX_NAMES:
-        raise KeyError(f"unknown corpus complex {name!r}; have {_COMPLEX_NAMES}")
+        raise ValueError(f"unknown corpus complex {name!r}; have {_COMPLEX_NAMES}")
     data = _read(name)
     return from_facets(data["facets"], vertex_count=data["vertices"])
 

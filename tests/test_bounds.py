@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,14 @@ class TestConstants:
             BoundConstants(pair_lower=value)
         with pytest.raises(ValueError, match="pair_lower must be positive"):
             BoundConstants(pair_lower=-math.inf)
+
+    def test_int_past_the_float_range_rejected(self):
+        # math.isfinite raised OverflowError on these, which is no ValueError
+        top = int(sys.float_info.max)
+        assert BoundConstants(cm=top).cm == top
+        for value in (top + 1, 2 ** 1024, 10 ** 400):
+            with pytest.raises(ValueError, match="^constant cm is past the float range$"):
+                BoundConstants(cm=value)
 
     def test_provenance_tag(self):
         assert UNIT.provenance == "illustrative-defaults"

@@ -288,6 +288,13 @@ class TestGraphCommands:
         code, out, err = run_cli(["girth", str(path), "--edge-length", ""], capsys)
         assert (code, out, err) == (2, "", "error: --edge-length '' is not a rational number\n")
 
+    def test_equal_edge_lengths_print_one_output(self, capsys):
+        # the field echoed the option's text, so each spelling printed its own bytes
+        petersen = str(Path(cli_mod.__file__).parent / "data" / "petersen.json")
+        outputs = {run_cli(["girth", petersen, "--edge-length", length], capsys)
+                   for length in ["1/2", "2/4", " 2/4", "0.5"]}
+        assert outputs == {(0, '{\n  "girth": 5,\n  "edge_length": "1/2",\n  "metric_systole": "5/2"\n}\n', "")}
+
     def test_girth_with_edge_length_runs_one_search(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
@@ -573,6 +580,22 @@ class TestBoundsCommand:
         code, out, err = run_cli(["bounds", "height", "--value", "5", "--constants", str(const)], capsys)
         assert (code, out, err) == (2, "", "error: constant cm must be a number, not a boolean\n")
 
+    @pytest.mark.parametrize("command", [["bounds", "height", "--value", "5"], ["sweep", "--spec", "{spec}"]])
+    def test_constant_past_the_float_range_is_refused(self, command, tmp_path, capsys):
+        # math.isfinite raised OverflowError, which main caught as bad input
+        const, spec = tmp_path / "constants.json", tmp_path / "spec.json"
+        const.write_text(json.dumps({"cm": 10 ** 400}))
+        spec.write_text(json.dumps({"command": "height", "grid": {"value": [5]}}))
+        code, out, err = run_cli([*(arg.format(spec=spec) for arg in command), "--constants", str(const)], capsys)
+        assert (code, out, err) == (2, "", "error: constant cm is past the float range\n")
+
+    def test_divisor_that_underflows_is_refused(self, tmp_path, capsys):
+        # ln(2) ** 3000 is 0.0 as a float, so k / ln(1 + k) ** m divided by zero
+        const = tmp_path / "constants.json"
+        const.write_text('{"m": 3000}')
+        code, out, err = run_cli(["bounds", "sandwich", "--value", "1", "--constants", str(const)], capsys)
+        assert (code, out, err) == (2, "", "error: sandwich: the result is past the float range\n")
+
     def test_unknown_evaluator(self, capsys):
         code, _, _ = run_cli(["bounds", "no-such-bound", "--value", "1"], capsys)
         assert code == 2
@@ -613,7 +636,7 @@ BOUND_SAMPLES = {
 
 
 def test_bound_samples_cover_the_table():
-    assert set(BOUND_SAMPLES) == {name for name, entry in EVALUATORS.items() if entry.bound}
+    assert set(BOUND_SAMPLES) == {name for name, entry in EVALUATORS.items() if list(entry.keys) == ["value"]}
 
 
 @pytest.mark.parametrize("name", sorted(BOUND_SAMPLES))
@@ -642,6 +665,84 @@ def test_evaluator_table_serves_bounds_and_sweep(name, tmp_path, capsys):
     code, out, err = run_cli(["bounds", name], capsys)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
+
+
+# a valid point of every evaluator, its keys in the declared order
+VALID_POINTS = {
+    **{name: {"value": value} for name, value in BOUND_SAMPLES.items()},
+    "homology": {"name": "torus_7"},
+    "check-torsion-bound": {"name": "torus_7"},
+    "sleeve-volume": {"m": 3, "c": 7, "eps": "1/8"},
+    "multiple-class-bound": {"k": 5, "C": 2.0},
+    "waring": {"k": 79, "d": 4},
+}
+KIND_NAMES = {cli_mod._finite_number: "a finite number", cli_mod._whole_number: "a whole number",
+              cli_mod._integer: "an integer", cli_mod._rational: "a rational number",
+              cli_mod._corpus_name: "a corpus name"}
+# JSON values of a type each kind refuses; a number kind refuses these
+WRONG_TYPES = {
+    "a corpus name": [7, 2.5, True, None, ["torus_7"], {"name": "torus_7"}],
+    "a rational number": [True, False, None, ["1/8"], {"eps": "1/8"}],
+}
+NOT_NUMBERS = ["5", True, False, None, [5], {"value": 5}]
+
+
+def _sweep(tmp_path, capsys, command, grid):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": command, "grid": grid}))
+    return run_cli(["sweep", "--spec", str(spec)], capsys)
+
+
+def test_valid_points_cover_the_table():
+    assert {name: list(point) for name, point in VALID_POINTS.items()} == {
+        name: list(entry.keys) for name, entry in EVALUATORS.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(VALID_POINTS))
+def test_grid_keys_must_be_the_declared_ones(name, tmp_path, capsys):
+    point = VALID_POINTS[name]
+    code, out, err = _sweep(tmp_path, capsys, name, {key: [value] for key, value in point.items()})
+    assert (code, err) == (0, "") and len(out.splitlines()) == 3
+    # each key missing in turn, or misspelled where it is the only one, and one key too many
+    grids = [{key: [value] for key, value in point.items() if key != left} or {left[:-1]: [value]}
+             for left, value in point.items()]
+    grids.append({**{key: [value] for key, value in point.items()}, "junk": [1, 2]})
+    for grid in grids:
+        code, out, err = _sweep(tmp_path, capsys, name, grid)
+        assert (code, out) == (2, "")
+        assert err == (f"error: sweep spec {tmp_path / 'spec.json'} has the grid keys "
+                       f"{', '.join(map(repr, sorted(grid)))}, but {name} takes {', '.join(map(repr, point))}\n")
+
+
+@pytest.mark.parametrize("name", sorted(VALID_POINTS))
+def test_wrong_json_type_is_a_row_error_naming_key_and_kind(name, tmp_path, capsys):
+    # Python's own TypeError or KeyError text reached these rows
+    for key, kind in EVALUATORS[name].keys.items():
+        wrong = WRONG_TYPES.get(KIND_NAMES[kind], NOT_NUMBERS)
+        grid = {**{k: [v] for k, v in VALID_POINTS[name].items()}, key: wrong}
+        code, out, err = _sweep(tmp_path, capsys, name, grid)
+        assert (code, err) == (0, f"sweep finished with {len(wrong)} row errors\n")
+        rows = list(csv.reader(io.StringIO(out, newline="")))[2:]
+        assert [row[-2:] for row in rows] == [["", f"{key} {value!r} is not {KIND_NAMES[kind]}"] for value in wrong]
+
+
+def test_false_theorem_check_in_a_sweep_exits_1_after_every_row(tmp_path, capsys, monkeypatch):
+    # both checks are theorems, so a false verdict can only be synthesised
+    from systolic._record import asdict
+    from systolic.homology import TriangleTorsionReport
+
+    count = bounds.group_count_bound
+    monkeypatch.setattr(bounds, "group_count_bound",
+                        lambda k: bounds.GroupCountReport(**{**asdict(count(k)), "chain_ok": k != 15}))
+    monkeypatch.setattr(homology_mod, "check_s2_torsion_bound", lambda _: TriangleTorsionReport(1, 99, 8.0, False))
+    for name, key, values, false_rows in [("group-count", "value", [14, 15, "x", 16], 1),
+                                          ("check-torsion-bound", "name", ["nope", "torus_7", "rp2_min"], 2)]:
+        code, out, err = _sweep(tmp_path, capsys, name, {key: values})
+        assert (code, err) == (1, "sweep finished with 1 row errors\n")
+        rows = out.splitlines()[2:]
+        assert [row.split(",", 1)[0] for row in rows] == list(map(str, values))
+        assert sum('false}"' in row for row in rows) == false_rows
 
 
 class TestWaringCommand:
@@ -716,13 +817,14 @@ class TestWaringCommand:
         assert code == 0
         rows = {tuple(row.split(",")[:2]): row.split(",", 2)[2]
                 for row in out.splitlines()[2:]}
+        # k is read first, as min_count takes it
         assert rows == {
-            ("2.5", "5"): ',"exponent d must be an integer >= 2"',
-            ("2.5", "10.5"): ',"exponent d must be an integer >= 2"',
-            ("2.5", "true"): ',"exponent d must be an integer >= 2"',
+            ("2.5", "5"): ',"d 2.5 is not an integer"',
+            ("2.5", "10.5"): ',"k 10.5 is not an integer"',
+            ("2.5", "true"): ',"k True is not an integer"',
             ("2000000000", "5"): "5,",
-            ("2000000000", "10.5"): ',"k must be a positive integer"',
-            ("2000000000", "true"): ',"k must be a positive integer"',
+            ("2000000000", "10.5"): ',"k 10.5 is not an integer"',
+            ("2000000000", "true"): ',"k True is not an integer"',
         }
 
 
@@ -974,8 +1076,8 @@ class TestSweep:
     def test_rows_are_written_as_they_are_made(self, tmp_path, capsys):
         def peak(points):
             spec = tmp_path / "spec.json"
-            grid = {"value": list(range(1, 201)), "pad": list(range(points // 200))}
-            spec.write_text(json.dumps({"command": "height", "grid": grid}))
+            grid = {"k": list(range(1, 201)), "C": list(range(1, points // 200 + 1))}
+            spec.write_text(json.dumps({"command": "multiple-class-bound", "grid": grid}))
             tracemalloc.start()
             code = main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "rows.csv")])
             peak = tracemalloc.get_traced_memory()[1]
@@ -1001,13 +1103,13 @@ class TestSweep:
         assert len(calls) == 2  # once for torus_7, once for rp2_min
         rows = out.splitlines()[2:]
         assert rows[6:] == rows[:6] * 49
-        # a name that is not a corpus name keeps its error at every row
+        # a name that is no corpus name keeps its error at every row
         have = "have ('rp2_min', 'sphere_delta3', 'torus_7', 'moebius_band', 'pinched_spheres')"
         assert rows[2:6] == [
-            f'no_such_complex,,"""unknown corpus complex \'no_such_complex\'; {have}"""',
-            f'7,,"""unknown corpus complex 7; {have}"""',
-            f'[\'torus_7\'],,"""unknown corpus complex [\'torus_7\']; {have}"""',
-            f'None,,"""unknown corpus complex None; {have}"""',
+            f'no_such_complex,,"unknown corpus complex \'no_such_complex\'; {have}"',
+            '7,,"name 7 is not a corpus name"',
+            '[\'torus_7\'],,"name [\'torus_7\'] is not a corpus name"',
+            'None,,"name None is not a corpus name"',
         ]
 
     def test_rows_read_back_as_csv(self, tmp_path, capsys):
@@ -1016,35 +1118,42 @@ class TestSweep:
         # reads each row back with one cell per column and every text exact
         names = ["torus_7", "no_such_complex", 'a "quoted", name', "two\nlines", ["torus_7", "rp2_min"],
                  {"a": 1, "b": 2}, 7]
-        pads = [[1, 2], "x,y", 'say "hi"', 3]
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"command": "homology", "grid": {"name": names, "pad": pads}}))
-        code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
-        assert code == 0 and err == f"sweep finished with {6 * len(pads)} row errors\n"
-        header, *rows = list(csv.reader(io.StringIO(out, newline="")))[1:]
-        assert header == ["name", "pad", "result", "error"]
-        assert len(rows) == len(names) * len(pads)
-        entry, constants = EVALUATORS["homology"], bounds.BoundConstants()
-        for (name, pad), row in zip(itertools.product(names, pads), rows):
-            try:
-                expected = [entry({"name": name}, constants)[1], ""]
-            except KeyError as exc:
-                expected = ["", str(exc)]
-            assert row == [str(name), str(pad), *expected]
-        assert out.splitlines()[5] == 'torus_7,3,"{""betti"":[1;2;1]}",'
+        sweeps = [  # each grid's keys in sorted order, and the points that give a result
+            ("homology", {"name": names}, [(("torus_7",), '{"betti":[1;2;1]}')]),
+            ("sleeve-volume", {"c": [7, "7,8"], "eps": [[1, 2], "x,y", 'say "hi"', "1/8"], "m": [3]},
+             [((7, "1/8", 3), "21/4")]),
+        ]
+        spec, constants = tmp_path / "spec.json", bounds.BoundConstants()
+        for command, grid, results in sweeps:
+            spec.write_text(json.dumps({"command": command, "grid": grid}))
+            code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+            points = list(itertools.product(*grid.values()))
+            assert code == 0 and err == f"sweep finished with {len(points) - len(results)} row errors\n"
+            header, *rows = list(csv.reader(io.StringIO(out, newline="")))[1:]
+            assert header == [*grid, "result", "error"]
+            assert len(rows) == len(points)
+            for point, row in zip(points, rows):
+                expected = next(([cell, ""] for shown, cell in results if shown == point), None)
+                if expected is None:
+                    with pytest.raises(ValueError) as refusal:
+                        EVALUATORS[command](dict(zip(grid, point)), constants)
+                    expected = ["", str(refusal.value)]
+                assert row == [*map(str, point), *expected]
+            if command == "homology":
+                assert out.splitlines()[2] == 'torus_7,"{""betti"":[1;2;1]}",'
 
     def test_each_grid_value_is_formatted_once(self, tmp_path, capsys, monkeypatch):
         formatted = []
         cell = cli_mod._csv_cell
         monkeypatch.setattr(cli_mod, "_csv_cell", lambda value: formatted.append(value) or cell(value))
         big = 10 ** 4000
-        grid = {"value": [big, 7, True], "pad": list(range(500))}
+        grid = {"C": list(range(500)), "k": [big, 7, True]}
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"command": "group-count", "grid": grid}))
+        spec.write_text(json.dumps({"command": "multiple-class-bound", "grid": grid}))
         code, out, _ = run_cli(["sweep", "--spec", str(spec)], capsys)
         assert code == 0 and len(out.splitlines()) == 2 + 3 * 500
-        # the grid's keys are sorted: pad, then value
-        assert formatted == [*grid["pad"], *grid["value"]]
+        # the grid's keys are sorted: C, then k
+        assert formatted == [*grid["C"], *grid["k"]]
         assert out.splitlines()[2].startswith(f"0,{big},")
 
     def test_row_error_does_not_abort(self, tmp_path, capsys):
@@ -1235,6 +1344,99 @@ def test_random_json_exits_0_or_2(kind, data, tmp_path, capsys):
     code, _, err = run_cli(_command(kind, str(path), eps), capsys)
     assert code in (0, 2)
     assert code == 0 or len(err.splitlines()) == 1
+
+
+# The seeded fuzz: a valid document of each file kind with the commands that
+# read it ({file}), and each numeric option with the command around it ({x}).
+# Every node of each document is mutated; in a sweep spec of each other
+# evaluator, its grid values.
+FUZZ_SPECS = {name: {"command": name, "grid": {key: [value] for key, value in point.items()}, "seed": 1}
+              for name, point in VALID_POINTS.items()}
+FUZZ_FILES = {
+    "complex": ({"vertices": 3, "facets": [[0, 1, 2]]},
+                [["homology", "{file}"], ["homology", "{file}", "--format", "csv"], ["check-torsion-bound", "{file}"]]),
+    "graph": ({"n": 3, "edges": [[0, 1], [1, 2]]},
+              [["girth", "{file}", "--edge-length", "1/3"], ["sleeve", "--m", "3", "--c", "2", "--eps", "1/5",
+                                                             "--graph", "{file}"]]),
+    "sequence": ({"terms": ["1", "2", "3"]}, [["genfun", "detect", "--file", "{file}", "--max-order", "1"]]),
+    "constants": ({"m": 2, "cm": 1.5, "pair_upper": 3.0},
+                  [["bounds", "sandwich", "--value", "10", "--constants", "{file}"],
+                   ["sweep", "--spec", "{spec}", "--constants", "{file}"]]),
+    "sweep spec": (FUZZ_SPECS["sleeve-volume"], [["sweep", "--spec", "{file}"]]),
+}
+FUZZ_OPTIONS = [
+    ["build-graph", "--c", "{x}", "--girth", "5", "--vertices", "10"],
+    ["build-graph", "--c", "3", "--girth", "{x}", "--vertices", "10"],
+    ["build-graph", "--c", "3", "--girth", "5", "--vertices", "{x}"],
+    ["build-graph", "--c", "3", "--girth", "5", "--vertices", "10", "--seed", "{x}"],
+    ["sleeve", "--m", "{x}", "--c", "7", "--eps", "1/5", "--graph", "{graph}"],
+    ["sleeve", "--m", "3", "--c", "{x}", "--eps", "1/5", "--graph", "{graph}"],
+    ["sleeve", "--m", "3", "--c", "7", "--eps", "{x}", "--graph", "{graph}"],
+    ["girth", "{graph}", "--edge-length", "{x}"],
+    ["bounds", "group-count", "--value", "{x}"],
+    ["bounds", "torsion", "--value", "{x}"],
+    ["waring", "--k", "{x}", "--d", "4"],
+    ["waring", "--k", "79", "--d", "{x}"],
+    ["waring", "verify", "--limit", "{x}"],
+    ["genfun", "detect", "--file", "{sequence}", "--max-order", "{x}"],
+]
+FUZZ_VALUES = [10 ** 400, -10 ** 400, True, None, "", "1/0", [], [1], {"a": 1}, 0, -1, 3000, 2.5, float("nan")]
+FUZZ_TEXTS = ["1" + "0" * 400, "-" + "9" * 400, "0", "-1", "2.5", "nan", "1e400", "", "x", "1/0", " 7 ", "\u0663"]
+
+
+def _nodes(document, path=()):
+    """(path, node) of each node of a JSON document, the document itself first."""
+    yield path, document
+    items = document.items() if isinstance(document, dict) else enumerate(document) if isinstance(document, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+def _mutant(document, path, value, new_key=False):
+    """``document`` with the node at ``path`` replaced by ``value``, or, with
+    ``new_key``, with ``value`` under a new key "junk" of the object there."""
+    if not (path or new_key):
+        return value
+    document = json.loads(json.dumps(document))
+    node = document
+    for key in path if new_key else path[:-1]:
+        node = node[key]
+    node["junk" if new_key else path[-1]] = value
+    return document
+
+
+def test_seeded_fuzz_of_every_file_kind_and_numeric_option(tmp_path, capsys):
+    # main catches only OSError, ValueError and RecursionError as bad input,
+    # so any other exception an input reaches fails here as a traceback
+    rng = random.Random(31)
+    paths = {"graph": tmp_path / "graph.json", "sequence": tmp_path / "sequence.json", "spec": tmp_path / "spec.json"}
+    circulant = {tuple(sorted((i, (i + d) % 26))) for i in range(26) for d in (1, 2, 3, 13)}
+    paths["graph"].write_text(json.dumps({"n": 26, "edges": sorted(map(list, circulant))}))
+    paths["sequence"].write_text(json.dumps(FUZZ_FILES["sequence"][0]))
+    paths["spec"].write_text(json.dumps({"command": "sandwich", "grid": {"value": [1, 10]}}))
+    runs = [[arg.format(x=text, **paths) for arg in args] for args in FUZZ_OPTIONS for text in FUZZ_TEXTS]
+    documents = [(_mutant(spec, ("grid", key, 0), value), [["sweep", "--spec", "{file}"]])
+                 for spec in FUZZ_SPECS.values() for key in spec["grid"] for value in FUZZ_VALUES]
+    for document, commands in FUZZ_FILES.values():
+        # every node replaced by each value, a new key in each object, and pairs of mutations
+        nodes = list(_nodes(document))
+        documents += [(_mutant(document, path, value), commands) for path, _ in nodes for value in FUZZ_VALUES]
+        documents += [(_mutant(document, path, rng.choice(FUZZ_VALUES), new_key=True), commands)
+                      for path, node in nodes if isinstance(node, dict)]
+        for _ in range(5):
+            once = _mutant(document, rng.choice(nodes)[0], rng.choice(FUZZ_VALUES))
+            documents.append((_mutant(once, rng.choice(list(_nodes(once)))[0], rng.choice(FUZZ_VALUES)), commands))
+    for number, (document, commands) in enumerate(documents):
+        path = tmp_path / f"{number}.json"
+        path.write_text(json.dumps(document))
+        runs.append([arg.format(file=path, **paths) for arg in rng.choice(commands)])
+    assert len(runs) > 900
+    for argv in runs:
+        code, _, err = run_cli(argv, capsys)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def _run_subprocess(args, hashseed):
