@@ -41,6 +41,8 @@ class BoundConstants:
             value = getattr(self, field)
             if isinstance(value, bool):
                 raise ValueError(f"constant {field} must be a number, not a boolean")
+            if not isinstance(value, (int, float, Fraction)):
+                raise ValueError(f"constant {field} must be a number, not {value!r}")
             if value <= 0:
                 raise ValueError(f"constant {field} must be positive")
             if type(value) is int and value > sys.float_info.max:  # math.isfinite would overflow

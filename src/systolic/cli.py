@@ -29,15 +29,24 @@ MAX_SWEEP_POINTS = 200_000
 
 
 def _jsonable(value):
-    # A Fraction or a record exists only once its module is loaded, so
-    # neither module is imported to recognise one.
-    fractions = sys.modules.get("fractions")
-    if fractions and isinstance(value, fractions.Fraction):
-        return str(value)
+    """``value`` as JSON can write it; an integer past ``_caps.MAX_DIGITS``
+    digits, alone or in a Fraction, is refused."""
+    if type(value) is int:
+        if value.bit_length() > 14_000:  # 2**14_000 < 10**4_215: a smaller one is inside the cap
+            from ._caps import written
+
+            written(value)
+        return value
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return value
+    # A Fraction or a record exists only once its module is loaded, so
+    # neither module is imported to recognise one.
+    fractions = sys.modules.get("fractions")
+    if fractions and isinstance(value, fractions.Fraction):
+        _jsonable(value.numerator), _jsonable(value.denominator)
+        return str(value)
     if hasattr(type(value), "__record_fields__"):
         from ._record import asdict
 
@@ -67,7 +76,7 @@ def _dump_json(payload, out_path: str | None) -> None:
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return str(_jsonable(value))
 
 
 def _csv_field(text: str) -> str:
@@ -100,7 +109,10 @@ def _rational(value, what: str):
     or a usage error naming it; a boolean is not one."""
     from fractions import Fraction
 
+    from ._caps import decimal_exponent
+
     if type(value) in (str, int, float):
+        decimal_exponent(value, what)
         try:
             return Fraction(value)
         except (ArithmeticError, ValueError):
@@ -145,7 +157,7 @@ def cmd_homology(args) -> int:
             (
                 name,
                 " ".join(map(str, summary.betti)),
-                " ".join("/".join(map(str, chain)) or "-" for chain in summary.torsion),
+                " ".join("/".join(map(_csv_cell, chain)) or "-" for chain in summary.torsion),
             )
             for name, summary in summaries
         ]
@@ -365,6 +377,7 @@ def cmd_sweep(args) -> int:
     import json
 
     from . import bounds
+    from ._caps import check
 
     with open(args.spec) as handle:
         spec = json.load(handle)
@@ -374,8 +387,7 @@ def cmd_sweep(args) -> int:
     ):
         raise ValueError(f"sweep spec {args.spec} needs a non-empty 'grid' of value lists")
     points = math.prod(len(values) for values in grid.values())
-    if points > MAX_SWEEP_POINTS:
-        raise ValueError(f"sweep spec {args.spec} has {points} grid points, past the cap of {MAX_SWEEP_POINTS}")
+    check("cli.MAX_SWEEP_POINTS", points, MAX_SWEEP_POINTS, f"sweep spec {args.spec} has a grid point count of")
     unknown = sorted(set(spec) - {"command", "grid", "seed"})
     if unknown:
         raise ValueError(f"sweep spec {args.spec} has unknown key {unknown[0]!r} (it takes command, grid and seed)")
@@ -410,7 +422,7 @@ def cmd_sweep(args) -> int:
             try:
                 result = entry(dict(zip(keys, combo)), constants)
                 if entry.row is None:
-                    cell = str(result)
+                    cell = str(_jsonable(result))
                 else:
                     cell = encode(_jsonable({key: result[key] for key in entry.row})).replace(",", ";")
                     violated |= entry.theorem is not None and not result[entry.theorem]

@@ -13,6 +13,7 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import combinations
 
+from ._caps import check
 from ._record import record, trusted
 
 
@@ -114,11 +115,8 @@ def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
 
 
 def _check_face_steps(facets) -> None:
-    if sum((1 << len(f)) - 1 for f in facets) > MAX_FACE_STEPS:
-        raise ValueError(
-            f"enumerating the faces takes more than {MAX_FACE_STEPS} steps "
-            "(2^|f| - 1 per facet f), past the cap"
-        )
+    check("complexes.MAX_FACE_STEPS", sum((1 << len(f)) - 1 for f in facets), MAX_FACE_STEPS,
+          "face enumeration (2^|f| - 1 steps per facet f) takes a step count of")
 
 
 def face_counts(complex_: SimplicialComplex) -> list[int]:

@@ -32,6 +32,7 @@ from collections import deque
 from fractions import Fraction
 from operator import mul
 
+from ._caps import check, decimal_exponent
 from ._record import record
 
 # The most bits the connection polynomial's coefficients may hold together.
@@ -68,11 +69,13 @@ class RationalSequence:
 
         A float or a boolean is refused, not read as its binary value, and
         so is a value ``Fraction`` cannot read (such as None, "1/0" or
-        "abc")."""
+        "abc") or a text whose decimal exponent passes ``_caps.MAX_DIGITS``."""
         terms = []
         for value in values:
             if isinstance(value, (bool, float)):
                 raise ValueError(f"term {value!r} is not exact: give a rational as a string or an integer")
+            if type(value) is str and ("e" in value or "E" in value):  # no call per plain term
+                decimal_exponent(value, "term")
             try:
                 terms.append(Fraction(value))
             except (ArithmeticError, TypeError, ValueError) as exc:
@@ -127,10 +130,8 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
         # len(connection) is always length + 1
         work += len(connection)
         if work > MAX_STEP_WORK:
-            raise ValueError(
-                f"recurrence synthesis refused at term {n + 1}: its discrepancy sums take more "
-                f"than {MAX_STEP_WORK} multiply-adds, past the cap (genfun.MAX_STEP_WORK)"
-            )
+            check("genfun.MAX_STEP_WORK", work, MAX_STEP_WORK,
+                  f"at term {n + 1} the recurrence synthesis's discrepancy sums take a multiply-add count of")
         discrepancy = sum(map(mul, connection, reversed(window)))
         if discrepancy == 0:
             gap += 1
@@ -142,11 +143,9 @@ def _lfsr_synthesis(terms: tuple[Fraction, ...], max_length: int) -> tuple[int, 
         content = math.gcd(*update)
         if content != 1:
             update = [c // content for c in update]
-        if sum(map(int.bit_length, update)) > MAX_COEFFICIENT_BITS:
-            raise ValueError(
-                f"recurrence synthesis refused after {n + 1} terms: its coefficients hold more "
-                f"than {MAX_COEFFICIENT_BITS} bits, past the cap (genfun.MAX_COEFFICIENT_BITS)"
-            )
+        if (bits := sum(map(int.bit_length, update))) > MAX_COEFFICIENT_BITS:
+            check("genfun.MAX_COEFFICIENT_BITS", bits, MAX_COEFFICIENT_BITS,
+                  f"at term {n + 1} the recurrence synthesis's coefficients hold a bit count of")
         if 2 * length <= n:
             previous = connection
             prev_discrepancy = discrepancy

@@ -24,6 +24,7 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import lt, mul
 
+from ._caps import check
 from ._record import record, trusted
 
 # The most vertices a graph file may have.  It admits a file anywhere in the
@@ -169,12 +170,8 @@ def girth(graph: Graph) -> int | float:
     n = graph.vertex_count
     # degree[v] counts v's neighbours still in, while v is in
     degree = list(map(len, adjacency))
-    squares = sum(map(mul, degree, degree))
-    if squares > MAX_DEGREE_SQUARES:
-        raise ValueError(
-            f"the graph's squared degrees sum to {squares}, "
-            f"past the cap (graphs.MAX_DEGREE_SQUARES = {MAX_DEGREE_SQUARES})"
-        )
+    check("graphs.MAX_DEGREE_SQUARES", sum(map(mul, degree, degree)), MAX_DEGREE_SQUARES,
+          "the graph's squared degrees sum to")
     # stamp[v] is the root whose search reached v, or n once v is out of
     # every later search (peeled, or a finished root); dist[v] is v's level
     # in that search, or -1 once v is out.
@@ -291,12 +288,8 @@ def construct_regular_girth(
         raise ValueError(f"{degree}-regular graph needs more than {degree} vertices")
     # each step adds at most one edge, so a smaller budget cannot finish;
     # checked before the Moore bound, which a huge request makes huge
-    edges_needed = vertices * degree // 2
-    if edges_needed > STEP_BUDGET:
-        raise ValueError(
-            f"{vertices} vertices of degree {degree} need {edges_needed} edges, "
-            f"more than the step budget of {STEP_BUDGET} steps per attempt"
-        )
+    check("graphs.STEP_BUDGET", vertices * degree // 2, STEP_BUDGET,
+          f"{vertices} vertices of degree {degree} need one attempt step per edge, a step count of")
     if girth_target // 2 >= vertices.bit_length():
         # moore_bound >= 2**(g // 2) > vertices: refuse before forming a bound
         # that can run to thousands of digits
@@ -597,8 +590,7 @@ def load_graph(source) -> Graph:
     n, edges = data["n"], data["edges"]
     if type(n) is not int or n < 0:
         raise ValueError("graph JSON 'n' must be a non-negative integer")
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph JSON 'n' = {n} exceeds the cap of {MAX_VERTICES} vertices")
+    check("graphs.MAX_VERTICES", n, MAX_VERTICES, "graph JSON 'n' =")
     ends = _ends(edges) if type(edges) is list else None
     if ends is None:
         raise ValueError("graph JSON 'edges' must be a list of integer pairs")

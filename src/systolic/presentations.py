@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+from ._caps import check
 from ._record import record, trusted
 from .snf import smith_normal_form
 
@@ -112,7 +113,8 @@ def parse_presentation(text: str) -> Presentation:
                 pos += 2
             counted += abs(exponent) * sum(map(abs, atom.values()))
             if counted > MAX_LETTERS:
-                raise ValueError(f"relators expand past the cap of {MAX_LETTERS} letters")
+                check("presentations.MAX_LETTERS", counted, MAX_LETTERS,
+                      "the relators expand to a letter count of at least")
             for generator, total in atom.items():
                 row[generator] = row.get(generator, 0) + exponent * total
         return row, pos
@@ -129,8 +131,7 @@ def parse_presentation(text: str) -> Presentation:
             return inner, pos + 1
         if tok in index:
             return {index[tok]: 1}, pos + 1
-        segmented, steps = _segment(tok, trie, MAX_SEGMENT_STEPS - walked)
-        walked += steps
+        segmented, walked = _segment(tok, trie, walked)
         if segmented is not None:
             return segmented, pos + 1
         raise ValueError(f"unknown generator or token {tok!r}")
@@ -157,17 +158,18 @@ def _tokenize(s: str) -> list[str]:
     return tokens
 
 
-def _segment(token: str, trie: dict, budget: int) -> tuple[dict[int, int] | None, int]:
+def _segment(token: str, trie: dict, steps: int) -> tuple[dict[int, int] | None, int]:
     """Greedy longest-match split of a juxtaposed identifier like 'ab' into a, b.
 
     ``trie`` holds the names, one level per character.  At each position the
     walk down it stops where no name goes on, so it takes at most one step
     per character of the longest name and one for the character that ends
     it.  Returns the names' counts (None if the token does not split) and
-    the steps taken, refusing the token once they pass ``budget``.
+    the steps taken, ``steps`` before it included, refusing the token once
+    they pass ``MAX_SEGMENT_STEPS``.
     """
     row: dict[int, int] = {}
-    pos = steps = 0
+    pos = 0
     while pos < len(token):
         node, match = trie, None
         for end in range(pos, len(token)):
@@ -177,8 +179,9 @@ def _segment(token: str, trie: dict, budget: int) -> tuple[dict[int, int] | None
             if "" in node:
                 match = node[""], end + 1
         steps += end - pos + 1
-        if steps > budget:
-            raise ValueError(f"juxtaposed names take more than {MAX_SEGMENT_STEPS} steps to split, past the cap")
+        if steps > MAX_SEGMENT_STEPS:
+            check("presentations.MAX_SEGMENT_STEPS", steps, MAX_SEGMENT_STEPS,
+                  "splitting juxtaposed names takes a step count of at least")
         if match is None:
             return None, steps
         generator, pos = match

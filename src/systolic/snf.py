@@ -50,6 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 
+from ._caps import check
 from ._record import record
 
 # The most entry updates, rows * cols * min(rows, cols), allowed for the dense
@@ -102,12 +103,8 @@ def smith_normal_form(matrix) -> SmithForm:
     factors = [1] * len(pivots)
     for block_rows, block_cols in _blocks(rows, cols):
         m, n = len(block_rows), len(block_cols)
-        if m * n * min(m, n) > MAX_RESIDUAL_WORK:
-            raise ValueError(
-                f"Smith form refused: a {m} x {n} block with no unit entry needs up to "
-                f"{m * n * min(m, n)} entry updates, past the cap of {MAX_RESIDUAL_WORK} "
-                "(snf.MAX_RESIDUAL_WORK)"
-            )
+        check("snf.MAX_RESIDUAL_WORK", m * n * min(m, n), MAX_RESIDUAL_WORK,
+              f"the Smith form of a {m} x {n} block with no unit entry needs an entry update count of up to")
         factors += _residual_factors(
             [[rows[i].get(j, 0) for j in block_cols] for i in block_rows]
         )

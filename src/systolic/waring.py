@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 from array import array
 
+from ._caps import check
 from ._record import record
 
 # the largest k the tables accept
@@ -126,12 +127,8 @@ def list_budget(ks, ds) -> None:
     if not ks or not ds:
         return
     top = max(ks)
-    steps = sum(_list_steps(d, top) for d in ds)
-    if steps > MAX_LIST_STEPS:
-        raise ValueError(
-            f"the d >= 6 count lists of this request ({len(ds)} of them, up to {top}) "
-            f"take {steps} steps, past the cap (waring.MAX_LIST_STEPS = {MAX_LIST_STEPS})"
-        )
+    check("waring.MAX_LIST_STEPS", sum(_list_steps(d, top) for d in ds), MAX_LIST_STEPS,
+          f"the d >= 6 count lists of this request ({len(ds)} of them, up to {top}) take a step count of")
 
 
 def _extend_counts(d: int, counts: array, upto: int) -> array:
@@ -189,10 +186,7 @@ def min_powers(k: int, d: int) -> WaringDecomposition:
     _validate(k, d)
     counts = _table(d, k)
     target = counts[k]
-    if target > MAX_PARTS:
-        raise ValueError(
-            f"k={k} needs {target} parts for d={d}, past the cap (waring.MAX_PARTS = {MAX_PARTS})"
-        )
+    check("waring.MAX_PARTS", target, MAX_PARTS, f"k = {k} for d = {d} needs a part count of")
     powers = _powers(d, k)
     parts: list[int] = []
     remaining = k
@@ -229,5 +223,5 @@ def _validate(k: int, d: int, name: str = "k") -> None:
         raise ValueError("exponent d must be an integer >= 2")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"{name} must be a positive integer")
-    if k > CAP:
-        raise ValueError(f"{name}={k} exceeds the desk-scale cap {CAP}")
+    if k > CAP:  # checked on every sweep row: the helper is called only to refuse
+        check("waring.CAP", k, CAP, f"{name} =")

@@ -661,7 +661,8 @@ def presentation_rows(text: str, max_letters: int = MAX_LETTERS):
         nonlocal expanded
         expanded += letters
         if expanded > max_letters:
-            raise ValueError(f"relators expand past the cap of {max_letters} letters")
+            raise ValueError(f"the relators expand to a letter count of at least {expanded}, "
+                             f"past the cap (presentations.MAX_LETTERS = {max_letters})")
 
     def parse_word(tokens, pos, stop):
         word: list[int] = []

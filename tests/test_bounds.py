@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -296,6 +297,13 @@ class TestConstants:
     def test_boolean_rejected(self, field, value):
         # True passed as 1 and False as "must be positive"
         with pytest.raises(ValueError, match=f"^constant {field} must be a number, not a boolean$"):
+            BoundConstants(**{field: value})
+
+    @pytest.mark.parametrize("field", ["cm", "cm_prime", "cm_second", "pair_lower", "pair_upper"])
+    @pytest.mark.parametrize("value", ["x", "2", None, [1], {"a": 1}])
+    def test_non_number_rejected(self, field, value):
+        # a comparison with 0 raised TypeError, which load_constants passed on in Python's text
+        with pytest.raises(ValueError, match=f"^constant {field} must be a number, not {re.escape(repr(value))}$"):
             BoundConstants(**{field: value})
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])

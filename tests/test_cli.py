@@ -223,10 +223,13 @@ class TestAbelianizeCommand:
         cap = presentations.MAX_LETTERS
         code, out, _ = run_cli(["abelianize", f"a ; a^{cap}"], capsys)
         assert (code, json.loads(out)) == (0, {"free_rank": 0, "torsion_factors": [cap]})
-        for text in (f"a ; a^{cap + 1}", "a ; a^1000000000", f"a,b ; (a^1000)^{cap // 1000}"):
+        # the inner power counts 1 000 before the outer one counts 1 000 000
+        for text, used in ((f"a ; a^{cap + 1}", cap + 1), ("a ; a^1000000000", 10 ** 9),
+                           (f"a,b ; (a^1000)^{cap // 1000}", cap + 1000)):
             code, out, err = run_cli(["abelianize", text], capsys)
             assert (code, out) == (2, "")
-            assert err == f"error: relators expand past the cap of {cap} letters\n"
+            assert err == (f"error: the relators expand to a letter count of at least {used}, "
+                           f"past the cap (presentations.MAX_LETTERS = {cap})\n")
 
     def test_segmenting_at_the_step_cap_and_one_past(self, capsys):
         # in a token of juxtaposed 'cd's each position walks c, d and the next
@@ -238,7 +241,8 @@ class TestAbelianizeCommand:
         assert (code, json.loads(out)) == (0, {"free_rank": 1, "torsion_factors": [pairs]})
         code, out, err = run_cli(["abelianize", "b, cd ; " + "cd" * (pairs - 1) + "bb"], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: juxtaposed names take more than {cap} steps to split, past the cap\n"
+        assert err == (f"error: splitting juxtaposed names takes a step count of at least {cap + 1}, "
+                       f"past the cap (presentations.MAX_SEGMENT_STEPS = {cap})\n")
 
     def test_deep_nesting_is_refused(self, capsys):
         code, out, _ = run_cli(["abelianize", "a ; " + "(" * 200 + "a^2" + ")" * 200], capsys)
@@ -404,7 +408,7 @@ class TestGraphCommands:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "more than the step budget of 200000 steps per attempt" in err
+        assert err.endswith(", past the cap (graphs.STEP_BUDGET = 200000)\n")
 
     def test_build_beyond_step_budget_is_refused_at_once(self, monkeypatch, capsys):
         # the l=7 window top: 979776 edges against 200000 steps per attempt
@@ -417,7 +421,8 @@ class TestGraphCommands:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "979776 edges" in err and "200000" in err
+        assert err == ("error: 279936 vertices of degree 7 need one attempt step per edge, a step count of "
+                       "979776, past the cap (graphs.STEP_BUDGET = 200000)\n")
 
     def test_girth_above_vertex_cap_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -572,6 +577,13 @@ class TestBoundsCommand:
         )
         assert (code, out) == (2, "")
         assert err == f"error: constant {field} must be finite\n"
+
+    @pytest.mark.parametrize("value, shown", [('"x"', "'x'"), ("null", "None"), ("[1]", "[1]")])
+    def test_constant_that_is_no_number_is_refused(self, value, shown, tmp_path, capsys):
+        const = tmp_path / "constants.json"
+        const.write_text(f'{{"cm": {value}}}')
+        code, out, err = run_cli(["bounds", "height", "--value", "2", "--constants", str(const)], capsys)
+        assert (code, out, err) == (2, "", f"error: constant cm must be a number, not {shown}\n")
 
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_boolean_constant_is_refused(self, value, tmp_path, capsys):
@@ -761,7 +773,7 @@ class TestWaringCommand:
 
     @pytest.mark.parametrize("limit, message", [
         ("0", "error: limit must be a positive integer\n"),
-        ("20000000", "error: limit=20000000 exceeds the desk-scale cap 10000000\n"),
+        ("20000000", "error: limit = 20000000, past the cap (waring.CAP = 10000000)\n"),
     ])
     def test_verify_names_the_limit_it_refuses(self, limit, message, capsys):
         assert run_cli(["waring", "verify", "--limit", limit], capsys) == (2, "", message)
@@ -788,8 +800,8 @@ class TestWaringCommand:
         done = _run_subprocess(["sweep", "--spec", str(spec)], 0)
         assert (done.returncode, done.stdout) == (2, b"")
         assert done.stderr.decode() == (
-            "error: the d >= 6 count lists of this request (8 of them, up to 1000000) take "
-            "48293008 steps, past the cap (waring.MAX_LIST_STEPS = 45000000)\n"
+            "error: the d >= 6 count lists of this request (8 of them, up to 1000000) take a step count of "
+            "48293008, past the cap (waring.MAX_LIST_STEPS = 45000000)\n"
         )
 
     def test_sweep_at_the_list_budget(self, tmp_path, capsys, monkeypatch):

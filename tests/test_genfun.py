@@ -206,7 +206,8 @@ class TestCoefficientCap:
         assert not verdict.found and verdict.max_order_searched == 287
 
     def test_past_the_cap(self):
-        with pytest.raises(ValueError, match=r"more than 1000000 bits, past the cap \(genfun\.MAX_COEFFICIENT_BITS\)"):
+        with pytest.raises(ValueError, match=r"^at term 577 the recurrence synthesis's coefficients hold a bit count "
+                           r"of 1007122, past the cap \(genfun\.MAX_COEFFICIENT_BITS = 1000000\)$"):
             detect_linear_recurrence(self.digits(), max_order=288)
 
 
@@ -226,7 +227,8 @@ class TestStepCap:
         assert not verdict.found and verdict.max_order_searched == 3998
 
     def test_past_the_cap(self):
-        with pytest.raises(ValueError, match=r"more than 16000000 multiply-adds, past the cap \(genfun\.MAX_STEP_WORK\)"):
+        with pytest.raises(ValueError, match=r"^at term 7999 the recurrence synthesis's discrepancy sums take a multiply-add "
+                           r"count of 16003999, past the cap \(genfun\.MAX_STEP_WORK = 16000000\)$"):
             detect_linear_recurrence(self.powers_of_two(8002), max_order=3999)
 
 

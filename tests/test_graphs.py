@@ -220,7 +220,7 @@ class TestConstruction:
         monkeypatch.setattr(graphs, "_greedy_attempt", no_attempt)
         monkeypatch.setattr(graphs, "MAX_RESTARTS", 3)
         monkeypatch.setattr(graphs, "STEP_BUDGET", 3000)
-        with pytest.raises(ValueError, match="need 3500 edges.*budget of 3000 steps"):
+        with pytest.raises(ValueError, match=r"a step count of 3500, past the cap \(graphs\.STEP_BUDGET = 3000\)$"):
             construct_regular_girth(7, 4, 1000)
         # exactly enough steps for every edge is not refused
         monkeypatch.setattr(graphs, "_greedy_attempt", lambda *args: None)
@@ -238,14 +238,14 @@ class TestConstruction:
             with pytest.raises(ValueError) as refused:
                 construct_regular_girth(7, 6, vertices, seed=0)
             assert str(refused.value) == (
-                f"{vertices} vertices of degree 7 need {edges} edges, "
-                "more than the step budget of 200000 steps per attempt"
+                f"{vertices} vertices of degree 7 need one attempt step per edge, a step count of "
+                f"{edges}, past the cap (graphs.STEP_BUDGET = 200000)"
             )
 
     def test_huge_request_is_refused_before_the_moore_bound(self):
         # forming moore_bound(10**1999, 2000) takes more than 30 s
         start = time.monotonic()
-        with pytest.raises(ValueError, match="step budget"):
+        with pytest.raises(ValueError, match=r"past the cap \(graphs\.STEP_BUDGET = 200000\)$"):
             construct_regular_girth(10 ** 1999, 2000, 10 ** 2000)
         assert time.monotonic() - start < 1.0
 
@@ -311,9 +311,10 @@ class TestGraphValue:
 
     def test_load_vertex_cap(self):
         assert load_graph(f'{{"n": {MAX_VERTICES}, "edges": []}}').vertex_count == MAX_VERTICES
-        with pytest.raises(ValueError, match=f"'n' = {MAX_VERTICES + 1} exceeds the cap"):
+        with pytest.raises(ValueError, match=rf"^graph JSON 'n' = {MAX_VERTICES + 1}, past the cap "
+                                             rf"\(graphs\.MAX_VERTICES = {MAX_VERTICES}\)$"):
             load_graph(f'{{"n": {MAX_VERTICES + 1}, "edges": []}}')
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="past the cap"):
             load_graph('{"n": 1000000, "edges": []}')
 
     def test_json_round_trip(self):

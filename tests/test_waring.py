@@ -51,7 +51,7 @@ class TestMinPowers:
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(waring, "CAP", 1000)
-        with pytest.raises(ValueError, match="^k=1000000 exceeds the desk-scale cap 1000$"):
+        with pytest.raises(ValueError, match=r"^k = 1000000, past the cap \(waring\.CAP = 1000\)$"):
             min_powers(10 ** 6, 4)
 
     def test_invalid_inputs(self):
@@ -245,7 +245,7 @@ class TestListCap:
             assert waring._table(d, upto)[upto] == waring._extend_counts(d, [0], upto)[upto]
             monkeypatch.setattr(waring, "_tables", {})
             monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps - 1)
-            with pytest.raises(ValueError, match=rf"\(1 of them, up to {upto}\) take {steps} steps"):
+            with pytest.raises(ValueError, match=rf"\(1 of them, up to {upto}\) take a step count of {steps}, past the cap"):
                 waring._table(d, upto)
             assert waring._tables == {}
 
@@ -255,7 +255,7 @@ class TestListCap:
         monkeypatch.setattr(waring, "_tables", {})
         monkeypatch.setattr(waring, "MAX_LIST_STEPS", _list_steps(6, 1000))
         assert min_count(1000, 6) == expected
-        with pytest.raises(ValueError, match=r"\(1 of them, up to 1001\) take \d+ steps, past the cap"):
+        with pytest.raises(ValueError, match=r"\(1 of them, up to 1001\) take a step count of \d+, past the cap"):
             min_count(1001, 6)
 
     def test_at_the_cap(self, monkeypatch):
@@ -268,7 +268,7 @@ class TestListCap:
     def test_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(waring, "_tables", {})
         message = (r"the d >= 6 count lists of this request \(1 of them, up to 3695425\) "
-                   r"take 45000012 steps, past the cap \(waring\.MAX_LIST_STEPS = 45000000\)")
+                   r"take a step count of 45000012, past the cap \(waring\.MAX_LIST_STEPS = 45000000\)")
         with pytest.raises(ValueError, match=message):
             min_powers(3_695_425, 6)
         assert list(waring._tables.get(6, [0])) == [0]  # refused before the list is built
@@ -285,8 +285,8 @@ class TestListBudget:
     def test_past_the_budget(self, monkeypatch):
         steps = _list_steps(6, 900) + _list_steps(7, 900)
         monkeypatch.setattr(waring, "MAX_LIST_STEPS", steps - 1)
-        message = (rf"the d >= 6 count lists of this request \(2 of them, up to 900\) take "
-                   rf"{steps} steps, past the cap \(waring\.MAX_LIST_STEPS = {steps - 1}\)")
+        message = (rf"the d >= 6 count lists of this request \(2 of them, up to 900\) take a step count of "
+                   rf"{steps}, past the cap \(waring\.MAX_LIST_STEPS = {steps - 1}\)")
         with pytest.raises(ValueError, match=message):
             waring.list_budget([5, 900, 3], [6, 7, 6, 2])
 
@@ -300,7 +300,7 @@ class TestListBudget:
         # d = 6 ... 12 at k = 10^6 take 44 301 199 steps; adding d = 13 passes the cap
         assert waring.MAX_LIST_STEPS == 45_000_000
         waring.list_budget([10 ** 6], range(6, 13))
-        with pytest.raises(ValueError, match="take 48293008 steps"):
+        with pytest.raises(ValueError, match="take a step count of 48293008, past the cap"):
             waring.list_budget([10 ** 6], range(6, 14))
 
 
@@ -315,7 +315,7 @@ class TestPartsCap:
 
     def test_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(waring, "_tables", {})
-        message = r"needs 1000001 parts for d=40, past the cap \(waring\.MAX_PARTS = 1000000\)"
+        message = r"^k = 1000001 for d = 40 needs a part count of 1000001, past the cap \(waring\.MAX_PARTS = 1000000\)$"
         with pytest.raises(ValueError, match=message):
             min_powers(10 ** 6 + 1, 40)
         assert min_count(10 ** 6 + 1, 40) == 10 ** 6 + 1  # the count alone is not capped
