@@ -1,9 +1,11 @@
-"""The one refusal of every request cap.
+"""The input boundary: the one refusal of every request cap, and the one
+reader of every JSON input and of every rational's text.
 
-Each cap is a constant of the module that checks it.  ``check`` refuses an
-amount past it in one text shape, naming the constant.  A cap checked inside
-a loop keeps its own comparison there and calls ``check`` only to refuse.
+Each cap is a constant of the module that checks it, and ``check`` refuses an
+amount past it, naming the constant.  A cap checked inside a loop keeps its
+own comparison there and calls ``check`` only to refuse.
 """
+import re
 
 # The most decimal digits a number may be read or written with: the
 # interpreter's own limit on int-to-text conversion.  Fraction forms
@@ -19,16 +21,50 @@ def check(name: str, used: int, cap: int, what: str) -> None:
         raise ValueError(f"{what} {used}, past the cap ({name} = {cap})")
 
 
-def decimal_exponent(value, label: str) -> None:
-    """Refuse a rational's text, named ``{label} {value!r}``, whose decimal
-    exponent passes MAX_DIGITS, before Fraction forms 10**exponent; leave any
-    other text to Fraction."""
+def read_json(source, label: str) -> dict:
+    """The JSON object in ``source``, UTF-8 text or a file opened in binary; any failure,
+    an integer literal past MAX_DIGITS too, is one ValueError naming the ``label`` file."""
+    import json
+
+    where = f"{label} file {source.name}" if hasattr(source, "name") else f"{label} text"
+    text = source if isinstance(source, (str, bytes)) else source.read()
+    try:
+        data = json.loads(text.decode() if isinstance(text, bytes) else text)
+    except UnicodeDecodeError:
+        raise ValueError(f"{where} is not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{where} is nested too deeply") from None
+    except ValueError as exc:  # a literal past the interpreter's digit limit, whose text counts the digits
+        digits = re.search(r"value has (\d+) digits", str(exc))
+        used = int(digits[1]) if digits else 0
+        check("_caps.MAX_DIGITS", used, MAX_DIGITS, f"{where} has an integer literal with a digit count of")
+        raise
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must hold a JSON object")
+    return data
+
+
+def rational(value, label: str):
+    """``value`` (anything Fraction takes but a boolean) as a Fraction, or one ValueError
+    naming ``label``, as for a text whose decimal exponent or longest digit run passes MAX_DIGITS."""
+    import fractions  # 0.13 us a call; "from fractions import Fraction" takes 0.75 us (2 vCPUs, Python 3.11)
+
     if type(value) is str and ("e" in value or "E" in value):
         try:
             exponent = abs(int(value.lower().rpartition("e")[2]))
-        except ValueError:
-            return
+        except ValueError:  # no exponent, or one of more digits than Fraction reads
+            exponent = 0
         check("_caps.MAX_DIGITS", exponent, MAX_DIGITS, f"{label} {value!r} has a decimal exponent of magnitude")
+    if type(value) is not bool:
+        try:
+            return fractions.Fraction(value)
+        except (ArithmeticError, TypeError, ValueError):
+            if type(value) is str:
+                digits = max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0)
+                check("_caps.MAX_DIGITS", digits, MAX_DIGITS, f"{label} has a number with a digit count of")
+    raise ValueError(f"{label} {value!r} is not a rational number")
 
 
 def written(value: int) -> None:

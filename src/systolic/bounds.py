@@ -7,11 +7,11 @@ ones.  All "log" here is the natural logarithm.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from fractions import Fraction
 
+from ._caps import read_json
 from ._record import record
 
 _REL_SLACK = 1e-12
@@ -53,10 +53,8 @@ class BoundConstants:
 
 def load_constants(path: str) -> BoundConstants:
     """Load constants from a JSON file; missing keys keep their defaults."""
-    with open(path) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"constants file {path} must hold a JSON object")
+    with open(path, "rb") as handle:
+        data = read_json(handle, "constants")
     try:  # unknown keys and non-numeric values
         return BoundConstants(**{**data, "provenance": str(path)})
     except TypeError as exc:

@@ -104,22 +104,6 @@ def _load_constants(bounds, path):
     return bounds.load_constants(path) if path else bounds.BoundConstants()
 
 
-def _rational(value, what: str):
-    """An exact rational (a Fraction) from an option's text or a grid value,
-    or a usage error naming it; a boolean is not one."""
-    from fractions import Fraction
-
-    from ._caps import decimal_exponent
-
-    if type(value) in (str, int, float):
-        decimal_exponent(value, what)
-        try:
-            return Fraction(value)
-        except (ArithmeticError, ValueError):
-            pass
-    raise ValueError(f"{what} {value!r} is not a rational number")
-
-
 def _named_complexes(args):
     """(name, complex) pairs from file paths, named by their stems, which
     must differ, or the whole built-in corpus."""
@@ -143,7 +127,7 @@ def _named_complexes(args):
             raise ValueError(f"input files {', '.join(map(repr, paths))} share the name {stem!r}")
     out = []
     for stem, (path,) in named.items():
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             out.append((stem, load_complex(handle)))
     return out
 
@@ -193,14 +177,15 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_girth(args) -> int:
+    from ._caps import rational
     from .graphs import MetricGraph, girth, load_graph, metric_systole
 
-    with open(args.graph) as handle:
+    with open(args.graph, "rb") as handle:
         graph = load_graph(handle)
     shortest = girth(graph)
     payload: dict = {"girth": shortest}
     if args.edge_length is not None:
-        length = _rational(args.edge_length, "--edge-length")
+        length = rational(args.edge_length, "--edge-length")
         payload["edge_length"] = length
         payload["metric_systole"] = metric_systole(MetricGraph(graph, length), shortest)
     _dump_json(payload, args.out)
@@ -216,13 +201,14 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_sleeve(args) -> int:
+    from ._caps import rational
     from .graphs import load_graph
     from .sleeves import CubicalModel, assemble
 
-    with open(args.graph) as handle:
+    with open(args.graph, "rb") as handle:
         graph = load_graph(handle)
     model = CubicalModel(args.m, args.c)
-    report = assemble(model, _rational(args.eps, "--eps"), graph)
+    report = assemble(model, rational(args.eps, "--eps"), graph)
     payload = _jsonable(report)
     # exact fields stay exact; transcendental formula values print to 6 digits
     payload["sublinear_upper_bound"] = float(f"{report.sublinear_upper_bound:.6g}")
@@ -230,7 +216,7 @@ def cmd_sleeve(args) -> int:
     return 0
 
 
-# The kinds of grid value an evaluator declares, _rational too: each reads a key's value or
+# The kinds of grid value an evaluator declares, _caps.rational too: each reads a key's value or
 # refuses it, naming the key and the kind.  A boolean is no number; an int of any size is finite.
 def _finite_number(value, key: str):
     if type(value) is int or type(value) is float and math.isfinite(value):
@@ -316,6 +302,7 @@ class _Evaluator:
 
 def _evaluators(bounds) -> dict[str, _Evaluator]:
     """The evaluator table of one request, over the loaded ``bounds`` module."""
+    from ._caps import rational
     from ._record import asdict
 
     def sandwich(k, constants):
@@ -346,7 +333,7 @@ def _evaluators(bounds) -> dict[str, _Evaluator]:
                    name, ("betti",)),
         _Evaluator("check-torsion-bound", _per_corpus_name(_torsion_check), name,
                    ("s2", "torsion", "holds"), "holds"),
-        _Evaluator("sleeve-volume", _sleeve_volume, {"m": _finite_number, "c": _finite_number, "eps": _rational}),
+        _Evaluator("sleeve-volume", _sleeve_volume, {"m": _finite_number, "c": _finite_number, "eps": rational}),
         _Evaluator("multiple-class-bound", lambda k, c, _: bounds.multiple_class_bound(k, c),
                    {"k": _finite_number, "C": _finite_number}),
         _Evaluator("waring", _waring_count, {"k": _integer, "d": _integer}),
@@ -377,11 +364,11 @@ def cmd_sweep(args) -> int:
     import json
 
     from . import bounds
-    from ._caps import check
+    from ._caps import check, read_json
 
-    with open(args.spec) as handle:
-        spec = json.load(handle)
-    grid = spec.get("grid") if isinstance(spec, dict) else None
+    with open(args.spec, "rb") as handle:
+        spec = read_json(handle, "sweep spec")
+    grid = spec.get("grid")
     if not isinstance(grid, dict) or not grid or not all(
         isinstance(values, list) and values for values in grid.values()
     ):
@@ -462,13 +449,11 @@ def cmd_waring(args) -> int:
 
 
 def cmd_genfun(args) -> int:
-    import json
-
+    from ._caps import read_json
     from .genfun import RationalSequence, detect_linear_recurrence
 
-    with open(args.file) as handle:
-        data = json.load(handle)
-    terms = data.get("terms") if isinstance(data, dict) else None
+    with open(args.file, "rb") as handle:
+        terms = read_json(handle, "sequence").get("terms")
     if not isinstance(terms, list):
         raise ValueError('sequence JSON must be an object {"terms": [...]}')
     sequence = RationalSequence.from_values(terms)
@@ -603,7 +588,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except RecursionError:  # a JSON file or a presentation nested past the stack
+    except RecursionError:  # a presentation nested past the stack
         sys.stderr.write("error: the input is nested too deeply\n")
         return USAGE_ERROR
 

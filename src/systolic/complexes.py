@@ -8,12 +8,11 @@ All arithmetic is exact.
 """
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from functools import cached_property
 from itertools import combinations
 
-from ._caps import check
+from ._caps import check, read_json
 from ._record import record, trusted
 
 
@@ -276,8 +275,8 @@ def connected_sum(
 def load_complex(source) -> SimplicialComplex:
     """Read the JSON complex format {"vertices": n, "facets": [[...], ...]}
     from text or a file."""
-    data = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
-    facets = data.get("facets") if isinstance(data, dict) else None
+    data = read_json(source, "complex")
+    facets = data.get("facets")
     if not isinstance(facets, list) or not all(
         isinstance(f, list) and all(type(v) is int for v in f) for f in facets
     ):

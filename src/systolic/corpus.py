@@ -1,9 +1,9 @@
 """Built-in corpus of small complexes and graphs used by tests and the CLI."""
 from __future__ import annotations
 
-import json
 from importlib import resources
 
+from ._caps import read_json
 from ._record import record
 from .complexes import SimplicialComplex, from_facets
 
@@ -26,7 +26,7 @@ class CorpusEntry:
 
 def _read(name: str) -> dict:
     path = resources.files("systolic").joinpath("data", f"{name}.json")
-    return json.loads(path.read_text())
+    return read_json(path.read_bytes(), f"corpus {name}")
 
 
 def corpus_list() -> list[CorpusEntry]:

@@ -32,7 +32,7 @@ from collections import deque
 from fractions import Fraction
 from operator import mul
 
-from ._caps import check, decimal_exponent
+from ._caps import check, rational
 from ._record import record
 
 # The most bits the connection polynomial's coefficients may hold together.
@@ -65,21 +65,14 @@ class RationalSequence:
 
     @classmethod
     def from_values(cls, values) -> "RationalSequence":
-        """Terms from exact values, or a one-line ValueError naming the term.
-
-        A float or a boolean is refused, not read as its binary value, and
-        so is a value ``Fraction`` cannot read (such as None, "1/0" or
-        "abc") or a text whose decimal exponent passes ``_caps.MAX_DIGITS``."""
+        """Terms from exact values, or a one-line ValueError naming the term: a
+        float or a boolean is refused, not read as its binary value, and so is
+        any value ``_caps.rational`` refuses (such as None, "1/0" or "abc")."""
         terms = []
         for value in values:
             if isinstance(value, (bool, float)):
                 raise ValueError(f"term {value!r} is not exact: give a rational as a string or an integer")
-            if type(value) is str and ("e" in value or "E" in value):  # no call per plain term
-                decimal_exponent(value, "term")
-            try:
-                terms.append(Fraction(value))
-            except (ArithmeticError, TypeError, ValueError) as exc:
-                raise ValueError(f"term {value!r} is not a rational number") from exc
+            terms.append(rational(value, "term"))
         return cls(tuple(terms))
 
 

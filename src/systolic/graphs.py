@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import lt, mul
 
-from ._caps import check
+from ._caps import check, read_json
 from ._record import record, trusted
 
 # The most vertices a graph file may have.  It admits a file anywhere in the
@@ -584,8 +584,8 @@ def _inner_ball(adj, root, radius):
 def load_graph(source) -> Graph:
     """Read the JSON graph format {"n": k, "edges": [[u, v], ...]} from text
     or a file."""
-    data = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
-    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
+    data = read_json(source, "graph")
+    if "n" not in data or "edges" not in data:
         raise ValueError("graph JSON must contain 'n' and 'edges'")
     n, edges = data["n"], data["edges"]
     if type(n) is not int or n < 0:

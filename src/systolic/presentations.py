@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from ._caps import check
+from ._caps import MAX_DIGITS, check
 from ._record import record, trusted
 from .snf import smith_normal_form
 
@@ -106,10 +106,11 @@ def parse_presentation(text: str) -> Presentation:
             atom, pos = parse_atom(tokens, pos)
             exponent = 1
             if pos < len(tokens) and tokens[pos] == "^":
-                try:
-                    exponent = int(tokens[pos + 1])
-                except (IndexError, ValueError):
-                    raise ValueError("'^' must be followed by an integer") from None
+                digits = tokens[pos + 1].lstrip("-") if pos + 1 < len(tokens) else ""
+                if not digits.isdecimal():
+                    raise ValueError("'^' must be followed by an integer")
+                check("_caps.MAX_DIGITS", len(digits), MAX_DIGITS, "an exponent after '^' has a digit count of")
+                exponent = int(tokens[pos + 1])
                 pos += 2
             counted += abs(exponent) * sum(map(abs, atom.values()))
             if counted > MAX_LETTERS:

@@ -38,6 +38,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain
 
+from systolic._caps import MAX_DIGITS
 from systolic._record import record
 from systolic.complexes import SimplicialComplex, face_counts
 from systolic.genfun import RecurrenceVerdict
@@ -670,10 +671,13 @@ def presentation_rows(text: str, max_letters: int = MAX_LETTERS):
             atom, pos = parse_atom(tokens, pos)
             exponent = 1
             if pos < len(tokens) and tokens[pos] == "^":
-                try:
-                    exponent = int(tokens[pos + 1])
-                except (IndexError, ValueError):
-                    raise ValueError("'^' must be followed by an integer") from None
+                digits = tokens[pos + 1].lstrip("-") if pos + 1 < len(tokens) else ""
+                if not digits.isdecimal():
+                    raise ValueError("'^' must be followed by an integer")
+                if len(digits) > MAX_DIGITS:
+                    raise ValueError(f"an exponent after '^' has a digit count of {len(digits)}, "
+                                     f"past the cap (_caps.MAX_DIGITS = {MAX_DIGITS})")
+                exponent = int(tokens[pos + 1])
                 pos += 2
             if exponent < 0:
                 atom, exponent = _inverse_word(atom), -exponent

@@ -1,5 +1,5 @@
-"""Every request cap refuses in one text shape, from ``_caps.check``, and
-README's cap table agrees with the code."""
+"""Every request cap refuses in one text shape, from ``_caps.check``,
+README's cap table agrees with the code, and only ``_caps`` parses JSON."""
 import ast
 import importlib
 import re
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from systolic import cli, complexes, genfun, graphs, presentations, snf, waring
+from systolic import _caps, cli, complexes, genfun, graphs, presentations, snf, waring
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "systolic"
@@ -60,13 +60,20 @@ CASES = [
     ("genfun.MAX_COEFFICIENT_BITS", 5, lambda _: _detect([8] + [0] * 5), lambda _: _detect([16] + [0] * 5), 6),
     ("cli.MAX_SWEEP_POINTS", 3, lambda tmp_path: _sweep(tmp_path, [1, 2, 3]),
      lambda tmp_path: _sweep(tmp_path, [1, 2, 3, 4]), 4),
-    # the decimal exponent of an option, a grid value or a term; and a result's digits
-    ("_caps.MAX_DIGITS", None, lambda _: cli._rational("1e4300", "--eps"),
-     lambda _: cli._rational("1e4301", "--eps"), 4301),
+    # the decimal exponent of an option, a grid value or a term; a result's digits;
+    # the digits of a rational's text, of a JSON integer literal and of an exponent after '^'
+    ("_caps.MAX_DIGITS", None, lambda _: _caps.rational("1e4300", "--eps"),
+     lambda _: _caps.rational("1e4301", "--eps"), 4301),
     ("_caps.MAX_DIGITS", None, lambda _: genfun.RationalSequence.from_values(["1E-4300"]),
      lambda _: genfun.RationalSequence.from_values(["1E-4301"]), 4301),
     ("_caps.MAX_DIGITS", None, lambda _: cli._jsonable(10 ** 4300 - 1),
      lambda _: cli._jsonable(Fraction(1, 10 ** 4300)), 4301),
+    ("_caps.MAX_DIGITS", None, lambda _: _caps.rational("1/" + "7" * 4300, "--eps"),
+     lambda _: _caps.rational("1/" + "7" * 4301, "--eps"), 4301),
+    ("_caps.MAX_DIGITS", None, lambda _: graphs.load_graph('{"n": 0, "edges": [], "x": -' + "9" * 4300 + "}"),
+     lambda _: graphs.load_graph('{"n": 0, "edges": [], "x": -' + "9" * 4301 + "}"), 4301),
+    ("_caps.MAX_DIGITS", None, lambda _: presentations.parse_presentation("a ; a^-" + "0" * 4300),
+     lambda _: presentations.parse_presentation("a ; a^-" + "0" * 4301), 4301),
 ]
 
 
@@ -99,6 +106,20 @@ def test_no_cap_text_is_built_outside_the_helper():
         if phrase in node.value.lower()
     }
     assert found == {("_caps", "past the cap")}
+
+
+def test_only_caps_parses_json():
+    # every JSON input is parsed by one call in _caps.read_json; rationals are read by _caps.rational
+    parses, names = [], set()
+    for stem, tree in _sources().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("load", "loads"):
+                if isinstance(node.func.value, ast.Name) and node.func.value.id == "json":
+                    parses.append(stem)
+            identifier = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if identifier == "decimal_exponent":
+                names.add(stem)
+    assert (parses, names) == (["_caps"], set())
 
 
 def test_each_check_names_the_constant_it_compares_with():

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import systolic.cli as cli_mod
 import systolic.homology as homology_mod
 from systolic.cli import main
-from systolic import __version__, bounds, complexes, graphs, presentations, sleeves, snf, waring
+from systolic import __version__, _caps, bounds, complexes, graphs, presentations, sleeves, snf, waring
 from systolic.corpus import corpus_list
 from test_snf import _freudenthal_torus
 
@@ -244,6 +244,14 @@ class TestAbelianizeCommand:
         assert err == (f"error: splitting juxtaposed names takes a step count of at least {cap + 1}, "
                        f"past the cap (presentations.MAX_SEGMENT_STEPS = {cap})\n")
 
+    def test_exponent_past_the_digit_cap_is_refused(self, capsys):
+        # int() refused it in the interpreter's words, reported as no integer at all
+        code, out, _ = run_cli(["abelianize", "a ; a^" + "0" * 4299 + "7"], capsys)
+        assert (code, json.loads(out)) == (0, {"free_rank": 0, "torsion_factors": [7]})
+        code, out, err = run_cli(["abelianize", "a ; a^" + "9" * 5000], capsys)
+        assert (code, out, err) == (2, "", "error: an exponent after '^' has a digit count of 5000, "
+                                           "past the cap (_caps.MAX_DIGITS = 4300)\n")
+
     def test_deep_nesting_is_refused(self, capsys):
         code, out, _ = run_cli(["abelianize", "a ; " + "(" * 200 + "a^2" + ")" * 200], capsys)
         assert (code, json.loads(out)) == (0, {"free_rank": 0, "torsion_factors": [2]})
@@ -291,6 +299,13 @@ class TestGraphCommands:
         path.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
         code, out, err = run_cli(["girth", str(path), "--edge-length", ""], capsys)
         assert (code, out, err) == (2, "", "error: --edge-length '' is not a rational number\n")
+
+    def test_edge_length_past_the_digit_cap_names_its_digit_count(self, capsys):
+        # the refusal echoed all 5 000 digits as no rational number
+        petersen = str(Path(cli_mod.__file__).parent / "data" / "petersen.json")
+        code, out, err = run_cli(["girth", petersen, "--edge-length", "1" * 5000], capsys)
+        assert (code, out, err) == (2, "", "error: --edge-length has a number with a digit count of 5000, "
+                                           "past the cap (_caps.MAX_DIGITS = 4300)\n")
 
     def test_equal_edge_lengths_print_one_output(self, capsys):
         # the field echoed the option's text, so each spelling printed its own bytes
@@ -689,7 +704,7 @@ VALID_POINTS = {
     "waring": {"k": 79, "d": 4},
 }
 KIND_NAMES = {cli_mod._finite_number: "a finite number", cli_mod._whole_number: "a whole number",
-              cli_mod._integer: "an integer", cli_mod._rational: "a rational number",
+              cli_mod._integer: "an integer", _caps.rational: "a rational number",
               cli_mod._corpus_name: "a corpus name"}
 # JSON values of a type each kind refuses; a number kind refuses these
 WRONG_TYPES = {
@@ -1195,6 +1210,20 @@ MALFORMED_INPUTS = {
 }
 
 
+# the kind of file each command of _command reads, as its refusals name it
+FILE_LABELS = {"homology": "complex", "check-torsion-bound": "complex", "girth": "graph", "genfun": "sequence",
+               "sweep": "sweep spec", "bounds": "constants"}
+# each bad file's bytes, and the rest of its refusal after the file's name
+BAD_FILES = {
+    "long literal": (b'{"n": ' + b"1" * 5000 + b"}",
+                     "has an integer literal with a digit count of 5000, past the cap (_caps.MAX_DIGITS = 4300)"),
+    "syntax": (b'{"n": 1\n"edges": []}', "is not valid JSON: Expecting ',' delimiter: line 2 column 1 (char 8)"),
+    "bytes": (b"\xff\xfe", "is not UTF-8 text"),
+    "nesting": (b"[" * 100_000 + b"]" * 100_000, "is nested too deeply"),
+    "array": (b"[1, 2]", "must hold a JSON object"),
+}
+
+
 def _command(kind, path, eps="1/3"):
     if kind == "genfun":
         return ["genfun", "detect", "--file", path, "--max-order", "1"]
@@ -1306,7 +1335,18 @@ class TestMalformedInput:
         path = tmp_path / "input.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         code, out, err = run_cli(_command(kind, str(path)), capsys)
-        assert (code, out, err) == (2, "", "error: the input is nested too deeply\n")
+        assert (code, out, err) == (2, "", f"error: {FILE_LABELS[kind]} file {path} is nested too deeply\n")
+
+    @pytest.mark.parametrize("label", sorted(set(FILE_LABELS.values())))
+    @pytest.mark.parametrize("content, refusal", BAD_FILES.values(), ids=BAD_FILES)
+    def test_bad_file_of_each_kind_is_one_line_naming_it(self, label, content, refusal, tmp_path, capsys):
+        # a syntax error and undecodable bytes printed the decoder's text alone, a
+        # literal past the digit limit Python's own, and an array the reader's
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        command = FUZZ_FILES[label][1][0]  # the first command that reads a file of this kind
+        code, out, err = run_cli([arg.format(file=path) for arg in command], capsys)
+        assert (code, out, err) == (2, "", f"error: {label} file {path} {refusal}\n")
 
     def test_unrepresentable_eps(self, tmp_path, capsys):
         graph = tmp_path / "g.json"
