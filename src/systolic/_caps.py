@@ -21,9 +21,10 @@ def check(name: str, used: int, cap: int, what: str) -> None:
         raise ValueError(f"{what} {used}, past the cap ({name} = {cap})")
 
 
-def read_json(source, label: str) -> dict:
-    """The JSON object in ``source``, UTF-8 text or a file opened in binary; any failure,
-    an integer literal past MAX_DIGITS too, is one ValueError naming the ``label`` file."""
+def read_json(source, label: str, build=None):
+    """The JSON object in ``source``, UTF-8 text or a file opened in binary, or ``build``
+    of it; any failure, an integer literal past MAX_DIGITS and a ValueError of ``build``
+    too, is one ValueError naming the ``label`` file."""
     import json
 
     where = f"{label} file {source.name}" if hasattr(source, "name") else f"{label} text"
@@ -43,7 +44,12 @@ def read_json(source, label: str) -> dict:
         raise
     if not isinstance(data, dict):
         raise ValueError(f"{where} must hold a JSON object")
-    return data
+    if build is None:
+        return data
+    try:
+        return build(data)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def rational(value, label: str):

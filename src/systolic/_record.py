@@ -78,7 +78,7 @@ def asdict(obj) -> dict:
 
 def trusted(cls, *values):
     """A ``cls`` record of ``values``, one per field in order, made without
-    ``__init__`` or ``__post_init__``: for values that have passed its checks."""
+    ``__init__`` or ``__post_init__``: for a builder that proves its output."""
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__record_fields__, values))
     return obj

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from ._caps import read_json
-from ._record import record
+from ._record import fields, record
 
 _REL_SLACK = 1e-12
 
@@ -55,10 +55,12 @@ def load_constants(path: str) -> BoundConstants:
     """Load constants from a JSON file; missing keys keep their defaults."""
     with open(path, "rb") as handle:
         data = read_json(handle, "constants")
-    try:  # unknown keys and non-numeric values
-        return BoundConstants(**{**data, "provenance": str(path)})
-    except TypeError as exc:
-        raise ValueError(f"constants file {path}: {exc}") from exc
+    keys = fields(BoundConstants)[:-1]  # all but provenance
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"constants file {path} has unknown key {unknown[0]!r} "
+                         f"(it takes {', '.join(keys[:-1])} and {keys[-1]})")
+    return BoundConstants(**data, provenance=str(path))
 
 
 @record

@@ -60,7 +60,7 @@ def _jsonable(value):
 
 def _emit(chunks, out_path: str | None) -> None:
     """Write the strings ``chunks`` to ``out_path``, or to stdout, as they come."""
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w") as handle:
             handle.writelines(chunks)
     else:
@@ -101,7 +101,7 @@ def _dump_csv(columns, rows, out_path: str | None, provenance: str = "") -> None
 
 
 def _load_constants(bounds, path):
-    return bounds.load_constants(path) if path else bounds.BoundConstants()
+    return bounds.BoundConstants() if path is None else bounds.load_constants(path)
 
 
 def _named_complexes(args):
@@ -452,11 +452,13 @@ def cmd_genfun(args) -> int:
     from ._caps import read_json
     from .genfun import RationalSequence, detect_linear_recurrence
 
+    def terms(data):
+        if type(data.get("terms")) is not list:
+            raise ValueError("'terms' must be a list")
+        return RationalSequence.from_values(data["terms"])
+
     with open(args.file, "rb") as handle:
-        terms = read_json(handle, "sequence").get("terms")
-    if not isinstance(terms, list):
-        raise ValueError('sequence JSON must be an object {"terms": [...]}')
-    sequence = RationalSequence.from_values(terms)
+        sequence = read_json(handle, "sequence", terms)
     verdict = detect_linear_recurrence(sequence, max_order=args.max_order)
     _dump_json(verdict, args.out)
     return 0

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from operator import eq
 
 from ._caps import check, read_json
-from ._record import record, trusted
+from ._record import record
 
 
 # The most steps face enumeration may take: the sum of 2^|f| - 1 over the
@@ -28,27 +29,59 @@ MAX_FACE_STEPS = 120_000
 
 @record
 class SimplicialComplex:
-    """A simplicial complex given by its facets.
+    """A simplicial complex given by its facets, made canonical by the constructor.
 
-    ``facets`` are strictly increasing vertex tuples, lexicographically
-    sorted, mutually non-contained.  ``vertex_count`` bounds the vertex id
-    space; it may exceed the number of vertices actually used.
+    ``facets`` is any iterable of vertex-id lists or tuples.  Each facet is
+    sorted, and empty, repeated and non-maximal ones are dropped, so the
+    record's facets are strictly increasing tuples, lexicographically sorted,
+    mutually non-contained.  ``vertex_count`` bounds the vertex id space and
+    defaults to one past the largest vertex.  Refused, in this order: a facet
+    that is no list or tuple of ints (a boolean is none) or repeats a vertex,
+    a ``vertex_count`` not above every vertex, a negative vertex, and a
+    complex past ``MAX_FACE_STEPS``.
     """
 
-    vertex_count: int
     facets: tuple[tuple[int, ...], ...]
+    vertex_count: int | None = None
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        if len(set(self.facets)) != len(self.facets):
-            raise ValueError("duplicate facets")
-        for f in self.facets:
-            if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
-                raise ValueError(f"facet {f} is not strictly sorted")
-            if f and (f[0] < 0 or f[-1] >= self.vertex_count):
-                raise ValueError(f"facet {f} has vertices outside 0..{self.vertex_count - 1}")
-        _check_face_steps(self.facets)
+        facets = self.facets if type(self.facets) in (list, tuple) else tuple(self.facets)
+        # each check is one pass in C; the walk names the first bad facet
+        if not (set(map(type, facets)) <= {list, tuple} and set(map(type, chain.from_iterable(facets))) <= {int}
+                and all(map(eq, map(len, map(set, facets)), map(len, facets)))):
+            for facet in facets:
+                if type(facet) not in (list, tuple) or any(type(v) is not int for v in facet):
+                    raise ValueError(f"facet {facet!r} is not a list of integer vertex ids")
+                if len(set(facet)) != len(facet):
+                    raise ValueError(f"repeated vertex in simplex {tuple(facet)}")
+        # the empty simplex is a face of every simplex, never a facet
+        cleaned = sorted(set(map(tuple, map(sorted, facets))) - {()}, key=lambda f: (-len(f), f))
+        maximal: list[tuple[int, ...]] = []
+        holders: dict[int, set[int]] = defaultdict(set)  # vertex -> positions in maximal of kept facets on it
+        for f in cleaned:  # longest first, so every facet that could contain f is indexed
+            # f lies in a kept facet iff its vertices' holder sets meet (smallest
+            # set first); a longest facet lies in no other
+            if len(f) < len(cleaned[0]) and set.intersection(
+                *sorted((holders.get(v, set()) for v in f), key=len)
+            ):
+                continue
+            if len(f) > len(cleaned[-1]):  # only a shorter facet reads the index
+                for v in f:
+                    holders[v].add(len(maximal))
+            maximal.append(f)
+        maximal.sort()
+        vertex_count = self.vertex_count
+        used_max = max((f[-1] for f in maximal), default=-1)
+        if vertex_count is None:
+            vertex_count = used_max + 1
+        elif vertex_count <= used_max:
+            raise ValueError("vertex_count smaller than largest vertex id used")
+        if maximal and maximal[0][0] < 0:  # the least facet holds the least vertex
+            raise ValueError(f"facet {maximal[0]} has vertices outside 0..{vertex_count - 1}")
+        check("complexes.MAX_FACE_STEPS", sum((1 << len(f)) - 1 for f in maximal), MAX_FACE_STEPS,
+              "face enumeration (2^|f| - 1 steps per facet f) takes a step count of")
+        object.__setattr__(self, "facets", tuple(maximal))
+        object.__setattr__(self, "vertex_count", vertex_count)
 
     @property
     def dim(self) -> int | None:
@@ -71,51 +104,6 @@ class SimplicialComplex:
             for k in range(1, len(facet) + 1):
                 groups[k - 1].update(combinations(facet, k))
         return tuple(tuple(sorted(g)) for g in groups)
-
-
-def from_facets(facets, vertex_count: int | None = None) -> SimplicialComplex:
-    """Build a canonical complex from an iterable of vertex tuples.
-
-    Vertices within a facet are sorted, duplicates and non-maximal input
-    simplices are dropped.  A facet with a repeated vertex is rejected.
-    """
-    cleaned: list[tuple[int, ...]] = []
-    for raw in facets:
-        tup = tuple(raw)
-        if len(set(tup)) != len(tup):
-            raise ValueError(f"repeated vertex in simplex {tup}")
-        if tup:  # the empty simplex is a face of every simplex, never a facet
-            cleaned.append(tuple(sorted(tup)))
-    cleaned = sorted(set(cleaned), key=lambda f: (-len(f), f))
-    maximal: list[tuple[int, ...]] = []
-    holders: dict[int, set[int]] = defaultdict(set)  # vertex -> positions in maximal of kept facets on it
-    for f in cleaned:  # longest first, so every facet that could contain f is indexed
-        # f lies in a kept facet iff its vertices' holder sets meet (smallest
-        # set first); a longest facet lies in no other
-        if len(f) < len(cleaned[0]) and set.intersection(
-            *sorted((holders.get(v, set()) for v in f), key=len)
-        ):
-            continue
-        if len(f) > len(cleaned[-1]):  # only a shorter facet reads the index
-            for v in f:
-                holders[v].add(len(maximal))
-        maximal.append(f)
-    maximal.sort()
-    used_max = max((f[-1] for f in maximal if f), default=-1)
-    if vertex_count is None:
-        vertex_count = used_max + 1
-    elif vertex_count <= used_max:
-        raise ValueError("vertex_count smaller than largest vertex id used")
-    facets = tuple(maximal)
-    if maximal and maximal[0][0] < 0:  # the constructor names the facet
-        return SimplicialComplex(vertex_count, facets)
-    _check_face_steps(facets)  # sorted, in range and distinct by construction
-    return trusted(SimplicialComplex, vertex_count, facets)
-
-
-def _check_face_steps(facets) -> None:
-    check("complexes.MAX_FACE_STEPS", sum((1 << len(f)) - 1 for f in facets), MAX_FACE_STEPS,
-          "face enumeration (2^|f| - 1 steps per facet f) takes a step count of")
 
 
 def face_counts(complex_: SimplicialComplex) -> list[int]:
@@ -182,19 +170,14 @@ def _facet_walk(complex_: SimplicialComplex) -> tuple[str, bool]:
     return "", orientable
 
 
-@record
-class OrientationResult:
-    orientable: bool
-
-
-def orient(complex_: SimplicialComplex) -> OrientationResult:
+def orient(complex_: SimplicialComplex) -> bool:
     """Whether the facets take signs with opposite induced signs on each
     shared ridge: the verdict of the one facet walk that also checks the
     pseudomanifold, which refuses anything else."""
     refusal, orientable = _facet_walk(complex_)
     if refusal:
         raise ValueError(f"orientation undefined: {refusal}")
-    return OrientationResult(orientable)
+    return orientable
 
 
 def is_admissible_dim2(complex_: SimplicialComplex) -> bool:
@@ -266,22 +249,20 @@ def connected_sum(
             mapping[v] = fresh
             fresh += 1
     facets = [f for f in x.facets if f != removed_x]
-    facets += [
-        tuple(sorted(mapping[v] for v in f)) for f in y.facets if f != removed_y
-    ]
-    return from_facets(facets, vertex_count=fresh)
+    facets += [tuple(map(mapping.get, f)) for f in y.facets if f != removed_y]  # the constructor sorts them
+    return SimplicialComplex(facets, fresh)
 
 
 def load_complex(source) -> SimplicialComplex:
     """Read the JSON complex format {"vertices": n, "facets": [[...], ...]}
     from text or a file."""
-    data = read_json(source, "complex")
-    facets = data.get("facets")
-    if not isinstance(facets, list) or not all(
-        isinstance(f, list) and all(type(v) is int for v in f) for f in facets
-    ):
-        raise ValueError("complex JSON must contain a 'facets' list of integer vertex-id lists")
-    vertices = data.get("vertices")
+    return read_json(source, "complex", _complex)
+
+
+def _complex(data: dict) -> SimplicialComplex:
+    facets, vertices = data.get("facets"), data.get("vertices")
+    if type(facets) is not list:
+        raise ValueError("'facets' must be a list of integer vertex-id lists")
     if vertices is not None and (type(vertices) is not int or vertices < 0):
-        raise ValueError("complex JSON 'vertices' must be a non-negative integer")
-    return from_facets(facets, vertex_count=vertices)
+        raise ValueError("'vertices' must be a non-negative integer")
+    return SimplicialComplex(facets, vertices)

@@ -5,7 +5,7 @@ from importlib import resources
 
 from ._caps import read_json
 from ._record import record
-from .complexes import SimplicialComplex, from_facets
+from .complexes import SimplicialComplex
 
 _COMPLEX_NAMES = (
     "rp2_min",
@@ -42,7 +42,7 @@ def corpus_complex(name: str) -> SimplicialComplex:
     if name not in _COMPLEX_NAMES:
         raise ValueError(f"unknown corpus complex {name!r}; have {_COMPLEX_NAMES}")
     data = _read(name)
-    return from_facets(data["facets"], vertex_count=data["vertices"])
+    return SimplicialComplex(data["facets"], data["vertices"])
 
 
 def corpus_complexes() -> dict[str, SimplicialComplex]:

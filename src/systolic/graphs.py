@@ -46,23 +46,34 @@ MAX_DEGREE_SQUARES = 7 ** 2 * MAX_VERTICES
 
 @record
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1, given by an iterable of
+    edges, each a list or tuple of two ints (a boolean is none).  The
+    constructor refuses a loop, an end out of range and an edge given twice,
+    and keeps the edges as sorted (u, v) pairs with u < v."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        n = self.vertex_count
+        edges = self.edges if type(self.edges) in (list, tuple) else tuple(self.edges)
+        pairs = _sorted_pairs(n, edges)
+        if pairs is None:  # a bulk check failed: walk the edges to name the first bad one
+            seen = set()
+            for edge in edges:
+                if type(edge) not in (list, tuple) or len(edge) != 2 or {type(edge[0]), type(edge[1])} != {int}:
+                    raise ValueError(f"edge {edge!r} is not a pair of integers")
+                u, v = edge
+                if u == v:
+                    raise ValueError(f"loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise ValueError(f"duplicate edge {key}")
+                seen.add(key)
+            pairs = tuple(sorted(seen))
+        object.__setattr__(self, "edges", pairs)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -82,29 +93,23 @@ class Graph:
         return all(d == degree for d in self.degrees)
 
 
-def _ends(edges):
-    """The first ends and the second ends of the edges, as two tuples, when
-    each edge is a list of two ints (not bools); None otherwise.  Every
-    check is one pass over the edges in C."""
+def _sorted_pairs(vertex_count, edges):
+    """The edges as sorted (min, max) pairs, checked in bulk, each check one
+    pass over the edges in C: each edge a list or tuple of two ints (not
+    bools), no loop, every end in range, no edge twice.  None when a check
+    fails."""
     if not edges:
-        return (), ()
-    if set(map(type, edges)) != {list} or set(map(len, edges)) != {2}:
+        return ()
+    if not set(map(type, edges)) <= {list, tuple} or set(map(len, edges)) != {2}:
         return None
     us, vs = zip(*edges)
     if set(map(type, us)) | set(map(type, vs)) != {int}:
         return None
-    return us, vs
-
-
-def _sorted_pairs(vertex_count, us, vs):
-    """The int pairs (us[i], vs[i]) as sorted (min, max) pairs, checked in
-    bulk: no loop, every end in range, no edge twice.  None when a check
-    fails."""
     if not all(map(lt, us, vs)):  # a reversed pair or a loop
         us, vs = list(map(min, us, vs)), list(map(max, us, vs))
         if not all(map(lt, us, vs)):
             return None
-    if us and (min(us) < 0 or max(vs) >= vertex_count):
+    if min(us) < 0 or max(vs) >= vertex_count:
         return None
     keys = sorted(zip(us, vs))  # linear when the input is sorted already
     if not all(map(lt, keys, islice(keys, 1, None))):  # an edge twice
@@ -584,19 +589,19 @@ def _inner_ball(adj, root, radius):
 def load_graph(source) -> Graph:
     """Read the JSON graph format {"n": k, "edges": [[u, v], ...]} from text
     or a file."""
-    data = read_json(source, "graph")
+    return read_json(source, "graph", _graph)
+
+
+def _graph(data: dict) -> Graph:
     if "n" not in data or "edges" not in data:
-        raise ValueError("graph JSON must contain 'n' and 'edges'")
+        raise ValueError("'n' and 'edges' are both required")
     n, edges = data["n"], data["edges"]
     if type(n) is not int or n < 0:
-        raise ValueError("graph JSON 'n' must be a non-negative integer")
-    check("graphs.MAX_VERTICES", n, MAX_VERTICES, "graph JSON 'n' =")
-    ends = _ends(edges) if type(edges) is list else None
-    if ends is None:
-        raise ValueError("graph JSON 'edges' must be a list of integer pairs")
-    pairs = _sorted_pairs(n, *ends)
-    # checked ends are not checked again; Graph's per-edge loop names a bad edge
-    return Graph(n, edges) if pairs is None else trusted(Graph, n, pairs)
+        raise ValueError("'n' must be a non-negative integer")
+    check("graphs.MAX_VERTICES", n, MAX_VERTICES, "'n' =")
+    if type(edges) is not list:
+        raise ValueError("'edges' must be a list of integer pairs")
+    return Graph(n, edges)
 
 
 def dump_graph(graph: Graph) -> str:

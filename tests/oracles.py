@@ -10,10 +10,10 @@ elimination over fractions, Berlekamp-Massey and its replay on
 ``Fraction`` terms (``_lfsr_synthesis`` and ``_replays``, with the
 verdict built from them in ``recurrence_verdict``), the girth as a full
 BFS from every vertex, the ball around a vertex by plain BFS, the graph
-edge checks one edge at a time (``graph_edges`` and
-``loaded_graph_edges``), ``check_regular_girth``, the certificate of a
-built graph that ``construct_regular_girth`` no longer checks at run
-time, ``greedy_attempt``, the girth search's attempt with each draw made
+edge checks one edge at a time (``graph_edges``), the complex facet checks
+one facet at a time (``complex_facets``), ``check_regular_girth``, the
+certificate of a built graph that ``construct_regular_girth`` does not
+check at run time, ``greedy_attempt``, the girth search's attempt with each draw made
 by ``rng.choice``, the boundary operators as (row, col, sign)
 triples with each face found by deleting a vertex and its own copy of the
 sign (-1)^i (``boundary_matrix``, a ``BoundaryMatrix`` record), and
@@ -434,11 +434,41 @@ def girth(graph, cutoff: int | None = None) -> int | float:
     return best
 
 
+def complex_facets(facets, vertex_count, max_face_steps) -> tuple:
+    """(vertex count, facets) of the package's ``SimplicialComplex``, checked
+    one facet at a time, with the maximal facets found by testing each
+    against every other."""
+    facets = list(facets)
+    for facet in facets:
+        if not isinstance(facet, (list, tuple)) or not all(type(v) is int for v in facet):
+            raise ValueError(f"facet {facet!r} is not a list of integer vertex ids")
+        if len(set(facet)) != len(facet):
+            raise ValueError(f"repeated vertex in simplex {tuple(facet)}")
+    distinct = {tuple(sorted(facet)) for facet in facets if facet}
+    maximal = sorted(f for f in distinct if not any(set(f) < set(other) for other in distinct))
+    used = max((v for f in maximal for v in f), default=-1)
+    if vertex_count is None:
+        vertex_count = used + 1
+    elif vertex_count <= used:
+        raise ValueError("vertex_count smaller than largest vertex id used")
+    for facet in maximal:
+        if min(facet) < 0:
+            raise ValueError(f"facet {facet} has vertices outside 0..{vertex_count - 1}")
+    steps = sum(2 ** len(f) - 1 for f in maximal)
+    if steps > max_face_steps:
+        raise ValueError(f"face enumeration (2^|f| - 1 steps per facet f) takes a step count of {steps}, "
+                         f"past the cap (complexes.MAX_FACE_STEPS = {max_face_steps})")
+    return vertex_count, tuple(maximal)
+
+
 def graph_edges(vertex_count, edges) -> tuple:
-    """The per-edge check of the package's ``Graph``: each edge checked in
-    turn, then the canonical pairs sorted."""
+    """The package's ``Graph`` check one edge at a time: each edge checked
+    in turn, then the canonical pairs sorted."""
     seen = set()
-    for u, v in edges:
+    for edge in edges:
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(type(v) is int for v in edge)):
+            raise ValueError(f"edge {edge!r} is not a pair of integers")
+        u, v = edge
         if u == v:
             raise ValueError(f"loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -461,16 +491,6 @@ def check_regular_girth(graph, degree: int, girth_target: int) -> None:
     ends = Counter(itertools.chain.from_iterable(graph.edges))
     assert [ends[v] for v in range(n)] == [degree] * n
     assert girth(graph, girth_target) >= girth_target
-
-
-def loaded_graph_edges(vertex_count, edges) -> tuple:
-    """The package's ``load_graph`` edge check one edge at a time, then
-    ``graph_edges``."""
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
-    ):
-        raise ValueError("graph JSON 'edges' must be a list of integer pairs")
-    return graph_edges(vertex_count, tuple((u, v) for u, v in edges))
 
 
 def all_orientations(facets) -> list[tuple[int, ...]]:

@@ -71,7 +71,7 @@ def test_criterion_1_rp2_pipeline():
     summary = homology(rp2)
     assert summary.betti[1] == 0
     assert summary.torsion[1] == (2,)
-    assert not orient(rp2).orientable
+    assert not orient(rp2)
     assert is_admissible_dim2(rp2)
     report = check_s2_torsion_bound(rp2)
     assert report.s2 == 10

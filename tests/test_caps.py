@@ -41,8 +41,8 @@ CASES = [
     ("graphs.MAX_DEGREE_SQUARES", 24, lambda _: graphs.girth(_edges(12)), lambda _: graphs.girth(_edges(13)), 26),
     ("graphs.STEP_BUDGET", 14, lambda _: graphs.construct_regular_girth(4, 3, 7),
      lambda _: graphs.construct_regular_girth(3, 3, 10), 15),
-    ("complexes.MAX_FACE_STEPS", 22, lambda _: complexes.from_facets([[0, 1, 2, 3], [4, 5, 6]]),
-     lambda _: complexes.from_facets([[0, 1, 2, 3], [4, 5, 6], [7]]), 23),
+    ("complexes.MAX_FACE_STEPS", 22, lambda _: complexes.SimplicialComplex([[0, 1, 2, 3], [4, 5, 6]]),
+     lambda _: complexes.SimplicialComplex([[0, 1, 2, 3], [4, 5, 6], [7]]), 23),
     ("snf.MAX_RESIDUAL_WORK", 8, lambda _: snf.smith_normal_form([[2, 4], [6, 2]]),
      lambda _: snf.smith_normal_form([[2, 4, 0], [6, 2, 2]]), 12),
     ("presentations.MAX_LETTERS", None, lambda _: presentations.parse_presentation("a ; a^1000000"),

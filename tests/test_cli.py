@@ -535,15 +535,18 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert str(const) in payload["constants"]
 
-    @pytest.mark.parametrize("key", ["a", "b", "sigma_m", "torus_volume"])
+    @pytest.mark.parametrize("key", ["a", "b", "sigma_m", "torus_volume", "junk", "provenance"])
     def test_removed_constants_key_is_refused(self, key, tmp_path, capsys):
+        # the text was Python's, BoundConstants.__init__() got an unexpected
+        # keyword argument 'junk', and a 'provenance' key was dropped unread
         const = tmp_path / "constants.json"
-        const.write_text(json.dumps({key: 1.0}))
+        const.write_text(json.dumps({"cm": 2.0, key: 1.0}))
         code, out, err = run_cli(
             ["bounds", "torsion", "--value", "100", "--constants", str(const)], capsys
         )
         assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and repr(key) in err
+        assert err == (f"error: constants file {const} has unknown key {key!r} "
+                       "(it takes m, cm, cm_prime, cm_second, pair_lower and pair_upper)\n")
 
     @pytest.mark.parametrize("name", ["simvol", "sandwich"])
     @pytest.mark.parametrize("m", ["1000", "2.5", "true"])
@@ -876,7 +879,8 @@ class TestGenfunCommand:
             ["genfun", "detect", "--file", str(seq_file), "--max-order", "1"], capsys
         )
         assert (code, out) == (2, "")
-        assert err == f"error: term {shown} is not exact: give a rational as a string or an integer\n"
+        assert err == (f"error: sequence file {seq_file}: term {shown} is not exact: "
+                       "give a rational as a string or an integer\n")
 
     @pytest.mark.parametrize("term, shown", [("null", "None"), ('"1/0"', "'1/0'"), ('"abc"', "'abc'"),
                                              ("[1]", "[1]"), ("{}", "{}")])
@@ -889,7 +893,7 @@ class TestGenfunCommand:
             ["genfun", "detect", "--file", str(seq_file), "--max-order", "1"], capsys
         )
         assert (code, out) == (2, "")
-        assert err == f"error: term {shown} is not a rational number\n"
+        assert err == f"error: sequence file {seq_file}: term {shown} is not a rational number\n"
 
     def test_integer_terms_are_accepted(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.json"
@@ -1328,6 +1332,36 @@ class TestMalformedInput:
         code, out, err = run_cli(_command(kind, str(path)), capsys)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind, text, refusal", [
+        ("homology", '{"facets": [[0, 1, "x"]]}', "facet [0, 1, 'x'] is not a list of integer vertex ids"),
+        ("homology", '{"facets": [[0, 1, 2]], "vertices": -1}', "'vertices' must be a non-negative integer"),
+        ("girth", '{"n": 4, "edges": [[0, 1.5]]}', "edge [0, 1.5] is not a pair of integers"),
+        ("girth", '{"n": 4, "edges": [[0, 1], [1, 0]]}', "duplicate edge (0, 1)"),
+        ("genfun", '{"terms": "123456789"}', "'terms' must be a list"),
+        ("genfun", '{"terms": [1, 2, "x"]}', "term 'x' is not a rational number"),
+    ], ids=["facet", "vertices", "edge", "duplicate edge", "terms", "term"])
+    def test_field_refusal_names_the_file(self, kind, text, refusal, tmp_path, capsys):
+        # the refusal did not say which file, so with several inputs the bad
+        # one could not be told
+        good, bad = tmp_path / "good.json", tmp_path / "badf.json"
+        good.write_text('{"facets": [[0, 1, 2]]}')
+        bad.write_text(text)
+        command = _command(kind, str(bad))
+        if kind == "homology":
+            command[1:] = [str(good), str(bad)]
+        label = FILE_LABELS[kind]
+        code, out, err = run_cli(command, capsys)
+        assert (code, out, err) == (2, "", f"error: {label} file {bad}: {refusal}\n")
+
+    @pytest.mark.parametrize("command", [["corpus", "--out", ""],
+                                         ["bounds", "sandwich", "--value", "10", "--constants", ""]],
+                             ids=["out", "constants"])
+    def test_empty_path_is_refused_as_a_file_that_cannot_be_opened(self, command, capsys):
+        # --out "" wrote to stdout and --constants "" used the defaults, exit 0
+        code, out, err = run_cli(command, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
 
     @pytest.mark.parametrize("kind", ["homology", "check-torsion-bound", "girth", "genfun", "sweep", "bounds"])
     def test_deeply_nested_json(self, kind, tmp_path, capsys):

@@ -11,7 +11,6 @@ from systolic.complexes import (
     SimplicialComplex,
     connected_sum,
     face_counts,
-    from_facets,
     is_admissible_dim2,
     load_complex,
     orient,
@@ -37,11 +36,11 @@ def refusal(complex_):
 
 class TestFromFacets:
     def test_single_triangle_closure(self):
-        complex_ = from_facets([[0, 1, 2]])
+        complex_ = SimplicialComplex([[0, 1, 2]])
         assert face_counts(complex_) == [3, 3, 1]
 
     def test_empty_complex_has_undefined_dim(self):
-        complex_ = from_facets([])
+        complex_ = SimplicialComplex([])
         assert complex_.dim is None
         assert face_counts(complex_) == []
 
@@ -50,14 +49,14 @@ class TestFromFacets:
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ValueError, match=r"^repeated vertex in simplex \(0, 1, 1\)$"):
-            from_facets([[0, 1, 1]])
+            SimplicialComplex([[0, 1, 1]])
 
     def test_sorting_and_dedup(self):
-        complex_ = from_facets([[2, 1, 0], [0, 1, 2], [1, 0]])
+        complex_ = SimplicialComplex([[2, 1, 0], [0, 1, 2], [1, 0]])
         assert complex_.facets == ((0, 1, 2),)
 
     def test_non_maximal_faces_dropped(self):
-        complex_ = from_facets([[0, 1], [0, 1, 2], [3, 4]])
+        complex_ = SimplicialComplex([[0, 1], [0, 1, 2], [3, 4]])
         assert complex_.facets == ((0, 1, 2), (3, 4))
 
     def test_maximal_filter_matches_brute_force(self):
@@ -73,7 +72,7 @@ class TestFromFacets:
             maximal = tuple(sorted(
                 s for s in distinct if not any(set(s) < set(other) for other in distinct)
             ))
-            assert from_facets(simplices).facets == maximal
+            assert SimplicialComplex(simplices).facets == maximal
 
     def test_maximal_filter_time_is_near_linear(self):
         # testing each shorter facet against every kept facet takes seconds here
@@ -84,7 +83,7 @@ class TestFromFacets:
         cone = [(0, 2 * i + 1, 2 * i + 2) for i in range(n)] + [(0, v) for v in range(n + 1, 3 * n + 1)]
         for facets, kept in ((disjoint, 2 * n), (cone, 2 * n)):
             start = time.perf_counter()
-            complex_ = from_facets(facets)
+            complex_ = SimplicialComplex(facets)
             assert time.perf_counter() - start < 1.0
             assert len(complex_.facets) == kept
 
@@ -92,85 +91,115 @@ class TestFromFacets:
         # [[]] was kept as the facet (), a complex of dimension -1 that passed
         # as a pseudomanifold; it is the empty complex, as [] is
         for vertex_count in (None, 3):
-            assert from_facets([[]], vertex_count) == from_facets([], vertex_count)
-        assert from_facets([[]]) == SimplicialComplex(0, ())
-        assert from_facets([[]]).dim is None
-        assert refusal(from_facets([[]])) == "empty complex"
+            assert SimplicialComplex([[]], vertex_count) == SimplicialComplex([], vertex_count)
+        assert SimplicialComplex([[]]) == SimplicialComplex((), 0)
+        assert SimplicialComplex([[]]).dim is None
+        assert refusal(SimplicialComplex([[]])) == "empty complex"
         with pytest.raises(ValueError, match="^orientation undefined: empty complex$"):
-            orient(from_facets([[]]))
-        assert from_facets([[], [3]]).facets == ((3,),)
+            orient(SimplicialComplex([[]]))
+        assert SimplicialComplex([[], [3]]).facets == ((3,),)
 
-    def test_canonical_facets_are_not_checked_again(self, monkeypatch):
-        # from_facets makes its facets canonical itself, so the constructor's
-        # order, range and duplicate checks do not run on that path
-        def refuse(self):
-            raise AssertionError("from_facets re-checked its own facets")
+    def test_unsorted_and_non_maximal_facets_give_the_canonical_record(self):
+        # the constructor took these as they were: a non-maximal facet made an
+        # impure record that orient refused, and unsorted facets one unequal
+        # to the same complex
+        canonical = SimplicialComplex(facets=((0, 1, 2),), vertex_count=3)
+        for facets in (((0, 1), (0, 1, 2)), ((2, 0, 1),), ((1, 2, 0), (0, 2, 1), (2, 1))):
+            made = SimplicialComplex(facets=facets, vertex_count=3)
+            assert (made, hash(made), repr(made)) == (canonical, hash(canonical), repr(canonical))
+            assert made.is_pure and made.facets == ((0, 1, 2),)
+            assert refusal(made) == "boundary or branching ridges"
 
-        monkeypatch.setattr(SimplicialComplex, "__post_init__", refuse)
-        made = from_facets([[2, 0, 1], [1, 0], [5], [2, 1, 0]])
-        assert (made.vertex_count, made.facets) == (6, ((0, 1, 2), (5,)))
+    @pytest.mark.parametrize("vertex_count, facets, message", [
+        (None, [[0, 1, 1]], r"repeated vertex in simplex \(0, 1, 1\)"),
+        (3, [[0, 3]], "vertex_count smaller than largest vertex id used"),
+        (-1, [], "vertex_count smaller than largest vertex id used"),
+        (3, [[-1, 2]], r"facet \(-1, 2\) has vertices outside 0\.\.2"),
+        (None, [[0, True]], r"facet \[0, True\] is not a list of integer vertex ids"),
+        (None, [(0, 1.0)], r"facet \(0, 1\.0\) is not a list of integer vertex ids"),
+        (None, [[0, 1], 2], "facet 2 is not a list of integer vertex ids"),
+        (None, [range(2)], r"facet range\(0, 2\) is not a list of integer vertex ids"),
+    ], ids=["repeated vertex", "vertex count too small", "negative vertex count", "negative vertex",
+            "boolean vertex", "float vertex", "int facet", "range facet"])
+    def test_constructor_refusals(self, vertex_count, facets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimplicialComplex(facets, vertex_count)
 
-    def test_python_callers_keep_every_check(self):
-        for vertex_count, facets, message in (
-            (-1, (), "non-negative"), (3, ((0, 1), (0, 1)), "duplicate"),
-            (3, ((1, 0),), "strictly sorted"), (3, ((0, 3),), "outside"), (3, ((-1, 0),), "outside"),
-        ):
-            with pytest.raises(ValueError, match=message):
-                SimplicialComplex(vertex_count, facets)
-
-    def test_outcomes_match_the_checked_constructor(self, monkeypatch):
-        # the same complexes and error texts as when from_facets ended in
-        # the constructor, on seeded facet lists with negative vertices,
-        # repeats, non-maximal faces and vertex counts too small
+    def test_constructor_matches_the_per_facet_reference(self, monkeypatch):
+        # seeded facet lists with unsorted, repeated and non-maximal facets,
+        # negative, boolean and float vertices, repeated vertices, facets that
+        # are no list, vertex counts too small and complexes past the face cap
+        monkeypatch.setattr(complexes, "MAX_FACE_STEPS", 40)
         rng = random.Random(22)
-        cases = []
-        for _ in range(600):
-            facets = [[rng.randint(-2, 9) for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(0, 6))]
-            cases.append((facets, rng.choice((None, rng.randint(-2, 12)))))
+        seen = set()
+        for _ in range(1500):
+            facets = [rng.sample(range(-1, 9), rng.randint(0, 4)) for _ in range(rng.randint(0, 6))]
+            defect = rng.choice(("none", "repeat", "subface", "negative", "bool", "float", "no list", "reversed"))
+            if facets and defect == "repeat":
+                facets.insert(rng.randint(0, len(facets)), rng.choice(facets) + [0, 0][: rng.randint(0, 2)])
+            elif facets and defect == "subface":
+                facets.append(rng.choice(facets)[1:])
+            elif defect == "negative":
+                facets.append([-rng.randint(1, 3), rng.randint(0, 9)])
+            elif facets and facets[0] and defect in ("bool", "float"):
+                facets[0][0] = rng.choice((True, False)) if defect == "bool" else float(facets[0][0])
+            elif facets and defect == "no list":
+                facets[rng.randrange(len(facets))] = rng.choice((5, None, "01", {0: 1}))
+            elif defect == "reversed":
+                facets = [tuple(facet[::-1]) for facet in facets]
+            vertex_count = rng.choice((None, rng.randint(-2, 12)))
+            made = _outcome(lambda: SimplicialComplex(facets, vertex_count))
+            assert made == _outcome(lambda: oracles.complex_facets(facets, vertex_count, 40)), (facets, vertex_count)
+            text = json.dumps({"facets": facets, "vertices": vertex_count})
+            loaded = _outcome(lambda: load_complex(text))
+            if vertex_count is not None and vertex_count < 0:
+                assert loaded == "error:complex text: 'vertices' must be a non-negative integer"
+            else:
+                expected = _outcome(lambda: oracles.complex_facets(json.loads(text)["facets"], vertex_count, 40),
+                                    "complex text: ")
+                assert loaded == expected, text
+            seen.add(next((kind for kind in FACET_FAULTS if kind in made), "made"))
+        assert seen == {"made", *FACET_FAULTS}
 
-        def outcomes():
-            found = []
-            for facets, vertex_count in cases:
-                try:
-                    found.append(repr(from_facets(facets, vertex_count)))
-                except ValueError as error:
-                    found.append((type(error), str(error)))
-            return found
 
-        fast = outcomes()
-        monkeypatch.setattr(complexes, "trusted", lambda cls, *values: cls(*values))
-        assert fast == outcomes()
-        errors = {text.split()[0] for text in (o[1] for o in fast if isinstance(o, tuple))}
-        assert {"repeated", "vertex_count", "facet"} <= errors
-        assert sum(isinstance(o, str) for o in fast) > 100
+# the refusal of each fault the facet fuzz inserts
+FACET_FAULTS = ("repeated vertex", "vertex_count smaller", "has vertices outside", "is not a list", "past the cap")
+
+
+def _outcome(make, where=""):
+    """The (vertex count, facets) that ``make`` returns, or the text of the
+    ValueError it raises, after ``where``."""
+    try:
+        made = make()
+    except ValueError as exc:
+        return f"error:{where}{exc}"
+    return repr(made) if isinstance(made, tuple) else repr((made.vertex_count, made.facets))
 
 
 class TestFaceCap:
     def test_at_the_cap_and_one_past(self, monkeypatch):
         # a tetrahedron and a triangle take 15 + 7 enumeration steps
         monkeypatch.setattr(complexes, "MAX_FACE_STEPS", 22)
-        assert face_counts(from_facets([[0, 1, 2, 3], [4, 5, 6]])) == [7, 9, 5, 1]
+        assert face_counts(SimplicialComplex([[0, 1, 2, 3], [4, 5, 6]])) == [7, 9, 5, 1]
         with pytest.raises(ValueError, match=r"a step count of 23, past the cap \(complexes\.MAX_FACE_STEPS = 22\)$"):
-            from_facets([[0, 1, 2, 3], [4, 5, 6], [7]])
-        with pytest.raises(ValueError, match=r"a step count of 23, past the cap \(complexes\.MAX_FACE_STEPS = 22\)$"):
-            SimplicialComplex(8, ((0, 1, 2, 3), (4, 5, 6), (7,)))
+            SimplicialComplex([[0, 1, 2, 3], [4, 5, 6], [7]])
 
     def test_torus_k10_is_below_the_cap(self):
         torus = _freudenthal_torus(10)
         steps = sum(2 ** len(f) - 1 for f in torus.facets)
         assert steps == 90_000 and steps <= complexes.MAX_FACE_STEPS
-        assert from_facets(torus.facets) == torus
+        assert SimplicialComplex(torus.facets) == torus
 
     def test_homology_at_the_real_cap_and_one_past(self):
         # disjoint tetrahedra, 15 steps each, and isolated vertices, 1 step
         # each, to exactly the cap: homology there takes about a second
         count, rest = divmod(complexes.MAX_FACE_STEPS, 15)
-        facets = [range(4 * i, 4 * i + 4) for i in range(count)]
+        facets = [list(range(4 * i, 4 * i + 4)) for i in range(count)]
         facets += [[4 * count + i] for i in range(rest)]
-        assert homology(from_facets(facets)).betti == (count + rest, 0, 0, 0)
+        assert homology(SimplicialComplex(facets)).betti == (count + rest, 0, 0, 0)
         cap = complexes.MAX_FACE_STEPS
         with pytest.raises(ValueError, match=rf"a step count of {cap + 1}, past the cap \(complexes\.MAX_FACE_STEPS = {cap}\)$"):
-            from_facets(facets + [[4 * count + rest]])
+            SimplicialComplex(facets + [[4 * count + rest]])
 
 
 class TestFaceCounts:
@@ -187,18 +216,18 @@ class TestFaceCounts:
         assert face_counts(RP2) == [6, 15, 10]
 
     def test_single_edge(self):
-        assert face_counts(from_facets([[0, 1]])) == [2, 1]
+        assert face_counts(SimplicialComplex([[0, 1]])) == [2, 1]
 
 
 class TestBoundaryMatrix:
     def test_triangle_column_signs(self):
-        matrix = oracles.boundary_matrix(from_facets([[0, 1, 2]]), 2)
+        matrix = oracles.boundary_matrix(SimplicialComplex([[0, 1, 2]]), 2)
         dense = matrix.dense()
         assert matrix.rows == ((0, 1), (0, 2), (1, 2))
         assert [row[0] for row in dense] == [1, -1, 1]
 
     def test_three_cycle_rank(self):
-        cycle = from_facets([[0, 1], [1, 2], [0, 2]])
+        cycle = SimplicialComplex([[0, 1], [1, 2], [0, 2]])
         dense = oracles.boundary_matrix(cycle, 1).dense()
         assert oracles.naive_invariant_factors(dense) == (1, 1)
 
@@ -242,7 +271,7 @@ class TestPseudomanifold:
         assert refusal(SPHERE) == ""
 
     def test_two_triangles_sharing_edge_fail(self):
-        assert refusal(from_facets([[0, 1, 2], [1, 2, 3]])) == "boundary or branching ridges"
+        assert refusal(SimplicialComplex([[0, 1, 2], [1, 2, 3]])) == "boundary or branching ridges"
 
     def test_rp2_by_ridge_enumeration(self):
         incidence = {}
@@ -261,14 +290,14 @@ class TestPseudomanifold:
         assert refusal(PINCHED) == "facet adjacency graph disconnected"
 
     def test_empty_complex(self):
-        assert refusal(from_facets([])) == "empty complex"
+        assert refusal(SimplicialComplex([])) == "empty complex"
 
     def test_branching_ridge_is_walked_once(self):
         # 16 000 triangles on one edge, under the face cap: a facet graph of
         # k^2 adjacencies took 0.35 s and 251 MiB at k = 2 000, and 16 000 is
         # past the memory of a small host; the branching ridge is refused
         # before the walk
-        fan = from_facets([(0, 1, v) for v in range(2, 16_002)])
+        fan = SimplicialComplex([(0, 1, v) for v in range(2, 16_002)])
         start = time.monotonic()
         assert refusal(fan) == "boundary or branching ridges"
         with pytest.raises(ValueError) as refused:
@@ -279,24 +308,24 @@ class TestPseudomanifold:
 
 class TestOrient:
     def test_sphere_orientable(self):
-        assert orient(SPHERE).orientable
+        assert orient(SPHERE) is True
         assert oracles.all_orientations(SPHERE.facets)
 
     def test_rp2_nonorientable(self):
-        assert not orient(RP2).orientable
+        assert orient(RP2) is False
         assert not oracles.all_orientations(RP2.facets)
 
     def test_torus_orientable(self):
-        assert orient(TORUS).orientable
+        assert orient(TORUS)
         assert oracles.all_orientations(TORUS.facets)
 
     def test_against_exhaustive_search(self):
         # brute force over all 2^f sign assignments; the boundary of the
         # 4-simplex and a 5-cycle are pseudomanifolds of dimension 3 and 1
-        simplex4 = from_facets(combinations(range(5), 4))
-        cycle = from_facets([(i, (i + 1) % 5) for i in range(5)])
+        simplex4 = SimplicialComplex(combinations(range(5), 4))
+        cycle = SimplicialComplex([(i, (i + 1) % 5) for i in range(5)])
         for complex_ in (SPHERE, RP2, TORUS, simplex4, cycle):
-            assert orient(complex_).orientable == bool(oracles.all_orientations(complex_.facets))
+            assert orient(complex_) == bool(oracles.all_orientations(complex_.facets))
 
     def test_requires_pseudomanifold(self):
         with pytest.raises(ValueError, match="^orientation undefined: boundary or branching ridges$"):
@@ -336,7 +365,7 @@ class TestAdmissibleDim2:
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
-            is_admissible_dim2(from_facets([[0, 1], [1, 2]]))
+            is_admissible_dim2(SimplicialComplex([[0, 1], [1, 2]]))
 
 
 class TestConnectedSum:
@@ -351,7 +380,7 @@ class TestConnectedSum:
         result = connected_sum(TORUS, TORUS)
         assert len(result.facets) == 26
         assert homology(result).betti == (1, 4, 1)
-        assert orient(result).orientable
+        assert orient(result)
 
     def test_sphere_neutral_for_betti1(self):
         result = connected_sum(TORUS, SPHERE)
@@ -377,7 +406,7 @@ class TestConnectedSum:
         assert summary.torsion[1] == (2,)
 
     def test_refusals_name_the_argument_and_the_reason(self):
-        impure = from_facets([[0, 1, 2], [2, 3]])
+        impure = SimplicialComplex([[0, 1, 2], [2, 3]])
         for x, y, message in (
             (MOEBIUS, SPHERE, "first argument: boundary or branching ridges"),
             (SPHERE, PINCHED, "second argument: facet adjacency graph disconnected"),
@@ -390,7 +419,7 @@ class TestConnectedSum:
             orient(impure)
 
     def test_dimension_mismatch(self):
-        edge = from_facets([[0, 1], [1, 2], [0, 2]])
+        edge = SimplicialComplex([[0, 1], [1, 2], [0, 2]])
         with pytest.raises(ValueError):
             connected_sum(SPHERE, edge)
 
@@ -418,7 +447,7 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("vertices", [-5, -1, "4", 2.0, True])
     def test_vertex_count_must_be_a_non_negative_integer(self, vertices):
         blob = json.dumps({"vertices": vertices, "facets": [[0, 1]]})
-        with pytest.raises(ValueError, match="^complex JSON 'vertices' must be a non-negative integer$"):
+        with pytest.raises(ValueError, match="^complex text: 'vertices' must be a non-negative integer$"):
             load_complex(blob)
 
 
@@ -430,7 +459,7 @@ class TestJsonRoundTrip:
     )
 )
 def test_boundary_squared_zero_random(facet_lists):
-    complex_ = from_facets(facet_lists)
+    complex_ = SimplicialComplex(facet_lists)
     if complex_.dim is None or complex_.dim < 2:
         return
     for k in range(2, complex_.dim + 1):
@@ -449,7 +478,7 @@ def test_boundary_squared_zero_random(facet_lists):
     )
 )
 def test_euler_characteristic_random(facet_lists):
-    complex_ = from_facets(facet_lists)
+    complex_ = SimplicialComplex(facet_lists)
     counts = face_counts(complex_)
     chi_faces = sum((-1) ** k * c for k, c in enumerate(counts))
     betti = homology(complex_).betti

@@ -311,7 +311,7 @@ class TestGraphValue:
 
     def test_load_vertex_cap(self):
         assert load_graph(f'{{"n": {MAX_VERTICES}, "edges": []}}').vertex_count == MAX_VERTICES
-        with pytest.raises(ValueError, match=rf"^graph JSON 'n' = {MAX_VERTICES + 1}, past the cap "
+        with pytest.raises(ValueError, match=rf"^graph text: 'n' = {MAX_VERTICES + 1}, past the cap "
                                              rf"\(graphs\.MAX_VERTICES = {MAX_VERTICES}\)$"):
             load_graph(f'{{"n": {MAX_VERTICES + 1}, "edges": []}}')
         with pytest.raises(ValueError, match="past the cap"):
@@ -375,37 +375,43 @@ def _outcome(build, n, edges):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_bulk_edge_checks_match_the_per_edge_oracle():
-    # load_graph checks edges in bulk and falls back to Graph's loop, one
-    # edge at a time, only to name a bad one: same edges, same error text
+def test_graph_matches_the_per_edge_oracle():
+    # Graph checks edges in bulk and walks them one at a time only to name a
+    # bad one: the same edges and error texts as the per-edge oracle, from
+    # Python lists and tuples and through load_graph
     rng = random.Random(20)
     seen, refused = set(), 0
     for _ in range(3000):
         defect, order, n, edges = _edge_case(rng)
         seen.add(defect)
         seen.add(order)
-        text = json.dumps({"n": n, "edges": edges})
-        loaded = _outcome(lambda k, e: load_graph(text).edges, n, edges)
-        assert loaded == _outcome(oracles.loaded_graph_edges, n, json.loads(text)["edges"]), text
         built = _outcome(lambda k, e: Graph(k, e).edges, n, edges)
         assert built == _outcome(oracles.graph_edges, n, edges), (n, edges)
-        as_tuple = _outcome(lambda k, e: Graph(k, tuple(e)).edges, n, edges)
-        assert as_tuple == built, (n, edges)
+        assert _outcome(lambda k, e: Graph(k, tuple(e)).edges, n, edges) == built, (n, edges)
+        text = json.dumps({"n": n, "edges": edges})
+        loaded = _outcome(lambda k, e: load_graph(text).edges, n, edges)
+        expected = _outcome(oracles.graph_edges, n, json.loads(text)["edges"])
+        assert loaded == expected.replace("ValueError: ", "ValueError: graph text: ", 1), text
         refused += loaded.startswith("ValueError")
     assert seen == set(EDGE_DEFECTS) | {"sorted", "shuffled", "reversed"}
     assert 0 < refused < 3000
 
 
-def test_graph_keeps_python_callers_behaviour():
-    # inputs load_graph refuses but Graph takes as it always did, or refuses
-    # with the unpacking error
-    assert Graph(3, ((True, 2), (0, 1))).edges == ((0, 1), (True, 2))
-    assert Graph(3, iter([(2, 0), (1, 0)])).edges == ((0, 1), (0, 2))
-    assert Graph(3, [range(2), [2, 1]]).edges == ((0, 1), (1, 2))
-    with pytest.raises(ValueError, match="too many values to unpack"):
-        Graph(3, ((0, 1, 2),))
-    with pytest.raises(ValueError, match="duplicate edge"):
-        Graph(3, ((0, 1), (1.0, 0)))
+@pytest.mark.parametrize("edges, message", [
+    (((True, 2), (0, 1)), r"edge \(True, 2\) is not a pair of integers"),
+    (((0, 1), (1.0, 0)), r"edge \(1\.0, 0\) is not a pair of integers"),
+    (((0, 1, 2),), r"edge \(0, 1, 2\) is not a pair of integers"),
+    ([range(2), [2, 1]], r"edge range\(0, 2\) is not a pair of integers"),
+], ids=["boolean end", "float end", "triple", "range"])
+def test_graph_refuses_an_edge_that_is_no_pair_of_integers(edges, message):
+    # Graph took the first and the last as they were, and refused the second
+    # as a duplicate and the third with the unpacking error
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(3, edges)
+
+
+def test_graph_takes_pairs_as_lists_or_tuples():
+    assert Graph(3, [(2, 0), [1, 0]]).edges == Graph(3, iter([(0, 1), (0, 2)])).edges == ((0, 1), (0, 2))
 
 
 def _random_edge_set(rng, n):

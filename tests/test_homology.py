@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from systolic.complexes import connected_sum, from_facets
+from systolic.complexes import SimplicialComplex, connected_sum
 from systolic.corpus import corpus_complex, corpus_complexes
 import systolic.homology as homology_mod
 from systolic.homology import (
@@ -46,11 +46,11 @@ class TestHomology:
         assert homology(TORUS).betti == (1, 2, 1)
 
     def test_empty(self):
-        summary = homology(from_facets([]))
+        summary = homology(SimplicialComplex([]))
         assert summary.betti == ()
 
     def test_disconnected_counts_components(self):
-        two = from_facets([[0, 1, 2], [3, 4, 5]])
+        two = SimplicialComplex([[0, 1, 2], [3, 4, 5]])
         assert homology(two).betti[0] == 2
 
 
@@ -60,7 +60,7 @@ def _shifted(complex_, offset):
 
 def _random_pure(rng, dim):
     n = rng.randint(dim + 1, 9)
-    return from_facets([rng.sample(range(n), dim + 1) for _ in range(rng.randint(1, 14))])
+    return SimplicialComplex([rng.sample(range(n), dim + 1) for _ in range(rng.randint(1, 14))])
 
 
 def _moore_space(m):
@@ -73,7 +73,7 @@ def _moore_space(m):
     for i in range(3 * m):
         u, w = ring[i], ring[(i + 1) % (3 * m)]
         facets += [(3, u, w), (u, w, i % 3), (w, i % 3, (i + 1) % 3)]
-    return from_facets(facets)
+    return SimplicialComplex(facets)
 
 
 class TestReductionPairs:
@@ -105,16 +105,16 @@ class TestReductionPairs:
 
     def test_multi_component(self):
         facets = list(TORUS.facets) + _shifted(RP2, 10) + _shifted(SPHERE, 20) + [[30, 31]]
-        summary = homology(from_facets(facets))
+        summary = homology(SimplicialComplex(facets))
         assert summary == HomologySummary((4, 2, 2), ((), (2,), ()))
-        self._assert_oracle(from_facets(facets))
+        self._assert_oracle(SimplicialComplex(facets))
 
     def test_non_pure_and_empty(self):
         # a triangle, a dangling edge, a lone vertex and an unused vertex id
-        non_pure = from_facets([[0, 1, 2], [2, 3], [5]], vertex_count=7)
+        non_pure = SimplicialComplex([[0, 1, 2], [2, 3], [5]], vertex_count=7)
         assert homology(non_pure) == HomologySummary((2, 0, 0), ((), (), ()))
         self._assert_oracle(non_pure)
-        assert homology(from_facets([])) == oracles.homology(from_facets([])) == HomologySummary((), ())
+        assert homology(SimplicialComplex([])) == oracles.homology(SimplicialComplex([])) == HomologySummary((), ())
 
     def test_random_pure_complexes(self):
         rng = random.Random(31)
@@ -169,7 +169,7 @@ def test_homology_matches_the_oracle_on_a_seeded_fuzz():
             facets = _relabelled(_freudenthal_torus(rng.choice((2, 3, 4))), rng)
         if rng.random() < 0.4:
             facets += _random_mixed(rng, offset=1 + max((v for f in facets for v in f), default=0))
-        complex_ = from_facets(facets)
+        complex_ = SimplicialComplex(facets)
         summary = homology(complex_)
         assert summary == oracles.homology(complex_), facets
         if any(summary.torsion):
@@ -198,7 +198,7 @@ class TestTorsionOrder:
         assert homology(triple).betti[1] == 2
 
     def test_graph_has_trivial_torsion(self):
-        assert torsion_order_h1(from_facets([[0, 1], [1, 2]])) == 1
+        assert torsion_order_h1(SimplicialComplex([[0, 1], [1, 2]])) == 1
 
     def test_one_smith_form_of_the_leftover_boundary(self, monkeypatch):
         calls = []
@@ -258,7 +258,7 @@ class TestMinorGcd:
         assert oracles.max_minor_gcd(matrix.dense()) == (10, 2)
 
     def test_single_triangle(self):
-        matrix = oracles.boundary_matrix(from_facets([[0, 1, 2]]), 2)
+        matrix = oracles.boundary_matrix(SimplicialComplex([[0, 1, 2]]), 2)
         assert smith_normal_form(matrix.sparse()).factor_product == 1
         assert oracles.max_minor_gcd(matrix.dense()) == (1, 1)
 

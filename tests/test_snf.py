@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from systolic import homology as homology_mod, snf
-from systolic.complexes import connected_sum, from_facets
+from systolic.complexes import SimplicialComplex, connected_sum
 from systolic.corpus import corpus_complex, corpus_complexes
 from systolic.snf import smith_normal_form
 
@@ -141,7 +141,7 @@ def _freudenthal_torus(k):
                 point[axis] += 1
                 simplex.append(vid(point))
             facets.append(sorted(simplex))
-    return from_facets(facets)
+    return SimplicialComplex(facets)
 
 
 def _unimodular(n, rng):
