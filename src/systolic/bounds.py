@@ -52,15 +52,17 @@ class BoundConstants:
 
 
 def load_constants(path: str) -> BoundConstants:
-    """Load constants from a JSON file; missing keys keep their defaults."""
+    """Load constants from a JSON file; missing keys keep their defaults, and a refusal names the file."""
+
+    def build(data):
+        keys = fields(BoundConstants)[:-1]  # all but provenance
+        unknown = sorted(set(data) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} (it takes {', '.join(keys[:-1])} and {keys[-1]})")
+        return BoundConstants(**data, provenance=str(path))
+
     with open(path, "rb") as handle:
-        data = read_json(handle, "constants")
-    keys = fields(BoundConstants)[:-1]  # all but provenance
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise ValueError(f"constants file {path} has unknown key {unknown[0]!r} "
-                         f"(it takes {', '.join(keys[:-1])} and {keys[-1]})")
-    return BoundConstants(**data, provenance=str(path))
+        return read_json(handle, "constants", build)
 
 
 @record

@@ -37,8 +37,8 @@ class SimplicialComplex:
     mutually non-contained.  ``vertex_count`` bounds the vertex id space and
     defaults to one past the largest vertex.  Refused, in this order: a facet
     that is no list or tuple of ints (a boolean is none) or repeats a vertex,
-    a ``vertex_count`` not above every vertex, a negative vertex, and a
-    complex past ``MAX_FACE_STEPS``.
+    a ``vertex_count`` that is no int (a boolean is none) or not above every
+    vertex, a negative vertex, and a complex past ``MAX_FACE_STEPS``.
     """
 
     facets: tuple[tuple[int, ...], ...]
@@ -74,6 +74,8 @@ class SimplicialComplex:
         used_max = max((f[-1] for f in maximal), default=-1)
         if vertex_count is None:
             vertex_count = used_max + 1
+        elif type(vertex_count) is not int:
+            raise ValueError(f"vertex_count {vertex_count!r} is not an integer")
         elif vertex_count <= used_max:
             raise ValueError("vertex_count smaller than largest vertex id used")
         if maximal and maximal[0][0] < 0:  # the least facet holds the least vertex
@@ -260,9 +262,7 @@ def load_complex(source) -> SimplicialComplex:
 
 
 def _complex(data: dict) -> SimplicialComplex:
-    facets, vertices = data.get("facets"), data.get("vertices")
+    facets = data.get("facets")
     if type(facets) is not list:
         raise ValueError("'facets' must be a list of integer vertex-id lists")
-    if vertices is not None and (type(vertices) is not int or vertices < 0):
-        raise ValueError("'vertices' must be a non-negative integer")
-    return SimplicialComplex(facets, vertices)
+    return SimplicialComplex(facets, data.get("vertices"))

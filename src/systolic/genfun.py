@@ -54,12 +54,14 @@ MAX_STEP_WORK = 16_000_000
 class RationalSequence:
     """Finite exact sequence s_1, s_2, ... (1-indexed semantics).
 
-    The terms are Fractions; ``from_values`` converts any other exact values.
+    The terms are a tuple of Fractions; ``from_values`` converts other exact values.
     """
 
     terms: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.terms) is not tuple or not set(map(type, self.terms)) <= {Fraction}:
+            raise ValueError("terms must be a tuple of Fractions; from_values converts other exact values")
         if not self.terms:
             raise ValueError("sequence must be nonempty")
 

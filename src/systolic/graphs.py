@@ -48,7 +48,8 @@ MAX_DEGREE_SQUARES = 7 ** 2 * MAX_VERTICES
 class Graph:
     """Simple undirected graph on vertices 0..n-1, given by an iterable of
     edges, each a list or tuple of two ints (a boolean is none).  The
-    constructor refuses a loop, an end out of range and an edge given twice,
+    constructor refuses a vertex count that is no non-negative int (a
+    boolean is none), a loop, an end out of range and an edge given twice,
     and keeps the edges as sorted (u, v) pairs with u < v."""
 
     vertex_count: int
@@ -56,6 +57,8 @@ class Graph:
 
     def __post_init__(self):
         n = self.vertex_count
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex_count {n!r} is not a non-negative integer")
         edges = self.edges if type(self.edges) in (list, tuple) else tuple(self.edges)
         pairs = _sorted_pairs(n, edges)
         if pairs is None:  # a bulk check failed: walk the edges to name the first bad one
@@ -565,9 +568,7 @@ def _double_swap(adj, connect, disconnect, u, near, deficient, reach, n, rng):
 
 
 def _ball(adj, root, radius):
-    """Vertices within the given BFS distance of root."""
-    if radius == 0:
-        return {root}
+    """Vertices within the given BFS distance of root, for radius >= 1."""
     seen, last = _inner_ball(adj, root, radius)
     seen.update(*map(adj.__getitem__, last))  # the last level needs no frontier of its own
     return seen
@@ -595,13 +596,11 @@ def load_graph(source) -> Graph:
 def _graph(data: dict) -> Graph:
     if "n" not in data or "edges" not in data:
         raise ValueError("'n' and 'edges' are both required")
-    n, edges = data["n"], data["edges"]
-    if type(n) is not int or n < 0:
-        raise ValueError("'n' must be a non-negative integer")
-    check("graphs.MAX_VERTICES", n, MAX_VERTICES, "'n' =")
-    if type(edges) is not list:
+    if type(data["edges"]) is not list:
         raise ValueError("'edges' must be a list of integer pairs")
-    return Graph(n, edges)
+    graph = Graph(data["n"], data["edges"])
+    check("graphs.MAX_VERTICES", graph.vertex_count, MAX_VERTICES, "'n' =")
+    return graph
 
 
 def dump_graph(graph: Graph) -> str:

@@ -12,10 +12,12 @@ passing to the quotient by the subcomplex they span, whose differential is
 the original one restricted to the cells still live.  The removals are of
 three kinds.
 
-- One vertex per connected component.  A vertex v spans a subcomplex with
-  homology Z in degree 0, and [v] generates a free summand of H_0.  So the
-  quotient has the same H_k for k >= 1, and H_0 loses that Z summand.  The
-  components are added back to betti[0] at the end.
+- One vertex per connected component: the least live vertex whenever the
+  queue of pairs runs dry (``_reduce`` says why it starts a new component).
+  A live vertex v spans a subcomplex with homology Z in degree 0, and [v]
+  generates a free summand of H_0.  So the quotient has the same H_k for
+  k >= 1, and H_0 loses that Z summand.  The components are added back to
+  betti[0] at the end.
 - Coreductions (a, b): the live boundary of b is the single cell a.
   Then the live boundary of b is +-a, and b, a span an acyclic subcomplex
   Z -> Z with a +-1 map.
@@ -30,8 +32,7 @@ exact sequence.  Betti numbers of what is left are live_k - rank_k -
 rank_{k+1}, and its torsion is that of the leftover boundary operators.
 The pairs come off a FIFO queue seeded in lexicographic face order: each
 removal queues the cells whose live boundary or coboundary it shrank.
-``torsion_order_h1`` runs the same removals and then the Smith form of the
-leftover boundary of 2-cells alone.
+``check_s2_torsion_bound`` reads |Tors H_1| from ``homology``.
 """
 from __future__ import annotations
 
@@ -66,17 +67,20 @@ def homology(complex_: SimplicialComplex) -> HomologySummary:
     return HomologySummary(tuple(betti), tuple(torsion))
 
 
-def torsion_order_h1(complex_: SimplicialComplex) -> int:
-    """|Tors H_1| of this complex; 1 means torsion-free."""
-    groups = complex_.faces_by_dim
-    if len(groups) < 3:
-        return 1
-    _, _, boundaries = _reduce(complex_)
-    return math.prod(smith_normal_form(boundaries[1]).torsion_factors)
-
-
 def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[dict]]:
-    """Remove one vertex per component, then reduction pairs, from the faces of ``complex_``.
+    """Remove reduction pairs and one vertex per component from the faces of ``complex_``.
+
+    The queue of pairs is drained; then the least live vertex is removed,
+    one component is counted, and the vertex's live cofaces are queued;
+    this repeats until no vertex is live.  Each removed vertex starts a new
+    component, so the count is the number of components:
+
+    - At a drain, no live edge has exactly one live end, because such an
+      edge would have been coreduced.  So H_0 of what is left is free on the
+      pieces of live vertices joined by live edges.
+    - Removing {v} kills [v] in H_0, and pair removals keep homology.  So
+      there is exactly one such piece per component that has no removed
+      vertex yet, and the least live vertex always starts a new component.
 
     Returns the number of components, the number of cells left in each
     dimension, and for k = 1..dim the leftover boundary operator as a
@@ -109,26 +113,31 @@ def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[dict]]:
         for coface in cofaces[cell]:
             face_count[coface] -= 1
 
-    components = _components(len(groups[0]), [f for f in faces if len(f) == 2])
-    for vertex in components:
-        remove(vertex)
-
+    components = 0
+    vertices = iter(range(starts[1]))  # removed cells stay removed: one pass finds each least live vertex
     queue = deque(range(len(faces)))
-    while queue:
-        cell = queue.popleft()
-        if not live[cell]:
-            continue
-        if face_count[cell] == 1:
-            pair = (next(f for f in faces[cell] if live[f]), cell)
-        elif coface_count[cell] == 1:
-            pair = (cell, next(c for c in cofaces[cell] if live[c]))
-        else:
-            continue
-        for member in pair:
-            remove(member)
-        for member in pair:
-            queue.extend(x for x in faces[member] if live[x])
-            queue.extend(x for x in cofaces[member] if live[x])
+    while True:
+        while queue:
+            cell = queue.popleft()
+            if not live[cell]:
+                continue
+            if face_count[cell] == 1:
+                pair = (next(f for f in faces[cell] if live[f]), cell)
+            elif coface_count[cell] == 1:
+                pair = (cell, next(c for c in cofaces[cell] if live[c]))
+            else:
+                continue
+            for member in pair:
+                remove(member)
+            for member in pair:
+                queue.extend(x for x in faces[member] if live[x])
+                queue.extend(x for x in cofaces[member] if live[x])
+        vertex = next((v for v in vertices if live[v]), None)
+        if vertex is None:
+            break
+        remove(vertex)
+        components += 1
+        queue.extend(c for c in cofaces[vertex] if live[c])
 
     left = [[c for c in range(starts[k], starts[k + 1]) if live[c]] for k in range(len(groups))]
     boundaries = [
@@ -140,24 +149,7 @@ def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[dict]]:
         }
         for k in range(1, len(groups))
     ]
-    return len(components), [len(cells) for cells in left], boundaries
-
-
-def _components(vertex_count: int, edges) -> list[int]:
-    """The least vertex of each connected component (union-find over the edges)."""
-    parent = list(range(vertex_count))
-
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for edge in edges:
-        a, b = map(root, edge)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return [v for v in range(vertex_count) if root(v) == v]
+    return components, [len(cells) for cells in left], boundaries
 
 
 @record
@@ -180,5 +172,6 @@ def check_s2_torsion_bound(complex_: SimplicialComplex) -> TriangleTorsionReport
 
     counts = face_counts(complex_)
     s2 = counts[2] if len(counts) > 2 else 0
-    order = torsion_order_h1(complex_)
+    torsion = homology(complex_).torsion
+    order = math.prod(torsion[1]) if len(torsion) > 1 else 1
     return TriangleTorsionReport(s2, order, height_from_torsion(order), order * order <= 3 ** s2)

@@ -21,8 +21,8 @@ class Presentation:
     relators: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if self.generator_count < 1:
-            raise ValueError("a presentation needs at least one generator")
+        if type(self.generator_count) is not int or self.generator_count < 1:
+            raise ValueError(f"generator_count {self.generator_count!r} is not a positive integer")
         for rel in self.relators:
             previous = -1
             for generator, total in rel:

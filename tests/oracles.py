@@ -8,7 +8,8 @@ cycle enumeration, exhaustive orientation search, largest-first Waring
 parts read off a count list, Hankel-style recurrence solving by dense
 elimination over fractions, Berlekamp-Massey and its replay on
 ``Fraction`` terms (``_lfsr_synthesis`` and ``_replays``, with the
-verdict built from them in ``recurrence_verdict``), the girth as a full
+verdict built from them in ``recurrence_verdict``), the connected
+components of a complex by union-find (``components``), the girth as a full
 BFS from every vertex, the ball around a vertex by plain BFS, the graph
 edge checks one edge at a time (``graph_edges``), the complex facet checks
 one facet at a time (``complex_facets``), ``check_regular_girth``, the
@@ -359,6 +360,25 @@ def homology(complex_: SimplicialComplex) -> HomologySummary:
         forms[k + 1].torsion_factors if forms[k + 1] else () for k in range(dim + 1)
     ]
     return HomologySummary(tuple(betti), tuple(torsion))
+
+
+def components(complex_: SimplicialComplex) -> int:
+    """The number of connected components of ``complex_`` (union-find over
+    the consecutive vertices of each facet)."""
+    parent = {v: v for facet in complex_.facets for v in facet}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for facet in complex_.facets:
+        for edge in zip(facet, facet[1:]):
+            a, b = map(root, edge)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return sum(root(v) == v for v in parent)
 
 
 def pairwise_divisibility_chain(values: list[int]) -> tuple[int, ...]:

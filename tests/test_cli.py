@@ -545,7 +545,7 @@ class TestBoundsCommand:
             ["bounds", "torsion", "--value", "100", "--constants", str(const)], capsys
         )
         assert (code, out) == (2, "")
-        assert err == (f"error: constants file {const} has unknown key {key!r} "
+        assert err == (f"error: constants file {const}: unknown key {key!r} "
                        "(it takes m, cm, cm_prime, cm_second, pair_lower and pair_upper)\n")
 
     @pytest.mark.parametrize("name", ["simvol", "sandwich"])
@@ -594,21 +594,23 @@ class TestBoundsCommand:
             ["bounds", "sandwich", "--value", "10", "--constants", str(const)], capsys
         )
         assert (code, out) == (2, "")
-        assert err == f"error: constant {field} must be finite\n"
+        assert err == f"error: constants file {const}: constant {field} must be finite\n"
 
     @pytest.mark.parametrize("value, shown", [('"x"', "'x'"), ("null", "None"), ("[1]", "[1]")])
     def test_constant_that_is_no_number_is_refused(self, value, shown, tmp_path, capsys):
         const = tmp_path / "constants.json"
         const.write_text(f'{{"cm": {value}}}')
         code, out, err = run_cli(["bounds", "height", "--value", "2", "--constants", str(const)], capsys)
-        assert (code, out, err) == (2, "", f"error: constant cm must be a number, not {shown}\n")
+        assert (code, out, err) == (2, "", f"error: constants file {const}: constant cm must be a number, "
+                                           f"not {shown}\n")
 
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_boolean_constant_is_refused(self, value, tmp_path, capsys):
         const = tmp_path / "constants.json"
         const.write_text(f'{{"cm": {value}}}')
         code, out, err = run_cli(["bounds", "height", "--value", "5", "--constants", str(const)], capsys)
-        assert (code, out, err) == (2, "", "error: constant cm must be a number, not a boolean\n")
+        assert (code, out, err) == (2, "", f"error: constants file {const}: constant cm must be a number, "
+                                           "not a boolean\n")
 
     @pytest.mark.parametrize("command", [["bounds", "height", "--value", "5"], ["sweep", "--spec", "{spec}"]])
     def test_constant_past_the_float_range_is_refused(self, command, tmp_path, capsys):
@@ -617,7 +619,17 @@ class TestBoundsCommand:
         const.write_text(json.dumps({"cm": 10 ** 400}))
         spec.write_text(json.dumps({"command": "height", "grid": {"value": [5]}}))
         code, out, err = run_cli([*(arg.format(spec=spec) for arg in command), "--constants", str(const)], capsys)
-        assert (code, out, err) == (2, "", "error: constant cm is past the float range\n")
+        assert (code, out, err) == (2, "", f"error: constants file {const}: "
+                                           "constant cm is past the float range\n")
+
+    @pytest.mark.parametrize("command", [["bounds", "torsion", "--value", "100"], ["sweep", "--spec", "{spec}"]])
+    def test_value_refusal_names_the_constants_file(self, command, tmp_path, capsys):
+        # the text was constant cm must be positive, which did not say which file
+        const, spec = tmp_path / "constants.json", tmp_path / "spec.json"
+        const.write_text('{"cm": -1}')
+        spec.write_text(json.dumps({"command": "torsion", "grid": {"value": [100]}}))
+        code, out, err = run_cli([*(arg.format(spec=spec) for arg in command), "--constants", str(const)], capsys)
+        assert (code, out, err) == (2, "", f"error: constants file {const}: constant cm must be positive\n")
 
     def test_divisor_that_underflows_is_refused(self, tmp_path, capsys):
         # ln(2) ** 3000 is 0.0 as a float, so k / ln(1 + k) ** m divided by zero
@@ -1335,7 +1347,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("kind, text, refusal", [
         ("homology", '{"facets": [[0, 1, "x"]]}', "facet [0, 1, 'x'] is not a list of integer vertex ids"),
-        ("homology", '{"facets": [[0, 1, 2]], "vertices": -1}', "'vertices' must be a non-negative integer"),
+        ("homology", '{"facets": [[0, 1, 2]], "vertices": -1}',
+         "vertex_count smaller than largest vertex id used"),
         ("girth", '{"n": 4, "edges": [[0, 1.5]]}', "edge [0, 1.5] is not a pair of integers"),
         ("girth", '{"n": 4, "edges": [[0, 1], [1, 0]]}', "duplicate edge (0, 1)"),
         ("genfun", '{"terms": "123456789"}', "'terms' must be a list"),

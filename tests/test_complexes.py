@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from itertools import combinations
 
@@ -114,12 +115,15 @@ class TestFromFacets:
         (None, [[0, 1, 1]], r"repeated vertex in simplex \(0, 1, 1\)"),
         (3, [[0, 3]], "vertex_count smaller than largest vertex id used"),
         (-1, [], "vertex_count smaller than largest vertex id used"),
+        (2.5, [[0, 1]], r"vertex_count 2\.5 is not an integer"),
+        (True, [[0]], "vertex_count True is not an integer"),
         (3, [[-1, 2]], r"facet \(-1, 2\) has vertices outside 0\.\.2"),
         (None, [[0, True]], r"facet \[0, True\] is not a list of integer vertex ids"),
         (None, [(0, 1.0)], r"facet \(0, 1\.0\) is not a list of integer vertex ids"),
         (None, [[0, 1], 2], "facet 2 is not a list of integer vertex ids"),
         (None, [range(2)], r"facet range\(0, 2\) is not a list of integer vertex ids"),
-    ], ids=["repeated vertex", "vertex count too small", "negative vertex count", "negative vertex",
+    ], ids=["repeated vertex", "vertex count too small", "negative vertex count", "float vertex count",
+            "boolean vertex count", "negative vertex",
             "boolean vertex", "float vertex", "int facet", "range facet"])
     def test_constructor_refusals(self, vertex_count, facets, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -152,12 +156,9 @@ class TestFromFacets:
             assert made == _outcome(lambda: oracles.complex_facets(facets, vertex_count, 40)), (facets, vertex_count)
             text = json.dumps({"facets": facets, "vertices": vertex_count})
             loaded = _outcome(lambda: load_complex(text))
-            if vertex_count is not None and vertex_count < 0:
-                assert loaded == "error:complex text: 'vertices' must be a non-negative integer"
-            else:
-                expected = _outcome(lambda: oracles.complex_facets(json.loads(text)["facets"], vertex_count, 40),
-                                    "complex text: ")
-                assert loaded == expected, text
+            expected = _outcome(lambda: oracles.complex_facets(json.loads(text)["facets"], vertex_count, 40),
+                                "complex text: ")
+            assert loaded == expected, text
             seen.add(next((kind for kind in FACET_FAULTS if kind in made), "made"))
         assert seen == {"made", *FACET_FAULTS}
 
@@ -444,10 +445,18 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             load_complex('{"vertices": 3}')
 
-    @pytest.mark.parametrize("vertices", [-5, -1, "4", 2.0, True])
-    def test_vertex_count_must_be_a_non_negative_integer(self, vertices):
+    @pytest.mark.parametrize("vertices, refusal", [
+        (-5, "vertex_count smaller than largest vertex id used"),
+        (-1, "vertex_count smaller than largest vertex id used"),
+        ("4", "vertex_count '4' is not an integer"),
+        (2.0, "vertex_count 2.0 is not an integer"),
+        (True, "vertex_count True is not an integer"),
+    ], ids=["-5", "-1", "4", "2.0", "True"])
+    def test_vertex_count_must_be_a_non_negative_integer(self, vertices, refusal):
+        # the loader's own check gave 'vertices' must be a non-negative
+        # integer; the constructor's check is now the one check
         blob = json.dumps({"vertices": vertices, "facets": [[0, 1]]})
-        with pytest.raises(ValueError, match="^complex text: 'vertices' must be a non-negative integer$"):
+        with pytest.raises(ValueError, match=f"^complex text: {re.escape(refusal)}$"):
             load_complex(blob)
 
 

@@ -66,6 +66,12 @@ class TestDetect:
         with pytest.raises(ValueError, match=f"^term {re.escape(repr(value))} is not a rational number$"):
             RationalSequence.from_values([1, "1/2", value])
 
+    @pytest.mark.parametrize("terms", [(1.5,) * 10, (Fraction(1), 2), (True,), [Fraction(1)], "12"])
+    def test_terms_other_than_a_tuple_of_fractions_are_refused(self, terms):
+        # floats reached detect_linear_recurrence, which raised AttributeError
+        with pytest.raises(ValueError, match="^terms must be a tuple of Fractions"):
+            RationalSequence(terms)
+
     def test_too_short_rejected(self):
         seq = RationalSequence.from_values([1, 2, 3])
         with pytest.raises(ValueError):

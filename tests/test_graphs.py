@@ -309,6 +309,15 @@ class TestGraphValue:
         with pytest.raises(ValueError):
             Graph(3, ((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("n", [-3, 2.5, "4", True, None])
+    def test_vertex_count_other_than_a_non_negative_int_is_refused(self, n):
+        # Graph(-3, []) was accepted with girth inf; only load_graph checked 'n'
+        refusal = re.escape(f"vertex_count {n!r} is not a non-negative integer")
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            Graph(n, [])
+        with pytest.raises(ValueError, match=f"^graph text: {refusal}$"):
+            load_graph(json.dumps({"n": n, "edges": []}))
+
     def test_load_vertex_cap(self):
         assert load_graph(f'{{"n": {MAX_VERTICES}, "edges": []}}').vertex_count == MAX_VERTICES
         with pytest.raises(ValueError, match=rf"^graph text: 'n' = {MAX_VERTICES + 1}, past the cap "
@@ -525,9 +534,24 @@ def test_ball_matches_oracle():
     for _ in range(60):
         n = rng.randint(1, 80)
         adj = _random_adjacency(rng, n, rng.randint(0, 3 * n))
-        for radius in range(6):
+        for radius in range(1, 6):
             root = rng.randrange(n)
             assert graphs._ball(adj, root, radius) == oracles._ball(adj, root, radius)
+
+
+def test_builds_ask_for_no_ball_of_radius_zero(monkeypatch):
+    # _ball takes radius >= 1: its callers pass h >= 1, h - 1 > 2 or
+    # reach = g - 2 >= 1, as builds need g >= 3
+    radii = set()
+
+    def spy(adj, root, radius):
+        radii.add(radius)
+        return oracles._ball(adj, root, radius)
+
+    monkeypatch.setattr(graphs, "_ball", spy)
+    for request in ((3, 3, 10), (3, 4, 10), (4, 4, 12), (3, 5, 10), (3, 6, 14), (3, 7, 24)):
+        construct_regular_girth(*request, seed=1)
+    assert radii == {1, 2, 3, 4, 5}
 
 
 def test_girth_matches_networkx():

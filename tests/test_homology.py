@@ -10,7 +10,6 @@ from systolic.homology import (
     HomologySummary,
     check_s2_torsion_bound,
     homology,
-    torsion_order_h1,
 )
 from systolic.snf import smith_normal_form
 
@@ -121,13 +120,14 @@ class TestReductionPairs:
         for trial in range(200):
             complex_ = _random_pure(rng, 2 + trial % 2)
             self._assert_oracle(complex_)
-            assert torsion_order_h1(complex_) == math.prod(oracles.homology(complex_).torsion[1])
+            order = math.prod(oracles.homology(complex_).torsion[1])
+            assert check_s2_torsion_bound(complex_).torsion_order == order
 
     @pytest.mark.parametrize("m", [2, 3, 5, 6])
     def test_moore_space_torsion(self, m):
         assert homology(_moore_space(m)) == HomologySummary((1, 0, 0), ((), (m,), ()))
         self._assert_oracle(_moore_space(m))
-        assert torsion_order_h1(_moore_space(m)) == m
+        assert check_s2_torsion_bound(_moore_space(m)).torsion_order == m
 
 
 def _relabelled(complex_, rng, offset=0):
@@ -181,12 +181,66 @@ def test_homology_matches_the_oracle_on_a_seeded_fuzz():
     assert seen == {"torsion", "components", "empty leftovers"}
 
 
+def _random_tree(rng):
+    """The edges of a random tree on one to eight vertices (no edge for one)."""
+    n = rng.randint(1, 8)
+    return [[rng.randrange(v), v] for v in range(1, n)] or [[0]]
+
+
+def _dangling(rng):
+    """A triangle or a closed surface with edges hung from some of its vertices."""
+    base = rng.choice((SimplicialComplex([[0, 1, 2]]), SPHERE, RP2, TORUS))
+    facets = list(base.facets)
+    for i in range(rng.randint(1, 3)):
+        facets.append([rng.randrange(base.vertex_count), base.vertex_count + i])
+    return facets
+
+
+def _disjoint_union(rng):
+    """Facets of two to five blocks on disjoint vertices, the labels shuffled:
+    isolated vertices, trees, dangling edges, closed surfaces and pure
+    3-complexes."""
+    kinds = (
+        lambda: [[0]],
+        lambda: _random_tree(rng),
+        lambda: _dangling(rng),
+        lambda: list(_glued_chain(rng).facets),
+        lambda: list(SPHERE.facets),
+        lambda: list(_random_pure(rng, 3).facets),
+        lambda: list(_freudenthal_torus(2).facets),
+    )
+    facets = []
+    for _ in range(rng.randint(2, 5)):
+        offset = 1 + max((v for f in facets for v in f), default=-1)
+        facets += [[v + offset for v in facet] for facet in rng.choice(kinds)()]
+    n = 1 + max(v for f in facets for v in f)
+    perm = rng.sample(range(n), n)
+    return [[perm[v] for v in facet] for facet in facets]
+
+
+def test_homology_counts_components_on_a_seeded_fuzz():
+    # the reduction takes out one vertex each time its queue runs dry, and
+    # its count of them alone must be betti[0]: the union-find count of the
+    # components
+    rng = random.Random(3511)
+    for _ in range(150):
+        facets = _disjoint_union(rng)
+        complex_ = SimplicialComplex(facets)
+        summary = homology(complex_)
+        assert summary == oracles.homology(complex_), facets
+        assert summary.betti[0] == oracles.components(complex_) == homology_mod._reduce(complex_)[0], facets
+
+
+def _torsion_order(complex_):
+    return check_s2_torsion_bound(complex_).torsion_order
+
+
 class TestTorsionOrder:
     def test_sphere_torsion_free(self):
-        assert torsion_order_h1(SPHERE) == 1
+        assert _torsion_order(SPHERE) == 1
 
     def test_rp2(self):
-        assert torsion_order_h1(RP2) == 2
+        assert _torsion_order(RP2) == 2
 
     def test_triple_projective_sum(self):
         triple = connected_sum(
@@ -194,13 +248,16 @@ class TestTorsionOrder:
             RP2,
             allow_nonorientable=True,
         )
-        assert torsion_order_h1(triple) == 2
+        assert _torsion_order(triple) == 2
         assert homology(triple).betti[1] == 2
 
     def test_graph_has_trivial_torsion(self):
-        assert torsion_order_h1(SimplicialComplex([[0, 1], [1, 2]])) == 1
+        # below dimension 2 there is no 2-cell: a graph has H_1 free, and a
+        # set of vertices or the empty complex no H_1 at all
+        for facets in ([[0, 1], [1, 2]], [[0], [2]], []):
+            assert _torsion_order(SimplicialComplex(facets)) == 1
 
-    def test_one_smith_form_of_the_leftover_boundary(self, monkeypatch):
+    def test_smith_forms_of_the_leftover_boundaries(self, monkeypatch):
         calls = []
 
         def spy(entries):
@@ -209,8 +266,9 @@ class TestTorsionOrder:
 
         monkeypatch.setattr(homology_mod, "smith_normal_form", spy)
         moore = _moore_space(6)
-        assert torsion_order_h1(moore) == 6
-        entries, = calls
+        assert _torsion_order(moore) == 6
+        assert len(calls) == 2  # one per boundary operator, d_1 and d_2
+        entries = calls[1]
         rows, cols = len({i for i, _ in entries}), len({j for _, j in entries})
         raw_rows, raw_cols = oracles.boundary_matrix(moore, 2).shape
         assert rows < raw_rows and cols < raw_cols
@@ -240,7 +298,7 @@ class TestTriangleTorsionBound:
     def test_holds_is_exact_at_the_edge(self, monkeypatch, order, holds):
         # 2 log3(3^20 + 1) exceeds s2 = 40 by about 5e-10, below any float slack
         monkeypatch.setattr(homology_mod, "face_counts", lambda _: [0, 0, 40])
-        monkeypatch.setattr(homology_mod, "torsion_order_h1", lambda _: order)
+        monkeypatch.setattr(homology_mod, "homology", lambda _: HomologySummary((1, 0, 0), ((), (order,), ())))
         assert check_s2_torsion_bound(SPHERE).holds is holds
 
 

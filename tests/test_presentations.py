@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -30,6 +31,13 @@ class TestWords:
     def test_rows_other_than_increasing_nonzero_sums_are_refused(self, row):
         with pytest.raises(ValueError):
             Presentation(2, (row,))
+
+    @pytest.mark.parametrize("count", [2.5, "x", True, None, 0, -1])
+    def test_generator_count_other_than_a_positive_int_is_refused(self, count):
+        # 2.5 was accepted and "x" raised TypeError
+        refusal = f"generator_count {count!r} is not a positive integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            Presentation(count, ())
 
     def test_rows_are_sorted_nonzero_exponent_sums(self):
         presentation = parse_presentation("a,b,c ; c^2 a b^-1 a^-1 b, (ab)^-3 [a,c]^5, a a^-1")
