@@ -1,5 +1,5 @@
 """The input boundary: the one refusal of every request cap, and the one
-reader of every JSON input and of every rational's text.
+reader of every JSON input, of every numeric option and of every rational's text.
 
 Each cap is a constant of the module that checks it, and ``check`` refuses an
 amount past it, naming the constant.  A cap checked inside a loop keeps its
@@ -21,18 +21,13 @@ def check(name: str, used: int, cap: int, what: str) -> None:
         raise ValueError(f"{what} {used}, past the cap ({name} = {cap})")
 
 
-def read_json(source, label: str, build=None):
-    """The JSON object in ``source``, UTF-8 text or a file opened in binary, or ``build``
-    of it; any failure, an integer literal past MAX_DIGITS and a ValueError of ``build``
-    too, is one ValueError naming the ``label`` file."""
+def json_value(text: str, where: str):
+    """The JSON value of ``text``, a numeric option's or a whole input's; a syntax error, nesting past
+    the stack and an integer literal past MAX_DIGITS are each one ValueError naming ``where``."""
     import json
 
-    where = f"{label} file {source.name}" if hasattr(source, "name") else f"{label} text"
-    text = source if isinstance(source, (str, bytes)) else source.read()
     try:
-        data = json.loads(text.decode() if isinstance(text, bytes) else text)
-    except UnicodeDecodeError:
-        raise ValueError(f"{where} is not UTF-8 text") from None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -42,6 +37,18 @@ def read_json(source, label: str, build=None):
         used = int(digits[1]) if digits else 0
         check("_caps.MAX_DIGITS", used, MAX_DIGITS, f"{where} has an integer literal with a digit count of")
         raise
+
+
+def read_json(source, label: str, build=None):
+    """The JSON object in ``source``, UTF-8 text or a file opened in binary, or ``build``
+    of it; any failure, an integer literal past MAX_DIGITS and a ValueError of ``build``
+    too, is one ValueError naming the ``label`` file."""
+    where = f"{label} file {source.name}" if hasattr(source, "name") else f"{label} text"
+    text = source if isinstance(source, (str, bytes)) else source.read()
+    try:
+        data = json_value(text.decode() if isinstance(text, bytes) else text, where)
+    except UnicodeDecodeError:
+        raise ValueError(f"{where} is not UTF-8 text") from None
     if not isinstance(data, dict):
         raise ValueError(f"{where} must hold a JSON object")
     if build is None:

@@ -177,7 +177,6 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_girth(args) -> int:
-    from ._caps import rational
     from .graphs import MetricGraph, girth, load_graph, metric_systole
 
     with open(args.graph, "rb") as handle:
@@ -185,9 +184,8 @@ def cmd_girth(args) -> int:
     shortest = girth(graph)
     payload: dict = {"girth": shortest}
     if args.edge_length is not None:
-        length = rational(args.edge_length, "--edge-length")
-        payload["edge_length"] = length
-        payload["metric_systole"] = metric_systole(MetricGraph(graph, length), shortest)
+        payload["edge_length"] = args.edge_length
+        payload["metric_systole"] = metric_systole(MetricGraph(graph, args.edge_length), shortest)
     _dump_json(payload, args.out)
     return 0
 
@@ -201,14 +199,13 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_sleeve(args) -> int:
-    from ._caps import rational
     from .graphs import load_graph
     from .sleeves import CubicalModel, assemble
 
     with open(args.graph, "rb") as handle:
         graph = load_graph(handle)
     model = CubicalModel(args.m, args.c)
-    report = assemble(model, rational(args.eps, "--eps"), graph)
+    report = assemble(model, args.eps, graph)
     payload = _jsonable(report)
     # exact fields stay exact; transcendental formula values print to 6 digits
     payload["sublinear_upper_bound"] = float(f"{report.sublinear_upper_bound:.6g}")
@@ -216,7 +213,7 @@ def cmd_sleeve(args) -> int:
     return 0
 
 
-# The kinds of grid value an evaluator declares, _caps.rational too: each reads a key's value or
+# The kinds of grid value an evaluator or option declares: each reads a key's value or
 # refuses it, naming the key and the kind.  A boolean is no number; an int of any size is finite.
 def _finite_number(value, key: str):
     if type(value) is int or type(value) is float and math.isfinite(value):
@@ -234,6 +231,12 @@ def _integer(value, key: str) -> int:  # a JSON integer: 7.0 is not one
     if type(value) is int:
         return value
     raise ValueError(f"{key} {value!r} is not an integer")
+
+
+def _rational(value, key: str):  # _caps.rational, loaded when a value is read, not at start-up
+    from ._caps import rational
+
+    return rational(value, key)
 
 
 def _corpus_name(value, key: str) -> str:  # corpus_complex refuses one that names none
@@ -302,7 +305,6 @@ class _Evaluator:
 
 def _evaluators(bounds) -> dict[str, _Evaluator]:
     """The evaluator table of one request, over the loaded ``bounds`` module."""
-    from ._caps import rational
     from ._record import asdict
 
     def sandwich(k, constants):
@@ -333,7 +335,7 @@ def _evaluators(bounds) -> dict[str, _Evaluator]:
                    name, ("betti",)),
         _Evaluator("check-torsion-bound", _per_corpus_name(_torsion_check), name,
                    ("s2", "torsion", "holds"), "holds"),
-        _Evaluator("sleeve-volume", _sleeve_volume, {"m": _finite_number, "c": _finite_number, "eps": rational}),
+        _Evaluator("sleeve-volume", _sleeve_volume, {"m": _integer, "c": _integer, "eps": _rational}),
         _Evaluator("multiple-class-bound", lambda k, c, _: bounds.multiple_class_bound(k, c),
                    {"k": _finite_number, "C": _finite_number}),
         _Evaluator("waring", _waring_count, {"k": _integer, "d": _integer}),
@@ -347,8 +349,6 @@ def cmd_bounds(args) -> int:
     entry = _evaluators(bounds).get(args.name)
     if entry is None or list(entry.keys) != ["value"]:
         raise ValueError(f"unknown bounds evaluator {args.name!r}")
-    if args.value is None:
-        raise ValueError(f"bounds {args.name} requires --value")
     constants = _load_constants(bounds, args.constants)
     payload = entry({"value": args.value}, constants)
     if entry.row is None:
@@ -378,9 +378,7 @@ def cmd_sweep(args) -> int:
     unknown = sorted(set(spec) - {"command", "grid", "seed"})
     if unknown:
         raise ValueError(f"sweep spec {args.spec} has unknown key {unknown[0]!r} (it takes command, grid and seed)")
-    seed = spec.get("seed", 0)
-    if type(seed) is not int:
-        raise ValueError(f"sweep spec {args.spec} has a 'seed' that is not an integer")
+    seed = _integer(spec.get("seed", 0), f"sweep spec {args.spec} seed")
     command = spec.get("command")
     entries = _evaluators(bounds)
     if not isinstance(command, str) or command not in entries:
@@ -487,7 +485,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="systolic",
+        prog="systolic", allow_abbrev=False,
         description="exact homology, girth graphs, and systolic bound evaluators",
     )
     parser.add_argument("--version", action="version", version=f"systolic {__version__}")
@@ -497,14 +495,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help):
         """Add subcommand ``name``; return the function that declares its arguments."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func, kinds={})  # the dest of each numeric option -> its flag and kind
 
-        def add(*flags, **kwargs):
+        def add(*flags, kind=False, **kwargs):  # main reads a numeric option by its kind; None: as JSON
             for flag in flags:
                 if flag.startswith("-"):
                     parser.readers.setdefault(flag, []).append(name)
-            p.add_argument(*flags, **kwargs)
+            action = p.add_argument(*flags, **kwargs)
+            if kind is not False:
+                p.get_default("kinds")[action.dest] = flags[0], kind
 
         add("--out", default=None, help="output file (default stdout)")
         return add
@@ -523,35 +523,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     add = command("girth", cmd_girth, "girth and optional metric systole")
     add("graph", help="graph JSON file")
-    add("--edge-length", default=None, help="uniform rational edge length, e.g. 1/8")
+    add("--edge-length", default=None, kind=_rational, help="uniform rational edge length, e.g. 1/8")
 
     add = command("build-graph", cmd_build_graph, "regular graph of prescribed girth")
-    add("--c", type=int, required=True, help="degree")
-    add("--girth", type=int, required=True)
-    add("--vertices", type=int, required=True)
-    add("--seed", type=int, default=0)
+    add("--c", required=True, kind=_integer, help="degree")
+    add("--girth", required=True, kind=_integer)
+    add("--vertices", required=True, kind=_integer)
+    add("--seed", default="0", kind=_integer)
 
     add = command("sleeve", cmd_sleeve, "assemble sleeves over a graph")
-    add("--m", type=int, required=True)
-    add("--c", type=int, required=True)
-    add("--eps", required=True, help="rational sleeve thickness, e.g. 1/10")
+    add("--m", required=True, kind=_integer)
+    add("--c", required=True, kind=_integer)
+    add("--eps", required=True, kind=_rational, help="rational sleeve thickness, e.g. 1/10")
     add("--graph", required=True)
 
     add = command("bounds", cmd_bounds, "closed-form bound evaluators")
     add("name", help="evaluator name")
-    add("--value", type=float, default=None)
+    add("--value", required=True, kind=None)
     add("--constants", default=None, help="JSON file of bound constants")
 
     add = command("waring", cmd_waring, "minimal sums of d-th powers")
     add("mode", nargs="?", choices=("verify",), default=None)
-    add("--k", type=int, default=None)
-    add("--d", type=int, default=None)
-    add("--limit", type=int, default=None, help="verify mode: largest k checked (default 100000)")
+    add("--k", default=None, kind=_integer)
+    add("--d", default=None, kind=_integer)
+    add("--limit", default=None, kind=_integer, help="verify mode: largest k checked (default 100000)")
 
     add = command("genfun", cmd_genfun, "recurrence detection")
     add("mode", choices=("detect",))
     add("--file", required=True, help='sequence JSON: {"terms": ["3/2", ...]}')
-    add("--max-order", type=int, default=16)
+    add("--max-order", default="16", kind=_integer)
 
     add = command("corpus", cmd_corpus, "list built-in complexes and graphs")
     add("--format", choices=("csv", "json"), default="json")
@@ -586,6 +586,13 @@ def main(argv=None) -> int:
         parser = build_parser()
         _refuse_option_before_command(parser.readers, argv)
         args = parser.parse_args(argv)
+        from ._caps import json_value
+
+        for dest, (flag, kind) in args.kinds.items():  # argparse converts no text: each kind reads it here
+            text = getattr(args, dest)
+            if text is not None:
+                value = text if kind is _rational else json_value(text, flag)
+                setattr(args, dest, value if kind is None else kind(value, flag))
         return args.func(args)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

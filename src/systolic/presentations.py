@@ -23,7 +23,11 @@ class Presentation:
     def __post_init__(self):
         if type(self.generator_count) is not int or self.generator_count < 1:
             raise ValueError(f"generator_count {self.generator_count!r} is not a positive integer")
+        if type(self.relators) is not tuple:
+            raise ValueError(f"relators of type {type(self.relators).__name__} are not a tuple of relators")
         for rel in self.relators:
+            if type(rel) is not tuple or any(type(pair) is not tuple or len(pair) != 2 for pair in rel):
+                raise ValueError(f"relator {rel!r} is not a tuple of (generator, total) pairs")
             previous = -1
             for generator, total in rel:
                 if type(generator) is not int or not previous < generator < self.generator_count:

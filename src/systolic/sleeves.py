@@ -24,6 +24,8 @@ class CubicalModel:
     c: int
 
     def __post_init__(self):
+        if type(self.m) is not int or type(self.c) is not int:
+            raise ValueError(f"assembly model needs integers m and c, not {self.m!r} and {self.c!r}")
         if self.m < 3:
             raise ValueError("assembly model needs dimension m >= 3")
         if self.c < 2 * self.m + 1:

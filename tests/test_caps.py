@@ -122,6 +122,15 @@ def test_only_caps_parses_json():
     assert (parses, names) == (["_caps"], set())
 
 
+def test_build_parser_passes_no_type():
+    # argparse only splits words: main reads each numeric option's text by the kind it declares
+    (build,) = [node for node in ast.walk(_sources()["cli"])
+                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    calls = [node for node in ast.walk(build) if isinstance(node, ast.Call)]
+    assert len(calls) > 40
+    assert [ast.unparse(call) for call in calls if any(word.arg == "type" for word in call.keywords)] == []
+
+
 def test_each_check_names_the_constant_it_compares_with():
     # check("module.NAME", used, NAME, what), with NAME a constant of that module
     calls = 0

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import systolic.cli as cli_mod
 import systolic.homology as homology_mod
 from systolic.cli import main
-from systolic import __version__, _caps, bounds, complexes, graphs, presentations, sleeves, snf, waring
+from systolic import __version__, bounds, complexes, graphs, presentations, sleeves, snf, waring
 from systolic.corpus import corpus_list
 from test_snf import _freudenthal_torus
 
@@ -719,7 +719,7 @@ VALID_POINTS = {
     "waring": {"k": 79, "d": 4},
 }
 KIND_NAMES = {cli_mod._finite_number: "a finite number", cli_mod._whole_number: "a whole number",
-              cli_mod._integer: "an integer", _caps.rational: "a rational number",
+              cli_mod._integer: "an integer", cli_mod._rational: "a rational number",
               cli_mod._corpus_name: "a corpus name"}
 # JSON values of a type each kind refuses; a number kind refuses these
 WRONG_TYPES = {
@@ -785,6 +785,131 @@ def test_false_theorem_check_in_a_sweep_exits_1_after_every_row(tmp_path, capsys
         rows = out.splitlines()[2:]
         assert [row.split(",", 1)[0] for row in rows] == list(map(str, values))
         assert sum('false}"' in row for row in rows) == false_rows
+
+
+# Each value's text, as given to an option and written into a sweep spec: 2**53 + 1 and
+# 10**20 + 1 lose digits as floats, and the last has 4 301 digits.
+TABLE_VALUES = [str(2 ** 53 + 1), str(10 ** 20 + 1), "1e3", "2.0", "1_0", "\u0667\u0669", "NaN", "-0", "7" * 4301]
+REFUSED = "refused"
+
+# Each numeric option with a sweep key: its argv ({x} the value's text), the command function and
+# the sweep builder that receive it, and the sweep's grid ({x} the value's JSON text; a rational's
+# text is a JSON string in a sweep, as "1/5" is).
+SWEPT_OPTIONS = {
+    "waring --k": (["waring", "--k", "{x}", "--d", "4"], "cmd_waring", "_waring_count", "waring",
+                   '{{"k": [{x}], "d": [4]}}'),
+    "waring --d": (["waring", "--k", "79", "--d", "{x}"], "cmd_waring", "_waring_count", "waring",
+                   '{{"k": [79], "d": [{x}]}}'),
+    "sleeve --m": (["sleeve", "--m", "{x}", "--c", "7", "--eps", "1/5", "--graph", "g"], "cmd_sleeve",
+                   "_sleeve_volume", "sleeve-volume", '{{"m": [{x}], "c": [7], "eps": ["1/5"]}}'),
+    "sleeve --c": (["sleeve", "--m", "3", "--c", "{x}", "--eps", "1/5", "--graph", "g"], "cmd_sleeve",
+                   "_sleeve_volume", "sleeve-volume", '{{"m": [3], "c": [{x}], "eps": ["1/5"]}}'),
+    "sleeve --eps": (["sleeve", "--m", "3", "--c", "7", "--eps", "{x}", "--graph", "g"], "cmd_sleeve",
+                     "_sleeve_volume", "sleeve-volume", '{{"m": [3], "c": [7], "eps": ["{x}"]}}'),
+}
+
+
+def _read_option(monkeypatch, capsys, argv, command, keys):
+    """The values of ``keys`` that main hands the command ``command``, or REFUSED; a
+    refusal is one line that names the option and echoes no long run of digits."""
+    seen = {}
+    monkeypatch.setattr(cli_mod, command, lambda args: seen.update({key: getattr(args, key) for key in keys}) or 0)
+    code, out, err = run_cli(argv, capsys)
+    if code == 0:
+        return {key: (type(value), value) for key, value in seen.items()}
+    flag = next(arg for arg, value in zip(argv, argv[1:]) if value in TABLE_VALUES)
+    assert (code, out, seen) == (2, "", {}) and err.count("\n") == 1, err
+    assert err.startswith(f"error: {flag} ") and "7" * 100 not in err, err
+    return REFUSED
+
+
+def _sweep_outcome(tmp_path, capsys, command, grid):
+    """(exit code, its one row's result cell or REFUSED) of a sweep of ``command`` over ``grid``, a JSON text."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"command": "{command}", "grid": {grid}}}')
+    code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and "7" * 100 not in err, err
+        return code, REFUSED
+    (row,) = list(csv.reader(io.StringIO(out, newline="")))[2:]
+    return code, REFUSED if row[-1] else row[-2]
+
+
+@pytest.mark.parametrize("text", TABLE_VALUES, ids=range(len(TABLE_VALUES)))
+@pytest.mark.parametrize("option", sorted(SWEPT_OPTIONS))
+def test_each_option_reads_its_value_as_its_sweep_key_does(option, text, tmp_path, capsys, monkeypatch):
+    # argparse's int() read 1_0 as 10 and the Arabic-Indic digits as 79, which no sweep key takes
+    argv, command, build, name, grid = SWEPT_OPTIONS[option]
+    keys = list(EVALUATORS[name].keys)
+    option_reads = _read_option(monkeypatch, capsys, [arg.format(x=text) for arg in argv], command, keys)
+    seen = {}
+    monkeypatch.setattr(cli_mod, build, lambda *values: seen.update(zip(keys, values)) or 0)
+    _, outcome = _sweep_outcome(tmp_path, capsys, name, grid.format(x=text))
+    sweep_reads = REFUSED if outcome is REFUSED else {key: (type(value), value) for key, value in seen.items()}
+    assert option_reads == sweep_reads
+
+
+@pytest.mark.parametrize("text", TABLE_VALUES, ids=range(len(TABLE_VALUES)))
+@pytest.mark.parametrize("name", sorted(BOUND_SAMPLES))
+def test_bounds_value_gives_the_sweep_row(name, text, tmp_path, capsys):
+    # --value was a float, so group-count computed for 2**53 at 2**53 + 1, and exited 0
+    code, out, err = run_cli(["bounds", name, "--value", text], capsys)
+    sweep_code, cell = _sweep_outcome(tmp_path, capsys, name, f'{{"value": [{text}]}}')
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and "7" * 100 not in err, err
+        assert cell is REFUSED
+        return
+    assert cell is not REFUSED and sweep_code == code
+    payload, row = json.loads(out), EVALUATORS[name].row
+    if row is None:
+        assert json.loads(cell) == payload["value"]
+    else:
+        assert json.loads(cell.replace(";", ",")) == {key: payload[key] for key in row}
+
+
+def test_bounds_value_keeps_every_digit(capsys):
+    for name, key in [("group-count", "k_budget"), ("surface-kappa", "genus"), ("abelian-kappa", "rank")]:
+        code, out, _ = run_cli(["bounds", name, "--value", "9007199254740993"], capsys)
+        assert (code, json.loads(out)[key]) == (0, 9007199254740993)
+
+
+# Each numeric option with no sweep key: its argv, the command function and the dest it sets, and its kind.
+UNSWEPT_OPTIONS = {
+    "build-graph --c": (["build-graph", "--c", "{x}", "--girth", "5", "--vertices", "10"], "cmd_build_graph", "c",
+                        cli_mod._integer),
+    "build-graph --girth": (["build-graph", "--c", "3", "--girth", "{x}", "--vertices", "10"], "cmd_build_graph",
+                            "girth", cli_mod._integer),
+    "build-graph --vertices": (["build-graph", "--c", "3", "--girth", "5", "--vertices", "{x}"],
+                               "cmd_build_graph", "vertices", cli_mod._integer),
+    "build-graph --seed": (["build-graph", "--c", "3", "--girth", "5", "--vertices", "10", "--seed", "{x}"],
+                           "cmd_build_graph", "seed", cli_mod._integer),
+    "waring --limit": (["waring", "verify", "--limit", "{x}"], "cmd_waring", "limit", cli_mod._integer),
+    "genfun --max-order": (["genfun", "detect", "--file", "f", "--max-order", "{x}"], "cmd_genfun", "max_order",
+                           cli_mod._integer),
+    "girth --edge-length": (["girth", "g", "--edge-length", "{x}"], "cmd_girth", "edge_length", cli_mod._rational),
+}
+
+
+@pytest.mark.parametrize("text", TABLE_VALUES, ids=range(len(TABLE_VALUES)))
+@pytest.mark.parametrize("option", sorted(UNSWEPT_OPTIONS))
+def test_option_without_a_sweep_key_reads_its_value_by_its_kind(option, text, capsys, monkeypatch):
+    argv, command, dest, kind = UNSWEPT_OPTIONS[option]
+    try:  # a rational's kind reads the text itself, any other kind the JSON value it spells
+        value = kind(text if kind is cli_mod._rational else json.loads(text), option.split()[1])
+        verdict = {dest: (type(value), value)}
+    except ValueError:  # a text that is no JSON, or an integer literal past the digit limit
+        verdict = REFUSED
+    assert _read_option(monkeypatch, capsys, [arg.format(x=text) for arg in argv], command, [dest]) == verdict
+
+
+def test_sleeve_volume_sweep_reads_m_and_c_as_integers(tmp_path, capsys):
+    # both were finite numbers, so m 3.5 and c 9.5 gave the inexact volume 6.65
+    code, out, err = _sweep(tmp_path, capsys, "sleeve-volume", {"m": [3, 3.5], "c": [9.5, 7], "eps": ["1/10"]})
+    assert (code, err) == (0, "sweep finished with 3 row errors\n")
+    rows = list(csv.reader(io.StringIO(out, newline="")))[2:]
+    # rows run over c, eps and m in turn, and each point reads m before c
+    assert [row[-2:] for row in rows] == [["", "c 9.5 is not an integer"], ["", "m 3.5 is not an integer"],
+                                          ["21/5", ""], ["", "m 3.5 is not an integer"]]
 
 
 class TestWaringCommand:
@@ -1114,7 +1239,7 @@ class TestSweep:
         spec.write_text(json.dumps({"command": "height", "grid": {"value": [2, 3]}, "seed": seed}))
         code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: sweep spec {spec} has a 'seed' that is not an integer\n"
+        assert err == f"error: sweep spec {spec} seed {seed!r} is not an integer\n"
 
     def test_rows_are_written_as_they_are_made(self, tmp_path, capsys):
         def peak(points):
@@ -1307,6 +1432,12 @@ MISPLACED_OPTIONS = [
     (["waring", "verify", "--limit", "100", "--k", "5", "--d", "4"],
      "--k does not apply to 'waring verify'"),
     (["waring", "--k", "79", "--d", "4", "--limit", "5"], "--limit applies only to 'waring verify'"),
+    # a prefix of an option is no spelling of it
+    (["waring", "verify", "--lim", "1000"], "unrecognized arguments: --lim 1000"),
+    (["waring", "--k", "7", "--d", "2", "--o", "{tmp}/F"], "argument mode: invalid choice: "),
+    (["bounds", "height", "--val", "5"], "the following arguments are required: --value"),
+    (["--ver"], "the following arguments are required: command"),
+    (["--ver", "corpus"], "unrecognized arguments: --ver"),
 ]
 
 
@@ -1480,7 +1611,8 @@ FUZZ_OPTIONS = [
     ["genfun", "detect", "--file", "{sequence}", "--max-order", "{x}"],
 ]
 FUZZ_VALUES = [10 ** 400, -10 ** 400, True, None, "", "1/0", [], [1], {"a": 1}, 0, -1, 3000, 2.5, float("nan")]
-FUZZ_TEXTS = ["1" + "0" * 400, "-" + "9" * 400, "0", "-1", "2.5", "nan", "1e400", "", "x", "1/0", " 7 ", "\u0663"]
+FUZZ_TEXTS = ["1" + "0" * 400, "-" + "9" * 400, "0", "-1", "2.5", "nan", "1e400", "", "x", "1/0", " 7 ", "\u0663",
+              "1_0", "\u0667\u0669", "2.0", "1e3", "-0", "NaN", "Infinity", '"7"', "9" * 4301]
 
 
 def _nodes(document, path=()):

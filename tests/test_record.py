@@ -160,6 +160,11 @@ REPLACEMENTS = [
     ("BoundConstants", {"a": 1.0}),
     ("Presentation", {"relators": (((0, 0),),)}),
     ("Presentation", {"relators": (((1, 1), (0, 1)),)}),
+    ("Presentation", {"relators": 5}),
+    ("Presentation", {"relators": ((0, 1),)}),
+    ("Presentation", {"relators": [((0, 1),)]}),
+    ("CubicalModel", {"m": 3.5}),
+    ("CubicalModel", {"c": 9.5}),
 ]
 
 
@@ -168,6 +173,20 @@ def test_replace_runs_post_init_as_the_twin_does(name, changes):
     first, twin = SAMPLES[name]()[0], oracles.dataclass_twin(RECORDS[name])
     values = {**asdict(first), **changes}
     assert _outcome(lambda: RECORDS[name](**values)) == _outcome(lambda: twin(**values))
+
+
+@pytest.mark.parametrize("relators, message", [
+    (5, "relators of type int are not a tuple of relators"),
+    (((0, 1),), "relator (0, 1) is not a tuple of (generator, total) pairs"),
+    ([((0, 1),)], "relators of type list are not a tuple of relators"),
+    ((((0, 1, 2),),), "relator ((0, 1, 2),) is not a tuple of (generator, total) pairs"),
+    (([0, 1],), "relator [0, 1] is not a tuple of (generator, total) pairs"),
+])
+def test_presentation_refuses_relators_of_another_shape(relators, message):
+    # the first two raised TypeError, and a list of rows was kept, which made the record unhashable
+    with pytest.raises(ValueError) as refused:
+        presentations.Presentation(2, relators)
+    assert str(refused.value) == message
 
 
 def test_trusted_makes_the_record_without_post_init():

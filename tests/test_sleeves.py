@@ -45,6 +45,12 @@ class TestModel:
         with pytest.raises(ValueError):
             CubicalModel(2, 7)
 
+    @pytest.mark.parametrize("m, c", [(3.5, 7), (3, 9.5), (3.0, 7), (True, 7), ("3", 7)])
+    def test_m_and_c_must_be_integers(self, m, c):
+        # m = 3.5 was kept, and sleeve_volume_single gave the inexact float 6.300000000000001
+        with pytest.raises(ValueError, match="assembly model needs integers m and c"):
+            CubicalModel(m, c)
+
 
 class TestSingleVolume:
     def test_exact_value(self):
