@@ -272,18 +272,6 @@ class UpperBoundIngredients:
         base_items = tuple(sorted((int(k), float(v)) for k, v in (base or {}).items()))
         return cls(base_items, tuple(float(c) for c in sublinear), tuple(float(c) for c in caps))
 
-    def direct(self, k: int) -> float:
-        """Best single-part value at multiple k."""
-        best = math.inf
-        for multiple, value in self.base:
-            if multiple == k:
-                best = min(best, value)
-        for c in self.sublinear_constants:
-            best = min(best, multiple_class_bound(k, c))
-        for cap in self.constant_caps:
-            best = min(best, cap)
-        return best
-
 
 def best_upper_table(k_max: int, ingredients: UpperBoundIngredients) -> list[float]:
     """Min-plus closure table best[1..k_max]; best[0] = 0.
@@ -294,12 +282,14 @@ def best_upper_table(k_max: int, ingredients: UpperBoundIngredients) -> list[flo
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     best = [0.0] * (k_max + 1)
-    atoms = [(m, v) for m, v in ingredients.base]
+    cap = min((math.inf, *ingredients.constant_caps))  # min keeps its first argument against a NaN
     for k in range(1, k_max + 1):
-        value = ingredients.direct(k)
-        for multiple, atom_value in atoms:
-            if multiple < k:
-                value = min(value, atom_value + best[k - multiple])
+        value = cap
+        for multiple, atom in ingredients.base:
+            if multiple <= k:  # an atom at k itself is atom + best[0], its single-part value
+                value = min(value, atom + best[k - multiple])
+        for c in ingredients.sublinear_constants:
+            value = min(value, multiple_class_bound(k, c))
         best[k] = value
     return best
 

@@ -91,13 +91,13 @@ def _csv_header(columns, provenance: str = "") -> str:
     return f"# systolic {__version__}{provenance}\n{','.join(columns)}\n"
 
 
-def _dump_csv(columns, rows, out_path: str | None, provenance: str = "") -> None:
+def _dump_csv(columns, rows, out_path: str | None) -> None:
     """Write the comment line, the header and each row as the iterable yields
     it, each cell an RFC 4180 field."""
     import itertools
 
     lines = (",".join(_csv_field(_csv_cell(value)) for value in row) + "\n" for row in rows)
-    _emit(itertools.chain((_csv_header(columns, provenance),), lines), out_path)
+    _emit(itertools.chain((_csv_header(columns),), lines), out_path)
 
 
 def _load_constants(bounds, path):
@@ -409,7 +409,7 @@ def cmd_sweep(args) -> int:
                 if entry.row is None:
                     cell = str(_jsonable(result))
                 else:
-                    cell = encode(_jsonable({key: result[key] for key in entry.row})).replace(",", ";")
+                    cell = encode(_jsonable({key: result[key] for key in entry.row}))
                     violated |= entry.theorem is not None and not result[entry.theorem]
                 outcome = _csv_field(cell) + ","
             except ValueError as exc:  # a refused grid point becomes the row's error field

@@ -186,38 +186,16 @@ def is_admissible_dim2(complex_: SimplicialComplex) -> bool:
     """True iff every vertex link of a pure 2-complex is a single cycle.
 
     For a 2-pseudomanifold this characterises surfaces; pinch points (links
-    with several cycle components) fail.
+    with several cycle components) fail.  A link is one cycle exactly when
+    it is a connected 1-pseudomanifold, which the facet walk decides.
     """
     if complex_.dim != 2 or not complex_.is_pure:
         raise ValueError("admissibility test requires a pure complex of dimension 2")
-    link_edges: dict[int, list[tuple[int, int]]] = {}
-    for a, b, c in complex_.facets:
-        link_edges.setdefault(a, []).append((b, c))
-        link_edges.setdefault(b, []).append((a, c))
-        link_edges.setdefault(c, []).append((a, b))
-    for edges in link_edges.values():
-        degree: dict[int, int] = {}
-        for u, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        if any(d != 2 for d in degree.values()):
-            return False
-        # single cycle <=> 2-regular link graph is connected
-        adjacency: dict[int, list[int]] = {}
-        for u, v in edges:
-            adjacency.setdefault(u, []).append(v)
-            adjacency.setdefault(v, []).append(u)
-        start = min(adjacency)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(adjacency):
-            return False
-    return True
+    link_edges: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for facet in complex_.facets:
+        for i, vertex in enumerate(facet):
+            link_edges[vertex].append(facet[:i] + facet[i + 1:])
+    return not any(_facet_walk(SimplicialComplex(edges))[0] for edges in link_edges.values())
 
 
 def connected_sum(

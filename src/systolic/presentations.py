@@ -77,7 +77,7 @@ MAX_LETTERS = 1_000_000
 # presentation; README states the cost at the cap.
 MAX_SEGMENT_STEPS = 2_000_000
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\[|\]|\(|\)|,|\^|-?\d+)")
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\[|\]|\(|\)|,|\^|-?[0-9]+)")
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -53,10 +53,10 @@ import math
 from ._caps import check
 from ._record import record
 
-# The most entry updates, rows * cols * min(rows, cols), allowed for the dense
-# reduction of one residual block: about 0.5 s for a square 144 x 144 block of
-# small entries (2 vCPUs, Python 3.11).  No residual block of the built-in
-# corpus, of T^3 up to k = 10 or of a 36 x 36 presentation comes near it.
+# The most entry updates, rows * cols * min(rows, cols), for the dense reduction of one
+# residual block: 1.4-1.9 s for the benchmark's 144 x 144 U*D*V, and 6.1-6.8 s, the costliest
+# tried, for 144 x 144 or 300 x 100 blocks with entries near 12 000 (in process, 2 vCPUs,
+# Python 3.11).  No block of the corpus, of T^3 up to k = 10 or of a 36 x 36 presentation nears it.
 MAX_RESIDUAL_WORK = 3_000_000
 
 

@@ -20,7 +20,9 @@ triples with each face found by deleting a vertex and its own copy of the
 sign (-1)^i (``boundary_matrix``, a ``BoundaryMatrix`` record), and
 ``dataclass_twin``, a record class rebuilt as the frozen dataclass it was,
 and ``presentation_rows``, the presentation parse that wrote every relator
-out letter by letter, free-reduced it and summed its letters.
+out letter by letter, free-reduced it and summed its letters, and
+``best_upper_table``, the min-plus table that took each multiple's best
+single part first and then each base atom below it.
 None of this shares code paths with the implementation under test, with
 three exceptions: ``homology`` is the package's homology before reduction
 pairs, the Smith form of every full ``boundary_matrix``, so it shares
@@ -966,6 +968,32 @@ def greedy_attempt(degree, girth_target, n, rng, counts):
     if edges != target_edges:
         return None
     return tuple((a, b) for a in range(n) for b in sorted(adj[a]) if b > a)
+
+
+def best_upper_table(k_max: int, ingredients) -> list[float]:
+    """best[1..k_max] of ``UpperBoundIngredients``, best[0] = 0: the best single
+    part at k (an atom at k, a C k/ln(1+k) term or a cap), then each atom below k
+    plus the best value at the rest."""
+
+    def direct(k):
+        best = math.inf
+        for multiple, value in ingredients.base:
+            if multiple == k:
+                best = min(best, value)
+        for c in ingredients.sublinear_constants:
+            best = min(best, c * k / math.log(1 + k))
+        for cap in ingredients.constant_caps:
+            best = min(best, cap)
+        return best
+
+    best = [0.0] * (k_max + 1)
+    for k in range(1, k_max + 1):
+        value = direct(k)
+        for multiple, atom_value in ingredients.base:
+            if multiple < k:
+                value = min(value, atom_value + best[k - multiple])
+        best[k] = value
+    return best
 
 
 # what @record adds to a class, which the twin gets from dataclass instead

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -26,6 +27,8 @@ from systolic.bounds import (
     systolic_area_upper_from_kappa,
     torsion_lb,
 )
+
+import oracles
 
 UNIT = BoundConstants()
 
@@ -271,6 +274,30 @@ class TestBestUpperBound:
         ratios = [table[k] / k for k in range(1, 1001)]
         for a, b in zip(ratios, ratios[1:]):
             assert b <= a + 1e-12
+
+    def test_table_equals_the_oracle(self):
+        rng = random.Random(2037)
+        tables = []
+        for case in range(400):
+            base = {rng.randint(1, 12): rng.choice([0.0, rng.uniform(0, 10)]) for _ in range(rng.randint(0, 4))}
+            sublinear = [rng.uniform(0.1, 5) for _ in range(rng.randint(0, 2))]
+            caps = [rng.uniform(0, 40) for _ in range(rng.randint(0, 2))]
+            if case % 4 == 0:  # caps only: a flat table
+                base, sublinear, caps = {}, [], caps or [7.5]
+            elif case % 4 == 1:  # atoms only, none at 1: a multiple no sum of atoms reaches stays inf
+                base, sublinear, caps = {m: v for m, v in base.items() if m > 1} or {3: 1.0}, [], []
+            elif not (base or sublinear or caps):
+                caps = [7.5]
+            if case % 10 == 2:  # a NaN, which the constructor lets through, is never the minimum
+                caps.append(math.nan)
+            elif case % 10 == 7:
+                base[rng.randint(1, 12)], sublinear = math.nan, sublinear + [math.nan]
+            ingredients = UpperBoundIngredients.make(base, sublinear, caps)
+            k_max = rng.randint(1, 60)
+            table = best_upper_table(k_max, ingredients)
+            assert table == oracles.best_upper_table(k_max, ingredients), ingredients
+            tables.append(table)
+        assert any(math.inf in table for table in tables) and any(set(table[1:]) == {7.5} for table in tables)
 
     def test_empty_ingredients_rejected(self):
         with pytest.raises(ValueError):

@@ -902,6 +902,46 @@ def test_option_without_a_sweep_key_reads_its_value_by_its_kind(option, text, ca
     assert _read_option(monkeypatch, capsys, [arg.format(x=text) for arg in argv], command, [dest]) == verdict
 
 
+def _number_in(place, text, tmp_path, capsys, monkeypatch):
+    """(exit code, output, error output) of the CLI given ``text`` in ``place``."""
+    petersen = str(Path(cli_mod.__file__).parent / "data" / "petersen.json")
+    if place == "--eps":  # the stand-in command prints the value main read
+        monkeypatch.setattr(cli_mod, "cmd_sleeve", lambda args: print(args.eps) or 0)
+        return run_cli(["sleeve", "--m", "3", "--c", "7", "--eps", text, "--graph", petersen], capsys)
+    if place == "--edge-length":
+        return run_cli(["girth", petersen, "--edge-length", text], capsys)
+    if place == "sweep eps":
+        return _sweep(tmp_path, capsys, "sleeve-volume", {"m": [3], "c": [7], "eps": [text]})
+    if place == "genfun term":
+        path = tmp_path / "terms.json"
+        path.write_text(json.dumps({"terms": ["1"] + [text] * 39}))
+        return run_cli(["genfun", "detect", "--file", str(path)], capsys)
+    return run_cli(["abelianize", f"a ; a^{text}"], capsys)
+
+
+# Fraction, int() and the regex \d read a digit separator and every script's digits.
+@pytest.mark.parametrize("text", ["1_0", "\u0667\u0669", "\u0661_\u0660/\u0663"], ids=range(3))
+@pytest.mark.parametrize("place", ["--eps", "--edge-length", "sweep eps", "genfun term", "^ exponent"])
+def test_a_number_is_written_in_ascii_digits(place, text, tmp_path, capsys, monkeypatch):
+    # an --edge-length of Arabic-Indic digits and a separator printed "10/3", a genfun term "1_0" was 10
+    # and an Arabic-Indic exponent gave Z/7, each with exit 0
+    code, out, err = _number_in(place, text, tmp_path, capsys, monkeypatch)
+    if place == "sweep eps":
+        assert (code, err) == (0, "sweep finished with 1 row errors\n")
+        assert list(csv.reader(io.StringIO(out)))[2][-2:] == ["", f"eps {text!r} is not a rational number"]
+    else:
+        assert (code, out) == (2, "") and err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("text, value", [("1/3", "1/3"), ("0.1", "1/10"), ("1e-1", "1/10")])
+@pytest.mark.parametrize("place", ["--eps", "--edge-length", "sweep eps", "genfun term"])
+def test_an_ascii_rational_reads_as_its_fraction(place, text, value, tmp_path, capsys, monkeypatch):
+    outcomes = [_number_in(place, spelling, tmp_path, capsys, monkeypatch) for spelling in (text, value)]
+    if place == "sweep eps":  # a row echoes its grid text before its result
+        outcomes = [(code, list(csv.reader(io.StringIO(out)))[2][-2:], err) for code, out, err in outcomes]
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0
+
+
 def test_sleeve_volume_sweep_reads_m_and_c_as_integers(tmp_path, capsys):
     # both were finite numbers, so m 3.5 and c 9.5 gave the inexact volume 6.65
     code, out, err = _sweep(tmp_path, capsys, "sleeve-volume", {"m": [3, 3.5], "c": [9.5, 7], "eps": ["1/10"]})

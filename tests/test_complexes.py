@@ -364,6 +364,46 @@ class TestAdmissibleDim2:
     def test_pinched_not_admissible(self):
         assert not is_admissible_dim2(PINCHED)
 
+    def test_torus_admissible(self):
+        assert is_admissible_dim2(TORUS)
+
+    def test_boundary_link_not_admissible(self):
+        # each boundary vertex's link is a path, not a cycle
+        assert MOEBIUS.dim == 2 and MOEBIUS.is_pure
+        assert not is_admissible_dim2(MOEBIUS)
+
+    def test_agrees_with_networkx_link_graphs(self):
+        nx = pytest.importorskip("networkx")
+
+        def links_are_cycles(complex_):
+            for vertex in {v for facet in complex_.facets for v in facet}:
+                link = nx.Graph([tuple(v for v in facet if v != vertex) for facet in complex_.facets if vertex in facet])
+                if not nx.is_connected(link) or any(degree != 2 for _, degree in link.degree):
+                    return False
+            return True
+
+        rng = random.Random(2037)
+        wedge = SimplicialComplex([*SPHERE.facets, *([v and v + 10 for v in facet] for facet in TORUS.facets)])
+        surfaces = [RP2, SPHERE, TORUS, connected_sum(TORUS, TORUS), connected_sum(RP2, RP2, allow_nonorientable=True),
+                    PINCHED, wedge]  # the last two have a pinch point
+        verdicts = set()
+        for _ in range(1500):
+            if rng.random() < 0.5:  # random triangles on a few vertices: rarely a surface
+                triangles = list(combinations(range(rng.randint(4, 7)), 3))
+                facets = rng.sample(triangles, rng.randint(1, len(triangles)))
+            else:  # a surface, relabelled, less some facets or plus some random triangles
+                surface = rng.choice(surfaces)
+                labels = rng.sample(range(surface.vertex_count + 2), surface.vertex_count)
+                facets = [[labels[v] for v in facet] for facet in surface.facets]
+                rng.shuffle(facets)
+                facets = facets[rng.choice([0, 0, 1, 2]):]
+                facets += [rng.sample(range(surface.vertex_count + 2), 3) for _ in range(rng.choice([0, 0, 1]))]
+            complex_ = SimplicialComplex(facets)
+            verdict = is_admissible_dim2(complex_)
+            assert verdict == links_are_cycles(complex_), complex_.facets
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
+
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             is_admissible_dim2(SimplicialComplex([[0, 1], [1, 2]]))
