@@ -21,6 +21,14 @@ def check(name: str, used: int, cap: int, what: str) -> None:
         raise ValueError(f"{what} {used}, past the cap ({name} = {cap})")
 
 
+def shown(value) -> str:
+    """``repr(value)``; for a value past 100 characters (a text's own, any other value's repr),
+    the repr's first 40 characters and the count instead, so that a refusal echoing it stays short."""
+    text = repr(value)
+    size = len(value) if type(value) is str else len(text)
+    return text if size <= 100 else f"{text[:40]}... ({size} characters)"
+
+
 def json_value(text: str, where: str):
     """The JSON value of ``text``, a numeric option's or a whole input's; a syntax error, nesting past
     the stack and an integer literal past MAX_DIGITS are each one ValueError naming ``where``."""
@@ -72,14 +80,15 @@ def rational(value, label: str):
                 exponent = abs(int(value.lower().rpartition("e")[2]))
             except ValueError:  # no exponent, or one of more digits than Fraction reads
                 exponent = 0
-            check("_caps.MAX_DIGITS", exponent, MAX_DIGITS, f"{label} {value!r} has a decimal exponent of magnitude")
+            check("_caps.MAX_DIGITS", exponent, MAX_DIGITS,
+                  f"{label} {shown(value)} has a decimal exponent of magnitude")
         try:
             return fractions.Fraction(value)
         except (ArithmeticError, TypeError, ValueError):
             if text:
                 digits = max(map(len, re.findall(r"[0-9]+", value)), default=0)
                 check("_caps.MAX_DIGITS", digits, MAX_DIGITS, f"{label} has a number with a digit count of")
-    raise ValueError(f"{label} {value!r} is not a rational number")
+    raise ValueError(f"{label} {shown(value)} is not a rational number")
 
 
 def written(value: int) -> None:

@@ -260,11 +260,11 @@ class UpperBoundIngredients:
         if not self.base and not self.sublinear_constants and not self.constant_caps:
             raise ValueError("at least one ingredient is required")
         for multiple, value in self.base:
-            if multiple < 1 or value < 0:
+            if multiple < 1 or not value >= 0:
                 raise ValueError("base entries are (multiple >= 1, value >= 0)")
-        if any(c <= 0 for c in self.sublinear_constants):
+        if any(not c > 0 for c in self.sublinear_constants):
             raise ValueError("sublinear constants must be positive")
-        if any(c < 0 for c in self.constant_caps):
+        if any(not c >= 0 for c in self.constant_caps):
             raise ValueError("constant caps must be non-negative")
 
     @classmethod
@@ -282,7 +282,7 @@ def best_upper_table(k_max: int, ingredients: UpperBoundIngredients) -> list[flo
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     best = [0.0] * (k_max + 1)
-    cap = min((math.inf, *ingredients.constant_caps))  # min keeps its first argument against a NaN
+    cap = min(ingredients.constant_caps, default=math.inf)
     for k in range(1, k_max + 1):
         value = cap
         for multiple, atom in ingredients.base:

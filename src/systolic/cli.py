@@ -215,22 +215,28 @@ def cmd_sleeve(args) -> int:
 
 # The kinds of grid value an evaluator or option declares: each reads a key's value or
 # refuses it, naming the key and the kind.  A boolean is no number; an int of any size is finite.
+def _refusal(key: str, value, what: str) -> ValueError:
+    from ._caps import shown  # loaded only to refuse
+
+    return ValueError(f"{key} {shown(value)} is not {what}")
+
+
 def _finite_number(value, key: str):
     if type(value) is int or type(value) is float and math.isfinite(value):
         return value
-    raise ValueError(f"{key} {value!r} is not a finite number")
+    raise _refusal(key, value, "a finite number")
 
 
 def _whole_number(value, key: str) -> int:  # read as the int it equals
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
-    raise ValueError(f"{key} {value!r} is not a whole number")
+    raise _refusal(key, value, "a whole number")
 
 
 def _integer(value, key: str) -> int:  # a JSON integer: 7.0 is not one
     if type(value) is int:
         return value
-    raise ValueError(f"{key} {value!r} is not an integer")
+    raise _refusal(key, value, "an integer")
 
 
 def _rational(value, key: str):  # _caps.rational, loaded when a value is read, not at start-up
@@ -242,7 +248,7 @@ def _rational(value, key: str):  # _caps.rational, loaded when a value is read, 
 def _corpus_name(value, key: str) -> str:  # corpus_complex refuses one that names none
     if type(value) is str:
         return value
-    raise ValueError(f"{key} {value!r} is not a corpus name")
+    raise _refusal(key, value, "a corpus name")
 
 
 def _per_corpus_name(evaluate):

@@ -87,6 +87,7 @@ def parse_presentation(text: str) -> Presentation:
     commutator ``[u,v]``, or a parenthesised word, optionally followed by
     ``^k`` with integer k.  A word's row is the sum of its atoms' rows, each
     times its k; a commutator's row is zero once both sides have parsed.
+    Relators are separated by commas outside brackets.
     """
     if ";" not in text:
         raise ValueError("presentation string must be '<generators> ; <relators>'")
@@ -127,13 +128,13 @@ def parse_presentation(text: str) -> Presentation:
     def parse_atom(tokens: list[str], pos: int) -> tuple[dict[int, int], int]:
         nonlocal walked
         tok = tokens[pos]
-        if tok == "[":
-            _, pos = parse_word(tokens, pos + 1, {","})
-            _, pos = parse_word(tokens, pos + 1, {"]"})
-            return {}, pos + 1
-        if tok == "(":
-            inner, pos = parse_word(tokens, pos + 1, {")"})
-            return inner, pos + 1
+        if tok == "[" or tok == "(":  # a commutator's row is zero, a parenthesised word's is the word's
+            row, pos = parse_word(tokens, pos + 1, {"," if tok == "[" else ")"})
+            if tok == "[" and pos < len(tokens):
+                row, pos = {}, parse_word(tokens, pos + 1, {"]"})[1]
+            if pos == len(tokens):
+                raise ValueError(f"{tok!r} is not closed")
+            return row, pos + 1
         if tok in index:
             return {index[tok]: 1}, pos + 1
         segmented, walked = _segment(tok, trie, walked)
@@ -141,13 +142,12 @@ def parse_presentation(text: str) -> Presentation:
             return segmented, pos + 1
         raise ValueError(f"unknown generator or token {tok!r}")
 
-    relators = []
-    for chunk in _split_relators(rel_part):
-        tokens = _tokenize(chunk)
-        row, pos = parse_word(tokens, 0, set())
-        if pos != len(tokens):
-            raise ValueError(f"trailing tokens in relator {chunk!r}")
-        relators.append(tuple(sorted((g, total) for g, total in row.items() if total)))
+    tokens, relators, pos = _tokenize(rel_part.rstrip()), [], -1
+    while pos < len(tokens):  # a relator ends at a comma outside brackets; one of no tokens is skipped
+        row, end = parse_word(tokens, pos + 1, {","})
+        if end > pos + 1:
+            relators.append(tuple(sorted((g, total) for g, total in row.items() if total)))
+        pos = end
     # the rows are sorted, nonzero and in range by construction
     return trusted(Presentation, len(names), tuple(relators))
 
@@ -192,20 +192,3 @@ def _segment(token: str, trie: dict, steps: int) -> tuple[dict[int, int] | None,
         generator, pos = match
         row[generator] = row.get(generator, 0) + 1
     return row, steps
-
-
-def _split_relators(text: str) -> list[str]:
-    """Split on top-level commas only (commas inside [..] belong to commutators)."""
-    chunks, depth, current = [], 0, []
-    for ch in text:
-        if ch == "[" or ch == "(":
-            depth += 1
-        elif ch == "]" or ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    chunks.append("".join(current))
-    return [c.strip() for c in chunks if c.strip()]

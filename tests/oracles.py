@@ -27,7 +27,8 @@ None of this shares code paths with the implementation under test, with
 three exceptions: ``homology`` is the package's homology before reduction
 pairs, the Smith form of every full ``boundary_matrix``, so it shares
 ``smith_normal_form`` (itself checked against the naive reductions here);
-``presentation_rows`` shares the relator splitter and the tokenizer;
+``presentation_rows`` shares the tokenizer ``_tokenize`` and splits the
+relators in its own parser;
 ``greedy_attempt`` shares the far test ``_is_far`` and the repair
 ``_double_swap``.
 """
@@ -47,7 +48,7 @@ from systolic.complexes import SimplicialComplex, face_counts
 from systolic.genfun import RecurrenceVerdict
 from systolic.graphs import REJECTIONS, STEP_BUDGET, Graph, _double_swap, _is_far
 from systolic.homology import HomologySummary
-from systolic.presentations import MAX_LETTERS, _split_relators, _tokenize
+from systolic.presentations import MAX_LETTERS, _tokenize
 from systolic.snf import SmithForm, smith_normal_form
 
 
@@ -731,12 +732,13 @@ def presentation_rows(text: str, max_letters: int = MAX_LETTERS):
         tok = tokens[pos]
         if tok == "[":
             left, pos = parse_word(tokens, pos + 1, {","})
-            right, pos = parse_word(tokens, pos + 1, {"]"})
+            right, pos = parse_word(tokens, past_closer(tokens, pos, tok), {"]"})
+            pos = past_closer(tokens, pos, tok)
             expand(2 * (len(left) + len(right)))
-            return _free_reduce(left + right + _inverse_word(left) + _inverse_word(right)), pos + 1
+            return _free_reduce(left + right + _inverse_word(left) + _inverse_word(right)), pos
         if tok == "(":
             inner, pos = parse_word(tokens, pos + 1, {")"})
-            return inner, pos + 1
+            return inner, past_closer(tokens, pos, tok)
         if tok in index:
             return (index[tok],), pos + 1
         longest_first = sorted(index, key=len, reverse=True)
@@ -749,16 +751,20 @@ def presentation_rows(text: str, max_letters: int = MAX_LETTERS):
             at += len(match)
         return tuple(out), pos + 1
 
-    rows = []
-    for chunk in _split_relators(rel_part):
-        tokens = _tokenize(chunk)
-        word, pos = parse_word(tokens, 0, set())
-        if pos != len(tokens):
-            raise ValueError(f"trailing tokens in relator {chunk!r}")
-        sums: dict[int, int] = {}
-        for letter in word:
-            sums[abs(letter) - 1] = sums.get(abs(letter) - 1, 0) + (1 if letter > 0 else -1)
-        rows.append(tuple(sorted((g, total) for g, total in sums.items() if total)))
+    def past_closer(tokens, pos, opener):
+        if pos == len(tokens):
+            raise ValueError(f"{opener!r} is not closed")
+        return pos + 1
+
+    tokens, rows, start = _tokenize(rel_part.rstrip()), [], 0
+    while start <= len(tokens):  # the relators are the words between commas outside brackets
+        word, end = parse_word(tokens, start, {","})
+        if end > start:  # a relator of no tokens is dropped
+            sums: dict[int, int] = {}
+            for letter in word:
+                sums[abs(letter) - 1] = sums.get(abs(letter) - 1, 0) + (1 if letter > 0 else -1)
+            rows.append(tuple(sorted((g, total) for g, total in sums.items() if total)))
+        start = end + 1
     return len(names), tuple(rows)
 
 

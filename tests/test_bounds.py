@@ -288,10 +288,14 @@ class TestBestUpperBound:
                 base, sublinear, caps = {m: v for m, v in base.items() if m > 1} or {3: 1.0}, [], []
             elif not (base or sublinear or caps):
                 caps = [7.5]
-            if case % 10 == 2:  # a NaN, which the constructor lets through, is never the minimum
-                caps.append(math.nan)
+            if case % 10 == 2:  # a NaN anywhere is refused; it was dropped without a word
+                with pytest.raises(ValueError, match="^constant caps must be non-negative$"):
+                    UpperBoundIngredients.make(base, sublinear, caps + [math.nan])
             elif case % 10 == 7:
-                base[rng.randint(1, 12)], sublinear = math.nan, sublinear + [math.nan]
+                with pytest.raises(ValueError, match="^base entries are"):
+                    UpperBoundIngredients.make({**base, rng.randint(1, 12): math.nan}, sublinear, caps)
+                with pytest.raises(ValueError, match="^sublinear constants must be positive$"):
+                    UpperBoundIngredients.make(base, sublinear + [math.nan], caps)
             ingredients = UpperBoundIngredients.make(base, sublinear, caps)
             k_max = rng.randint(1, 60)
             table = best_upper_table(k_max, ingredients)

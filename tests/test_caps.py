@@ -122,6 +122,14 @@ def test_only_caps_parses_json():
     assert (parses, names) == (["_caps"], set())
 
 
+def test_a_value_past_100_characters_is_shown_by_its_start_and_length():
+    # a refusal echoes a value of 100 characters or fewer exactly as its repr
+    for value in ("x", "x" * 100, "\n" * 100, [7] * 33, 10 ** 99, None):  # [7] * 33 shows 99 characters
+        assert _caps.shown(value) == repr(value)
+    assert _caps.shown("x" * 101) == "'" + "x" * 39 + "... (101 characters)"
+    assert _caps.shown([7] * 34) == repr([7] * 34)[:40] + "... (102 characters)"
+
+
 def test_build_parser_passes_no_type():
     # argparse only splits words: main reads each numeric option's text by the kind it declares
     (build,) = [node for node in ast.walk(_sources()["cli"])

@@ -219,6 +219,11 @@ class TestAbelianizeCommand:
         code, _, err = run_cli(["abelianize", "a b c"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text, opener", [("a ; [a", "["), ("a ; (a", "("), ("a ; [a,a", "[")])
+    def test_an_unclosed_bracket_is_one_line(self, capsys, text, opener):
+        code, out, err = run_cli(["abelianize", text], capsys)
+        assert (code, out, err) == (2, "", f"error: '{opener}' is not closed\n")
+
     def test_expansion_past_the_letter_cap_is_refused(self, capsys):
         cap = presentations.MAX_LETTERS
         code, out, _ = run_cli(["abelianize", f"a ; a^{cap}"], capsys)
@@ -940,6 +945,36 @@ def test_an_ascii_rational_reads_as_its_fraction(place, text, value, tmp_path, c
     if place == "sweep eps":  # a row echoes its grid text before its result
         outcomes = [(code, list(csv.reader(io.StringIO(out)))[2][-2:], err) for code, out, err in outcomes]
     assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0
+
+
+# A refusal shows a value of more than 100 characters as its first 40 and its length.
+LONG_TEXT, LONG_LIST = "1x" * 3000, [7] * 2000  # 6 000 characters each, as text and as JSON
+
+
+def test_a_long_option_value_is_refused_in_one_short_line(capsys):
+    # the whole value was echoed: 6 049 bytes of --edge-length, 16 920 of a 3 000-entry --k
+    petersen = str(Path(cli_mod.__file__).parent / "data" / "petersen.json")
+    for args in (["girth", petersen, "--edge-length", LONG_TEXT],
+                 ["girth", petersen, "--edge-length", "1" * 5995 + "e5000"],
+                 ["waring", "--k", json.dumps(LONG_LIST), "--d", "2"]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "") and err.count("\n") == 1 and len(err) < 200, err[:300]
+        assert "... (6000 characters)" in err
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("sleeve-volume", {"m": [3], "c": [7], "eps": [LONG_TEXT]}),
+    ("sleeve-volume", {"m": [LONG_LIST], "c": [7], "eps": ["1/10"]}),
+    ("multiple-class-bound", {"k": [LONG_TEXT], "C": [1]}),
+    ("group-count", {"value": [LONG_LIST]}),
+    ("homology", {"name": [LONG_LIST]}),
+], ids=["rational", "integer", "finite number", "whole number", "corpus name"])
+def test_a_long_grid_value_is_refused_in_one_short_cell(command, grid, tmp_path, capsys):
+    # the row held the value twice, once as its grid text and once in the refusal
+    code, out, err = _sweep(tmp_path, capsys, command, grid)
+    assert (code, err) == (0, "sweep finished with 1 row errors\n")
+    refusal = list(csv.reader(io.StringIO(out, newline="")))[2][-1]
+    assert len(refusal) < 200 and "\n" not in refusal and "... (6000 characters)" in refusal, refusal[:300]
 
 
 def test_sleeve_volume_sweep_reads_m_and_c_as_integers(tmp_path, capsys):

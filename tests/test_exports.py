@@ -5,6 +5,7 @@ member of its own class, under the acceptance suite or the CLI tests."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,3 +123,12 @@ def test_every_module_parses_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10
     for path in sorted(PACKAGE.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_oracles_share_only_the_private_names_their_docstring_states():
+    # a reference that reads a private helper of the code it checks shares that
+    # helper's faults, so each such helper is named where the sharing is stated
+    path = TESTS / "oracles.py"
+    shared = {name for _, name in _reads(path) if name.startswith("_")}
+    stated = ast.get_docstring(ast.parse(path.read_text())).split("None of this shares code paths", 1)[1]
+    assert shared == set(re.findall(r"``(_\w+)``", stated)) == {"_tokenize", "_is_far", "_double_swap"}

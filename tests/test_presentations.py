@@ -42,6 +42,16 @@ class TestWords:
     def test_rows_are_sorted_nonzero_exponent_sums(self):
         presentation = parse_presentation("a,b,c ; c^2 a b^-1 a^-1 b, (ab)^-3 [a,c]^5, a a^-1")
         assert presentation.relators == (((2, 2),), ((0, -3), (1, -3)), ())
+        # empty relators, a leading and a trailing comma, a commutator relator,
+        # commas inside commutators and trailing whitespace
+        for text, rows in (
+            ("a ; a,,a^2, ,", (((0, 1),), ((0, 2),))),
+            ("a,b ; ,a b, b^3,", (((0, 1), (1, 1)), ((1, 3),))),
+            ("a,b ; [a,b]", ((),)),
+            ("a,b ; [a^2, b] a, [b, a^-1]b^-2", (((0, 1),), ((1, -2),))),
+            ("a,b ; a^2 b \t\n ", (((0, 2), (1, 1)),)),
+        ):
+            assert parse_presentation(text).relators == rows, text
 
     def test_juxtaposed_names_take_the_longest_name_first(self):
         presentation = parse_presentation("a, ab, abc, c ; abcab, aab^2, cabc")
@@ -222,6 +232,26 @@ class TestParser:
     def test_requires_semicolon(self):
         with pytest.raises(ValueError):
             parse_presentation("a, b")
+
+    @pytest.mark.parametrize("text, opener", [("a ; [a", "["), ("a ; (a", "("), ("a ; [a,a", "["),
+                                              ("a ; a, (a^2 a", "("), ("a ; [(a), a] [a, a", "[")])
+    def test_an_unclosed_bracket_is_named(self, text, opener):
+        # it was refused as trailing tokens, though none trail
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(opener))} is not closed$"):
+            parse_presentation(text)
+
+    def test_the_relator_text_is_tokenized_once(self, monkeypatch):
+        calls = []
+        tokenize = presentations._tokenize
+        monkeypatch.setattr(presentations, "_tokenize", lambda text: calls.append(text) or tokenize(text))
+        presentation = parse_presentation("a,b ; [a,b] a^2, (a b)^3, b^-1")
+        assert presentation.relators == (((0, 2),), ((0, 3), (1, 3)), ((1, -1),))
+        assert len(calls) == 1
+
+    def test_a_syntax_error_comes_before_any_relator_is_read(self):
+        # the context is the next 12 characters of the whole relator text
+        with pytest.raises(ValueError, match=r"^bad syntax near ' #, b \$\$\$\$\$\$'$"):
+            parse_presentation("a,b ; c, a #, b $$$$$$$$")
 
 
 @given(st.permutations(range(3)), st.lists(st.booleans(), min_size=3, max_size=3))
