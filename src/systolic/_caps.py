@@ -4,7 +4,12 @@ reader of every JSON input, of every numeric option and of every rational's text
 Each cap is a constant of the module that checks it, and ``check`` refuses an
 amount past it, naming the constant.  A cap checked inside a loop keeps its
 own comparison there and calls ``check`` only to refuse.
+
+The kinds (``finite_number``, ``whole_number``, ``integer``, ``rational`` and
+``corpus_name``) read the value of a numeric option or of a sweep's grid key,
+each named by the kind the option or the key declares.
 """
+import math
 import re
 
 # The most decimal digits a number may be read or written with: the
@@ -27,6 +32,36 @@ def shown(value) -> str:
     text = repr(value)
     size = len(value) if type(value) is str else len(text)
     return text if size <= 100 else f"{text[:40]}... ({size} characters)"
+
+
+def _refusal(key: str, value, what: str) -> ValueError:
+    return ValueError(f"{key} {shown(value)} is not {what}")
+
+
+# Each kind reads a value or refuses it, naming the key and the kind.  A
+# boolean is no number; an int of any size is finite.
+def finite_number(value, key: str):
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return value
+    raise _refusal(key, value, "a finite number")
+
+
+def whole_number(value, key: str) -> int:  # read as the int it equals
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise _refusal(key, value, "a whole number")
+
+
+def integer(value, key: str) -> int:  # a JSON integer: 7.0 is not one
+    if type(value) is int:
+        return value
+    raise _refusal(key, value, "an integer")
+
+
+def corpus_name(value, key: str) -> str:  # corpus_complex refuses one that names none
+    if type(value) is str:
+        return value
+    raise _refusal(key, value, "a corpus name")
 
 
 def json_value(text: str, where: str):
@@ -88,7 +123,7 @@ def rational(value, label: str):
             if text:
                 digits = max(map(len, re.findall(r"[0-9]+", value)), default=0)
                 check("_caps.MAX_DIGITS", digits, MAX_DIGITS, f"{label} has a number with a digit count of")
-    raise ValueError(f"{label} {shown(value)} is not a rational number")
+    raise _refusal(label, value, "a rational number")
 
 
 def written(value: int) -> None:

@@ -101,13 +101,6 @@ def torsion_lb(t1, constants: BoundConstants = BoundConstants()) -> float:
     return constants.cm * log_t / math.exp(constants.cm_prime * math.sqrt(math.log(log_t)))
 
 
-def height_from_torsion(t1) -> float:
-    """Height lower bound 2 log_3 t1 implied by the 1-torsion."""
-    if t1 < 1:
-        raise ValueError("torsion order is a positive integer")
-    return 2 * math.log(t1) / math.log(3)
-
-
 def multiple_class_bound(k, constant) -> float:
     """C k / ln(1+k): sublinear upper bound for the k-th multiple of a class."""
     if k < 1:

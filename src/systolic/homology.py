@@ -32,7 +32,8 @@ exact sequence.  Betti numbers of what is left are live_k - rank_k -
 rank_{k+1}, and its torsion is that of the leftover boundary operators.
 The pairs come off a FIFO queue seeded in lexicographic face order: each
 removal queues the cells whose live boundary or coboundary it shrank.
-``check_s2_torsion_bound`` reads |Tors H_1| from ``homology``.
+``check_s2_torsion_bound`` reads |Tors H_1| from the Smith form of the
+leftover d_2 alone.
 """
 from __future__ import annotations
 
@@ -152,6 +153,13 @@ def _reduce(complex_: SimplicialComplex) -> tuple[int, list[int], list[dict]]:
     return components, [len(cells) for cells in left], boundaries
 
 
+def height_from_torsion(t1) -> float:
+    """Height lower bound 2 log_3 t1 implied by the 1-torsion."""
+    if t1 < 1:
+        raise ValueError("torsion order is a positive integer")
+    return 2 * math.log(t1) / math.log(3)
+
+
 @record
 class TriangleTorsionReport:
     """Triangle count versus the 2*log3 |Tors H_1| lower bound."""
@@ -165,13 +173,13 @@ class TriangleTorsionReport:
 def check_s2_torsion_bound(complex_: SimplicialComplex) -> TriangleTorsionReport:
     """Check s_2(X) >= 2 log_3 |Tors H_1(X, Z)|, decided as |Tors|^2 <= 3^s2 in integers.
 
-    This holds for every complex; a False verdict signals a bug, not a
-    property of the input.
+    Tors H_1 is the torsion of the leftover boundary operator d_2, so only
+    its Smith form is computed.  This holds for every complex; a False
+    verdict signals a bug, not a property of the input.
     """
-    from .bounds import height_from_torsion  # here, so that homology alone does not load bounds
-
     counts = face_counts(complex_)
-    s2 = counts[2] if len(counts) > 2 else 0
-    torsion = homology(complex_).torsion
-    order = math.prod(torsion[1]) if len(torsion) > 1 else 1
+    s2, order = 0, 1
+    if len(counts) > 2:
+        s2 = counts[2]
+        order = math.prod(smith_normal_form(_reduce(complex_)[2][1]).torsion_factors)
     return TriangleTorsionReport(s2, order, height_from_torsion(order), order * order <= 3 ** s2)

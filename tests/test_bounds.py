@@ -15,7 +15,6 @@ from systolic.bounds import (
     best_upper_table,
     finite_pi1_3manifold_lb,
     group_count_bound,
-    height_from_torsion,
     height_lb,
     kappa_alpha_scale,
     kappa_upper_from_systole,
@@ -76,19 +75,6 @@ class TestTorsionLb:
     def test_increasing_beyond_threshold(self):
         values = [torsion_lb(t, UNIT) for t in (20, 10 ** 2, 10 ** 4, 10 ** 8, 10 ** 16)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-
-class TestHeightFromTorsion:
-    def test_exact_powers_of_three(self):
-        assert height_from_torsion(3) == pytest.approx(2.0, rel=1e-12)
-        assert height_from_torsion(9) == pytest.approx(4.0, rel=1e-12)
-
-    def test_two(self):
-        assert height_from_torsion(2) == pytest.approx(1.2618595071429148, rel=1e-12)
-
-    def test_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            height_from_torsion(0)
 
 
 class TestSandwich:

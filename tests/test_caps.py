@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from systolic import _caps, cli, complexes, genfun, graphs, presentations, snf, waring
+from systolic import _caps, _output, cli, complexes, genfun, graphs, presentations, snf, waring
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "systolic"
@@ -58,7 +58,7 @@ CASES = [
     ("genfun.MAX_STEP_WORK", 6, lambda _: _detect([0] * 6), lambda _: _detect([0] * 7), 7),
     # the first update is [1, -s_1]: 1 + 4 bits for 8, 1 + 5 for 16
     ("genfun.MAX_COEFFICIENT_BITS", 5, lambda _: _detect([8] + [0] * 5), lambda _: _detect([16] + [0] * 5), 6),
-    ("cli.MAX_SWEEP_POINTS", 3, lambda tmp_path: _sweep(tmp_path, [1, 2, 3]),
+    ("_evaluators.MAX_SWEEP_POINTS", 3, lambda tmp_path: _sweep(tmp_path, [1, 2, 3]),
      lambda tmp_path: _sweep(tmp_path, [1, 2, 3, 4]), 4),
     # the decimal exponent of an option, a grid value or a term; a result's digits;
     # the digits of a rational's text, of a JSON integer literal and of an exponent after '^'
@@ -66,8 +66,8 @@ CASES = [
      lambda _: _caps.rational("1e4301", "--eps"), 4301),
     ("_caps.MAX_DIGITS", None, lambda _: genfun.RationalSequence.from_values(["1E-4300"]),
      lambda _: genfun.RationalSequence.from_values(["1E-4301"]), 4301),
-    ("_caps.MAX_DIGITS", None, lambda _: cli._jsonable(10 ** 4300 - 1),
-     lambda _: cli._jsonable(Fraction(1, 10 ** 4300)), 4301),
+    ("_caps.MAX_DIGITS", None, lambda _: _output.jsonable(10 ** 4300 - 1),
+     lambda _: _output.jsonable(Fraction(1, 10 ** 4300)), 4301),
     ("_caps.MAX_DIGITS", None, lambda _: _caps.rational("1/" + "7" * 4300, "--eps"),
      lambda _: _caps.rational("1/" + "7" * 4301, "--eps"), 4301),
     ("_caps.MAX_DIGITS", None, lambda _: graphs.load_graph('{"n": 0, "edges": [], "x": -' + "9" * 4300 + "}"),

@@ -16,16 +16,17 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import systolic._evaluators as evaluators_mod
 import systolic.cli as cli_mod
 import systolic.homology as homology_mod
 from systolic.cli import main
-from systolic import __version__, bounds, complexes, graphs, presentations, sleeves, snf, waring
+from systolic import __version__, _caps, bounds, complexes, graphs, presentations, sleeves, snf, waring
 from systolic.corpus import corpus_list
 from test_snf import _freudenthal_torus
 
 import oracles
 
-EVALUATORS = cli_mod._evaluators(bounds)
+EVALUATORS = evaluators_mod._table()
 
 
 def run_cli(args, capsys):
@@ -723,9 +724,9 @@ VALID_POINTS = {
     "multiple-class-bound": {"k": 5, "C": 2.0},
     "waring": {"k": 79, "d": 4},
 }
-KIND_NAMES = {cli_mod._finite_number: "a finite number", cli_mod._whole_number: "a whole number",
-              cli_mod._integer: "an integer", cli_mod._rational: "a rational number",
-              cli_mod._corpus_name: "a corpus name"}
+KIND_NAMES = {_caps.finite_number: "a finite number", _caps.whole_number: "a whole number",
+              _caps.integer: "an integer", _caps.rational: "a rational number",
+              _caps.corpus_name: "a corpus name"}
 # JSON values of a type each kind refuses; a number kind refuses these
 WRONG_TYPES = {
     "a corpus name": [7, 2.5, True, None, ["torus_7"], {"name": "torus_7"}],
@@ -848,7 +849,7 @@ def test_each_option_reads_its_value_as_its_sweep_key_does(option, text, tmp_pat
     keys = list(EVALUATORS[name].keys)
     option_reads = _read_option(monkeypatch, capsys, [arg.format(x=text) for arg in argv], command, keys)
     seen = {}
-    monkeypatch.setattr(cli_mod, build, lambda *values: seen.update(zip(keys, values)) or 0)
+    monkeypatch.setattr(evaluators_mod, build, lambda *values: seen.update(zip(keys, values)) or 0)
     _, outcome = _sweep_outcome(tmp_path, capsys, name, grid.format(x=text))
     sweep_reads = REFUSED if outcome is REFUSED else {key: (type(value), value) for key, value in seen.items()}
     assert option_reads == sweep_reads
@@ -872,6 +873,19 @@ def test_bounds_value_gives_the_sweep_row(name, text, tmp_path, capsys):
         assert json.loads(cell.replace(";", ",")) == {key: payload[key] for key in row}
 
 
+def test_height_from_torsion_reads_a_whole_number(tmp_path, capsys):
+    # it read a finite number, so 2.5 gave 1.668... while 0.5 was refused as no positive integer
+    for text in ("2.5", "0.5"):
+        assert run_cli(["bounds", "height-from-torsion", "--value", text], capsys) == (
+            2, "", f"error: value {text} is not a whole number\n")
+    payload = '{\n  "name": "height-from-torsion",\n  "value": 2.0,\n  "constants": "illustrative-defaults"\n}\n'
+    for text in ("3", "3.0"):
+        assert run_cli(["bounds", "height-from-torsion", "--value", text], capsys) == (0, payload, "")
+    code, out, err = _sweep(tmp_path, capsys, "height-from-torsion", {"value": [2.5, 3, 3.0, 9]})
+    assert (code, err) == (0, "sweep finished with 1 row errors\n")
+    assert out.splitlines()[2:] == ['2.5,,"value 2.5 is not a whole number"', "3,2.0,", "3.0,2.0,", "9,4.0,"]
+
+
 def test_bounds_value_keeps_every_digit(capsys):
     for name, key in [("group-count", "k_budget"), ("surface-kappa", "genus"), ("abelian-kappa", "rank")]:
         code, out, _ = run_cli(["bounds", name, "--value", "9007199254740993"], capsys)
@@ -881,17 +895,17 @@ def test_bounds_value_keeps_every_digit(capsys):
 # Each numeric option with no sweep key: its argv, the command function and the dest it sets, and its kind.
 UNSWEPT_OPTIONS = {
     "build-graph --c": (["build-graph", "--c", "{x}", "--girth", "5", "--vertices", "10"], "cmd_build_graph", "c",
-                        cli_mod._integer),
+                        _caps.integer),
     "build-graph --girth": (["build-graph", "--c", "3", "--girth", "{x}", "--vertices", "10"], "cmd_build_graph",
-                            "girth", cli_mod._integer),
+                            "girth", _caps.integer),
     "build-graph --vertices": (["build-graph", "--c", "3", "--girth", "5", "--vertices", "{x}"],
-                               "cmd_build_graph", "vertices", cli_mod._integer),
+                               "cmd_build_graph", "vertices", _caps.integer),
     "build-graph --seed": (["build-graph", "--c", "3", "--girth", "5", "--vertices", "10", "--seed", "{x}"],
-                           "cmd_build_graph", "seed", cli_mod._integer),
-    "waring --limit": (["waring", "verify", "--limit", "{x}"], "cmd_waring", "limit", cli_mod._integer),
+                           "cmd_build_graph", "seed", _caps.integer),
+    "waring --limit": (["waring", "verify", "--limit", "{x}"], "cmd_waring", "limit", _caps.integer),
     "genfun --max-order": (["genfun", "detect", "--file", "f", "--max-order", "{x}"], "cmd_genfun", "max_order",
-                           cli_mod._integer),
-    "girth --edge-length": (["girth", "g", "--edge-length", "{x}"], "cmd_girth", "edge_length", cli_mod._rational),
+                           _caps.integer),
+    "girth --edge-length": (["girth", "g", "--edge-length", "{x}"], "cmd_girth", "edge_length", _caps.rational),
 }
 
 
@@ -900,7 +914,7 @@ UNSWEPT_OPTIONS = {
 def test_option_without_a_sweep_key_reads_its_value_by_its_kind(option, text, capsys, monkeypatch):
     argv, command, dest, kind = UNSWEPT_OPTIONS[option]
     try:  # a rational's kind reads the text itself, any other kind the JSON value it spells
-        value = kind(text if kind is cli_mod._rational else json.loads(text), option.split()[1])
+        value = kind(text if kind is _caps.rational else json.loads(text), option.split()[1])
         verdict = {dest: (type(value), value)}
     except ValueError:  # a text that is no JSON, or an integer literal past the digit limit
         verdict = REFUSED
@@ -1276,10 +1290,10 @@ class TestSweep:
         code, out, err = run_cli(["sweep", "--spec", str(spec)], capsys)
         assert time.perf_counter() - start < 1.0
         assert (code, out, calls) == (2, "", [])
-        assert len(err.splitlines()) == 1 and str(cli_mod.MAX_SWEEP_POINTS) in err
+        assert len(err.splitlines()) == 1 and str(evaluators_mod.MAX_SWEEP_POINTS) in err
 
     def test_grid_at_the_cap_is_accepted(self, tmp_path, capsys, monkeypatch):
-        assert cli_mod.MAX_SWEEP_POINTS == 200_000
+        assert evaluators_mod.MAX_SWEEP_POINTS == 200_000
         calls = []
         monkeypatch.setattr(bounds, "multiple_class_bound", lambda *point: calls.append(point) or 1.5)
         spec = tmp_path / "spec.json"
@@ -1387,8 +1401,8 @@ class TestSweep:
 
     def test_each_grid_value_is_formatted_once(self, tmp_path, capsys, monkeypatch):
         formatted = []
-        cell = cli_mod._csv_cell
-        monkeypatch.setattr(cli_mod, "_csv_cell", lambda value: formatted.append(value) or cell(value))
+        cell = evaluators_mod.csv_cell
+        monkeypatch.setattr(evaluators_mod, "csv_cell", lambda value: formatted.append(value) or cell(value))
         big = 10 ** 4000
         grid = {"C": list(range(500)), "k": [big, 7, True]}
         spec = tmp_path / "spec.json"
@@ -1802,16 +1816,47 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-modules = sorted(name for name in sys.modules if name.split(".")[0] in ("systolic", "dataclasses", "inspect"))
+modules = sorted(name for name in sys.modules
+                 if name.split(".")[0] in ("systolic", "dataclasses", "inspect", "fractions"))
 sys.stderr.write("\\n" + json.dumps({"code": code, "modules": modules}) + "\\n")
 """
+
+
+# python -m systolic.cli ARGS: runpy runs cli.py as __main__
+_RUN_AS_MAIN = """
+import json, runpy, sys
+sys.argv = ["systolic", *sys.argv[1:]]
+try:
+    runpy.run_module("systolic.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+modules = sorted(name.removeprefix("systolic.") for name in sys.modules if name.startswith("systolic."))
+sys.stderr.write("\\n" + json.dumps({"code": code, "modules": modules}) + "\\n")
+"""
+
+# one run of every command, over the inputs TestImportsPerCommand.write_inputs writes
+COMMAND_ARGS = [
+    ["homology", "{tmp}/sphere.json"],
+    ["check-torsion-bound", "{tmp}/sphere.json"],
+    ["abelianize", "a,b,c ; [a,b]c^-5, [a,c], [b,c]"],
+    ["girth", "{tmp}/circulant.json", "--edge-length", "1/4"],
+    ["build-graph", "--c", "3", "--girth", "5", "--vertices", "10"],
+    ["sleeve", "--m", "3", "--c", "7", "--eps", "1/5", "--graph", "{tmp}/circulant.json"],
+    ["bounds", "group-count", "--value", "14"],
+    ["bounds", "sandwich", "--value", "10", "--constants", "{tmp}/constants.json"],
+    ["waring", "--k", "79", "--d", "4"],
+    ["waring", "verify", "--limit", "100"],
+    ["genfun", "detect", "--file", "{tmp}/recurrent.json", "--max-order", "4"],
+    ["corpus", "--format", "json"],
+    ["sweep", "--spec", "{tmp}/spec.json"],
+]
 
 
 class TestImportsPerCommand:
     """Each command loads only the systolic modules it runs."""
 
     @staticmethod
-    def loaded(args, tmp_path):
+    def write_inputs(tmp_path):
         (tmp_path / "sphere.json").write_text(
             '{"vertices": 4, "facets": [[0,1,2],[0,1,3],[0,2,3],[1,2,3]]}'
         )
@@ -1821,6 +1866,9 @@ class TestImportsPerCommand:
             '{"command": "check-torsion-bound", "grid": {"name": ["rp2_min", "torus_7"]}}'
         )
         _record_inputs(tmp_path)
+
+    def loaded(self, args, tmp_path):
+        self.write_inputs(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-c", _LOADED_MODULES, *(a.format(tmp=tmp_path) for a in args)],
             capture_output=True, text=True, check=False,
@@ -1831,6 +1879,31 @@ class TestImportsPerCommand:
 
     def test_version_loads_only_the_package_and_cli(self, tmp_path):
         assert self.loaded(["--version"], tmp_path) == {"systolic", "cli"}
+
+    @pytest.mark.parametrize("source", [["{tmp}/sphere.json"], ["--corpus"]])
+    def test_check_torsion_bound_loads_no_bounds(self, source, tmp_path):
+        # the check's one 2 log3 t is homology.height_from_torsion
+        loaded = self.loaded(["check-torsion-bound", *source], tmp_path)
+        assert "homology" in loaded
+        assert not loaded & {"bounds", "fractions", "_evaluators"}
+
+    @pytest.mark.parametrize("args", ["--version", *COMMAND_ARGS])
+    def test_only_bounds_and_sweep_load_the_evaluator_table(self, args, tmp_path):
+        args = [args] if args == "--version" else args
+        assert ("_evaluators" in self.loaded(args, tmp_path)) == (args[0] in ("bounds", "sweep"))
+
+    @pytest.mark.parametrize("args", [["bounds", "group-count", "--value", "14"],
+                                      ["sweep", "--spec", "{tmp}/spec.json"]])
+    def test_run_as_main_the_cli_is_never_imported(self, args, tmp_path):
+        # python -m runs cli.py as __main__: an import of systolic.cli would compile it again
+        self.write_inputs(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_AS_MAIN, *(a.format(tmp=tmp_path) for a in args)],
+            capture_output=True, text=True, check=False,
+        )
+        result = json.loads(proc.stderr.splitlines()[-1])
+        assert result["code"] == 0 and proc.stdout, proc.stderr
+        assert "_evaluators" in result["modules"] and "cli" not in result["modules"]
 
     @pytest.mark.parametrize("source", [["{tmp}/sphere.json"], ["--corpus"]])
     def test_homology_loads_no_other_subsystem(self, source, tmp_path):
@@ -1851,24 +1924,7 @@ class TestImportsPerCommand:
         assert runs in loaded
         assert not loaded & {"complexes", "graphs"}
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["homology", "{tmp}/sphere.json"],
-            ["check-torsion-bound", "{tmp}/sphere.json"],
-            ["abelianize", "a,b,c ; [a,b]c^-5, [a,c], [b,c]"],
-            ["girth", "{tmp}/circulant.json", "--edge-length", "1/4"],
-            ["build-graph", "--c", "3", "--girth", "5", "--vertices", "10"],
-            ["sleeve", "--m", "3", "--c", "7", "--eps", "1/5", "--graph", "{tmp}/circulant.json"],
-            ["bounds", "group-count", "--value", "14"],
-            ["bounds", "sandwich", "--value", "10", "--constants", "{tmp}/constants.json"],
-            ["waring", "--k", "79", "--d", "4"],
-            ["waring", "verify", "--limit", "100"],
-            ["genfun", "detect", "--file", "{tmp}/recurrent.json", "--max-order", "4"],
-            ["corpus", "--format", "json"],
-            ["sweep", "--spec", "{tmp}/spec.json"],
-        ],
-    )
+    @pytest.mark.parametrize("args", COMMAND_ARGS)
     def test_no_command_loads_dataclasses_or_inspect(self, args, tmp_path):
         # records come from systolic._record, which imports nothing
         loaded = self.loaded(args, tmp_path)

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ import systolic.homology as homology_mod
 from systolic.homology import (
     HomologySummary,
     check_s2_torsion_bound,
+    height_from_torsion,
     homology,
 )
 from systolic.snf import smith_normal_form
@@ -267,8 +269,8 @@ class TestTorsionOrder:
         monkeypatch.setattr(homology_mod, "smith_normal_form", spy)
         moore = _moore_space(6)
         assert _torsion_order(moore) == 6
-        assert len(calls) == 2  # one per boundary operator, d_1 and d_2
-        entries = calls[1]
+        assert len(calls) == 1  # Tors H_1 needs d_2's form alone
+        entries = calls[0]
         rows, cols = len({i for i, _ in entries}), len({j for _, j in entries})
         raw_rows, raw_cols = oracles.boundary_matrix(moore, 2).shape
         assert rows < raw_rows and cols < raw_cols
@@ -298,8 +300,47 @@ class TestTriangleTorsionBound:
     def test_holds_is_exact_at_the_edge(self, monkeypatch, order, holds):
         # 2 log3(3^20 + 1) exceeds s2 = 40 by about 5e-10, below any float slack
         monkeypatch.setattr(homology_mod, "face_counts", lambda _: [0, 0, 40])
-        monkeypatch.setattr(homology_mod, "homology", lambda _: HomologySummary((1, 0, 0), ((), (order,), ())))
+        monkeypatch.setattr(homology_mod, "smith_normal_form", lambda _: SimpleNamespace(torsion_factors=(order,)))
         assert check_s2_torsion_bound(SPHERE).holds is holds
+
+
+def _glued(part, genus):
+    chain = part
+    for _ in range(genus - 1):
+        chain = connected_sum(chain, part, allow_nonorientable=True)
+    return chain
+
+
+def test_torsion_order_is_that_of_homology():
+    # the check reads Tors H_1 off d_2's Smith form alone: on the corpus, seeded
+    # complexes and homology-ladder's shapes it must be the order homology gives
+    rng = random.Random(3907)
+    complexes = [*corpus_complexes().values(), *map(_freudenthal_torus, (3, 4, 5))]
+    complexes += [_glued(part, genus) for part in (TORUS, RP2) for genus in (20, 40, 80)]
+    complexes += [_moore_space(m) for m in (2, 3, 6)]
+    complexes += [SimplicialComplex(_random_mixed(rng)) for _ in range(100)]
+    complexes += [SimplicialComplex(_disjoint_union(rng)) for _ in range(100)]
+    complexes += [_glued_chain(rng) for _ in range(30)]
+    orders = set()
+    for complex_ in complexes:
+        torsion = homology(complex_).torsion
+        expected = math.prod(torsion[1]) if len(torsion) > 1 else 1
+        assert check_s2_torsion_bound(complex_).torsion_order == expected, complex_.facets
+        orders.add(expected)
+    assert {1, 2, 3, 6} <= orders
+
+
+class TestHeightFromTorsion:
+    def test_exact_powers_of_three(self):
+        assert height_from_torsion(3) == pytest.approx(2.0, rel=1e-12)
+        assert height_from_torsion(9) == pytest.approx(4.0, rel=1e-12)
+
+    def test_two(self):
+        assert height_from_torsion(2) == pytest.approx(1.2618595071429148, rel=1e-12)
+
+    def test_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            height_from_torsion(0)
 
 
 def _minor_count(nrows, ncols, rank):
