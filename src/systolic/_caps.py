@@ -103,13 +103,16 @@ def read_json(source, label: str, build=None):
 
 
 def rational(value, label: str):
-    """``value`` (anything Fraction takes but a boolean or a text with a "_" or a character other than
-    ASCII, which no other number takes) as a Fraction, or one ValueError naming ``label``, as for a
-    text whose decimal exponent or longest digit run passes MAX_DIGITS."""
+    """``value`` (anything Fraction takes but a text with a "_" or a character other than ASCII, which
+    no other number takes) as a Fraction, or one ValueError naming ``label``, as for a text whose
+    decimal exponent or longest digit run passes MAX_DIGITS.  A float or a boolean is refused as not
+    exact, not read as its binary value."""
     import fractions  # 0.13 us a call; "from fractions import Fraction" takes 0.75 us (2 vCPUs, Python 3.11)
 
+    if isinstance(value, (bool, float)):
+        raise _refusal(label, value, "exact: give a rational as a string or an integer")
     text = type(value) is str
-    if type(value) is not bool and not (text and (not value.isascii() or "_" in value)):
+    if not (text and (not value.isascii() or "_" in value)):
         if text and ("e" in value or "E" in value):
             try:
                 exponent = abs(int(value.lower().rpartition("e")[2]))

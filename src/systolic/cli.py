@@ -6,12 +6,15 @@ identical invocations produce byte-identical artifacts.  Exit codes:
 0 success (a sweep's rows may hold errors), 1 invariant violation (a
 theorem-level check, in any sweep row too, came back false: a bug), 2 bad input.
 
-Each command imports the modules it runs when it runs, so start-up
-(``--version`` and the parser) loads only this module, argparse and the
-package's ``__init__``.  A command reads its numeric options through
-``_caps`` and writes through ``_output``.  ``bounds`` and ``sweep`` share
-one dispatch path, the evaluator table of ``_evaluators``, which no other
-command loads.
+One table, ``COMMANDS``, declares each command's help line and arguments;
+``main`` reads a command's numeric options through ``_caps``, by the kind
+each declares, and runs its handler ``cmd_<name>``.  When the first word
+names a command, the process builds only that command's subparser; help,
+``--version`` and an unknown command build all 11.  Each command imports
+the modules it runs when it runs, so start-up loads only this module,
+argparse and the package's ``__init__``.  A command writes through
+``_output``.  ``bounds`` and ``sweep`` share one dispatch path, the
+evaluator table of ``_evaluators``, which no other command loads.
 """
 from __future__ import annotations
 
@@ -205,6 +208,56 @@ def cmd_corpus(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# An argument is its one spelling and argparse's keywords, with no "type": argparse only splits
+# words.  A "kind" names the _caps reader main applies to the option's text; None keeps its JSON
+# value for the evaluator.  Every command takes OUT first.
+OUT = ("--out", dict(default=None, help="output file (default stdout)"))
+COMMANDS = {
+    "homology": ("Betti numbers and torsion", [
+        ("inputs", dict(nargs="*", help="complex JSON files")),
+        ("--corpus", dict(action="store_true", help="run on the built-in corpus")),
+        ("--format", dict(choices=("csv", "json"), default="json"))]),
+    "check-torsion-bound": ("s2 vs 2 log3 |Tors H1|", [
+        ("inputs", dict(nargs="*")),
+        ("--corpus", dict(action="store_true"))]),
+    "abelianize": ("abelian invariants of a presentation", [
+        ("presentation", dict(help="e.g. 'a,b,c ; [a,b]c^-5, [a,c], [b,c]'"))]),
+    "girth": ("girth and optional metric systole", [
+        ("graph", dict(help="graph JSON file")),
+        ("--edge-length", dict(default=None, kind="rational", help="uniform rational edge length, e.g. 1/8"))]),
+    "build-graph": ("regular graph of prescribed girth", [
+        ("--c", dict(required=True, kind="integer", help="degree")),
+        ("--girth", dict(required=True, kind="integer")),
+        ("--vertices", dict(required=True, kind="integer")),
+        ("--seed", dict(default="0", kind="integer"))]),
+    "sleeve": ("assemble sleeves over a graph", [
+        ("--m", dict(required=True, kind="integer")),
+        ("--c", dict(required=True, kind="integer")),
+        ("--eps", dict(required=True, kind="rational", help="rational sleeve thickness, e.g. 1/10")),
+        ("--graph", dict(required=True))]),
+    "bounds": ("closed-form bound evaluators", [
+        ("name", dict(help="evaluator name")),
+        ("--value", dict(required=True, kind=None)),
+        ("--constants", dict(default=None, help="JSON file of bound constants"))]),
+    "waring": ("minimal sums of d-th powers", [
+        ("mode", dict(nargs="?", choices=("verify",), default=None)),
+        ("--k", dict(default=None, kind="integer")),
+        ("--d", dict(default=None, kind="integer")),
+        ("--limit", dict(default=None, kind="integer", help="verify mode: largest k checked (default 100000)"))]),
+    "genfun": ("recurrence detection", [
+        ("mode", dict(choices=("detect",))),
+        ("--file", dict(required=True, help='sequence JSON: {"terms": ["3/2", ...]}')),
+        ("--max-order", dict(default="16", kind="integer"))]),
+    "corpus": ("list built-in complexes and graphs", [("--format", dict(choices=("csv", "json"), default="json"))]),
+    "sweep": ("grid sweep from a spec file", [
+        ("--spec", dict(required=True)),
+        ("--constants", dict(default=None, help="JSON file of bound constants"))]),
+}
+
+
+def _arguments(name):
+    return (OUT, *COMMANDS[name][1])
+
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ValueError, so that main prints it as one line."""
@@ -213,117 +266,56 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="systolic", allow_abbrev=False,
-        description="exact homology, girth graphs, and systolic bound evaluators",
-    )
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser, with a subparser for each of ``names`` alone."""
+    parser = _Parser(prog="systolic", allow_abbrev=False,
+                     description="exact homology, girth graphs, and systolic bound evaluators")
     parser.add_argument("--version", action="version", version=f"systolic {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    parser.readers = {}  # option string -> the subcommands that declare it
-
-    def command(name, func, help):
-        """Add subcommand ``name``; return the function that declares its arguments."""
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(func=func, kinds={})  # the dest of each numeric option -> its flag and kind
-
-        def add(*flags, kind=False, **kwargs):  # main reads a numeric option by its kind in _caps; None: as JSON
-            for flag in flags:
-                if flag.startswith("-"):
-                    parser.readers.setdefault(flag, []).append(name)
-            action = p.add_argument(*flags, **kwargs)
-            if kind is not False:
-                p.get_default("kinds")[action.dest] = flags[0], kind
-
-        add("--out", default=None, help="output file (default stdout)")
-        return add
-
-    add = command("homology", cmd_homology, "Betti numbers and torsion")
-    add("inputs", nargs="*", help="complex JSON files")
-    add("--corpus", action="store_true", help="run on the built-in corpus")
-    add("--format", choices=("csv", "json"), default="json")
-
-    add = command("check-torsion-bound", cmd_check_torsion_bound, "s2 vs 2 log3 |Tors H1|")
-    add("inputs", nargs="*")
-    add("--corpus", action="store_true")
-
-    add = command("abelianize", cmd_abelianize, "abelian invariants of a presentation")
-    add("presentation", help="e.g. 'a,b,c ; [a,b]c^-5, [a,c], [b,c]'")
-
-    add = command("girth", cmd_girth, "girth and optional metric systole")
-    add("graph", help="graph JSON file")
-    add("--edge-length", default=None, kind="rational", help="uniform rational edge length, e.g. 1/8")
-
-    add = command("build-graph", cmd_build_graph, "regular graph of prescribed girth")
-    add("--c", required=True, kind="integer", help="degree")
-    add("--girth", required=True, kind="integer")
-    add("--vertices", required=True, kind="integer")
-    add("--seed", default="0", kind="integer")
-
-    add = command("sleeve", cmd_sleeve, "assemble sleeves over a graph")
-    add("--m", required=True, kind="integer")
-    add("--c", required=True, kind="integer")
-    add("--eps", required=True, kind="rational", help="rational sleeve thickness, e.g. 1/10")
-    add("--graph", required=True)
-
-    add = command("bounds", cmd_bounds, "closed-form bound evaluators")
-    add("name", help="evaluator name")
-    add("--value", required=True, kind=None)
-    add("--constants", default=None, help="JSON file of bound constants")
-
-    add = command("waring", cmd_waring, "minimal sums of d-th powers")
-    add("mode", nargs="?", choices=("verify",), default=None)
-    add("--k", default=None, kind="integer")
-    add("--d", default=None, kind="integer")
-    add("--limit", default=None, kind="integer", help="verify mode: largest k checked (default 100000)")
-
-    add = command("genfun", cmd_genfun, "recurrence detection")
-    add("mode", choices=("detect",))
-    add("--file", required=True, help='sequence JSON: {"terms": ["3/2", ...]}')
-    add("--max-order", default="16", kind="integer")
-
-    add = command("corpus", cmd_corpus, "list built-in complexes and graphs")
-    add("--format", choices=("csv", "json"), default="json")
-
-    add = command("sweep", cmd_sweep, "grid sweep from a spec file")
-    add("--spec", required=True)
-    add("--constants", default=None, help="JSON file of bound constants")
-
+    for name in names:
+        p = sub.add_parser(name, help=COMMANDS[name][0], allow_abbrev=False)
+        for spelling, keywords in _arguments(name):
+            p.add_argument(spelling, **{key: value for key, value in keywords.items() if key != "kind"})
     return parser
 
 
-def _refuse_option_before_command(readers, argv) -> None:
-    """Name a subcommand's option given before the subcommand.
-
-    argparse would take the option's value for the subcommand name, or call
-    the option unrecognized.  Only the options before the first word that is
-    not one are looked at; ``readers`` maps each option of a subcommand to the
-    subcommands that declare it.
-    """
-    for word in argv:
+def _refuse_option_before_command(argv) -> None:
+    """Name a subcommand's option given before the subcommand, which argparse would take for the
+    subcommand name or call unrecognized.  The first word that is neither an option nor an option's
+    value names the command if it declares the option; else the first command that does."""
+    options = {spelling: keywords for name in COMMANDS for spelling, keywords in _arguments(name)}
+    misplaced, words = None, iter(argv)
+    for word in words:
         if not word.startswith("-"):
-            return
-        option = word.split("=", 1)[0]
-        if option in readers:
-            command = next((w for w in argv if w in readers[option]), readers[option][0])
-            raise ValueError(f"{option} goes after the subcommand name, as in 'systolic {command} {option} ...'")
+            break
+        option, inline, _ = word.partition("=")
+        if option in options:
+            misplaced = misplaced or option
+            if not inline and options[option].get("action") != "store_true":
+                next(words, None)  # the option's value
+    else:
+        word = None
+    if misplaced:
+        names = [name for name in COMMANDS if misplaced in dict(_arguments(name))]
+        command = word if word in names else names[0]
+        raise ValueError(f"{misplaced} goes after the subcommand name, as in 'systolic {command} {misplaced} ...'")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser()
-        _refuse_option_before_command(parser.readers, argv)
-        args = parser.parse_args(argv)
+        _refuse_option_before_command(argv)
+        # a command builds its own subparser; help, --version and an unknown command build them all
+        args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
         from . import _caps
 
-        for dest, (flag, kind) in args.kinds.items():  # argparse converts no text: each kind reads it here
-            text = getattr(args, dest)
-            if text is not None:
-                value = text if kind == "rational" else _caps.json_value(text, flag)
-                setattr(args, dest, value if kind is None else getattr(_caps, kind)(value, flag))
-        return args.func(args)
+        for spelling, keywords in _arguments(args.command):  # argparse converts no text: each kind reads it here
+            dest = spelling.lstrip("-").replace("-", "_")
+            if "kind" in keywords and getattr(args, dest) is not None:
+                kind, text = keywords["kind"], getattr(args, dest)
+                value = text if kind == "rational" else _caps.json_value(text, spelling)
+                setattr(args, dest, value if kind is None else getattr(_caps, kind)(value, spelling))
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

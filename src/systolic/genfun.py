@@ -67,15 +67,9 @@ class RationalSequence:
 
     @classmethod
     def from_values(cls, values) -> "RationalSequence":
-        """Terms from exact values, or a one-line ValueError naming the term: a
-        float or a boolean is refused, not read as its binary value, and so is
-        any value ``_caps.rational`` refuses (such as None, "1/0" or "abc")."""
-        terms = []
-        for value in values:
-            if isinstance(value, (bool, float)):
-                raise ValueError(f"term {value!r} is not exact: give a rational as a string or an integer")
-            terms.append(rational(value, "term"))
-        return cls(tuple(terms))
+        """Terms from exact values, or a one-line ValueError naming the term, for
+        any value ``_caps.rational`` refuses (such as a float, None, "1/0" or "abc")."""
+        return cls(tuple(rational(value, "term") for value in values))
 
 
 @record

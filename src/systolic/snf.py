@@ -96,7 +96,8 @@ def smith_normal_form(matrix) -> SmithForm:
     Input may be a dense sequence of rows, or a sparse {(i, j): value}
     mapping whose row and column ids are any integers: rows and columns
     with no entry add nothing to the invariant factors, and the ids only
-    order the work.  The result is deterministic for a given input.
+    order the work.  An entry that is no int, a boolean too, is a
+    ValueError.  The result is deterministic for a given input.
     """
     entries = _coerce(matrix)
     pivots, rows, cols = _unit_phase(entries)
@@ -120,9 +121,9 @@ def _unit_phase(entries: dict) -> tuple[list[tuple], dict, dict]:
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, dict[int, int]] = {}
     for (i, j), v in entries.items():
+        if type(v) is not int:  # a boolean is no entry
+            raise ValueError("matrix entries must be integers")
         if v:
-            if not isinstance(v, int):
-                raise TypeError("matrix entries must be integers")
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, {})[i] = v
     heap = [(len(col), j) for j, col in cols.items()]

@@ -1,7 +1,9 @@
 """Every request cap refuses in one text shape, from ``_caps.check``,
 README's cap table agrees with the code, and only ``_caps`` parses JSON."""
 import ast
+import contextlib
 import importlib
+import io
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -25,10 +27,13 @@ def _detect(terms):
 
 
 def _sweep(tmp_path, ks):
+    """Run a waring sweep through the CLI; its one-line refusal is raised as a ValueError."""
     spec = tmp_path / "spec.json"
     spec.write_text(f'{{"command": "waring", "grid": {{"k": {ks}, "d": [2]}}}}')
-    args = cli.build_parser().parse_args(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
-    return args.func(args)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
+    if code:
+        raise ValueError(err.getvalue().removeprefix("error: ").removesuffix("\n"))
 
 
 # (constant, the cap the test sets, or None for the real one, a request at the cap,
@@ -132,11 +137,9 @@ def test_a_value_past_100_characters_is_shown_by_its_start_and_length():
 
 def test_build_parser_passes_no_type():
     # argparse only splits words: main reads each numeric option's text by the kind it declares
-    (build,) = [node for node in ast.walk(_sources()["cli"])
-                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
-    calls = [node for node in ast.walk(build) if isinstance(node, ast.Call)]
-    assert len(calls) > 40
-    assert [ast.unparse(call) for call in calls if any(word.arg == "type" for word in call.keywords)] == []
+    arguments = [argument for name in cli.COMMANDS for argument in cli._arguments(name)]
+    assert len(arguments) == 40
+    assert [spelling for spelling, keywords in arguments if "type" in keywords] == []
 
 
 def test_each_check_names_the_constant_it_compares_with():

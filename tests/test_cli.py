@@ -730,8 +730,9 @@ KIND_NAMES = {_caps.finite_number: "a finite number", _caps.whole_number: "a who
 # JSON values of a type each kind refuses; a number kind refuses these
 WRONG_TYPES = {
     "a corpus name": [7, 2.5, True, None, ["torus_7"], {"name": "torus_7"}],
-    "a rational number": [True, False, None, ["1/8"], {"eps": "1/8"}],
+    "a rational number": [True, False, 0.125, None, ["1/8"], {"eps": "1/8"}],
 }
+INEXACT = "exact: give a rational as a string or an integer"  # what a rational is not, given a boolean or a float
 NOT_NUMBERS = ["5", True, False, None, [5], {"value": 5}]
 
 
@@ -772,7 +773,9 @@ def test_wrong_json_type_is_a_row_error_naming_key_and_kind(name, tmp_path, caps
         code, out, err = _sweep(tmp_path, capsys, name, grid)
         assert (code, err) == (0, f"sweep finished with {len(wrong)} row errors\n")
         rows = list(csv.reader(io.StringIO(out, newline="")))[2:]
-        assert [row[-2:] for row in rows] == [["", f"{key} {value!r} is not {KIND_NAMES[kind]}"] for value in wrong]
+        nots = [INEXACT if kind is _caps.rational and type(value) in (bool, float) else KIND_NAMES[kind]
+                for value in wrong]
+        assert [row[-2:] for row in rows] == [["", f"{key} {value!r} is not {what}"] for value, what in zip(wrong, nots)]
 
 
 def test_false_theorem_check_in_a_sweep_exits_1_after_every_row(tmp_path, capsys, monkeypatch):
@@ -999,6 +1002,18 @@ def test_sleeve_volume_sweep_reads_m_and_c_as_integers(tmp_path, capsys):
     # rows run over c, eps and m in turn, and each point reads m before c
     assert [row[-2:] for row in rows] == [["", "c 9.5 is not an integer"], ["", "m 3.5 is not an integer"],
                                           ["21/5", ""], ["", "m 3.5 is not an integer"]]
+
+
+def test_sleeve_volume_sweep_refuses_a_float_eps(tmp_path, capsys):
+    # the float 0.1 was read as its binary value, and its row gave
+    # 75660473739824337/18014398509481984 in the same grid cell, 0.1, as the text's 21/5
+    code, out, err = _sweep(tmp_path, capsys, "sleeve-volume", {"m": [3], "c": [7], "eps": [0.1, "0.1"]})
+    assert (code, err) == (0, "sweep finished with 1 row errors\n")
+    rows = list(csv.reader(io.StringIO(out, newline="")))[2:]
+    assert [row[1:] for row in rows] == [
+        ["0.1", "3", "", "eps 0.1 is not exact: give a rational as a string or an integer"],
+        ["0.1", "3", "21/5", ""],
+    ]
 
 
 class TestWaringCommand:
@@ -1503,6 +1518,56 @@ def test_each_option_is_declared_on_the_commands_that_read_it():
     assert sum(map(len, surface.values())) == 40
 
 
+# an argv that each command runs with, its handler stubbed
+RUNS = {
+    "homology": ["--corpus"],
+    "check-torsion-bound": ["--corpus"],
+    "abelianize": ["a ; a^2"],
+    "girth": ["g.json", "--edge-length", "1/8"],
+    "build-graph": ["--c", "3", "--girth", "5", "--vertices", "10"],
+    "sleeve": ["--m", "3", "--c", "7", "--eps", "1/5", "--graph", "g.json"],
+    "bounds": ["height", "--value", "5"],
+    "waring": ["--k", "79", "--d", "4"],
+    "genfun": ["detect", "--file", "s.json"],
+    "corpus": ["--format", "csv"],
+    "sweep": ["--spec", "s.json"],
+}
+
+
+def _built_subparsers(monkeypatch, capsys, argv):
+    """The subparsers main builds for ``argv``, and its exit code."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse._SubParsersAction, "add_parser",
+                      lambda action, name, **kwargs: built.append(name) or add_parser(action, name, **kwargs))
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+    capsys.readouterr()
+    return built, code
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_a_command_builds_its_own_subparser_alone(name, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli_mod, "cmd_" + name.replace("-", "_"), lambda args: ran.append(args.command) or 0)
+    assert _built_subparsers(monkeypatch, capsys, [name, *RUNS[name]]) == ([name], 0)
+    assert ran == [name]
+
+
+@pytest.mark.parametrize("argv, code", [(["-h"], 0), (["--version"], 0), (["foo"], 2), ([], 2)])
+def test_help_version_and_an_unknown_command_build_every_subparser(argv, code, monkeypatch, capsys):
+    assert _built_subparsers(monkeypatch, capsys, argv) == (list(cli_mod.COMMANDS), code)
+
+
+def test_each_command_has_one_handler():
+    handlers = {name for name in vars(cli_mod) if name.startswith("cmd_")}
+    assert handlers == {"cmd_" + name.replace("-", "_") for name in cli_mod.COMMANDS}
+    assert set(RUNS) == set(cli_mod.COMMANDS)
+
+
 MISPLACED_OPTIONS = [
     (["--out", "{tmp}/F", "corpus"],
      "--out goes after the subcommand name, as in 'systolic corpus --out ...'"),
@@ -1527,6 +1592,9 @@ MISPLACED_OPTIONS = [
     (["bounds", "height", "--val", "5"], "the following arguments are required: --value"),
     (["--ver"], "the following arguments are required: command"),
     (["--ver", "corpus"], "unrecognized arguments: --ver"),
+    # the value of --out is no command: it named 'homology'
+    (["--out", "homology", "corpus"],
+     "--out goes after the subcommand name, as in 'systolic corpus --out ...'"),
 ]
 
 

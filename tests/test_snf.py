@@ -46,8 +46,10 @@ class TestKnownForms:
         assert form.torsion_factors == (2,)
 
     def test_non_integer_rejected(self):
-        with pytest.raises(TypeError):
-            smith_normal_form([[1.5]])
+        # a float raised TypeError, True was read as 1 and a zero float or False was skipped
+        for matrix in [[[1.5]], {(0, 0): 2.0}, [[True, 0], [0, 2]], [[0.0]], {(0, 0): False}]:
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                smith_normal_form(matrix)
 
 
 def _random_sparse(rng, max_dim=8, bound=3):
